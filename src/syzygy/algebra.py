@@ -370,11 +370,23 @@ def from_quiver(q: QuiverPresentation, p: int, max_path_length: int = 12,
 
 
 # ---------------------------------------------------------------------------
-# derived constructions
+# derived constructions, each built once per base algebra
+
+
+def _derived(a: StructureAlgebra, key: str, build) -> StructureAlgebra:
+    """build(a), memoized on a, so the derived algebra keeps its caches."""
+    memo = a._cache.setdefault("derived", {})
+    if key not in memo:
+        memo[key] = build(a)
+    return memo[key]
 
 
 def opposite(a: StructureAlgebra) -> StructureAlgebra:
     """Opposite algebra: transposed structure constants, same certificates."""
+    return _derived(a, "opposite", _opposite)
+
+
+def _opposite(a: StructureAlgebra) -> StructureAlgebra:
     return StructureAlgebra(
         a.p,
         a.mul.transpose(1, 0, 2).copy(),
@@ -388,6 +400,10 @@ def opposite(a: StructureAlgebra) -> StructureAlgebra:
 
 def trivial_extension(a: StructureAlgebra) -> StructureAlgebra:
     """T(A) = A + A-natural with (x,y)(x',y') = (xx', xy' + yx')."""
+    return _derived(a, "trivial_extension", _trivial_extension)
+
+
+def _trivial_extension(a: StructureAlgebra) -> StructureAlgebra:
     n = a.dim
     p = a.p
     mul = linalg.zeros((2 * n, 2 * n, 2 * n))
@@ -556,6 +572,10 @@ def _sigma_bimodule(a: StructureAlgebra, b: StructureAlgebra,
 
 def build_lambda(a: StructureAlgebra) -> StructureAlgebra:
     """Triangular algebra [[A, A/rad(A)], [0, T(A/rad(A))]]."""
+    return _derived(a, "lambda", _build_lambda)
+
+
+def _build_lambda(a: StructureAlgebra) -> StructureAlgebra:
     sigma, proj = semisimple_quotient(a)
     b = trivial_extension(sigma)
     m = _sigma_bimodule(a, b, sigma, proj, left_is_b=False)
@@ -569,6 +589,10 @@ def build_cover(a: StructureAlgebra) -> StructureAlgebra:
     as triangular(T(A/rad(A)), A, A/rad(A)) via a corner swap, so one
     triangular builder serves both constructions.
     """
+    return _derived(a, "cover", _build_cover)
+
+
+def _build_cover(a: StructureAlgebra) -> StructureAlgebra:
     sigma, proj = semisimple_quotient(a)
     b = trivial_extension(sigma)
     m = _sigma_bimodule(a, b, sigma, proj, left_is_b=True)

@@ -148,11 +148,7 @@ def adesc(entry_id: str, *ops) -> dict:
 def resolve_algebra_desc(desc: dict, resolved: dict) -> StructureAlgebra:
     if desc["entry"] not in resolved:
         raise CorpusError(f"unknown entry {desc['entry']!r} in certificate")
-    key = (desc["entry"], tuple(desc.get("ops", [])))
-    cache = resolved.setdefault("__derived__", {})
-    if key not in cache:
-        cache[key] = apply_ops(resolved[desc["entry"]], desc.get("ops", []))
-    return cache[key]
+    return apply_ops(resolved[desc["entry"]], desc.get("ops", []))
 
 
 def mref(kind: str, algebra_desc: dict, **kw) -> dict:
@@ -229,10 +225,6 @@ def sigma_triple_module(a: StructureAlgebra) -> RightModule:
     y = RightModule(b, action, name="Sigma_B")
     t = make_triple(lam, zero_module(a), y, linalg.zeros((0, sigma.dim)))
     return triple_to_module(t, lam)
-
-
-def b_regular_as_y(lam: StructureAlgebra) -> RightModule:
-    return canonical_modules(lam.triangle.v)[0]
 
 
 def build_sample_triple(a: StructureAlgebra, x_ref: dict, y_ref: dict,

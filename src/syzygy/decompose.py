@@ -1,9 +1,15 @@
-"""Endomorphism rings and Krull-Schmidt decomposition.
+"""Endomorphism rings, isomorphism classes and Krull-Schmidt decomposition.
 
 Everything random is Las Vegas: outputs carry exact certificates
 (idempotency, orthogonality, invertible witnesses) that are re-checked
-deterministically.  Only a "not isomorphic" verdict reached by sampling
-is probabilistic, and it reports its one-sided error bound.
+deterministically.  A "not isomorphic" verdict comes from an exact
+invariant (total dimension, dimension vector, hom dimensions) or, only
+when those agree, from sampling, and then it reports its one-sided error
+bound.
+
+Isomorphism classes are decided once per algebra: `class_id` keeps a
+registry on the algebra, bucketed by (dim, dimension vector), and runs the
+certified `iso_test` only against the representatives of one bucket.
 """
 
 from __future__ import annotations
@@ -22,7 +28,13 @@ from .errors import (
     NotIdempotentInQuotient,
     RandomnessExhausted,
 )
-from .modules import ModuleHom, RightModule, hom_space, submodule_from_generators
+from .modules import (
+    ModuleHom,
+    RightModule,
+    dimension_vector,
+    hom_space,
+    submodule_from_generators,
+)
 
 NEWTON_CAP = 64
 SPLIT_TRIALS = 256
@@ -302,6 +314,10 @@ def primitive_idempotents(e: EndRing, seed: int):
 
 @dataclass
 class IsoVerdict:
+    """reason is None when isomorphic; otherwise "DimMismatch" or
+    "DimVectorMismatch" (exact invariants), "HomObstruction" (exact hom
+    dimensions), or "SamplingExhausted" (carries error_bound)."""
+
     isomorphic: bool
     witness: ModuleHom | None = None
     reason: str | None = None
@@ -324,6 +340,8 @@ def iso_test(x: RightModule, y: RightModule, trials: int = 5,
         return IsoVerdict(False, reason="DimMismatch")
     if x.dim == 0:
         return IsoVerdict(True, ModuleHom(x, y, linalg.zeros((0, 0))))
+    if dimension_vector(x) != dimension_vector(y):
+        return IsoVerdict(False, reason="DimVectorMismatch")
     hxy = hom_space(x, y)
     hyx = hom_space(y, x)
     ex = end_ring(x).dim
@@ -347,6 +365,25 @@ def iso_test(x: RightModule, y: RightModule, trials: int = 5,
         reason="SamplingExhausted",
         error_bound=Fraction(x.dim, p) ** trials,
     )
+
+
+def class_id(x: RightModule, trials: int = 5) -> int:
+    """Index of the isomorphism class of x in the registry of its algebra.
+
+    A new module is compared only with the representatives of its
+    (dim, dimension vector) bucket, each with a seed fixed by that
+    representative, so the answer does not depend on the caller."""
+    if "class_id" not in x._cache:
+        registry = x.algebra._cache.setdefault("iso_classes", {})
+        bucket = registry.setdefault((x.dim, dimension_vector(x)), [])
+        for cid, rep in bucket:
+            if iso_test(x, rep, trials=trials, seed=cid).isomorphic:
+                break
+        else:
+            cid = sum(len(b) for b in registry.values())
+            bucket.append((cid, x))
+        x._cache["class_id"] = cid
+    return x._cache["class_id"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ bound from an explicit witness M found in a finite candidate pool.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .algebra import StructureAlgebra, opposite
-from .decompose import decompose, iso_test
+from .algebra import StructureAlgebra, opposite, same_algebra
+from .decompose import class_id, decompose, iso_test
+from .errors import AlgebraMismatch
 from .modules import (
     ModuleHom,
     RightModule,
@@ -119,27 +121,25 @@ def projective_dimension(x: RightModule, cap: int = DEFAULT_PD_CAP,
     return PdResult("unknown", cap=cap)
 
 
-def _nonprojective_classes(x: RightModule, seed: int, trials: int):
-    """Iso-class multiset of the non-projective indecomposable summands."""
+def _nonprojective_classes(x: RightModule, a: StructureAlgebra, seed: int,
+                           trials: int) -> Counter:
+    """Multiset of the class ids, in the registry of a, of the
+    non-projective indecomposable summands."""
+    if x.algebra is not a:  # class ids of two registries do not compare
+        if not same_algebra(x.algebra, a):
+            raise AlgebraMismatch("modules over different algebras")
+        x = RightModule(a, x.action)
     dec = decompose(x, seed=seed, trials=trials)
-    out = []
+    out = Counter()
     for rep, mult in dec.parts:
         if not is_projective(rep):
-            out.append((rep, mult))
+            out[class_id(rep, trials)] += mult
     return out
 
 
-def _covers(need, have, seed: int, trials: int) -> bool:
+def _covers(need: Counter, have: Counter) -> bool:
     """Every needed class appears in `have` with at least its multiplicity."""
-    for rep, mult in need:
-        got = 0
-        for rep2, mult2 in have:
-            if iso_test(rep, rep2, trials=trials, seed=seed).isomorphic:
-                got = mult2
-                break
-        if got < mult:
-            return False
-    return True
+    return all(have[c] >= mult for c, mult in need.items())
 
 
 def torsionless_ladder_lower(s: RightModule, horizon: int = DEFAULT_HORIZON) -> int:
@@ -163,9 +163,6 @@ def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON,
     """First level d at which an explicit witness certifies the summand
     condition; returns (d, witness module, tag) or (None, None, reason)."""
     a = s.algebra
-    # the pool and its syzygy chains are built lazily: levels 0 never need them
-    chains = None
-    chain_classes: dict = {}
     cur = s
     for d in range(horizon + 1):
         if is_projective(cur):
@@ -176,46 +173,24 @@ def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON,
                 q, _ = quotient_module(emb.target, emb.matrix)
                 return 0, q, "embedding-quotient"
         else:
-            if pool is None:
+            if pool is None:  # built lazily: level 0 never needs it
                 pool = default_pool(a, horizon)
-            if chains is None:
-                chains = list(pool.modules)
-            need = _nonprojective_classes(cur, seed=seed + d, trials=trials)
-            haves = _advance_chains(pool, chains, chain_classes, d, seed, trials)
+            need = _nonprojective_classes(cur, a, seed=seed + d, trials=trials)
+            # syzygies are cached on the modules, so each level extends the last
+            haves = [_nonprojective_classes(syzygy(m, d + 1), a,
+                                            seed=seed + 101 * (idx + 1),
+                                            trials=trials)
+                     for idx, m in enumerate(pool.modules)]
             for idx, have in enumerate(haves):
-                if _covers(need, have, seed + 17 * d, trials):
+                if _covers(need, have):
                     return d, pool.modules[idx], pool.tags[idx]
             for i in range(len(haves)):
                 for j in range(i, len(haves)):
-                    merged = haves[i] + haves[j] if i != j else [
-                        (rep, 2 * mult) for rep, mult in haves[i]
-                    ]
-                    if _covers(need, merged, seed + 17 * d, trials):
+                    if _covers(need, haves[i] + haves[j]):
                         witness, _ = direct_sum([pool.modules[i], pool.modules[j]])
                         return d, witness, f"{pool.tags[i]}+{pool.tags[j]}"
         cur = syzygy_step(cur)[0]
     return None, None, "horizon-exhausted"
-
-
-def _advance_chains(pool, chains, chain_classes, d, seed, trials):
-    """Bring every candidate chain to Omega^{d+1} and return the class
-    multisets, advancing incrementally and caching per level."""
-    key = d
-    if key in chain_classes:
-        return chain_classes[key]
-    target_level = d + 1
-    current_level = chain_classes.get("level", 0)
-    while current_level < target_level:
-        for idx in range(len(chains)):
-            chains[idx] = syzygy_step(chains[idx])[0]
-        current_level += 1
-    chain_classes["level"] = current_level
-    haves = [
-        _nonprojective_classes(chains[idx], seed=seed + 101 * (idx + 1), trials=trials)
-        for idx in range(len(chains))
-    ]
-    chain_classes[key] = haves
-    return haves
 
 
 def verify_del_witness(s: RightModule, d: int, witness: RightModule,
@@ -225,10 +200,10 @@ def verify_del_witness(s: RightModule, d: int, witness: RightModule,
     om = syzygy(s, d)
     if is_projective(om):
         return True
-    need = _nonprojective_classes(om, seed=seed, trials=trials)
-    have = _nonprojective_classes(syzygy(witness, d + 1), seed=seed + 1,
-                                  trials=trials)
-    return _covers(need, have, seed + 2, trials)
+    need = _nonprojective_classes(om, s.algebra, seed=seed, trials=trials)
+    have = _nonprojective_classes(syzygy(witness, d + 1), s.algebra,
+                                  seed=seed + 1, trials=trials)
+    return _covers(need, have)
 
 
 def del_bounds(s: RightModule, horizon: int = DEFAULT_HORIZON,

@@ -154,9 +154,9 @@ def submodule_from_generators(x: RightModule, gens):
     k = basis.shape[0]
     action = linalg.zeros((a.dim, k, k))
     if k:
-        for i in range(a.dim):
-            rows = linalg.matmul(basis, x.action[i], p)
-            action[i] = linalg.solve_linear(basis, rows, p)
+        moved = np.matmul(basis, x.action) % p  # (dim A, k, dim x)
+        action = linalg.solve_linear(basis, moved.reshape(-1, x.dim), p)
+        action = action.reshape(a.dim, k, k)
     sub = RightModule(a, action)
     return sub, ModuleHom(sub, x, basis)
 
@@ -295,9 +295,12 @@ def projective_cover(x: RightModule):
 
 
 def syzygy_step(x: RightModule):
-    """(Omega(x), inclusion into the cover)."""
-    pres = presentation(x)
-    return submodule_from_generators(pres.cover, pres.kernel_rows)
+    """(Omega(x), inclusion into the cover), cached on the module."""
+    if "syzygy_step" not in x._cache:
+        pres = presentation(x)
+        x._cache["syzygy_step"] = submodule_from_generators(pres.cover,
+                                                            pres.kernel_rows)
+    return x._cache["syzygy_step"]
 
 
 def syzygy(x: RightModule, s: int) -> RightModule:
@@ -312,6 +315,16 @@ def syzygy(x: RightModule, s: int) -> RightModule:
 def is_projective(x: RightModule) -> bool:
     """Exact test: the minimal cover has zero kernel."""
     return presentation(x).kernel_rows.shape[0] == 0
+
+
+def dimension_vector(x: RightModule) -> tuple:
+    """(dim x*e_i) over the stored primitive idempotents, cached on the
+    module; an isomorphism invariant."""
+    if "dim_vector" not in x._cache:
+        a = x.algebra
+        x._cache["dim_vector"] = tuple(
+            linalg.rank(m, a.p) for m in x.rho_rows(a.idempotents))
+    return x._cache["dim_vector"]
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +444,7 @@ def dual_star(x: RightModule) -> RightModule:
     """Hom_A(x, A) as a right module over the opposite algebra."""
     a = x.algebra
     p = a.p
-    if "opposite" not in a._cache:
-        a._cache["opposite"] = opposite(a)
-    aop = a._cache["opposite"]
+    aop = opposite(a)
     regular = canonical_modules(a)[0]
     homs = hom_space(x, regular)
     h = len(homs)

@@ -27,10 +27,6 @@ def degree(f) -> int:
     return len(f) - 1
 
 
-def is_zero(f) -> bool:
-    return len(f) == 0
-
-
 def add(f, g, p: int) -> Poly:
     n = max(len(f), len(g))
     out = [0] * n

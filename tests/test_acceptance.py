@@ -4,6 +4,8 @@ Everything runs on the bundled corpus at p = 32003 with fixed seeds and
 exact arithmetic (zero tolerance).  Run with -s to see the summary lines.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from syzygy.algebra import build_cover, opposite
 
 P = 32003
 SEED = 20
+PINNED_REPORT_SHA = "54e08c2d7506c046"
 
 REAL_IDS = ["a2", "a3", "dual_numbers", "nakayama3", "point", "square",
             "truncated_cubic", "two_points"]
@@ -208,10 +211,16 @@ def test_criterion_10_determinism(world):
     doc2 = checks.report_document(
         again, config, [e.id for e in entries],
         [e.id for e in entries if e.expect_fail])
-    passed = checks.serialize_report(doc) == checks.serialize_report(doc2)
+    text = checks.serialize_report(doc)
+    passed = text == checks.serialize_report(doc2)
+    # the canonical seed-20 report is pinned: behaviour-preserving changes
+    # keep these bytes
+    passed = passed and hashlib.sha256(text.encode()).hexdigest().startswith(
+        PINNED_REPORT_SHA)
     other_config = checks.Config(seed=SEED + 1)
     other, _ = checks.run_corpus(entries, other_config)
     v1 = [(c["algebra_id"], c["check_id"], c["verdict"]) for c in doc["checks"]]
     v2 = [(r.algebra_id, r.check_id, r.verdict) for r in other]
     passed = passed and v1 == v2
-    _line(10, "byte-identical reports per seed, verdicts stable across seeds", passed)
+    _line(10, "byte-identical pinned report per seed, verdicts stable across seeds",
+          passed)

@@ -240,3 +240,12 @@ def test_lambda_opposite_is_cover_of_opposite(factory):
     rhs = algebra.build_cover(algebra.opposite(a))
     sigma = algebra.lambda_cover_swap(a)
     assert algebra.canonical_iso_check(lhs, rhs, sigma)
+
+
+def test_derived_algebras_are_built_once():
+    a = kA2()
+    for build in (algebra.opposite, algebra.trivial_extension,
+                  algebra.build_lambda, algebra.build_cover):
+        assert build(a) is build(a)
+    # the two Sigma corners are one T(Sigma), so they share its caches
+    assert algebra.build_lambda(a).triangle.v is algebra.build_cover(a).triangle.u

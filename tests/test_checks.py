@@ -159,3 +159,20 @@ def test_elapsed_not_in_canonical_report(world):
     doc = checks.report_document(reports, config, ["point"], [])
     assert "elapsed" not in checks.serialize_report(doc)
     assert all(r.elapsed >= 0 for r in reports)
+
+
+@pytest.mark.parametrize("aid", ["a2", "dual_numbers"])
+def test_warm_caches_give_the_cold_evidence(aid):
+    entries = [e for e in corpus.load_corpus() if e.id == aid]
+    a = corpus.resolve_corpus(entries)[aid]
+    desc = _desc(aid)
+    runs = []
+    for _ in range(2):
+        lemma6 = checks.check_del_inequality(a, desc, seed=5)
+        lemma5 = checks.check_syzygy_decomp(a, desc, seed=6,
+                                            resolved={aid: a})
+        runs.append([(r.verdict, r.evidence) for r in (lemma6, lemma5)])
+    assert runs[0] == runs[1]
+    assert runs[0][0][0] == runs[0][1][0] == "PASS"
+    s = modules.canonical_modules(a)[1][0]
+    assert modules.syzygy_step(s) is modules.syzygy_step(s)

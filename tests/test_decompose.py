@@ -1,11 +1,21 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from syzygy import algebra, decompose, linalg, modules
+from syzygy import algebra, corpus, decompose, deloop, linalg, modules
 from syzygy.algebra import QuiverPresentation
 from syzygy.errors import CharTooSmall, NotIdempotentInQuotient
 
 P = 32003
+CORPUS_IDS = ["a2", "a3", "dual_numbers", "nakayama3", "point", "square",
+              "truncated_cubic", "two_points"]
+
+
+@cache
+def _corpus():
+    return corpus.resolve_corpus(corpus.load_corpus())
 
 
 def point(p=P):
@@ -156,11 +166,59 @@ def test_iso_dim_mismatch():
 
 
 def test_iso_hom_obstruction():
-    a = kA2()
-    s1, s2 = modules.canonical_modules(a)[1]
-    v = decompose.iso_test(s1, s2)
+    # same dimension vector (2), but End(A) has dim 2 and End(S + S) dim 4
+    a = dual_numbers()
+    reg, simples, _ = modules.canonical_modules(a)
+    ss, _ = modules.direct_sum([simples[0], simples[0]])
+    v = decompose.iso_test(reg, ss)
     assert not v.isomorphic
     assert v.reason == "HomObstruction"
+
+
+def test_iso_dim_vector_mismatch_builds_no_hom_space(monkeypatch):
+    a = kA2()
+    s1, s2 = modules.canonical_modules(a)[1]
+
+    def no_hom_space(x, y):
+        raise AssertionError("hom_space called")
+
+    monkeypatch.setattr(decompose, "hom_space", no_hom_space)
+    v = decompose.iso_test(s1, s2)
+    assert not v.isomorphic
+    assert v.reason == "DimVectorMismatch"
+    assert modules.dimension_vector(s1) == (1, 0)
+    assert modules.dimension_vector(s2) == (0, 1)
+
+
+@given(st.sampled_from(CORPUS_IDS), st.integers(0, 63), st.integers(0, 2**31))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_prefilter_passes_conjugated_module(aid, pick, seed):
+    """A base change of a module passes the dimension-vector prefilter, and
+    iso_test certifies the two as isomorphic."""
+    a = _corpus()[aid]
+    pool = [m for m in deloop.default_pool(a).modules if m.dim]
+    x = pool[pick % len(pool)]
+    rng = np.random.default_rng(seed)
+    g = rng.integers(0, P, size=(x.dim, x.dim))
+    while linalg.rank(g, P) < x.dim:
+        g = rng.integers(0, P, size=(x.dim, x.dim))
+    g_inv = linalg.invert(g, P)
+    y = modules.RightModule(a, np.matmul(np.matmul(g_inv, x.action) % P, g) % P)
+    assert modules.dimension_vector(x) == modules.dimension_vector(y)
+    v = decompose.iso_test(x, y, seed=seed)
+    assert v.isomorphic
+    assert v.witness.intertwines() and v.witness.is_iso()
+
+
+@pytest.mark.parametrize("aid", CORPUS_IDS)
+def test_class_id_agrees_with_iso_test(aid):
+    a = corpus.resolve_corpus(corpus.load_corpus())[aid]  # empty registry
+    pool = deloop.default_pool(a).modules
+    ids = [decompose.class_id(m) for m in pool]
+    for i, x in enumerate(pool):
+        for j in range(i, len(pool)):
+            same = decompose.iso_test(x, pool[j], seed=i + j).isomorphic
+            assert (ids[i] == ids[j]) == same, (i, j)
 
 
 def test_iso_syzygy_of_simple_dual_numbers():

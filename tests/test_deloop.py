@@ -158,3 +158,26 @@ def test_direct_sum_max_property():
     b2 = deloop.del_bounds(s2)
     assert b.lower == max(b1.lower, b2.lower)
     assert b.upper == max(b1.upper, b2.upper)
+
+
+def test_covers_counts_a_class_split_across_two_haves():
+    a = dual_numbers()
+    reg, simples, _ = modules.canonical_modules(a)
+    s = simples[0]
+    twice, _ = modules.direct_sum([s, s])
+    with_projective, _ = modules.direct_sum([s, reg])
+    need = deloop._nonprojective_classes(twice, a, seed=1, trials=5)
+    haves = [deloop._nonprojective_classes(m, a, seed=2, trials=5)
+             for m in (s, with_projective)]
+    assert list(need.values()) == [2]
+    assert haves[0] == haves[1] and sum(haves[0].values()) == 1
+    assert not deloop._covers(need, haves[0])
+    assert deloop._covers(need, haves[0] + haves[1])
+
+
+def test_del_witness_over_an_equal_copy_of_the_algebra():
+    a, copy = dual_numbers(), dual_numbers()
+    s = modules.canonical_modules(a)[1][0]
+    b = deloop.del_bounds(s)
+    witness = modules.RightModule(copy, b.witness.action)
+    assert deloop.verify_del_witness(s, b.upper, witness)
