@@ -21,6 +21,7 @@ from .modules import (
     canonical_modules,
     direct_sum,
     is_projective,
+    is_torsionless,
     quotient_module,
     radical_submodule,
     socle,
@@ -151,7 +152,7 @@ def torsionless_ladder_lower(s: RightModule, horizon: int = DEFAULT_HORIZON) -> 
     for i in range(horizon + 1):
         if cur.dim == 0:
             break
-        if not torsionless_test(cur)[0]:
+        if not is_torsionless(cur):
             best = i + 1
         cur = syzygy_step(cur)[0]
     return best

@@ -4,6 +4,10 @@ Matrices are numpy int64 arrays with entries reduced into [0, p).  Vectors
 are rows and linear maps act by right multiplication, so the kernel of a
 map m is {x : x @ m = 0}.  Pivot and free-variable choices are leftmost /
 zero so every output is bit-reproducible.
+
+Products are formed in int64 and reduced afterwards.  With p <= MAX_PRIME
+every pairwise product of reduced entries is below p^2 <= 2^40, so a sum of
+n such products stays exact while n < 2^23.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ import numpy as np
 
 from .errors import InconsistentSystem, ResourceGuard
 
-# n * (p-1)^2 must stay inside int64 for plain @-products; this bound is
-# comfortable for any dimension this package ever sees.
+# A @-product of reduced matrices sums n terms below p^2 <= 2^40, which fits
+# int64 while the inner dimension n < 2^23.
 MAX_PRIME = 1 << 20
 
 
@@ -60,6 +64,12 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
+# Matrices with at most this many entries are eliminated on Python lists:
+# up to this size numpy's per-call overhead costs more than the arithmetic,
+# even when every entry is nonzero.
+SMALL_ENTRIES = 64
+
+
 def row_reduce(m: np.ndarray, p: int):
     """Reduced row-echelon form.
 
@@ -67,25 +77,68 @@ def row_reduce(m: np.ndarray, p: int):
     the lowest-index candidate row, so the result is unique and the
     function is idempotent.
     """
-    a = np.array(m, dtype=np.int64) % p
+    a = np.asarray(m, dtype=np.int64) % p
     if a.ndim != 2:
         raise ValueError("row_reduce expects a 2-d array")
+    if a.size <= SMALL_ENTRIES:
+        return _row_reduce_lists(a, p)
+    return _row_reduce_numpy(a, p)
+
+
+def _row_reduce_lists(a: np.ndarray, p: int):
+    """Gauss-Jordan on Python ints; writes the result back into a."""
+    rows, cols = a.shape
+    m = a.tolist()
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        for pr in range(r, rows):
+            if m[pr][c]:
+                break
+        else:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r]
+        if piv[c] != 1:
+            inv = inv_mod(piv[c], p)
+            piv = m[r] = [v * inv % p for v in piv]
+        for i in range(rows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(v - f * w) % p for v, w in zip(m[i], piv)]
+        pivots.append(c)
+        r += 1
+    if r:
+        a[:] = m
+    return a, r, pivots
+
+
+def _row_reduce_numpy(a: np.ndarray, p: int):
+    """Each pivot clears only the rows nonzero in its column, and only from
+    the pivot column rightwards: everything left of it is already zero in
+    the pivot row."""
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * inv_mod(int(a[r, c]), p)) % p
+        piv = a[r, c:]
+        if piv[0] != 1:
+            piv[:] = piv * inv_mod(int(piv[0]), p) % p
         col = a[:, c].copy()
         col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        others = col.nonzero()[0]
+        if others.size:
+            a[others, c:] = (a[others, c:] - np.outer(col[others], piv)) % p
         pivots.append(c)
         r += 1
     return a, r, pivots
@@ -103,10 +156,8 @@ def right_nullspace(m: np.ndarray, p: int) -> np.ndarray:
     rref, r, pivots = row_reduce(m, p)
     free = [c for c in range(cols) if c not in pivots]
     basis = zeros((len(free), cols))
-    for i, c in enumerate(free):
-        basis[i, c] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[i, pc] = (-rref[row_idx, c]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-rref[:r, free].T) % p
     return basis
 
 
@@ -140,12 +191,15 @@ class LinearSolver:
     """Factored form of m for solving x @ m = b repeatedly.
 
     Row-reducing [m.T | I] once gives the elimination matrix E; each later
-    solve is a single matrix product.  Results match solve_linear exactly
-    (free variables 0, InconsistentSystem on failure).
+    solve is a single matrix product, followed by the exact residual check
+    x @ m = b.  Results match solve_linear exactly (free variables 0,
+    InconsistentSystem on failure).  m is referenced, not copied, and must
+    not change while the solver is in use.
     """
 
     def __init__(self, m: np.ndarray, p: int):
         self.p = p
+        self.m = m
         n, c = m.shape
         self.n = n
         aug = np.hstack([m.T % p, identity(c)])
@@ -154,27 +208,26 @@ class LinearSolver:
         self.rank = len(main)
         self.pivots = main
         self.elim = rref[: self.rank, n:]  # (rank, c)
-        self.elim_rest = rref[self.rank:, n:]  # detects inconsistency
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         p = self.p
         b = np.atleast_2d(np.asarray(b, dtype=np.int64)) % p
-        if self.elim_rest.shape[0] and np.any((self.elim_rest @ b.T) % p):
-            raise InconsistentSystem("x @ m = b has no solution")
         x = zeros((b.shape[0], self.n))
         if self.rank:
             x[:, self.pivots] = ((self.elim @ b.T) % p).T
+        # x solves the system whenever any solution exists, since the pivot
+        # rows of m are independent; otherwise the residual is nonzero
+        if np.any((x @ self.m - b) % p):
+            raise InconsistentSystem("x @ m = b has no solution")
         return x
 
 
 def reduce_rows(rows: np.ndarray, rref: np.ndarray, pivots, p: int) -> np.ndarray:
     """Reduce each row modulo the row space given by its RREF."""
     out = np.atleast_2d(np.asarray(rows, dtype=np.int64)) % p
-    out = out.copy()
-    for row_idx, pc in enumerate(pivots):
-        coef = out[:, pc].copy()
-        out = (out - np.outer(coef, rref[row_idx])) % p
-    return out
+    # rref rows are unit vectors on the pivot columns, so the coefficients
+    # of all pivot rows can be read off at once
+    return (out - out[:, pivots] @ rref[: len(pivots)]) % p
 
 
 def rowspace_contains(rref: np.ndarray, pivots, rows: np.ndarray, p: int) -> bool:

@@ -461,6 +461,21 @@ def dual_star(x: RightModule) -> RightModule:
     return RightModule(aop, action, name=f"({x.name})*" if x.name else "")
 
 
+def is_torsionless(x: RightModule) -> bool:
+    """Whether x embeds in a free module, cached on the module as a bool.
+
+    A_A is the direct sum of the e_i A over the stored idempotents, so the
+    maps x -> A separate the points of x iff the maps x -> e_i A do, and
+    each hom system is set up over e_i A instead of over all of A.
+    """
+    if "torsionless" not in x._cache:
+        _, _, projectives = canonical_modules(x.algebra)
+        maps = [f.matrix for info in projectives for f in hom_space(x, info.module)]
+        x._cache["torsionless"] = x.dim == 0 or (
+            bool(maps) and linalg.rank(np.hstack(maps), x.p) == x.dim)
+    return x._cache["torsionless"]
+
+
 def torsionless_test(x: RightModule):
     """(torsionless, embedding into a power of the regular module)."""
     a = x.algebra
@@ -468,12 +483,10 @@ def torsionless_test(x: RightModule):
     if x.dim == 0:
         target, _ = direct_sum([], a)
         return True, ModuleHom(x, target, linalg.zeros((0, 0)))
+    if not is_torsionless(x):
+        return False, None
     homs = hom_space(x, regular)
-    if not homs:
-        return False, None
     phi = np.hstack([f.matrix for f in homs])
-    if linalg.rank(phi, a.p) != x.dim:
-        return False, None
     target, _ = direct_sum([regular] * len(homs))
     return True, ModuleHom(x, target, phi)
 

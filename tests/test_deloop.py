@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from syzygy import algebra, deloop, modules
+from syzygy import algebra, corpus, deloop, linalg, modules
 from syzygy.algebra import QuiverPresentation
 
 P = 32003
@@ -84,6 +85,27 @@ def test_ladder_lower():
     lows = sorted([deloop.torsionless_ladder_lower(s1),
                    deloop.torsionless_ladder_lower(s2)])
     assert lows == [0, 1]
+
+
+def _torsionless_via_regular(x):
+    """Reference: the maps into A_A itself jointly embed x."""
+    regular = modules.canonical_modules(x.algebra)[0]
+    maps = [f.matrix for f in modules.hom_space(x, regular)]
+    return x.dim == 0 or (bool(maps) and linalg.rank(np.hstack(maps), x.p) == x.dim)
+
+
+@pytest.mark.parametrize("aid", ["a2", "a3", "dual_numbers", "nakayama3", "point",
+                                 "square", "truncated_cubic", "two_points"])
+def test_is_torsionless_agrees_with_torsionless_test(aid):
+    a = corpus.resolve_corpus(corpus.load_corpus())[aid]
+    mods = list(deloop.default_pool(a).modules)
+    for s in modules.canonical_modules(a)[1]:
+        mods += [modules.syzygy(s, i) for i in range(deloop.DEFAULT_HORIZON + 1)]
+    for x in mods:
+        ok, emb = modules.torsionless_test(x)
+        assert modules.is_torsionless(x) == ok == _torsionless_via_regular(x)
+        if ok:
+            assert emb.intertwines() and linalg.rank(emb.matrix, x.p) == x.dim
 
 
 def test_upper_search_projective_shortcut():

@@ -155,3 +155,101 @@ def test_linear_solver_degenerate_shapes():
     assert solver.solve(linalg.zeros((2, 3))).shape == (2, 0)
     solver = linalg.LinearSolver(linalg.zeros((3, 0)), p)
     assert solver.solve(linalg.zeros((2, 0))).shape == (2, 3)
+
+
+def _reference_rref(m, p):
+    """The dense elimination loop: every pivot rewrites the whole matrix."""
+    a = np.array(m, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, r, pivots
+
+
+KERNEL_PRIMES = [2, 7, 32003, 1048573]
+
+
+def _random_matrix(rng, rows, cols, p, density):
+    """Entries nonzero with the given probability; some rows are
+    combinations of earlier ones, so ranks fall short of full."""
+    m = rng.integers(1, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    for i in range(2, rows):
+        if rng.random() < 0.3:
+            j, k = rng.integers(0, i, size=2)
+            m[i] = (rng.integers(0, p) * m[j] + rng.integers(0, p) * m[k]) % p
+    return m.astype(np.int64)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 20),
+    st.integers(0, 40),
+    st.sampled_from(KERNEL_PRIMES),
+    st.sampled_from([0.1, 0.4, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_reduce_matches_dense_reference(rows, cols, p, density, seed):
+    """Both elimination paths, whatever the size, return the reference RREF
+    bit for bit; row_reduce itself takes the list path up to SMALL_ENTRIES
+    entries and the numpy path above."""
+    m = _random_matrix(np.random.default_rng(seed), rows, cols, p, density)
+    expected, exp_rank, exp_pivots = _reference_rref(m, p)
+    for reduce in (linalg.row_reduce, linalg._row_reduce_lists,
+                   linalg._row_reduce_numpy):
+        rref, rank, pivots = reduce(m % p, p)
+        assert rref.dtype == np.int64 and rref.shape == m.shape
+        assert np.array_equal(rref, expected)
+        assert (rank, pivots) == (exp_rank, exp_pivots)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(3, 20),
+    st.integers(3, 40),
+    st.integers(1, 4),
+    st.sampled_from(KERNEL_PRIMES),
+    st.sampled_from([0.1, 0.4, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_linear_solver_matches_solve_linear_above_threshold(n, c, k, p, density, seed):
+    rng = np.random.default_rng(seed)
+    m = _random_matrix(rng, n, c, p, density)
+    solver = linalg.LinearSolver(m, p)
+    b = linalg.matmul(rng.integers(0, p, size=(k, n)), m, p)
+    assert np.array_equal(solver.solve(b), linalg.solve_linear(m, b, p))
+    # a random b lies off the row space of m unless m has rank c: both
+    # refuse or both agree
+    b2 = rng.integers(0, p, size=(k, c))
+    try:
+        expected = linalg.solve_linear(m, b2, p)
+    except InconsistentSystem:
+        with pytest.raises(InconsistentSystem):
+            solver.solve(b2)
+    else:
+        assert np.array_equal(solver.solve(b2), expected)
+
+
+def test_linear_solver_rejects_one_bad_row_among_good_ones():
+    p = 1048573
+    m = linalg.mat([[1, 2, 3, 4, 5, 6, 7, 8, 9]] * 3 + [[0] * 8 + [1]] * 5, p)
+    solver = linalg.LinearSolver(m, p)
+    good = linalg.matmul(linalg.mat([[3, 0, 0, 5, 0, 0, 0, 0]], p), m, p)
+    bad = linalg.mat([[0, 1, 0, 0, 0, 0, 0, 0, 0]], p)
+    assert np.array_equal(linalg.matmul(solver.solve(good), m, p), good)
+    with pytest.raises(InconsistentSystem):
+        solver.solve(np.vstack([good, good, bad]))
