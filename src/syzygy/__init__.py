@@ -7,9 +7,3 @@ certified bounds for delooping levels.
 """
 
 __version__ = "0.1.0"
-
-DEFAULT_PRIME = 32003
-DEFAULT_SEED = 1
-DEFAULT_HORIZON = 8
-DEFAULT_PD_CAP = 32
-DEFAULT_ISO_TRIALS = 5

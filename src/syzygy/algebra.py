@@ -119,7 +119,7 @@ def _ideal_power_ranks(a: StructureAlgebra, rows: np.ndarray) -> list[int]:
     """Ranks of the chain J, J^2, ...; ends with 0 iff J is nilpotent."""
     p = a.p
     ranks = []
-    current = linalg.nonzero_rows(linalg.row_basis(rows, p))
+    current = linalg.row_basis(rows, p)
     gens = [a.right_mult(r) for r in rows]
     while True:
         ranks.append(current.shape[0])
@@ -132,7 +132,7 @@ def _ideal_power_ranks(a: StructureAlgebra, rows: np.ndarray) -> list[int]:
             if gens
             else linalg.zeros((0, a.dim))
         )
-        current = linalg.nonzero_rows(linalg.row_basis(nxt, p))
+        current = linalg.row_basis(nxt, p)
     return ranks
 
 
@@ -527,7 +527,6 @@ def quotient_algebra(a: StructureAlgebra, ideal_rows: np.ndarray,
         mul[i] = linalg.matmul(linalg.matmul(lift, li, p), proj, p)
     unit = linalg.matmul(a.unit.reshape(1, -1), proj, p)[0]
     rad = linalg.row_basis(linalg.matmul(a.radical, proj, p), p) if a.radical.size else linalg.zeros((0, q))
-    rad = linalg.nonzero_rows(rad)
     idems = linalg.matmul(a.idempotents, proj, p)
     labels = [f"q{i}" for i in range(q)]
     return StructureAlgebra(p, mul, unit, rad, idems, labels=labels, name=name)
@@ -608,7 +607,6 @@ def corner_algebra(a: StructureAlgebra, e) -> StructureAlgebra:
         raise NotIdempotent("corner element is not idempotent")
     compress = linalg.matmul(a.left_mult(e), a.right_mult(e), p)
     basis = linalg.row_basis(compress, p)
-    basis = linalg.nonzero_rows(basis)
     k = basis.shape[0]
     mul = linalg.zeros((k, k, k))
     for i in range(k):
@@ -616,7 +614,7 @@ def corner_algebra(a: StructureAlgebra, e) -> StructureAlgebra:
         mul[i] = linalg.solve_linear(basis, prods, p)
     unit = linalg.solve_linear(basis, e.reshape(1, -1), p)[0]
     rad_rows = linalg.matmul(a.radical, compress, p)
-    rad = linalg.nonzero_rows(linalg.row_basis(rad_rows, p))
+    rad = linalg.row_basis(rad_rows, p)
     rad = linalg.solve_linear(basis, rad, p) if rad.size else linalg.zeros((0, k))
     selected = []
     for ei in a.idempotents:

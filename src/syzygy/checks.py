@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .corpus import CorpusEntry, resolve_corpus
 from .decompose import end_ring, iso_test
-from .errors import CorpusError, SyzygyError
+from .errors import CorpusError, DimensionMismatch, SyzygyError
 from .modules import (
     ModuleHom,
     RightModule,
@@ -81,15 +81,7 @@ class Config:
     prime: int | None = None
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "pd_cap": self.pd_cap,
-            "trials": self.trials,
-            "s_max": self.s_max,
-            "sample_size": self.sample_size,
-            "prime": self.prime,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -101,17 +93,15 @@ class CheckReport:
     seed: int
     elapsed: float
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The canonical fields; the wall-clock elapsed time is left out."""
+        return {
             "check_id": self.check_id,
             "algebra_id": self.algebra_id,
             "verdict": self.verdict,
             "evidence": self.evidence,
             "seed": self.seed,
         }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
 
 def derive_seed(base: int, *tags) -> int:
@@ -135,12 +125,6 @@ _ALGEBRA_OPS = {
 }
 
 
-def apply_ops(a: StructureAlgebra, ops) -> StructureAlgebra:
-    for op in ops:
-        a = _ALGEBRA_OPS[op](a)
-    return a
-
-
 def adesc(entry_id: str, *ops) -> dict:
     return {"entry": entry_id, "ops": list(ops)}
 
@@ -148,7 +132,10 @@ def adesc(entry_id: str, *ops) -> dict:
 def resolve_algebra_desc(desc: dict, resolved: dict) -> StructureAlgebra:
     if desc["entry"] not in resolved:
         raise CorpusError(f"unknown entry {desc['entry']!r} in certificate")
-    return apply_ops(resolved[desc["entry"]], desc.get("ops", []))
+    a = resolved[desc["entry"]]
+    for op in desc.get("ops", []):
+        a = _ALGEBRA_OPS[op](a)
+    return a
 
 
 def mref(kind: str, algebra_desc: dict, **kw) -> dict:
@@ -164,8 +151,6 @@ def resolve_module_ref(ref: dict, resolved: dict) -> RightModule:
         return canonical_modules(a)[0]
     if kind == "simple":
         return canonical_modules(a)[1][ref["index"]]
-    if kind == "projective":
-        return canonical_modules(a)[2][ref["index"]].module
     if kind == "zero":
         return zero_module(a)
     if kind == "top":
@@ -176,16 +161,11 @@ def resolve_module_ref(ref: dict, resolved: dict) -> RightModule:
         return socle(resolve_module_ref(ref["of"], resolved))[0]
     if kind == "syzygy":
         return syzygy(resolve_module_ref(ref["of"], resolved), ref["s"])
-    if kind == "sum":
-        mods = [resolve_module_ref(r, resolved) for r in ref["parts"]]
-        return direct_sum(mods, a)[0]
-    if kind == "corner":
-        return corner_restrict(resolve_module_ref(ref["of"], resolved), ref["which"])
     if kind == "pool":
         pool = deloop.default_pool(a, ref.get("horizon", deloop.DEFAULT_HORIZON))
         return pool.modules[ref["index"]]
     if kind == "eprime":
-        return eprime_module(a)
+        return corner_projective(a)[1].source
     if kind == "sigma_triple":
         base = resolve_algebra_desc(ref["base"], resolved)
         return sigma_triple_module(base)
@@ -202,16 +182,17 @@ def resolve_module_ref(ref: dict, resolved: dict) -> RightModule:
 # helper constructions shared by checks and reverify
 
 
-def eprime_module(lam: StructureAlgebra) -> RightModule:
-    """e'Lambda: the projective generated by the B-corner unit."""
-    info = lam.triangle
+def corner_projective(alg: StructureAlgebra):
+    """(e, inclusion of e*alg into alg) for the unit e of the V-corner of a
+    triangular algebra: e'Lambda for Lambda, and e*cover with e the unit of
+    A for the cover."""
+    info = alg.triangle
     if info is None:
         raise SyzygyError("algebra has no triangular block structure")
-    e = linalg.zeros(lam.dim)
+    e = linalg.zeros(alg.dim)
     e[info.v_slice] = info.v.unit
-    regular = canonical_modules(lam)[0]
-    sub, _ = submodule_from_generators(regular, e.reshape(1, -1))
-    return sub
+    regular = canonical_modules(alg)[0]
+    return e, submodule_from_generators(regular, e.reshape(1, -1))[1]
 
 
 def sigma_triple_module(a: StructureAlgebra) -> RightModule:
@@ -242,15 +223,118 @@ def build_sample_triple(a: StructureAlgebra, x_ref: dict, y_ref: dict,
     return triple_to_module(t, lam)
 
 
-def _rowspace_equal(rows_a, rows_b, p) -> bool:
-    ra = linalg.row_basis(np.atleast_2d(np.asarray(rows_a, dtype=np.int64)), p)
-    rb = linalg.row_basis(np.atleast_2d(np.asarray(rows_b, dtype=np.int64)), p)
-    return ra.shape == rb.shape and np.array_equal(ra, rb)
+def _lemma5_candidate(lam: StructureAlgebra, omx: RightModule,
+                     zs: RightModule) -> RightModule:
+    """(omx, 0, 0) + (0, zs, 0) over the triangular algebra lam."""
+    info = lam.triangle
+    parts = []
+    if omx.dim:
+        tensor_dim = tensor_over_algebra(omx, info.bimodule).dim
+        parts.append(triple_to_module(make_triple(
+            lam, omx, zero_module(info.v), linalg.zeros((tensor_dim, 0))), lam))
+    if zs.dim:
+        parts.append(triple_to_module(make_triple(
+            lam, zero_module(info.u), zs, linalg.zeros((0, zs.dim))), lam))
+    return direct_sum(parts, lam)[0]
 
 
 def _find_iso(x: RightModule, y: RightModule, seed: int, trials: int):
     v = iso_test(x, y, trials=trials, seed=seed)
     return v.witness if v.isomorphic else None
+
+
+# ---------------------------------------------------------------------------
+# one exact verifier per certificate kind, shared by the checks and by
+# reverify: it takes the built objects and the stored matrices and returns
+# (ok, reason).  Only del_witness still decomposes modules to decide.
+
+
+def _verdict(ok: bool, reason: str) -> tuple:
+    return ok, "" if ok else reason
+
+
+def _verify_subspace_equal(a: StructureAlgebra, rows_a, rows_b) -> tuple:
+    ra, rb = linalg.row_basis(rows_a, a.p), linalg.row_basis(rows_b, a.p)
+    return _verdict(ra.shape == rb.shape and np.array_equal(ra, rb),
+                    "rowspace mismatch")
+
+
+def _verify_iso(x: RightModule, y: RightModule, matrix) -> tuple:
+    h = ModuleHom(x, y, matrix)
+    return _verdict(h.intertwines() and h.is_iso(),
+                    "stored matrix is not an isomorphism")
+
+
+def _verify_embedding(x: RightModule, matrix) -> tuple:
+    """matrix embeds x into a sum of copies of the regular module."""
+    a = x.algebra
+    copies, rest = divmod(matrix.shape[1], a.dim)
+    if rest:
+        return False, "embedding width is not a multiple of dim A"
+    target, _ = direct_sum([canonical_modules(a)[0]] * copies, a)
+    ok = ModuleHom(x, target, matrix).intertwines() \
+        and linalg.rank(matrix, a.p) == x.dim
+    return _verdict(ok, "stored embedding fails")
+
+
+def _verify_algebra_iso(lhs: StructureAlgebra, rhs: StructureAlgebra,
+                        matrix) -> tuple:
+    try:
+        ok = canonical_iso_check(lhs, rhs, matrix)
+    except DimensionMismatch:  # the stored map is not invertible
+        ok = False
+    return _verdict(ok, "algebra isomorphism fails")
+
+
+def _verify_cover_corner(a: StructureAlgebra, e, incl: ModuleHom,
+                         phi) -> tuple:
+    """With incl : e*cover -> cover, the corner e*cover*e is A, and phi is
+    an algebra isomorphism A -> End(e*cover): unit, products and rank."""
+    p = a.p
+    phi = linalg.mat(phi, p)
+    corner = algebra_mod.corner_algebra(incl.target.algebra, e)
+    if not (corner.dim == a.dim and np.array_equal(corner.mul, a.mul)
+            and np.array_equal(corner.unit, a.unit)):
+        return False, "corner algebra differs from A"
+    ering = end_ring(incl.source)
+    if ering.dim != a.dim:
+        return False, f"dim End(e*cover) = {ering.dim} != dim A = {a.dim}"
+    lhs = np.einsum("ijk,kt->ijt", a.mul, phi) % p
+    rhs = np.einsum("it,ju,tuv->ijv", phi, phi, ering.mul) % p
+    ok = np.array_equal((a.unit @ phi) % p, ering.unit) \
+        and np.array_equal(lhs, rhs) and linalg.rank(phi, p) == a.dim
+    return _verdict(ok, "phi is not an algebra isomorphism A -> End(e*cover)")
+
+
+def _verify_lemma5_level(om: RightModule, zs: RightModule,
+                         candidate: RightModule, matrix) -> tuple:
+    """Z_s is semisimple and matrix is an isomorphism from Omega^s onto
+    the candidate (Omega^s X, 0, 0) + (0, Z_s, 0)."""
+    if radical_submodule(zs)[0].dim != 0:
+        return False, "Z part is not semisimple"
+    return _verify_iso(om, candidate, matrix)
+
+
+def _verify_cover_restriction(pu: RightModule, xu: RightModule,
+                              pi_u) -> tuple:
+    """pi_u : P_U -> X_U is a projective cover: P_U is projective, pi_u
+    is a module map onto X_U, and its kernel lies in rad(P_U)."""
+    p = xu.p
+    if not is_projective(pu):
+        return False, "U-corner of the cover is not projective"
+    if not ModuleHom(pu, xu, pi_u).intertwines():
+        return False, "pi_u is not a module map"
+    if linalg.rank(pi_u, p) != xu.dim:
+        return False, "pi_u is not onto the U-corner"
+    rref, _, pivots = linalg.row_reduce(radical_submodule(pu)[1].matrix, p)
+    in_rad = linalg.rowspace_contains(rref, pivots,
+                                      linalg.kernel_basis(pi_u, p), p)
+    return _verdict(in_rad, "kernel of pi_u is not in the radical")
+
+
+def _verify_del_witness(x: RightModule, d: int, witness: RightModule) -> tuple:
+    return _verdict(deloop.verify_del_witness(x, d, witness),
+                    "delooping witness fails")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +365,6 @@ def check_lemma1(a: StructureAlgebra, desc: dict, seed: int,
     sigma, _ = semisimple_quotient(a)
     t = trivial_extension(sigma)
     tdesc = dict(desc, ops=desc["ops"] + ["sigma", "trivext"])
-    p = t.p
     n = sigma.dim
     natural = linalg.zeros((n, t.dim))
     natural[:, n:] = linalg.identity(n)
@@ -292,8 +375,8 @@ def check_lemma1(a: StructureAlgebra, desc: dict, seed: int,
     regular = canonical_modules(t)[0]
     soc, soc_incl = socle(regular)
     soc_rows = soc_incl.matrix
-    rad_ok = _rowspace_equal(t.radical, natural, p)
-    soc_ok = _rowspace_equal(soc_rows, natural, p)
+    rad_ok = _verify_subspace_equal(t, t.radical, natural)[0]
+    soc_ok = _verify_subspace_equal(t, soc_rows, natural)[0]
     top, _ = top_of_module(regular)
     witness = _find_iso(top, soc, derive_seed(seed, "lemma1"), trials)
     evidence = {
@@ -329,45 +412,24 @@ def check_cover_corner(a: StructureAlgebra, desc: dict, seed: int,
     t0 = time.monotonic()
     cid = "construction1_corner"
     cover = build_cover(a)
-    info = cover.triangle
+    e, incl = corner_projective(cover)
     p = a.p
-    e = linalg.zeros(cover.dim)
-    e[info.v_slice] = a.unit
-    corner = algebra_mod.corner_algebra(cover, e)
-    mul_ok = corner.dim == a.dim and np.array_equal(corner.mul, a.mul) \
-        and np.array_equal(corner.unit, a.unit)
-    # End(e*cover) compared with A through left multiplications
-    regular = canonical_modules(cover)[0]
-    emod, incl = submodule_from_generators(regular, e.reshape(1, -1))
-    ering = end_ring(emod)
-    if ering.dim != a.dim:
-        return _finish(cid, a.name, seed, t0, False,
-                       {"counterexample": {"end_dim": ering.dim, "dim": a.dim}})
-    phi = linalg.zeros((a.dim, a.dim))
-    for i in range(a.dim):
-        c = linalg.zeros(cover.dim)
-        c[info.v_slice] = linalg.identity(a.dim)[i]
-        lm = cover.left_mult(c)
-        moved = linalg.matmul(incl.matrix, lm, p)
+    # phi sends b in A to left multiplication by b on e*cover, in the
+    # basis of End(e*cover)
+    ering = end_ring(incl.source)
+    phi = linalg.zeros((a.dim, ering.dim))
+    for i, c in enumerate(linalg.identity(cover.dim)[cover.triangle.v_slice]):
+        moved = linalg.matmul(incl.matrix, cover.left_mult(c), p)
         hom_matrix = linalg.solve_linear(incl.matrix, moved, p)
         phi[i] = linalg.solve_linear(ering._flat,
                                      hom_matrix.reshape(1, -1), p)[0]
-    unit_ok = np.array_equal((a.unit @ phi) % p, ering.unit)
-    lhs = np.einsum("ijk,kt->ijt", a.mul, phi) % p
-    rhs = np.einsum("it,ju,tuv->ijv", phi, phi, ering.mul) % p
-    end_ok = unit_ok and np.array_equal(lhs, rhs) \
-        and linalg.rank(phi, p) == a.dim
-    evidence = {
-        "corner_matches": bool(mul_ok),
-        "end_ring_matches": bool(end_ok),
-    }
-    if not (mul_ok and end_ok):
-        evidence["counterexample"] = {"phi": _ints(phi)}
-        return _finish(cid, a.name, seed, t0, False, evidence)
-    evidence["certificates"] = [
-        {"kind": "cover_corner", "algebra": desc, "phi": _ints(phi)},
-    ]
-    return _finish(cid, a.name, seed, t0, True, evidence)
+    ok, why = _verify_cover_corner(a, e, incl, phi)
+    if not ok:
+        return _finish(cid, a.name, seed, t0, False,
+                       {"counterexample": {"reason": why, "phi": _ints(phi)}})
+    cert = {"kind": "cover_corner", "algebra": desc, "phi": _ints(phi)}
+    return _finish(cid, a.name, seed, t0, True, {
+        "corner_matches": True, "end_ring_matches": True, "certificates": [cert]})
 
 
 def _simples_all_torsionless(alg: StructureAlgebra, alg_desc: dict):
@@ -427,7 +489,7 @@ def check_lambda_op(a: StructureAlgebra, desc: dict, seed: int,
     lhs = opposite(build_lambda(a))
     rhs = build_cover(opposite(a))
     perm = lambda_cover_swap(a)
-    iso_ok = canonical_iso_check(lhs, rhs, perm)
+    iso_ok, _ = _verify_algebra_iso(lhs, rhs, perm)
     if not iso_ok:
         return _finish(cid, a.name, seed, t0, False,
                        {"counterexample": {"permutation": _ints(perm)}})
@@ -464,7 +526,7 @@ def check_diamond(a: StructureAlgebra, desc: dict, seed: int,
     t0 = time.monotonic()
     cid = "lemma3_diamond"
     lam = build_lambda(a)
-    eproj = eprime_module(lam)
+    eproj = corner_projective(lam)[1].source
     sig = sigma_triple_module(a)
     rad, _ = radical_submodule(eproj)
     top, _ = top_of_module(eproj)
@@ -545,40 +607,6 @@ def _lemma5_samples(a: StructureAlgebra, desc: dict, sample_size: int,
     return samples
 
 
-def _verify_lemma5_level(lam: StructureAlgebra, om: RightModule,
-                         omx: RightModule, s: int, seed: int, trials: int):
-    """One (sample, s) instance of the syzygy decomposition statement, for
-    om = Omega^s of the flat module and omx = Omega^s of its U-corner.
-
-    Returns (ok, witness matrix or None, detail dict)."""
-    if om.dim == 0:
-        ok = omx.dim == 0
-        return ok, None, {"s": s, "omega_dim": 0, "omega_x_dim": omx.dim}
-    t = module_to_triple(om)
-    zs = t.y
-    # Z_s must be semisimple over B
-    if radical_submodule(zs)[0].dim != 0:
-        return False, None, {"s": s, "z_not_semisimple": True}
-    parts = []
-    if omx.dim:
-        parts.append(triple_to_module(
-            make_triple(lam, omx, zero_module(lam.triangle.v),
-                        linalg.zeros((tensor_over_algebra(
-                            omx, lam.triangle.bimodule).dim, 0))), lam))
-    if zs.dim:
-        parts.append(triple_to_module(
-            make_triple(lam, zero_module(lam.triangle.u), zs,
-                        linalg.zeros((0, zs.dim))), lam))
-    candidate, _ = direct_sum(parts, lam)
-    witness = _find_iso(om, candidate, seed, trials)
-    if witness is None:
-        return False, None, {
-            "s": s, "omega_dim": om.dim, "candidate_dim": candidate.dim,
-            "x_corner_dim": t.x.dim, "omega_x_dim": omx.dim, "z_dim": zs.dim,
-        }
-    return True, witness, {"s": s, "omega_dim": om.dim, "z_dim": zs.dim}
-
-
 def check_syzygy_decomp(a: StructureAlgebra, desc: dict, seed: int,
                         s_max: int = 4, sample_size: int = 10,
                         trials: int = 5, resolved: dict | None = None) -> CheckReport:
@@ -589,58 +617,31 @@ def check_syzygy_decomp(a: StructureAlgebra, desc: dict, seed: int,
     resolved = resolved if resolved is not None else {}
     sample_refs = _lemma5_samples(a, desc, sample_size, seed)
     certs = []
-    details = []
     for k, ref in enumerate(sample_refs):
         flat = resolve_module_ref(ref, resolved)
-        cur = flat
-        curx = corner_restrict(flat, "u")
+        om, omx = flat, corner_restrict(flat, "u")
         for s in range(1, s_max + 1):
-            cur = syzygy_step(cur)[0]
-            curx = syzygy_step(curx)[0]
-            ok, witness, detail = _verify_lemma5_level(
-                flat.algebra, cur, curx, s,
-                derive_seed(seed, "lemma5", k, s), trials)
-            detail["sample"] = k
-            details.append(detail)
+            om, omx = syzygy_step(om)[0], syzygy_step(omx)[0]
+            if om.dim == 0 and omx.dim == 0:
+                continue
+            zs = module_to_triple(om).y
+            candidate = _lemma5_candidate(flat.algebra, omx, zs)
+            witness = _find_iso(om, candidate,
+                                derive_seed(seed, "lemma5", k, s), trials)
+            if witness is None:
+                ok, why = False, "Omega^s is not isomorphic to the candidate"
+            else:
+                ok, why = _verify_lemma5_level(om, zs, candidate, witness.matrix)
             if not ok:
-                return _finish(cid, a.name, seed, t0, False,
-                               {"counterexample": detail, "sample_ref": ref})
-            if witness is not None:
-                certs.append({"kind": "lemma5_level", "sample": ref, "s": s,
-                              "matrix": _ints(witness.matrix)})
+                return _finish(cid, a.name, seed, t0, False, {
+                    "counterexample": {"sample": k, "s": s, "reason": why},
+                    "sample_ref": ref})
+            certs.append({"kind": "lemma5_level", "sample": ref, "s": s,
+                          "matrix": _ints(witness.matrix)})
     evidence = {"samples": len(sample_refs), "s_max": s_max,
-                "levels_checked": len(details), "certificates": certs}
+                "levels_checked": len(sample_refs) * s_max,
+                "certificates": certs}
     return _finish(cid, a.name, seed, t0, True, evidence)
-
-
-def _verify_cover_restriction(flat: RightModule):
-    """The U-corner of a minimal cover is a minimal cover of the U-corner.
-
-    Returns (ok, cert payload, detail)."""
-    lam = flat.algebra
-    p = lam.p
-    cover, pi = projective_cover(flat)
-    tz = module_to_triple(flat)
-    tp = module_to_triple(cover)
-    pu = tp.x
-    xu = tz.x
-    if xu.dim == 0:
-        ok = pu.dim == 0
-        return ok, {"pi_u": []}, {"corner_dim": 0, "cover_corner_dim": pu.dim}
-    moved = linalg.matmul(tp.x_rows, pi.matrix, p)
-    pi_u = linalg.solve_linear(tz.x_rows, moved, p) if tz.x_rows.shape[0] \
-        else linalg.zeros((tp.x_rows.shape[0], 0))
-    surj = linalg.rank(pi_u, p) == xu.dim
-    proj_ok = is_projective(pu)
-    ker = linalg.kernel_basis(pi_u, p)
-    rad_rows = radical_submodule(pu)[1].matrix
-    rref, _, pivots = linalg.row_reduce(rad_rows, p)
-    in_rad = linalg.rowspace_contains(rref, pivots, ker, p)
-    ok = surj and proj_ok and in_rad
-    detail = {"corner_dim": xu.dim, "cover_corner_dim": pu.dim,
-              "surjective": bool(surj), "corner_cover_projective": bool(proj_ok),
-              "kernel_in_radical": bool(in_rad)}
-    return ok, {"pi_u": _ints(pi_u)}, detail
 
 
 def check_cover_restriction(a: StructureAlgebra, desc: dict, seed: int,
@@ -653,12 +654,18 @@ def check_cover_restriction(a: StructureAlgebra, desc: dict, seed: int,
     certs = []
     for k, ref in enumerate(sample_refs):
         flat = resolve_module_ref(ref, resolved)
-        ok, payload, detail = _verify_cover_restriction(flat)
+        cover, pi = projective_cover(flat)
+        tz, tp = module_to_triple(flat), module_to_triple(cover)
+        # pi restricted to the U-corners, in the bases of P_U and X_U
+        moved = linalg.matmul(tp.x_rows, pi.matrix, a.p)
+        pi_u = linalg.solve_linear(tz.x_rows, moved, a.p)
+        ok, why = _verify_cover_restriction(tp.x, tz.x, pi_u)
         if not ok:
-            detail["sample"] = k
             return _finish(cid, a.name, seed, t0, False,
-                           {"counterexample": detail, "sample_ref": ref})
-        certs.append({"kind": "cover_restriction", "sample": ref, **payload})
+                           {"counterexample": {"sample": k, "reason": why},
+                            "sample_ref": ref})
+        certs.append({"kind": "cover_restriction", "sample": ref,
+                      "pi_u": _ints(pi_u)})
     evidence = {"samples": len(sample_refs), "certificates": certs}
     return _finish(cid, a.name, seed, t0, True, evidence)
 
@@ -828,71 +835,105 @@ def format_report_text(doc: dict) -> str:
 # certificate re-verification (exact arithmetic only)
 
 
+def _resolve_subspace_equal(cert, resolved):
+    a = resolve_algebra_desc(cert["algebra"], resolved)
+    return (a,), {"rows_a": (None, a.dim), "rows_b": (None, a.dim)}
+
+
+def _resolve_iso(cert, resolved):
+    x = resolve_module_ref(cert["x"], resolved)
+    y = resolve_module_ref(cert["y"], resolved)
+    return (x, y), {"matrix": (x.dim, y.dim)}
+
+
+def _resolve_embedding(cert, resolved):
+    x = resolve_module_ref(cert["x"], resolved)
+    return (x,), {"matrix": (x.dim, None)}
+
+
+def _resolve_algebra_iso(cert, resolved):
+    lhs = resolve_algebra_desc(cert["a"], resolved)
+    rhs = resolve_algebra_desc(cert["b"], resolved)
+    return (lhs, rhs), {"matrix": (lhs.dim, rhs.dim)}
+
+
+def _resolve_cover_corner(cert, resolved):
+    a = resolve_algebra_desc(cert["algebra"], resolved)
+    return (a, *corner_projective(build_cover(a))), {"phi": (a.dim, a.dim)}
+
+
+def _resolve_lemma5_level(cert, resolved):
+    flat = resolve_module_ref(cert["sample"], resolved)
+    om = syzygy(flat, cert["s"])
+    omx = syzygy(corner_restrict(flat, "u"), cert["s"])
+    zs = module_to_triple(om).y
+    candidate = _lemma5_candidate(flat.algebra, omx, zs)
+    return (om, zs, candidate), {"matrix": (om.dim, candidate.dim)}
+
+
+def _resolve_cover_restriction(cert, resolved):
+    flat = resolve_module_ref(cert["sample"], resolved)
+    pu = corner_restrict(projective_cover(flat)[0], "u")
+    xu = corner_restrict(flat, "u")
+    return (pu, xu), {"pi_u": (pu.dim, xu.dim)}
+
+
+def _resolve_del_witness(cert, resolved):
+    x = resolve_module_ref(cert["module"], resolved)
+    witness = resolve_module_ref(cert["witness"], resolved)
+    return (x, int(cert["d"]), witness), {}
+
+
+# certificate kind -> (resolve, verify).  resolve(cert, resolved) builds
+# the objects the certificate speaks about and gives the shape of each
+# stored matrix (None: any length); verify(*objects, *matrices) decides.
+_VERIFIERS = {
+    "subspace_equal": (_resolve_subspace_equal, _verify_subspace_equal),
+    "iso": (_resolve_iso, _verify_iso),
+    "embedding": (_resolve_embedding, _verify_embedding),
+    "algebra_iso": (_resolve_algebra_iso, _verify_algebra_iso),
+    "cover_corner": (_resolve_cover_corner, _verify_cover_corner),
+    "lemma5_level": (_resolve_lemma5_level, _verify_lemma5_level),
+    "cover_restriction": (_resolve_cover_restriction, _verify_cover_restriction),
+    "del_witness": (_resolve_del_witness, _verify_del_witness),
+}
+
+
+def _stored_matrix(cert: dict, key: str, rows, cols):
+    """cert[key] as an int64 matrix of shape (rows, cols), where None
+    matches any length; None when it is missing or of another shape."""
+    try:
+        m = np.asarray(cert[key], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if m.shape == (0,):  # JSON writes every matrix with no rows as []
+        m = m.reshape(0, cols or 0)
+    if m.ndim != 2 or rows not in (None, m.shape[0]) \
+            or cols not in (None, m.shape[1]):
+        return None
+    return m
+
+
 def _verify_certificate(cert: dict, resolved: dict) -> tuple:
-    kind = cert["kind"]
-    if kind == "subspace_equal":
-        a = resolve_algebra_desc(cert["algebra"], resolved)
-        ok = _rowspace_equal(cert["rows_a"], cert["rows_b"], a.p)
-        return ok, "rowspace mismatch" if not ok else ""
-    if kind == "iso":
-        x = resolve_module_ref(cert["x"], resolved)
-        y = resolve_module_ref(cert["y"], resolved)
-        h = ModuleHom(x, y, np.asarray(cert["matrix"], dtype=np.int64))
-        ok = h.intertwines() and h.is_iso()
-        return ok, "stored matrix is not an isomorphism" if not ok else ""
-    if kind == "embedding":
-        x = resolve_module_ref(cert["x"], resolved)
-        mat = np.asarray(cert["matrix"], dtype=np.int64)
-        a = x.algebra
-        copies = mat.shape[1] // a.dim if a.dim else 0
-        regular = canonical_modules(a)[0]
-        target, _ = direct_sum([regular] * copies, a)
-        h = ModuleHom(x, target, mat)
-        ok = h.intertwines() and linalg.rank(mat, a.p) == x.dim
-        return ok, "stored embedding fails" if not ok else ""
-    if kind == "algebra_iso":
-        lhs = resolve_algebra_desc(cert["a"], resolved)
-        rhs = resolve_algebra_desc(cert["b"], resolved)
-        ok = canonical_iso_check(lhs, rhs,
-                                 np.asarray(cert["matrix"], dtype=np.int64))
-        return ok, "algebra isomorphism fails" if not ok else ""
-    if kind == "cover_corner":
-        a = resolve_algebra_desc(cert["algebra"], resolved)
-        rep = check_cover_corner(a, cert["algebra"], seed=0)
-        return rep.verdict == "PASS", "corner recheck failed" \
-            if rep.verdict != "PASS" else ""
-    if kind == "lemma5_level":
-        flat = resolve_module_ref(cert["sample"], resolved)
-        lam = flat.algebra
-        om = syzygy(flat, cert["s"])
-        t = module_to_triple(om)
-        if radical_submodule(t.y)[0].dim != 0:
-            return False, "Z part is not semisimple"
-        omx = syzygy(corner_restrict(flat, "u"), cert["s"])
-        parts = []
-        if omx.dim:
-            parts.append(triple_to_module(
-                make_triple(lam, omx, zero_module(lam.triangle.v),
-                            linalg.zeros((tensor_over_algebra(
-                                omx, lam.triangle.bimodule).dim, 0))), lam))
-        if t.y.dim:
-            parts.append(triple_to_module(
-                make_triple(lam, zero_module(lam.triangle.u), t.y,
-                            linalg.zeros((0, t.y.dim))), lam))
-        candidate, _ = direct_sum(parts, lam)
-        h = ModuleHom(om, candidate, np.asarray(cert["matrix"], dtype=np.int64))
-        ok = h.intertwines() and h.is_iso()
-        return ok, "stored decomposition witness fails" if not ok else ""
-    if kind == "cover_restriction":
-        flat = resolve_module_ref(cert["sample"], resolved)
-        ok, _, detail = _verify_cover_restriction(flat)
-        return ok, json.dumps(detail) if not ok else ""
-    if kind == "del_witness":
-        x = resolve_module_ref(cert["module"], resolved)
-        witness = resolve_module_ref(cert["witness"], resolved)
-        ok = deloop.verify_del_witness(x, cert["d"], witness)
-        return ok, "delooping witness fails" if not ok else ""
-    return False, f"unknown certificate kind {kind!r}"
+    """(ok, reason) for one stored certificate: resolve its descriptors,
+    look its kind up in _VERIFIERS, and run that verifier on the stored
+    matrices.  A descriptor that does not resolve, or a stored matrix of
+    the wrong shape, fails the certificate instead of raising."""
+    kind = cert.get("kind")
+    if kind not in _VERIFIERS:
+        return False, f"unknown certificate kind {kind!r}"
+    resolve, verify = _VERIFIERS[kind]
+    try:
+        objects, shapes = resolve(cert, resolved)
+    except (CorpusError, KeyError, IndexError, TypeError, ValueError) as exc:
+        return False, f"malformed descriptor: {exc!r}"
+    matrices = []
+    for key, (rows, cols) in shapes.items():
+        m = _stored_matrix(cert, key, rows, cols)
+        if m is None:
+            return False, f"malformed payload: {key!r} is not a {(rows, cols)} matrix"
+        matrices.append(m)
+    return verify(*objects, *matrices)
 
 
 def reverify_report(doc: dict, entries: list) -> tuple:

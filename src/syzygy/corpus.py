@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import algebra, linalg
+from . import algebra
 from .algebra import QuiverPresentation, StructureAlgebra
 from .errors import CorpusError
 
@@ -119,18 +119,11 @@ def load_corpus(directory=None) -> list[CorpusEntry]:
 def broken_trivial_extension(a: StructureAlgebra) -> StructureAlgebra:
     """Trivial extension with the y*x' cross term dropped — a deliberately
     wrong product used as a negative control (the unit law fails)."""
+    t = algebra.trivial_extension(a)
     n = a.dim
-    mul = linalg.zeros((2 * n, 2 * n, 2 * n))
-    mul[:n, :n, :n] = a.mul
-    mul[:n, n:, n:] = a.mul
-    unit = linalg.zeros(2 * n)
-    unit[:n] = a.unit
-    rad = linalg.zeros((a.radical.shape[0] + n, 2 * n))
-    rad[: a.radical.shape[0], :n] = a.radical
-    rad[a.radical.shape[0]:, n:] = linalg.identity(n)
-    idems = linalg.zeros((a.idempotents.shape[0], 2 * n))
-    idems[:, :n] = a.idempotents
-    return StructureAlgebra(a.p, mul, unit, rad, idems,
+    mul = t.mul.copy()  # never write into the memoized T(A)
+    mul[n:, :n, n:] = 0
+    return StructureAlgebra(a.p, mul, t.unit, t.radical, t.idempotents,
                             name=f"Tbroken({a.name})" if a.name else "Tbroken")
 
 

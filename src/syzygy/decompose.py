@@ -24,8 +24,6 @@ from .algebra import quotient_data, same_algebra
 from .errors import (
     AlgebraMismatch,
     CharTooSmall,
-    NotIdempotent,
-    NotIdempotentInQuotient,
     RandomnessExhausted,
 )
 from .modules import (
@@ -117,9 +115,7 @@ def endring_radical(e: EndRing) -> np.ndarray:
             break
         prods = [np.einsum("a,b,abk->k", u, v, e.mul) % p
                  for u in power for v in rad]
-        power = linalg.nonzero_rows(
-            linalg.row_basis(np.asarray(prods).reshape(-1, h), p)
-        )
+        power = linalg.row_basis(np.asarray(prods).reshape(-1, h), p)
     if power.shape[0] != 0:
         raise AssertionError("trace-form kernel is not nilpotent")
     e._cache["radical"] = rad
@@ -141,18 +137,6 @@ def _quotient_ring(e: EndRing):
     unit_bar = e.unit @ proj % p
     e._cache["quotient"] = (mul_bar, unit_bar, proj, lift)
     return e._cache["quotient"]
-
-
-def lift_idempotent(e: EndRing, ebar) -> np.ndarray:
-    """Lift an idempotent of E/rad(E) to an exact idempotent of E."""
-    p = e.p
-    mul_bar, _, proj, lift = _quotient_ring(e)
-    ebar = linalg.mat(ebar, p).reshape(proj.shape[1])
-    sq = np.einsum("i,j,ijk->k", ebar, ebar, mul_bar) % p
-    if not np.array_equal(sq, ebar):
-        raise NotIdempotentInQuotient("element is not idempotent modulo the radical")
-    z = ebar @ lift % p
-    return _newton(e, z)
 
 
 def _newton(e: EndRing, z: np.ndarray) -> np.ndarray:
@@ -180,7 +164,7 @@ def _corner_basis(mul_bar, ebar, p):
     m = mul_bar.shape[0]
     lm = np.einsum("i,ijk->jk", ebar, mul_bar) % p
     rm = np.einsum("j,ijk->ik", ebar, mul_bar) % p
-    return linalg.nonzero_rows(linalg.row_basis(linalg.matmul(lm, rm, p), p))
+    return linalg.row_basis(linalg.matmul(lm, rm, p), p)
 
 
 def _corner_left_mult(mul_bar, corner, v, p):
@@ -418,7 +402,7 @@ def decompose(x: RightModule, seed: int = 0, trials: int = 5) -> Decomposition:
     summands = []
     for coords in idems:
         mat = e.to_matrix(coords)
-        rows = linalg.nonzero_rows(linalg.row_basis(mat, p))
+        rows = linalg.row_basis(mat, p)
         sub, incl = submodule_from_generators(x, rows)
         proj = ModuleHom(x, sub, linalg.solve_linear(incl.matrix, mat, p))
         summands.append(Summand(sub, incl, proj))

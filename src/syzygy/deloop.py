@@ -159,8 +159,7 @@ def torsionless_ladder_lower(s: RightModule, horizon: int = DEFAULT_HORIZON) -> 
 
 
 def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON,
-                     pool: CandidatePool | None = None, seed: int = 0,
-                     trials: int = 5):
+                     seed: int = 0, trials: int = 5):
     """First level d at which an explicit witness certifies the summand
     condition; returns (d, witness module, tag) or (None, None, reason)."""
     a = s.algebra
@@ -174,8 +173,7 @@ def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON,
                 q, _ = quotient_module(emb.target, emb.matrix)
                 return 0, q, "embedding-quotient"
         else:
-            if pool is None:  # built lazily: level 0 never needs it
-                pool = default_pool(a, horizon)
+            pool = default_pool(a, horizon)  # cached on a
             need = _nonprojective_classes(cur, a, seed=seed + d, trials=trials)
             # syzygies are cached on the modules, so each level extends the last
             haves = [_nonprojective_classes(syzygy(m, d + 1), a,
@@ -208,10 +206,9 @@ def verify_del_witness(s: RightModule, d: int, witness: RightModule,
 
 
 def del_bounds(s: RightModule, horizon: int = DEFAULT_HORIZON,
-               pool: CandidatePool | None = None, seed: int = 0,
-               trials: int = 5) -> DelBounds:
+               seed: int = 0, trials: int = 5) -> DelBounds:
     lower = torsionless_ladder_lower(s, horizon)
-    upper, witness, tag = del_upper_search(s, horizon, pool, seed, trials)
+    upper, witness, tag = del_upper_search(s, horizon, seed, trials)
     if upper is not None and upper < lower:
         raise AssertionError("witness search beat the sound lower bound")
     return DelBounds(lower=lower, upper=upper, witness=witness,
@@ -220,11 +217,10 @@ def del_bounds(s: RightModule, horizon: int = DEFAULT_HORIZON,
 
 
 def del_algebra(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON,
-                pool: CandidatePool | None = None, seed: int = 0,
-                trials: int = 5):
+                seed: int = 0, trials: int = 5):
     """(aggregate bounds, per-simple bounds); del(A) is the max over simples."""
     _, simples, _ = canonical_modules(a)
-    per = [del_bounds(s, horizon, pool, seed + i, trials)
+    per = [del_bounds(s, horizon, seed + i, trials)
            for i, s in enumerate(simples)]
     lower = max(b.lower for b in per)
     uppers = [b.upper for b in per]
@@ -235,15 +231,12 @@ def del_algebra(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON,
     return agg, per
 
 
-def fd_lower_estimate(a: StructureAlgebra, sample: CandidatePool | None = None,
-                      cap: int = DEFAULT_PD_CAP, seed: int = 0,
-                      trials: int = 5) -> int:
-    """Max finite projective dimension found in the sample; a sound lower
-    bound for the finitistic dimension, never claimed to be fd itself."""
-    if sample is None:
-        sample = default_pool(a)
+def fd_lower_estimate(a: StructureAlgebra, cap: int = DEFAULT_PD_CAP,
+                      seed: int = 0, trials: int = 5) -> int:
+    """Max finite projective dimension found in the default pool; a sound
+    lower bound for the finitistic dimension, never claimed to be fd itself."""
     best = 0
-    for x in sample.modules:
+    for x in default_pool(a).modules:
         r = projective_dimension(x, cap=cap, seed=seed, trials=trials)
         if r.kind == "finite" and r.value is not None:
             best = max(best, r.value)
@@ -251,11 +244,10 @@ def fd_lower_estimate(a: StructureAlgebra, sample: CandidatePool | None = None,
 
 
 def fd_del_inequality_check(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON,
-                            pool: CandidatePool | None = None, seed: int = 0,
-                            trials: int = 5) -> dict:
+                            seed: int = 0, trials: int = 5) -> dict:
     """fd(A) <= del(A^op): compare the sound fd lower bound with the del
     upper bound of the opposite algebra."""
-    fd_low = fd_lower_estimate(a, pool, seed=seed, trials=trials)
+    fd_low = fd_lower_estimate(a, seed=seed, trials=trials)
     aop = opposite(a)
     agg, _ = del_algebra(aop, horizon=horizon, seed=seed, trials=trials)
     passed = agg.upper is not None and fd_low <= agg.upper

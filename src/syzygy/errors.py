@@ -64,9 +64,5 @@ class RandomnessExhausted(SyzygyError):
         super().__init__(message or f"randomized search failed after {trials} trials")
 
 
-class NotIdempotentInQuotient(SyzygyError):
-    """Idempotent lifting was asked to lift a non-idempotent residue."""
-
-
 class CorpusError(SyzygyError):
     """A corpus or algebra definition file failed to parse or resolve."""

@@ -236,13 +236,6 @@ def rowspace_contains(rref: np.ndarray, pivots, rows: np.ndarray, p: int) -> boo
     return not np.any(reduce_rows(rows, rref, pivots, p))
 
 
-def nonzero_rows(m: np.ndarray) -> np.ndarray:
-    if m.size == 0:
-        return m.reshape(0, m.shape[1] if m.ndim == 2 else 0)
-    keep = np.any(m != 0, axis=1)
-    return m[keep]
-
-
 def row_basis(m: np.ndarray, p: int) -> np.ndarray:
     """Deterministic (RREF) basis of the row space."""
     rref, r, _ = row_reduce(m, p)

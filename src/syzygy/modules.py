@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import StructureAlgebra, Bimodule, opposite, quotient_data, same_algebra
+from .algebra import StructureAlgebra, Bimodule, quotient_data, same_algebra
 from .errors import AlgebraMismatch, NotStable, ShapeMismatch
 
 
@@ -97,13 +97,6 @@ class ModuleHom:
         )
 
 
-def compose(f: ModuleHom, g: ModuleHom) -> ModuleHom:
-    """Apply f, then g."""
-    if f.target is not g.source and f.target.dim != g.source.dim:
-        raise AlgebraMismatch("hom composition shape mismatch")
-    return ModuleHom(f.source, g.target, linalg.matmul(f.matrix, g.matrix, f.source.p))
-
-
 def identity_hom(x: RightModule) -> ModuleHom:
     return ModuleHom(x, x, linalg.identity(x.dim))
 
@@ -141,12 +134,12 @@ def submodule_from_generators(x: RightModule, gens):
     gens = np.atleast_2d(linalg.mat(gens, p))
     if gens.size == 0:
         gens = linalg.zeros((0, x.dim))
-    basis = linalg.nonzero_rows(linalg.row_basis(gens, p))
+    basis = linalg.row_basis(gens, p)
     while True:
         if basis.shape[0] == 0:
             break
         images = np.einsum("ga,iab->igb", basis, x.action).reshape(-1, x.dim) % p
-        combined = linalg.nonzero_rows(linalg.row_basis(np.vstack([basis, images]), p))
+        combined = linalg.row_basis(np.vstack([basis, images]), p)
         if combined.shape[0] == basis.shape[0]:
             basis = combined
             break
@@ -268,7 +261,7 @@ def presentation(x: RightModule) -> Presentation:
     parts = []
     for info in projectives:
         e = a.idempotents[info.index]
-        img = linalg.nonzero_rows(linalg.row_basis(t.rho(e), p))
+        img = linalg.row_basis(t.rho(e), p)
         for wbar in img:
             w = linalg.solve_linear(proj_top.matrix, wbar.reshape(1, -1), p)
             v = linalg.matmul(w, x.rho(e), p)[0]
@@ -380,7 +373,7 @@ def end_dim(x: RightModule) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tensor products, duality, torsionless test
+# tensor products, torsionless test
 
 
 class TensorModule(RightModule):
@@ -391,11 +384,6 @@ class TensorModule(RightModule):
         self.proj = proj  # (dx*dm, q)
         self.lift = lift  # (q, dx*dm)
         self.factor_dims = factor_dims  # (dx, dm)
-
-    def pure(self, v, w) -> np.ndarray:
-        p = self.p
-        return linalg.matmul(np.kron(linalg.mat(v, p), linalg.mat(w, p)).reshape(1, -1),
-                             self.proj, p)[0]
 
     def pure_matrix(self, c: int) -> np.ndarray:
         """Matrix (dx x q) sending v to the class of v tensor e_c."""
@@ -429,36 +417,6 @@ def tensor_over_algebra(x: RightModule, m: Bimodule) -> TensorModule:
         big = np.kron(linalg.identity(dx), m.right_action[j]) % p
         action[j] = linalg.matmul(linalg.matmul(lift, big, p), proj, p)
     return TensorModule(v, action, proj, lift, (dx, dm))
-
-
-def tensor_hom(tx: TensorModule, tx2: TensorModule, f: ModuleHom) -> ModuleHom:
-    """f tensor identity on the bimodule, between two tensor modules."""
-    p = tx.p
-    dm = tx.factor_dims[1]
-    big = np.kron(f.matrix, linalg.identity(dm)) % p
-    mat = linalg.matmul(linalg.matmul(tx.lift, big, p), tx2.proj, p)
-    return ModuleHom(tx, tx2, mat)
-
-
-def dual_star(x: RightModule) -> RightModule:
-    """Hom_A(x, A) as a right module over the opposite algebra."""
-    a = x.algebra
-    p = a.p
-    aop = opposite(a)
-    regular = canonical_modules(a)[0]
-    homs = hom_space(x, regular)
-    h = len(homs)
-    if h == 0:
-        return zero_module(aop)
-    flat = np.vstack([f.matrix.reshape(1, -1) for f in homs])
-    action = linalg.zeros((a.dim, h, h))
-    for i in range(a.dim):
-        lm = a.left_mult(linalg.identity(a.dim)[i])
-        moved = np.vstack(
-            [linalg.matmul(f.matrix, lm, p).reshape(1, -1) for f in homs]
-        )
-        action[i] = linalg.solve_linear(flat, moved, p)
-    return RightModule(aop, action, name=f"({x.name})*" if x.name else "")
 
 
 def is_torsionless(x: RightModule) -> bool:
@@ -561,7 +519,7 @@ def module_to_triple(z: RightModule) -> TriangleModule:
 
     def corner(alg, sl):
         e = _embed(lam, sl, alg.unit)
-        rows = linalg.nonzero_rows(linalg.row_basis(z.rho(e), p))
+        rows = linalg.row_basis(z.rho(e), p)
         k = rows.shape[0]
         action = linalg.zeros((alg.dim, k, k))
         if k:

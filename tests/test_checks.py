@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -123,13 +125,16 @@ def test_report_determinism(world):
     assert checks.serialize_report(d1) == checks.serialize_report(d2)
 
 
-def test_reverify_accepts_good_and_rejects_tampered(world):
-    entries, _ = world
-    small = [e for e in entries if e.id == "a2"]
+def _lemma2_a2_doc():
+    small = [e for e in corpus.load_corpus() if e.id == "a2"]
     config = checks.Config(seed=3)
     reports, _ = checks.run_corpus(small, config,
                                    only_check="lemma2_cover_del_zero")
-    doc = checks.report_document(reports, config, ["a2"], [])
+    return checks.report_document(reports, config, ["a2"], []), small
+
+
+def test_reverify_accepts_good_and_rejects_tampered():
+    doc, small = _lemma2_a2_doc()
     results, ok = checks.reverify_report(doc, small)
     assert ok and results
 
@@ -139,6 +144,99 @@ def test_reverify_accepts_good_and_rejects_tampered(world):
     results, ok = checks.reverify_report(doc, small)
     assert not ok
     assert any(not r["ok"] for r in results)
+
+
+def test_reverify_fails_a_malformed_payload_without_raising():
+    doc, small = _lemma2_a2_doc()
+    certs = doc["checks"][0]["evidence"]["certificates"]
+    assert certs[0]["kind"] == "embedding" and len(certs) > 2
+    certs[0]["matrix"] = []
+    results, ok = checks.reverify_report(doc, small)
+    assert not ok
+    assert [r["ok"] for r in results] == [False] + [True] * (len(certs) - 1)
+    assert results[0]["detail"].startswith("malformed payload")
+    # a ragged matrix, a missing descriptor or an unknown entry fails the
+    # same way
+    certs[0]["matrix"] = [[1, 2], [3]]
+    assert not checks._verify_certificate(certs[0], corpus.resolve_corpus(small))[0]
+    del certs[1]["x"]
+    certs[-1]["x"]["algebra"] = checks.adesc("no_such_entry")
+    results, ok = checks.reverify_report(doc, small)
+    assert not ok and not results[1]["ok"] and not results[-1]["ok"]
+    assert all(r["detail"].startswith("malformed descriptor")
+               for r in (results[1], results[-1]))
+
+
+@pytest.fixture(scope="module")
+def corner_restriction_doc(world):
+    """cover_corner certificates of every corpus algebra and
+    cover_restriction certificates of the Lambda samples."""
+    entries, resolved = world
+    reports = []
+    for e in entries:
+        if e.expect_fail:
+            continue
+        a, desc = resolved[e.id], _desc(e.id)
+        reports.append(checks.check_cover_corner(a, desc, seed=2))
+        reports.append(checks.check_cover_restriction(a, desc, seed=7,
+                                                      resolved=resolved))
+    assert all(r.verdict == "PASS" for r in reports)
+    doc = checks.report_document(reports, checks.Config(),
+                                 [e.id for e in entries], [])
+    results, ok = checks.reverify_report(doc, entries)
+    assert ok and len(results) > 2 * len(reports)
+    return doc
+
+
+def _reverify_mutated(doc, entries, kind, mutate):
+    """Apply mutate to every certificate of the kind (it returns False to
+    leave one alone); (mutated ids, failed ids) after reverify."""
+    bad = copy.deepcopy(doc)
+    mutated = set()
+    for check in bad["checks"]:
+        for i, cert in enumerate(check["evidence"]["certificates"]):
+            if cert["kind"] == kind and mutate(cert):
+                mutated.add((check["algebra_id"], check["check_id"], i))
+    results, ok = checks.reverify_report(bad, entries)
+    failed = {(r["algebra_id"], r["check_id"], r["certificate"])
+              for r in results if not r["ok"]}
+    assert ok == (not failed)
+    return mutated, failed
+
+
+def _add_one(key):
+    def mutate(cert):
+        cert[key][0][0] = (cert[key][0][0] + 1) % P
+        return True
+    return mutate
+
+
+def _zero(key):
+    def mutate(cert):
+        cert[key] = [[0] * len(row) for row in cert[key]]
+        return True
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [_add_one("phi"), _zero("phi")],
+                         ids=["plus_one", "zero"])
+def test_reverify_rejects_every_tampered_phi(world, corner_restriction_doc,
+                                             mutate):
+    entries, _ = world
+    mutated, failed = _reverify_mutated(corner_restriction_doc, entries,
+                                        "cover_corner", mutate)
+    assert len(mutated) == 8 and failed == mutated
+
+
+def test_reverify_rejects_every_zeroed_pi_u(world, corner_restriction_doc):
+    """A zero pi_u is no cover once X_U != 0.  Adding 1 to one entry is no
+    test: most such maps are still minimal covers."""
+    entries, _ = world
+    zero = _zero("pi_u")
+    mutated, failed = _reverify_mutated(
+        corner_restriction_doc, entries, "cover_restriction",
+        lambda cert: bool(cert["pi_u"] and cert["pi_u"][0]) and zero(cert))
+    assert len(mutated) > 40 and failed == mutated
 
 
 def test_resolve_module_ref_round_trip(world):

@@ -109,6 +109,20 @@ def test_report_roundtrip_and_reverify(runner, tmp_path):
     assert "certificates ok" in r.output
 
 
+def test_reverify_malformed_payload_exit_1(runner, tmp_path):
+    out = tmp_path / "report.json"
+    r = runner.invoke(main, ["paper", "verify", "--algebra", "a2",
+                             "--check", "lemma2_cover_del_zero",
+                             "--seed", "3", "--report", str(out)])
+    assert r.exit_code == 0
+    doc = json.loads(out.read_text())
+    doc["checks"][0]["evidence"]["certificates"][0]["matrix"] = []
+    out.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["report", str(out), "--reverify"])
+    assert r.exit_code == 1
+    assert "(embedding): malformed payload" in r.output
+
+
 def test_report_missing_file_exit_2(runner, tmp_path):
     r = runner.invoke(main, ["report", str(tmp_path / "nope.json")])
     assert r.exit_code == 2

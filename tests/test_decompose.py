@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from syzygy import algebra, corpus, decompose, deloop, linalg, modules
 from syzygy.algebra import QuiverPresentation
-from syzygy.errors import CharTooSmall, NotIdempotentInQuotient
+from syzygy.errors import CharTooSmall
 
 P = 32003
 CORPUS_IDS = ["a2", "a3", "dual_numbers", "nakayama3", "point", "square",
@@ -76,19 +76,6 @@ def test_char_too_small_guard():
     e = decompose.end_ring(x)
     with pytest.raises(CharTooSmall):
         decompose.endring_radical(e)
-
-
-def test_lift_idempotent_trivial_cases():
-    a = dual_numbers()
-    reg = modules.canonical_modules(a)[0]
-    e = decompose.end_ring(reg)
-    # quotient is one-dimensional here
-    zero = decompose.lift_idempotent(e, [0])
-    assert not zero.any()
-    one = decompose.lift_idempotent(e, [1])
-    assert np.array_equal(one, e.unit)
-    with pytest.raises(NotIdempotentInQuotient):
-        decompose.lift_idempotent(e, [2])
 
 
 def test_primitive_idempotents_matrix_ring():

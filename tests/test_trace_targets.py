@@ -1,0 +1,48 @@
+"""The names the benchmark's tracer binds must exist in the package.
+
+perfbench/tracer.py wraps functions by name and names reverify spans by
+certificate kind; a rename or deletion here would break
+`perfbench/run.py --trace 1`, so tier-1 checks the names instead.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from syzygy import checks, deloop
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_targets_resolve():
+    tracer = _load_tracer()
+    missing = []
+    for layer, quals in tracer.TARGETS.items():
+        mod = importlib.import_module(f"{tracer.PACKAGE}.{layer}")
+        for qual in quals:
+            try:
+                fn = tracer._resolve(mod, qual)
+            except AttributeError:
+                missing.append(f"{layer}.{qual}")
+                continue
+            assert callable(fn), f"{layer}.{qual}"
+    assert not missing
+    assert set(tracer.CHECK_FUNCS) <= set(tracer.TARGETS["checks"])
+    # the default_pool probe binds these arguments by name
+    assert {"a", "horizon", "extra"} <= set(
+        inspect.signature(deloop.default_pool).parameters)
+
+
+def test_reverify_spans_match_the_verifier_table():
+    tracer = _load_tracer()
+    params = list(inspect.signature(checks._verify_certificate).parameters)
+    assert params[0] == "cert"
+    assert sorted(checks._VERIFIERS) == sorted(tracer.CERT_KINDS)
