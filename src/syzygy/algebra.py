@@ -505,12 +505,11 @@ def quotient_data(ideal_rows: np.ndarray, n: int, p: int):
     """
     rref, rk, pivots = linalg.row_reduce(ideal_rows, p)
     rref = rref[:rk]
-    free = [c for c in range(n) if c not in pivots]
+    free = linalg.free_columns(pivots, n)
     reduced_identity = linalg.reduce_rows(linalg.identity(n), rref, pivots, p)
     proj = reduced_identity[:, free]
-    lift = linalg.zeros((len(free), n))
-    for k, c in enumerate(free):
-        lift[k, c] = 1
+    lift = linalg.zeros((free.size, n))
+    lift[np.arange(free.size), free] = 1
     return proj, lift
 
 
@@ -608,10 +607,9 @@ def corner_algebra(a: StructureAlgebra, e) -> StructureAlgebra:
     compress = linalg.matmul(a.left_mult(e), a.right_mult(e), p)
     basis = linalg.row_basis(compress, p)
     k = basis.shape[0]
-    mul = linalg.zeros((k, k, k))
-    for i in range(k):
-        prods = linalg.matmul(basis, a.left_mult(basis[i]), p)
-        mul[i] = linalg.solve_linear(basis, prods, p)
+    lefts = np.einsum("ti,ijk->tjk", basis, a.mul) % p  # left_mult of each basis row
+    prods = np.matmul(basis, lefts) % p  # (k, k, dim A)
+    mul = linalg.solve_linear(basis, prods.reshape(-1, a.dim), p).reshape(k, k, k)
     unit = linalg.solve_linear(basis, e.reshape(1, -1), p)[0]
     rad_rows = linalg.matmul(a.radical, compress, p)
     rad = linalg.row_basis(rad_rows, p)

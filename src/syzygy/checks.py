@@ -417,12 +417,9 @@ def check_cover_corner(a: StructureAlgebra, desc: dict, seed: int,
     # phi sends b in A to left multiplication by b on e*cover, in the
     # basis of End(e*cover)
     ering = end_ring(incl.source)
-    phi = linalg.zeros((a.dim, ering.dim))
-    for i, c in enumerate(linalg.identity(cover.dim)[cover.triangle.v_slice]):
-        moved = linalg.matmul(incl.matrix, cover.left_mult(c), p)
-        hom_matrix = linalg.solve_linear(incl.matrix, moved, p)
-        phi[i] = linalg.solve_linear(ering._flat,
-                                     hom_matrix.reshape(1, -1), p)[0]
+    moved = np.matmul(incl.matrix, cover.mul[cover.triangle.v_slice]) % p
+    hom_matrices = linalg.solve_linear(incl.matrix, moved.reshape(-1, cover.dim), p)
+    phi = linalg.solve_linear(ering._flat, hom_matrices.reshape(a.dim, -1), p)
     ok, why = _verify_cover_corner(a, e, incl, phi)
     if not ok:
         return _finish(cid, a.name, seed, t0, False,

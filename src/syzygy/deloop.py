@@ -125,17 +125,24 @@ def projective_dimension(x: RightModule, cap: int = DEFAULT_PD_CAP,
 def _nonprojective_classes(x: RightModule, a: StructureAlgebra, seed: int,
                            trials: int) -> Counter:
     """Multiset of the class ids, in the registry of a, of the
-    non-projective indecomposable summands."""
+    non-projective indecomposable summands.
+
+    By Krull-Schmidt the multiset is an isomorphism invariant, and class
+    ids are fixed by a's registry, so the first answer holds for every
+    seed: it is cached on the module per trials and must not be modified.
+    """
     if x.algebra is not a:  # class ids of two registries do not compare
         if not same_algebra(x.algebra, a):
             raise AlgebraMismatch("modules over different algebras")
         x = RightModule(a, x.action)
-    dec = decompose(x, seed=seed, trials=trials)
-    out = Counter()
-    for rep, mult in dec.parts:
-        if not is_projective(rep):
-            out[class_id(rep, trials)] += mult
-    return out
+    key = ("nonprojective_classes", trials)
+    if key not in x._cache:
+        out = Counter()
+        for rep, mult in decompose(x, seed=seed, trials=trials).parts:
+            if not is_projective(rep):
+                out[class_id(rep, trials)] += mult
+        x._cache[key] = out
+    return x._cache[key]
 
 
 def _covers(need: Counter, have: Counter) -> bool:

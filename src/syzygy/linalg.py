@@ -150,14 +150,26 @@ def rank(m: np.ndarray, p: int) -> int:
     return row_reduce(m, p)[1]
 
 
+def free_columns(pivots, cols: int) -> np.ndarray:
+    """The columns below cols that are not pivots, in increasing order."""
+    mask = np.ones(cols, dtype=bool)
+    mask[pivots] = False
+    return np.flatnonzero(mask)
+
+
 def right_nullspace(m: np.ndarray, p: int) -> np.ndarray:
     """Rows v with m @ v^T = 0, one per free column, in RREF-derived order."""
-    rows, cols = m.shape
     rref, r, pivots = row_reduce(m, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros((len(free), cols))
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-rref[:r, free].T) % p
+    return nullspace_from_rref(rref[:r], pivots, m.shape[1], p)
+
+
+def nullspace_from_rref(rref: np.ndarray, pivots, cols: int, p: int) -> np.ndarray:
+    """right_nullspace of a matrix with cols columns, from its nonzero RREF
+    rows; columns of rref beyond cols (an augmented block) are ignored."""
+    free = free_columns(pivots, cols)
+    basis = zeros((free.size, cols))
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-rref[:, free].T) % p
     return basis
 
 

@@ -161,10 +161,11 @@ def quotient_module(x: RightModule, sub_rows):
     sub_rows = linalg.mat(sub_rows, p).reshape(-1, x.dim)
     rref, rk, pivots = linalg.row_reduce(sub_rows, p)
     rref = rref[:rk]
-    for i in range(a.dim):
-        moved = linalg.matmul(rref, x.action[i], p)
-        if not linalg.rowspace_contains(rref, pivots, moved, p):
-            raise NotStable(f"subspace not stable under basis element {i}")
+    moved = np.matmul(rref, x.action) % p  # (dim A, rk, dim x)
+    residue = linalg.reduce_rows(moved.reshape(-1, x.dim), rref, pivots, p)
+    unstable = residue.reshape(a.dim, -1).any(axis=1)
+    if unstable.any():  # name the lowest basis element that moves the subspace
+        raise NotStable(f"subspace not stable under basis element {int(unstable.argmax())}")
     proj, lift = quotient_data(rref, x.dim, p)
     action = np.matmul(np.matmul(lift, x.action) % p, proj) % p
     q = RightModule(a, action)
@@ -238,7 +239,6 @@ class Presentation:
 
     parts: list  # (idempotent index, generator image row in x)
     cover: RightModule
-    part_slices: list
     pi: ModuleHom
     kernel_rows: np.ndarray  # (dim kernel, dim cover)
     lift: np.ndarray  # (dim x, dim cover), lift @ pi = identity
@@ -252,32 +252,36 @@ def presentation(x: RightModule) -> Presentation:
     p = a.p
     _, _, projectives = canonical_modules(a)
     if x.dim == 0:
-        cover, slices = direct_sum([], a)
-        pres = Presentation([], cover, slices, ModuleHom(cover, x, linalg.zeros((0, 0))),
+        cover, _ = direct_sum([], a)
+        pres = Presentation([], cover, ModuleHom(cover, x, linalg.zeros((0, 0))),
                             linalg.zeros((0, 0)), linalg.zeros((0, 0)))
         x._cache["presentation"] = pres
         return pres
     t, proj_top = top_of_module(x)
-    parts = []
+    top_e = t.rho_rows(a.idempotents)
+    x_e = x.rho_rows(a.idempotents)
+    parts, pi_rows = [], []
     for info in projectives:
-        e = a.idempotents[info.index]
-        img = linalg.row_basis(t.rho(e), p)
-        for wbar in img:
-            w = linalg.solve_linear(proj_top.matrix, wbar.reshape(1, -1), p)
-            v = linalg.matmul(w, x.rho(e), p)[0]
-            parts.append((info.index, v))
-    cover, slices = direct_sum([projectives[i].module for i, _ in parts], a)
-    pi_rows = []
-    for i, v in parts:
-        evals = np.einsum("jc,cab->jab", projectives[i].rows, x.action) % p
-        pi_rows.append(np.einsum("a,jab->jb", v, evals) % p)
-    pi_matrix = np.vstack(pi_rows) if pi_rows else linalg.zeros((0, x.dim))
-    if linalg.rank(pi_matrix, p) != x.dim:
+        img = linalg.row_basis(top_e[info.index], p)
+        if img.shape[0] == 0:
+            continue
+        w = linalg.solve_linear(proj_top.matrix, img, p)
+        gens = linalg.matmul(w, x_e[info.index], p)
+        parts += [(info.index, v) for v in gens]
+        evals = x.rho_rows(info.rows)  # (k, dim x, dim x)
+        pi_rows.append(np.einsum("ta,jab->tjb", gens, evals).reshape(-1, x.dim) % p)
+    cover, _ = direct_sum([projectives[i].module for i, _ in parts], a)
+    pi_matrix = np.vstack(pi_rows)
+    # one elimination of [pi^T | I] gives the kernel, a lift and surjectivity:
+    # pi is onto iff all dim x pivots lie in the pi^T block
+    c = cover.dim
+    rref, _, pivots = linalg.row_reduce(np.hstack([pi_matrix.T, linalg.identity(x.dim)]), p)
+    if pivots[-1] >= c:
         raise AssertionError("projective cover map is not surjective")
-    pi = ModuleHom(cover, x, pi_matrix)
-    kernel = linalg.kernel_basis(pi_matrix, p)
-    lift = linalg.solve_linear(pi_matrix, linalg.identity(x.dim), p)
-    pres = Presentation(parts, cover, slices, pi, kernel, lift)
+    kernel = linalg.nullspace_from_rref(rref, pivots, c, p)
+    lift = linalg.zeros((x.dim, c))
+    lift[:, pivots] = rref[:, c:].T
+    pres = Presentation(parts, cover, ModuleHom(cover, x, pi_matrix), kernel, lift)
     x._cache["presentation"] = pres
     return pres
 
@@ -334,38 +338,27 @@ def hom_space(x: RightModule, y: RightModule) -> list[ModuleHom]:
         return []
     pres = presentation(x)
     _, _, projectives = canonical_modules(a)
-    h = len(pres.parts)
-    dy = y.dim
-    evals = []  # per part: (k_t, dy, dy)
-    for i, _ in pres.parts:
-        evals.append(np.einsum("jc,cab->jab", projectives[i].rows, y.action) % p)
+    idx = [i for i, _ in pres.parts]
+    h, dy, c = len(idx), y.dim, pres.cover.dim
+    evals = {i: y.rho_rows(projectives[i].rows) for i in set(idx)}
+    cover_evals = np.concatenate([evals[i] for i in idx])  # (c, dy, dy)
+    part_of = np.repeat(np.arange(h), [evals[i].shape[0] for i in idx])
     # unknown u = (v_1 .. v_h) in F^(h*dy); constraints as columns of G
-    blocks = []
-    gauge = linalg.zeros((h * dy, h * dy))
-    for t, (i, _) in enumerate(pres.parts):
-        gauge[t * dy:(t + 1) * dy, t * dy:(t + 1) * dy] = (
-            linalg.identity(dy) - y.rho(a.idempotents[i])
-        ) % p
-    blocks.append(gauge)
+    gauge = linalg.zeros((h, dy, h, dy))
+    gauge[np.arange(h), :, np.arange(h)] = (
+        linalg.identity(dy) - y.rho_rows(a.idempotents)[idx]) % p
+    blocks = [gauge.reshape(h * dy, h * dy)]
     dk = pres.kernel_rows.shape[0]
     if dk:
-        cols = linalg.zeros((h * dy, dk * dy))
-        for t, sl in enumerate(pres.part_slices):
-            seg = pres.kernel_rows[:, sl]  # (dk, k_t)
-            m = np.einsum("kj,jab->kab", seg, evals[t]) % p  # (dk, dy, dy)
-            cols[t * dy:(t + 1) * dy] = m.transpose(1, 0, 2).reshape(dy, dk * dy)
-        blocks.append(cols)
-    g = np.hstack(blocks)
-    solutions = linalg.kernel_basis(g, p)
-    homs = []
-    for u in solutions:
-        phi_hat = linalg.zeros((pres.cover.dim, dy))
-        for t, sl in enumerate(pres.part_slices):
-            v = u[t * dy:(t + 1) * dy]
-            phi_hat[sl] = np.einsum("a,jab->jb", v, evals[t]) % p
-        phi = linalg.matmul(pres.lift, phi_hat, p)
-        homs.append(ModuleHom(x, y, phi))
-    return homs
+        # m[k, t] = sum over the cover basis j of part t of kernel[k, j] * eval_j
+        seg = pres.kernel_rows[:, None, :] * (part_of == np.arange(h)[:, None])
+        m = (seg.reshape(dk * h, c) @ cover_evals.reshape(c, dy * dy)) % p
+        blocks.append(m.reshape(dk, h, dy, dy).transpose(1, 2, 0, 3)
+                      .reshape(h * dy, dk * dy))
+    solutions = linalg.kernel_basis(np.hstack(blocks), p)
+    u = solutions.reshape(-1, h, dy)[:, part_of]  # (s, c, dy)
+    phi_hat = np.einsum("sja,jab->sjb", u, cover_evals) % p
+    return [ModuleHom(x, y, phi) for phi in np.matmul(pres.lift, phi_hat) % p]
 
 
 def end_dim(x: RightModule) -> int:
@@ -379,17 +372,10 @@ def end_dim(x: RightModule) -> int:
 class TensorModule(RightModule):
     """x tensor_U M as a right V-module, with quotient bookkeeping."""
 
-    def __init__(self, algebra, action, proj, lift, factor_dims):
+    def __init__(self, algebra, action, proj, lift):
         super().__init__(algebra, action)
         self.proj = proj  # (dx*dm, q)
         self.lift = lift  # (q, dx*dm)
-        self.factor_dims = factor_dims  # (dx, dm)
-
-    def pure_matrix(self, c: int) -> np.ndarray:
-        """Matrix (dx x q) sending v to the class of v tensor e_c."""
-        dx, dm = self.factor_dims
-        idx = np.arange(dx) * dm + c
-        return self.proj[idx]
 
 
 def tensor_over_algebra(x: RightModule, m: Bimodule) -> TensorModule:
@@ -402,21 +388,16 @@ def tensor_over_algebra(x: RightModule, m: Bimodule) -> TensorModule:
     dx, dm = x.dim, m.dim
     d = dx * dm
     if d == 0:
-        t = TensorModule(v, linalg.zeros((v.dim, 0, 0)), linalg.zeros((d, 0)),
-                         linalg.zeros((0, d)), (dx, dm))
-        return t
-    balance = []
-    for i in range(u.dim):
-        balance.append((np.kron(x.action[i], linalg.identity(dm))
-                        - np.kron(linalg.identity(dx), m.left_action[i])) % p)
-    rows = np.vstack(balance)
-    proj, lift = quotient_data(rows, d, p)
+        return TensorModule(v, linalg.zeros((v.dim, 0, 0)), linalg.zeros((d, 0)),
+                            linalg.zeros((0, d)))
+    # row (i, a*dm + c) of the balancing rows is x_a.b_i (x) m_c - x_a (x) b_i.m_c
+    rows = (np.einsum("iab,cd->iacbd", x.action, linalg.identity(dm))
+            - np.einsum("ab,icd->iacbd", linalg.identity(dx), m.left_action)) % p
+    proj, lift = quotient_data(rows.reshape(-1, d), d, p)
     q = proj.shape[1]
-    action = linalg.zeros((v.dim, q, q))
-    for j in range(v.dim):
-        big = np.kron(linalg.identity(dx), m.right_action[j]) % p
-        action[j] = linalg.matmul(linalg.matmul(lift, big, p), proj, p)
-    return TensorModule(v, action, proj, lift, (dx, dm))
+    moved = np.einsum("rbc,jcd->jrbd", lift.reshape(q, dx, dm), m.right_action) % p
+    action = np.matmul(moved.reshape(v.dim, q, d), proj) % p
+    return TensorModule(v, action, proj, lift)
 
 
 def is_torsionless(x: RightModule) -> bool:
@@ -490,21 +471,12 @@ def triple_to_module(t: TriangleModule, lam: StructureAlgebra) -> RightModule:
     dx, dy = t.x.dim, t.y.dim
     d = dx + dy
     action = linalg.zeros((lam.dim, d, d))
-    nu = info.u.dim
-    dm = info.bimodule.dim
-    for i in range(nu):
-        action[i][:dx, :dx] = t.x.action[i]
-    for c in range(dm):
-        action[nu + c][:dx, dx:] = linalg.matmul(t.tensor.pure_matrix(c), t.f.matrix, p)
-    for j in range(info.v.dim):
-        action[nu + dm + j][dx:, dx:] = t.y.action[j]
+    action[info.u_slice, :dx, :dx] = t.x.action
+    # m_c sends x to the image under f of the class of x (x) m_c
+    pure = t.tensor.proj.reshape(dx, info.bimodule.dim, t.tensor.dim).transpose(1, 0, 2)
+    action[info.m_slice, :dx, dx:] = np.matmul(pure, t.f.matrix) % p
+    action[info.v_slice, dx:, dx:] = t.y.action
     return RightModule(lam, action)
-
-
-def _embed(lam: StructureAlgebra, sl: slice, coords) -> np.ndarray:
-    out = linalg.zeros(lam.dim)
-    out[sl] = coords
-    return out
 
 
 def module_to_triple(z: RightModule) -> TriangleModule:
@@ -518,15 +490,14 @@ def module_to_triple(z: RightModule) -> TriangleModule:
     p = lam.p
 
     def corner(alg, sl):
-        e = _embed(lam, sl, alg.unit)
-        rows = linalg.row_basis(z.rho(e), p)
+        acts = z.action[sl]
+        rows = linalg.row_basis(np.einsum("i,iab->ab", alg.unit, acts) % p, p)
         k = rows.shape[0]
         action = linalg.zeros((alg.dim, k, k))
         if k:
-            for i in range(alg.dim):
-                full = _embed(lam, sl, linalg.identity(alg.dim)[i])
-                moved = linalg.matmul(rows, z.rho(full), p)
-                action[i] = linalg.solve_linear(rows, moved, p)
+            moved = np.matmul(rows, acts) % p  # (dim alg, k, dim z)
+            action = linalg.solve_linear(rows, moved.reshape(-1, z.dim), p)
+            action = action.reshape(alg.dim, k, k)
         return RightModule(alg, action), rows
 
     x_mod, x_rows = corner(info.u, info.u_slice)
@@ -535,13 +506,11 @@ def module_to_triple(z: RightModule) -> TriangleModule:
     dm = info.bimodule.dim
     dx = x_mod.dim
     if dx * dm:
-        bigmap = linalg.zeros((dx * dm, y_mod.dim))
-        for c in range(dm):
-            full = _embed(lam, info.m_slice, linalg.identity(dm)[c])
-            landed = linalg.matmul(x_rows, z.rho(full), p)
-            bigmap[np.arange(dx) * dm + c] = (
-                linalg.solve_linear(y_rows, landed, p) if y_mod.dim else linalg.zeros((dx, 0))
-            )
+        # row a*dm + c is the image of x_a (x) m_c, i.e. of x_a * m_c in z
+        landed = np.matmul(x_rows, z.action[info.m_slice]) % p  # (dm, dx, dim z)
+        landed = landed.transpose(1, 0, 2).reshape(dx * dm, z.dim)
+        bigmap = (linalg.solve_linear(y_rows, landed, p) if y_mod.dim
+                  else linalg.zeros((dx * dm, 0)))
         # the map must kill the balancing subspace
         fmat = linalg.matmul(tensor.lift, bigmap, p)
         back = linalg.matmul(tensor.proj, fmat, p)

@@ -203,3 +203,69 @@ def test_del_witness_over_an_equal_copy_of_the_algebra():
     b = deloop.del_bounds(s)
     witness = modules.RightModule(copy, b.witness.action)
     assert deloop.verify_del_witness(s, b.upper, witness)
+
+
+class _NotCalled(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise _NotCalled("decompose should not run on a cached module")
+
+
+def test_class_multiset_is_computed_once_per_module(monkeypatch):
+    a = truncated_cubic()
+    reg, simples, _ = modules.canonical_modules(a)
+    s = simples[0]
+    x, _ = modules.direct_sum([s, modules.syzygy(s, 1), reg])
+    first = deloop._nonprojective_classes(x, a, seed=1, trials=5)
+    assert sum(first.values()) == 2
+    monkeypatch.setattr(deloop, "decompose", _refuse)
+    assert deloop._nonprojective_classes(x, a, seed=7, trials=5) == first
+    with pytest.raises(_NotCalled):  # the cache is kept per trials
+        deloop._nonprojective_classes(x, a, seed=7, trials=3)
+
+
+def test_class_multiset_over_an_equal_copy_is_not_shared(monkeypatch):
+    a, copy = dual_numbers(), dual_numbers()
+    s = modules.canonical_modules(a)[1][0]
+    twice, _ = modules.direct_sum([s, s])
+    mine = deloop._nonprojective_classes(twice, a, seed=1, trials=5)
+    calls = []
+    real = deloop.decompose
+
+    def spy(x, **kwargs):
+        calls.append(x)
+        return real(x, **kwargs)
+
+    monkeypatch.setattr(deloop, "decompose", spy)
+    theirs = deloop._nonprojective_classes(twice, copy, seed=1, trials=5)
+    # rebased onto the copy and decomposed there, with the copy's class ids
+    assert [x.algebra for x in calls] == [copy]
+    assert list(theirs.values()) == [2] and copy._cache["iso_classes"]
+    assert deloop._nonprojective_classes(twice, a, seed=2, trials=5) is mine
+    assert len(calls) == 1
+
+
+def test_del_upper_search_leaves_cached_class_multisets_unmodified(monkeypatch):
+    lam = algebra.build_lambda(kA2())
+    s = modules.canonical_modules(lam)[1][0]
+    seen = []
+    real = deloop._nonprojective_classes
+
+    def record(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append((out, out.copy()))
+        return out
+
+    covers = []
+    real_covers = deloop._covers
+    monkeypatch.setattr(deloop, "_nonprojective_classes", record)
+    monkeypatch.setattr(deloop, "_covers",
+                        lambda need, have: covers.append(1) or real_covers(need, have))
+    first = deloop.del_upper_search(s)
+    second = deloop.del_upper_search(s)  # reads every multiset from the caches
+    assert first[0] == second[0] and first[2] == second[2]
+    # the search went through the pair loop, which sums two cached multisets
+    assert len(covers) > 2 * len(deloop.default_pool(lam).modules)
+    assert all(out == snapshot for out, snapshot in seen)

@@ -1,0 +1,313 @@
+"""The module layer's stacked products against the per-element loops they
+replaced, bit for bit.
+
+Each `ref_*` function below is the loop version of a library function,
+kept as the reference.  Inputs are the default pool and the first three
+syzygies of every simple of each valid corpus algebra, tensored with
+Lambda's bimodule and with A as an A-A-bimodule, plus modules over its
+Lambda and its cover, at the default prime and at 1048573, the largest
+prime the int64 kernel supports.
+"""
+
+import numpy as np
+import pytest
+
+from syzygy import algebra, checks, corpus, deloop, linalg, modules
+from syzygy.decompose import end_ring
+from syzygy.errors import NotStable
+
+VALID = ["a2", "a3", "dual_numbers", "nakayama3", "point", "square",
+         "truncated_cubic", "two_points"]
+PRIMES = [None, 1048573]  # None: each entry's own prime, 32003
+
+
+def ref_kernel_basis(m, p):
+    mt = m.T
+    rref, r, pivots = linalg.row_reduce(mt, p)
+    free = [c for c in range(mt.shape[1]) if c not in pivots]
+    basis = linalg.zeros((len(free), mt.shape[1]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-rref[:r, free].T) % p
+    return basis
+
+
+def ref_quotient_data(ideal_rows, n, p):
+    rref, rk, pivots = linalg.row_reduce(ideal_rows, p)
+    rref = rref[:rk]
+    free = [c for c in range(n) if c not in pivots]
+    proj = linalg.reduce_rows(linalg.identity(n), rref, pivots, p)[:, free]
+    lift = linalg.zeros((len(free), n))
+    for k, c in enumerate(free):
+        lift[k, c] = 1
+    return proj, lift
+
+
+def ref_quotient_module(x, sub_rows):
+    """(action, projection) of x / sub_rows."""
+    a, p = x.algebra, x.p
+    sub_rows = linalg.mat(sub_rows, p).reshape(-1, x.dim)
+    rref, rk, pivots = linalg.row_reduce(sub_rows, p)
+    rref = rref[:rk]
+    for i in range(a.dim):
+        moved = linalg.matmul(rref, x.action[i], p)
+        if not linalg.rowspace_contains(rref, pivots, moved, p):
+            raise NotStable(f"subspace not stable under basis element {i}")
+    proj, lift = ref_quotient_data(rref, x.dim, p)
+    return np.matmul(np.matmul(lift, x.action) % p, proj) % p, proj
+
+
+def ref_presentation(x):
+    """(parts, pi, kernel_rows, lift) of the minimal cover of x."""
+    a, p = x.algebra, x.p
+    _, _, projectives = modules.canonical_modules(a)
+    _, rad = modules.radical_submodule(x)
+    t_action, proj_top = ref_quotient_module(x, rad.matrix)
+    t = modules.RightModule(a, t_action)
+    parts = []
+    for info in projectives:
+        e = a.idempotents[info.index]
+        for wbar in linalg.row_basis(t.rho(e), p):
+            w = linalg.solve_linear(proj_top, wbar.reshape(1, -1), p)
+            parts.append((info.index, linalg.matmul(w, x.rho(e), p)[0]))
+    pi_rows = []
+    for i, v in parts:
+        evals = np.einsum("jc,cab->jab", projectives[i].rows, x.action) % p
+        pi_rows.append(np.einsum("a,jab->jb", v, evals) % p)
+    pi = np.vstack(pi_rows)
+    assert linalg.rank(pi, p) == x.dim
+    lift = linalg.solve_linear(pi, linalg.identity(x.dim), p)
+    return parts, pi, ref_kernel_basis(pi, p), lift
+
+
+def ref_hom_space(x, y):
+    a, p = x.algebra, x.p
+    if x.dim == 0 or y.dim == 0:
+        return []
+    parts, _, kernel, lift = ref_presentation(x)
+    _, _, projectives = modules.canonical_modules(a)
+    h, dy = len(parts), y.dim
+    slices, start = [], 0
+    for i, _ in parts:
+        k = projectives[i].rows.shape[0]
+        slices.append(slice(start, start + k))
+        start += k
+    evals = [np.einsum("jc,cab->jab", projectives[i].rows, y.action) % p
+             for i, _ in parts]
+    gauge = linalg.zeros((h * dy, h * dy))
+    for t, (i, _) in enumerate(parts):
+        gauge[t * dy:(t + 1) * dy, t * dy:(t + 1) * dy] = (
+            linalg.identity(dy) - y.rho(a.idempotents[i])) % p
+    blocks = [gauge]
+    dk = kernel.shape[0]
+    if dk:
+        cols = linalg.zeros((h * dy, dk * dy))
+        for t, sl in enumerate(slices):
+            m = np.einsum("kj,jab->kab", kernel[:, sl], evals[t]) % p
+            cols[t * dy:(t + 1) * dy] = m.transpose(1, 0, 2).reshape(dy, dk * dy)
+        blocks.append(cols)
+    homs = []
+    for u in ref_kernel_basis(np.hstack(blocks), p):
+        phi_hat = linalg.zeros((start, dy))
+        for t, sl in enumerate(slices):
+            phi_hat[sl] = np.einsum("a,jab->jb", u[t * dy:(t + 1) * dy], evals[t]) % p
+        homs.append(linalg.matmul(lift, phi_hat, p))
+    return homs
+
+
+def ref_tensor(x, m):
+    """(action, proj, lift) of x tensor_U M."""
+    u, v, p = m.left, m.right, x.p
+    dx, dm = x.dim, m.dim
+    d = dx * dm
+    if d == 0:
+        return linalg.zeros((v.dim, 0, 0)), linalg.zeros((0, 0)), linalg.zeros((0, 0))
+    rows = np.vstack([(np.kron(x.action[i], linalg.identity(dm))
+                       - np.kron(linalg.identity(dx), m.left_action[i])) % p
+                      for i in range(u.dim)])
+    proj, lift = ref_quotient_data(rows, d, p)
+    q = proj.shape[1]
+    action = linalg.zeros((v.dim, q, q))
+    for j in range(v.dim):
+        big = np.kron(linalg.identity(dx), m.right_action[j]) % p
+        action[j] = linalg.matmul(linalg.matmul(lift, big, p), proj, p)
+    return action, proj, lift
+
+
+def ref_module_to_triple(z):
+    """Arrays of the triple of z: x, y, x_rows, y_rows, the tensor, f."""
+    lam, p = z.algebra, z.p
+    info = lam.triangle
+
+    def embed(sl, coords):
+        out = linalg.zeros(lam.dim)
+        out[sl] = coords
+        return out
+
+    def corner(alg, sl):
+        rows = linalg.row_basis(z.rho(embed(sl, alg.unit)), p)
+        k = rows.shape[0]
+        action = linalg.zeros((alg.dim, k, k))
+        if k:
+            for i in range(alg.dim):
+                moved = linalg.matmul(rows, z.rho(embed(sl, linalg.identity(alg.dim)[i])), p)
+                action[i] = linalg.solve_linear(rows, moved, p)
+        return modules.RightModule(alg, action), rows
+
+    x_mod, x_rows = corner(info.u, info.u_slice)
+    y_mod, y_rows = corner(info.v, info.v_slice)
+    t_action, proj, lift = ref_tensor(x_mod, info.bimodule)
+    dm, dx = info.bimodule.dim, x_mod.dim
+    fmat = linalg.zeros((t_action.shape[1], y_mod.dim))
+    if dx * dm:
+        bigmap = linalg.zeros((dx * dm, y_mod.dim))
+        for c in range(dm):
+            landed = linalg.matmul(x_rows, z.rho(embed(info.m_slice, linalg.identity(dm)[c])), p)
+            bigmap[np.arange(dx) * dm + c] = (
+                linalg.solve_linear(y_rows, landed, p) if y_mod.dim else linalg.zeros((dx, 0)))
+        fmat = linalg.matmul(lift, bigmap, p)
+    return {"x": x_mod.action, "y": y_mod.action, "x_rows": x_rows, "y_rows": y_rows,
+            "t_action": t_action, "proj": proj, "lift": lift, "f": fmat}
+
+
+def ref_triple_to_module(t, lam):
+    info, p = lam.triangle, lam.p
+    dx, dy = t.x.dim, t.y.dim
+    nu, dm = info.u.dim, info.bimodule.dim
+    action = linalg.zeros((lam.dim, dx + dy, dx + dy))
+    for i in range(nu):
+        action[i][:dx, :dx] = t.x.action[i]
+    for c in range(dm):
+        pure = t.tensor.proj[np.arange(dx) * dm + c]
+        action[nu + c][:dx, dx:] = linalg.matmul(pure, t.f.matrix, p)
+    for j in range(info.v.dim):
+        action[nu + dm + j][dx:, dx:] = t.y.action[j]
+    return action
+
+
+def ref_corner_algebra(a, e):
+    p = a.p
+    compress = linalg.matmul(a.left_mult(e), a.right_mult(e), p)
+    basis = linalg.row_basis(compress, p)
+    k = basis.shape[0]
+    mul = linalg.zeros((k, k, k))
+    for i in range(k):
+        prods = linalg.matmul(basis, a.left_mult(basis[i]), p)
+        mul[i] = linalg.solve_linear(basis, prods, p)
+    return mul
+
+
+def ref_cover_corner_phi(a):
+    cover = algebra.build_cover(a)
+    _, incl = checks.corner_projective(cover)
+    ering = end_ring(incl.source)
+    p = a.p
+    phi = linalg.zeros((a.dim, ering.dim))
+    for i, c in enumerate(linalg.identity(cover.dim)[cover.triangle.v_slice]):
+        moved = linalg.matmul(incl.matrix, cover.left_mult(c), p)
+        hom_matrix = linalg.solve_linear(incl.matrix, moved, p)
+        phi[i] = linalg.solve_linear(ering._flat, hom_matrix.reshape(1, -1), p)[0]
+    return phi
+
+
+def lib_quotient(x, rows):
+    q, proj = modules.quotient_module(x, rows)
+    return q.action, proj.matrix
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got, want)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotStable as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def worlds():
+    entries = corpus.load_corpus()
+    return {p: corpus.resolve_corpus(entries, p) for p in PRIMES}
+
+
+def _base_modules(a):
+    mods = list(deloop.default_pool(a).modules)
+    for s in modules.canonical_modules(a)[1]:
+        mods += [modules.syzygy(s, i) for i in (1, 2, 3)]
+    return [x for x in mods if x.dim]
+
+
+def _triangular_modules(t):
+    reg, simples, projectives = modules.canonical_modules(t)
+    mods = [reg] + simples + [info.module for info in projectives]
+    mods += [modules.syzygy(s, 1) for s in simples]
+    mods += [modules.radical_submodule(info.module)[0] for info in projectives]
+    return [x for x in mods if x.dim]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("aid", VALID)
+def test_module_layer_matches_loop_reference(worlds, aid, p):
+    a = worlds[p][aid]
+    lam = algebra.build_lambda(a)
+    # Lambda's bimodule acts diagonally on the right; A_A over A does not
+    regular = algebra.Bimodule(a, a, a.dim, a.mul, a.mul.transpose(1, 0, 2))
+    assert not regular.validate()
+    mods = _base_modules(a)
+    for k, x in enumerate(mods):
+        parts, pi, kernel, lift = ref_presentation(x)
+        pres = modules.presentation(x)
+        assert [i for i, _ in pres.parts] == [i for i, _ in parts]
+        assert all(_same(v, w) for (_, v), (_, w) in zip(pres.parts, parts))
+        assert _same(pres.pi.matrix, pi)
+        assert _same(pres.kernel_rows, kernel)
+        assert _same(pres.lift, lift)
+        for y in (x, mods[(k + 1) % len(mods)]):
+            got = [f.matrix for f in modules.hom_space(x, y)]
+            want = ref_hom_space(x, y)
+            assert len(got) == len(want)
+            assert all(_same(g, w) for g, w in zip(got, want))
+        for bimodule in (lam.triangle.bimodule, regular):
+            t = modules.tensor_over_algebra(x, bimodule)
+            action, proj, tlift = ref_tensor(x, bimodule)
+            assert _same(t.action, action) and _same(t.proj, proj)
+            assert _same(t.lift, tlift)
+        subspaces = [modules.radical_submodule(x)[1].matrix, modules.socle(x)[1].matrix,
+                     linalg.identity(x.dim)[:1]]
+        for rows in subspaces:
+            got = _outcome(lib_quotient, x, rows)
+            want = _outcome(ref_quotient_module, x, rows)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert _same(got[0], want[0]) and _same(got[1], want[1])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("aid", VALID)
+def test_triples_and_corners_match_loop_reference(worlds, aid, p):
+    a = worlds[p][aid]
+    for tri in (algebra.build_lambda(a), algebra.build_cover(a)):
+        for z in _triangular_modules(tri):
+            t = modules.module_to_triple(z)
+            want = ref_module_to_triple(z)
+            got = {"x": t.x.action, "y": t.y.action, "x_rows": t.x_rows,
+                   "y_rows": t.y_rows, "t_action": t.tensor.action,
+                   "proj": t.tensor.proj, "lift": t.tensor.lift, "f": t.f.matrix}
+            for key in want:
+                assert _same(got[key], want[key]), key
+            assert _same(modules.triple_to_module(t, tri).action,
+                         ref_triple_to_module(t, tri))
+        info = tri.triangle
+        corners = [tri.unit] + list(tri.idempotents)
+        for sl, alg in ((info.u_slice, info.u), (info.v_slice, info.v)):
+            e = linalg.zeros(tri.dim)
+            e[sl] = alg.unit
+            corners.append(e)
+        for e in corners:
+            assert _same(algebra.corner_algebra(tri, e).mul, ref_corner_algebra(tri, e))
+    report = checks.check_cover_corner(a, checks.adesc(aid), seed=0)
+    phi = report.evidence["certificates"][0]["phi"]
+    assert _same(phi, ref_cover_corner_phi(a))

@@ -138,12 +138,32 @@ def test_syzygy_of_projective_is_zero():
     assert modules.syzygy(reg, 3).dim == 0
 
 
+def _unstable_basis_elements(x, rows):
+    """Loop reference: the basis elements, in order, that move the rows out
+    of their span."""
+    rref, rk, pivots = linalg.row_reduce(linalg.mat(rows, P), P)
+    rref = rref[:rk]
+    return [i for i in range(x.algebra.dim) if not linalg.rowspace_contains(
+        rref, pivots, linalg.matmul(rref, x.action[i], P), P)]
+
+
 def test_quotient_rejects_unstable_subspace():
     a = kA2()
     reg = modules.canonical_modules(a)[0]
     e1 = a.idempotents[0].reshape(1, -1)
-    with pytest.raises(NotStable):
+    bad = _unstable_basis_elements(reg, e1)
+    with pytest.raises(NotStable, match=f"basis element {bad[0]}$"):
         modules.quotient_module(reg, e1)
+    # in kA3 both paths out of vertex 1 move e1 out of its span; the
+    # message names the lowest of them, as the loop did
+    q = QuiverPresentation(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")], [])
+    a3 = algebra.from_quiver(q, P, 6, name="kA3")
+    reg3 = modules.canonical_modules(a3)[0]
+    e1 = a3.idempotents[0].reshape(1, -1)
+    bad = _unstable_basis_elements(reg3, e1)
+    assert len(bad) > 1
+    with pytest.raises(NotStable, match=f"basis element {bad[0]}$"):
+        modules.quotient_module(reg3, e1)
 
 
 def test_submodule_closure():
