@@ -67,7 +67,7 @@ class StructureAlgebra:
     def multiply(self, x, y) -> np.ndarray:
         x = linalg.mat(x, self.p).reshape(self.dim)
         y = linalg.mat(y, self.p).reshape(self.dim)
-        return np.einsum("i,j,ijk->k", x, y, self.mul) % self.p
+        return linalg.bilinear(x, y, self.mul, self.p)
 
     def left_mult(self, x) -> np.ndarray:
         """Matrix of y -> x*y acting on rows by right multiplication."""
@@ -520,10 +520,7 @@ def quotient_algebra(a: StructureAlgebra, ideal_rows: np.ndarray,
     n = a.dim
     proj, lift = quotient_data(ideal_rows, n, p)
     q = proj.shape[1]
-    mul = linalg.zeros((q, q, q))
-    for i in range(q):
-        li = a.left_mult(lift[i])
-        mul[i] = linalg.matmul(linalg.matmul(lift, li, p), proj, p)
+    mul = linalg.matmul(linalg.bilinear(lift, lift, a.mul, p), proj, p)
     unit = linalg.matmul(a.unit.reshape(1, -1), proj, p)[0]
     rad = linalg.row_basis(linalg.matmul(a.radical, proj, p), p) if a.radical.size else linalg.zeros((0, q))
     idems = linalg.matmul(a.idempotents, proj, p)
@@ -636,7 +633,7 @@ def canonical_iso_check(a: StructureAlgebra, b: StructureAlgebra,
     # image of each basis product vs product of the images
     images = bm  # row i = image of a's basis element i
     lhs = np.einsum("ijk,kl->ijl", a.mul, images) % p
-    rhs = np.einsum("ia,jb,abl->ijl", images, images, b.mul) % p
+    rhs = linalg.bilinear(images, images, b.mul, p)
     return np.array_equal(lhs, rhs)
 
 

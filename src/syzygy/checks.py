@@ -300,7 +300,7 @@ def _verify_cover_corner(a: StructureAlgebra, e, incl: ModuleHom,
     if ering.dim != a.dim:
         return False, f"dim End(e*cover) = {ering.dim} != dim A = {a.dim}"
     lhs = np.einsum("ijk,kt->ijt", a.mul, phi) % p
-    rhs = np.einsum("it,ju,tuv->ijv", phi, phi, ering.mul) % p
+    rhs = linalg.bilinear(phi, phi, ering.mul, p)
     ok = np.array_equal((a.unit @ phi) % p, ering.unit) \
         and np.array_equal(lhs, rhs) and linalg.rank(phi, p) == a.dim
     return _verdict(ok, "phi is not an algebra isomorphism A -> End(e*cover)")

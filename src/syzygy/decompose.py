@@ -87,7 +87,7 @@ class EndRing:
     def multiply(self, x, y) -> np.ndarray:
         x = linalg.mat(x, self.p).reshape(self.dim)
         y = linalg.mat(y, self.p).reshape(self.dim)
-        return np.einsum("i,j,ijk->k", x, y, self.mul) % self.p
+        return linalg.bilinear(x, y, self.mul, self.p)
 
 
 def end_ring(x: RightModule) -> EndRing:
@@ -113,9 +113,8 @@ def endring_radical(e: EndRing) -> np.ndarray:
     for _ in range(h + 1):
         if power.shape[0] == 0:
             break
-        prods = [np.einsum("a,b,abk->k", u, v, e.mul) % p
-                 for u in power for v in rad]
-        power = linalg.row_basis(np.asarray(prods).reshape(-1, h), p)
+        prods = linalg.bilinear(power, rad, e.mul, p)
+        power = linalg.row_basis(prods.reshape(-1, h), p)
     if power.shape[0] != 0:
         raise AssertionError("trace-form kernel is not nilpotent")
     e._cache["radical"] = rad
@@ -129,11 +128,7 @@ def _quotient_ring(e: EndRing):
     p = e.p
     rad = endring_radical(e)
     proj, lift = quotient_data(rad, e.dim, p)
-    m = proj.shape[1]
-    mul_bar = linalg.zeros((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            mul_bar[i, j] = e.multiply(lift[i], lift[j]) @ proj % p
+    mul_bar = linalg.bilinear(lift, lift, e.mul, p) @ proj % p
     unit_bar = e.unit @ proj % p
     e._cache["quotient"] = (mul_bar, unit_bar, proj, lift)
     return e._cache["quotient"]
@@ -180,7 +175,7 @@ def _poly_eval(mul_bar, ebar, v, coeffs, p):
     power = ebar.copy()
     for c in coeffs:
         out = (out + int(c) * power) % p
-        power = np.einsum("i,j,ijk->k", power, v, mul_bar) % p
+        power = linalg.bilinear(power, v, mul_bar, p)
     return out
 
 
@@ -191,16 +186,8 @@ def _split_corner(mul_bar, ebar, p, rng):
     k = corner.shape[0]
     if k == 1:
         return None, PrimitivityCertificate(1, ebar.copy(), [0, 1])
-    commutative = True
-    for i in range(k):
-        for j in range(i + 1, k):
-            ab = np.einsum("i,j,ijk->k", corner[i], corner[j], mul_bar) % p
-            ba = np.einsum("i,j,ijk->k", corner[j], corner[i], mul_bar) % p
-            if not np.array_equal(ab, ba):
-                commutative = False
-                break
-        if not commutative:
-            break
+    prods = linalg.bilinear(corner, corner, mul_bar, p)
+    commutative = np.array_equal(prods, prods.transpose(1, 0, 2))
 
     def candidates():
         for row in corner:
@@ -223,7 +210,7 @@ def _split_corner(mul_bar, ebar, p, rng):
                     g2 = poly.mul(g2, gg, p)
             _, w = poly.coprime_split(g1, g2, p)
             e1 = _poly_eval(mul_bar, ebar, v, poly.mod(poly.mul(w, g2, p), f, p), p)
-            sq = np.einsum("i,j,ijk->k", e1, e1, mul_bar) % p
+            sq = linalg.bilinear(e1, e1, mul_bar, p)
             if not np.array_equal(sq, e1):
                 raise AssertionError("Bezout element failed to be idempotent")
             if not e1.any() or np.array_equal(e1, ebar):
@@ -256,15 +243,11 @@ def primitive_idempotents(e: EndRing, seed: int):
             stack.append(e2)
             stack.append(e1)
     # exact family checks in the quotient
-    total = linalg.zeros(mul_bar.shape[0])
-    for i, a in enumerate(bar_prims):
-        total = (total + a) % p
-        for j, b in enumerate(bar_prims):
-            prod = np.einsum("i,j,ijk->k", a, b, mul_bar) % p
-            want = a if i == j else linalg.zeros(mul_bar.shape[0])
-            if not np.array_equal(prod, want):
-                raise AssertionError("quotient idempotent family not orthogonal")
-    if not np.array_equal(total, unit_bar):
+    prims = np.array(bar_prims)
+    want = linalg.identity(len(prims))[:, :, None] * prims[:, None, :]  # a_i a_j = delta_ij a_i
+    if not np.array_equal(linalg.bilinear(prims, prims, mul_bar, p), want):
+        raise AssertionError("quotient idempotent family not orthogonal")
+    if not np.array_equal(prims.sum(axis=0) % p, unit_bar):
         raise AssertionError("quotient idempotents do not sum to one")
     # sequential lift: work inside (1-s)E(1-s) so orthogonality is exact
     idems = []

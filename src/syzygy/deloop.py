@@ -3,8 +3,10 @@
 The delooping level del(x) is the least d such that Omega^d(x) is a direct
 summand of P + Omega^{d+1}(M) for a projective P and some module M.  The
 quantifier over all M is not searchable, so del is reported as a certified
-interval: a sound lower bound from the torsionless ladder and an upper
-bound from an explicit witness M found in a finite candidate pool.
+interval.  The lower end is 0 if x is torsionless and 1 otherwise: for
+i >= 1 Omega^i(x) embeds in its projective cover, so no deeper syzygy can
+raise it.  The upper end comes from an explicit witness M, the first
+module (or pair) of a finite candidate pool that covers.
 """
 
 from __future__ import annotations
@@ -90,9 +92,8 @@ def default_pool(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON,
                 break
             pool.add(cur, "syzygy")
     for s in simples:
-        ok, emb = torsionless_test(s)
-        if ok and emb.target.dim:
-            q, _ = quotient_module(emb.target, emb.matrix)
+        q = embedding_quotient(s)
+        if q is not None:
             pool.add(q, "embedding-quotient")
     for m in extra:
         pool.add(m, "user")
@@ -150,19 +151,22 @@ def _covers(need: Counter, have: Counter) -> bool:
     return all(have[c] >= mult for c, mult in need.items())
 
 
-def torsionless_ladder_lower(s: RightModule, horizon: int = DEFAULT_HORIZON) -> int:
-    """Sound lower bound for del(s): one past the deepest non-torsionless
-    syzygy within the horizon (the valid-d set is upward closed and every
-    valid level has a torsionless syzygy)."""
-    best = 0
-    cur = s
-    for i in range(horizon + 1):
-        if cur.dim == 0:
-            break
-        if not is_torsionless(cur):
-            best = i + 1
-        cur = syzygy_step(cur)[0]
-    return best
+def embedding_quotient(s: RightModule) -> RightModule | None:
+    """Cokernel of s's embedding into a power of A_A, None if there is none;
+    only the cokernel is cached on s, not the (large) embedding."""
+    if "embedding_quotient" not in s._cache:
+        ok, emb = torsionless_test(s)
+        s._cache["embedding_quotient"] = (
+            quotient_module(emb.target, emb.matrix)[0]
+            if ok and emb.target.dim else None)
+    return s._cache["embedding_quotient"]
+
+
+def torsionless_ladder_lower(s: RightModule) -> int:
+    """Sound lower bound for del(s), 0 or 1: del(s) = 0 needs s itself to be
+    torsionless, while Omega^i(s) for i >= 1 embeds in its projective cover
+    and so is always torsionless."""
+    return 0 if is_torsionless(s) else 1
 
 
 def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON,
@@ -175,21 +179,21 @@ def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON,
         if is_projective(cur):
             return d, zero_module(a), "projective-shortcut"
         if d == 0:
-            ok, emb = torsionless_test(s)
-            if ok:
-                q, _ = quotient_module(emb.target, emb.matrix)
+            q = embedding_quotient(s)
+            if q is not None:
                 return 0, q, "embedding-quotient"
         else:
             pool = default_pool(a, horizon)  # cached on a
             need = _nonprojective_classes(cur, a, seed=seed + d, trials=trials)
             # syzygies are cached on the modules, so each level extends the last
-            haves = [_nonprojective_classes(syzygy(m, d + 1), a,
-                                            seed=seed + 101 * (idx + 1),
-                                            trials=trials)
-                     for idx, m in enumerate(pool.modules)]
-            for idx, have in enumerate(haves):
+            haves = []
+            for idx, m in enumerate(pool.modules):
+                have = _nonprojective_classes(syzygy(m, d + 1), a,
+                                              seed=seed + 101 * (idx + 1),
+                                              trials=trials)
                 if _covers(need, have):
-                    return d, pool.modules[idx], pool.tags[idx]
+                    return d, m, pool.tags[idx]
+                haves.append(have)
             for i in range(len(haves)):
                 for j in range(i, len(haves)):
                     if _covers(need, haves[i] + haves[j]):
@@ -214,7 +218,7 @@ def verify_del_witness(s: RightModule, d: int, witness: RightModule,
 
 def del_bounds(s: RightModule, horizon: int = DEFAULT_HORIZON,
                seed: int = 0, trials: int = 5) -> DelBounds:
-    lower = torsionless_ladder_lower(s, horizon)
+    lower = torsionless_ladder_lower(s)
     upper, witness, tag = del_upper_search(s, horizon, seed, trials)
     if upper is not None and upper < lower:
         raise AssertionError("witness search beat the sound lower bound")

@@ -64,6 +64,18 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
+def bilinear(x: np.ndarray, y: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
+    """Sum over a, b of x[.., a] y[.., b] c[a, b, k], of shape x.shape[:-1] +
+    y.shape[:-1] + (K,), for reduced x (A,)|(I, A), y (B,)|(J, B), c (A, B, K).
+
+    Reducing after each pairwise product keeps every sum exact; a one-shot
+    three-factor einsum forms triple products near p^3 and wraps int64."""
+    na, nb, k = c.shape
+    t = (np.atleast_2d(x) @ c.reshape(na, nb * k)) % p  # (I, B*K)
+    out = (np.atleast_2d(y) @ t.reshape(len(t), nb, k)) % p  # (I, J, K)
+    return out.reshape(np.shape(x)[:-1] + np.shape(y)[:-1] + (k,))
+
+
 # Matrices with at most this many entries are eliminated on Python lists:
 # up to this size numpy's per-call overhead costs more than the arithmetic,
 # even when every entry is nonzero.

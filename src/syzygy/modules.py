@@ -166,9 +166,10 @@ def quotient_module(x: RightModule, sub_rows):
     unstable = residue.reshape(a.dim, -1).any(axis=1)
     if unstable.any():  # name the lowest basis element that moves the subspace
         raise NotStable(f"subspace not stable under basis element {int(unstable.argmax())}")
-    proj, lift = quotient_data(rref, x.dim, p)
-    action = np.matmul(np.matmul(lift, x.action) % p, proj) % p
-    q = RightModule(a, action)
+    # quotient coordinates are the free columns; the lift selects free rows
+    free = linalg.free_columns(pivots, x.dim)
+    proj = linalg.nullspace_from_rref(rref, pivots, x.dim, p).T
+    q = RightModule(a, np.matmul(x.action[:, free, :], proj) % p)
     return q, ModuleHom(x, q, proj)
 
 
@@ -359,10 +360,6 @@ def hom_space(x: RightModule, y: RightModule) -> list[ModuleHom]:
     u = solutions.reshape(-1, h, dy)[:, part_of]  # (s, c, dy)
     phi_hat = np.einsum("sja,jab->sjb", u, cover_evals) % p
     return [ModuleHom(x, y, phi) for phi in np.matmul(pres.lift, phi_hat) % p]
-
-
-def end_dim(x: RightModule) -> int:
-    return len(hom_space(x, x))
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,18 @@ def _torsionless_via_regular(x):
     return x.dim == 0 or (bool(maps) and linalg.rank(np.hstack(maps), x.p) == x.dim)
 
 
-@pytest.mark.parametrize("aid", ["a2", "a3", "dual_numbers", "nakayama3", "point",
-                                 "square", "truncated_cubic", "two_points"])
+CORPUS_IDS = ["a2", "a3", "dual_numbers", "nakayama3", "point", "square",
+              "truncated_cubic", "two_points"]
+
+
+def _corpus_algebra(aid):
+    """A fresh copy, so no cache is shared with another test."""
+    return corpus.resolve_corpus(corpus.load_corpus())[aid]
+
+
+@pytest.mark.parametrize("aid", CORPUS_IDS)
 def test_is_torsionless_agrees_with_torsionless_test(aid):
-    a = corpus.resolve_corpus(corpus.load_corpus())[aid]
+    a = _corpus_algebra(aid)
     mods = list(deloop.default_pool(a).modules)
     for s in modules.canonical_modules(a)[1]:
         mods += [modules.syzygy(s, i) for i in range(deloop.DEFAULT_HORIZON + 1)]
@@ -269,3 +277,100 @@ def test_del_upper_search_leaves_cached_class_multisets_unmodified(monkeypatch):
     # the search went through the pair loop, which sums two cached multisets
     assert len(covers) > 2 * len(deloop.default_pool(lam).modules)
     assert all(out == snapshot for out, snapshot in seen)
+
+
+def _ladder_reference(s, horizon=deloop.DEFAULT_HORIZON):
+    """The loop the one-step ladder replaced: one past the deepest
+    non-torsionless syzygy within the horizon."""
+    best = 0
+    cur = s
+    for i in range(horizon + 1):
+        if cur.dim == 0:
+            break
+        if not modules.is_torsionless(cur):
+            best = i + 1
+        cur = modules.syzygy_step(cur)[0]
+    return best
+
+
+@pytest.mark.parametrize("aid", CORPUS_IDS)
+def test_syzygies_of_simples_are_torsionless(aid):
+    """The premise of the one-step ladder: Omega^i S embeds in its
+    projective cover for i >= 1, so only S itself can fail."""
+    a = _corpus_algebra(aid)
+    for alg in (a, algebra.build_cover(a), algebra.build_lambda(a)):
+        for s in modules.canonical_modules(alg)[1]:
+            assert all(modules.is_torsionless(modules.syzygy(s, i)) for i in (1, 2, 3))
+            assert deloop.torsionless_ladder_lower(s) == _ladder_reference(s)
+
+
+def _upper_search_reference(s, horizon=deloop.DEFAULT_HORIZON, seed=0, trials=5):
+    """The eager search: every pool module's class multiset is computed
+    before any is tested, and the embedding quotient is built afresh."""
+    a = s.algebra
+    cur = s
+    for d in range(horizon + 1):
+        if modules.is_projective(cur):
+            return d, modules.zero_module(a), "projective-shortcut"
+        if d == 0:
+            ok, emb = modules.torsionless_test(s)
+            if ok:
+                q, _ = modules.quotient_module(emb.target, emb.matrix)
+                return 0, q, "embedding-quotient"
+        else:
+            pool = deloop.default_pool(a, horizon)
+            need = deloop._nonprojective_classes(cur, a, seed=seed + d, trials=trials)
+            haves = [deloop._nonprojective_classes(modules.syzygy(m, d + 1), a,
+                                                   seed=seed + 101 * (idx + 1),
+                                                   trials=trials)
+                     for idx, m in enumerate(pool.modules)]
+            for idx, have in enumerate(haves):
+                if deloop._covers(need, have):
+                    return d, pool.modules[idx], pool.tags[idx]
+            for i in range(len(haves)):
+                for j in range(i, len(haves)):
+                    if deloop._covers(need, haves[i] + haves[j]):
+                        witness, _ = modules.direct_sum([pool.modules[i], pool.modules[j]])
+                        return d, witness, f"{pool.tags[i]}+{pool.tags[j]}"
+        cur = modules.syzygy_step(cur)[0]
+    return None, None, "horizon-exhausted"
+
+
+def _simples_and_lambda_simples(aid):
+    a = _corpus_algebra(aid)
+    return [s for alg in (a, algebra.build_lambda(a))
+            for s in modules.canonical_modules(alg)[1]]
+
+
+@pytest.mark.parametrize("aid", CORPUS_IDS)
+def test_lazy_upper_search_matches_the_eager_reference(aid):
+    """Each side runs on its own copy of the algebras, so neither reads
+    class ids or syzygies the other computed."""
+    for i, (s, t) in enumerate(zip(_simples_and_lambda_simples(aid),
+                                   _simples_and_lambda_simples(aid))):
+        d, witness, tag = deloop.del_upper_search(s, seed=i)
+        want_d, want_witness, want_tag = _upper_search_reference(t, seed=i)
+        assert (d, tag) == (want_d, want_tag)
+        assert (witness is None) == (want_witness is None)
+        if witness is not None:
+            assert np.array_equal(witness.action, want_witness.action)
+
+
+@pytest.mark.parametrize("aid", CORPUS_IDS)
+def test_embedding_quotient_is_built_once_per_simple(aid, monkeypatch):
+    a = _corpus_algebra(aid)
+    calls = []
+    real = deloop.quotient_module
+
+    def count(x, rows):
+        calls.append(x)
+        return real(x, rows)
+
+    monkeypatch.setattr(deloop, "quotient_module", count)
+    for alg in (a, algebra.build_lambda(a)):
+        simples = modules.canonical_modules(alg)[1]
+        before = len(calls)
+        deloop.default_pool(alg)
+        for i, s in enumerate(simples):
+            deloop.del_bounds(s, seed=i)
+        assert len(calls) - before == sum(modules.is_torsionless(s) for s in simples)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syzygy import linalg
+from syzygy import algebra, linalg
 from syzygy.errors import InconsistentSystem
 
 
@@ -253,3 +253,42 @@ def test_linear_solver_rejects_one_bad_row_among_good_ones():
     assert np.array_equal(linalg.matmul(solver.solve(good), m, p), good)
     with pytest.raises(InconsistentSystem):
         solver.solve(np.vstack([good, good, bad]))
+
+
+def _bilinear_reference(x, y, c, p):
+    """sum over a, b of x[i, a] y[j, b] c[a, b, k], in Python ints."""
+    x, y, c = (np.asarray(v, dtype=object) for v in (x, y, c))
+    out = np.einsum("ia,jb,abk->ijk", x, y, c) % p
+    return out.astype(np.int64)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(16, 24),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_bilinear_is_exact_at_the_largest_prime(n, i, j, seed):
+    """Dense operands at p = 1048573: each triple product is near 2^60, so
+    a one-shot int64 contraction would wrap."""
+    p = 1048573
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, p, size=(i, n))
+    y = rng.integers(0, p, size=(j, n))
+    c = rng.integers(0, p, size=(n, n, n))
+    want = _bilinear_reference(x, y, c, p)
+    assert np.array_equal(linalg.bilinear(x, y, c, p), want)
+    assert np.array_equal(linalg.bilinear(x[0], y[0], c, p), want[0, 0])
+
+
+def test_structure_algebra_multiply_is_exact_at_the_largest_prime():
+    p = 1048573
+    rng = np.random.default_rng(5)
+    n = 16
+    c = rng.integers(0, p, size=(n, n, n))
+    a = algebra.StructureAlgebra(p, c, linalg.zeros(n), linalg.zeros((0, n)),
+                                 linalg.zeros((0, n)))
+    x, y = rng.integers(0, p, size=(2, n))
+    want = _bilinear_reference(x[None], y[None], c, p)[0, 0]
+    assert np.array_equal(a.multiply(x, y), want)
