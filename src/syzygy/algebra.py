@@ -12,6 +12,7 @@ Convention: elements are coordinate rows; left multiplication by x is
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,19 @@ from .errors import (
     NotFiniteDimensional,
     NotIdempotent,
 )
+
+
+def cached(key):
+    """Memoize f(obj, ...) in obj._cache[key]: f is computed once per
+    object, so it must depend on obj alone."""
+    def decorate(f):
+        @functools.wraps(f)
+        def wrapper(obj, *args, **kwargs):
+            if key not in obj._cache:
+                obj._cache[key] = f(obj, *args, **kwargs)
+            return obj._cache[key]
+        return wrapper
+    return decorate
 
 
 @dataclass
@@ -79,11 +93,10 @@ class StructureAlgebra:
         x = linalg.mat(x, self.p).reshape(self.dim)
         return np.einsum("j,ijk->ik", x, self.mul) % self.p
 
+    @cached("radical_rref")
     def radical_rref(self):
-        if "radical_rref" not in self._cache:
-            rref, rank, pivots = linalg.row_reduce(self.radical, self.p)
-            self._cache["radical_rref"] = (rref[:rank], pivots)
-        return self._cache["radical_rref"]
+        rref, rank, pivots = linalg.row_reduce(self.radical, self.p)
+        return rref[:rank], pivots
 
     def is_idempotent(self, e) -> bool:
         e = linalg.mat(e, self.p).reshape(self.dim)
@@ -370,23 +383,12 @@ def from_quiver(q: QuiverPresentation, p: int, max_path_length: int = 12,
 
 
 # ---------------------------------------------------------------------------
-# derived constructions, each built once per base algebra
+# derived constructions, each built once per base algebra and cached on it
 
 
-def _derived(a: StructureAlgebra, key: str, build) -> StructureAlgebra:
-    """build(a), memoized on a, so the derived algebra keeps its caches."""
-    memo = a._cache.setdefault("derived", {})
-    if key not in memo:
-        memo[key] = build(a)
-    return memo[key]
-
-
+@cached("opposite")
 def opposite(a: StructureAlgebra) -> StructureAlgebra:
     """Opposite algebra: transposed structure constants, same certificates."""
-    return _derived(a, "opposite", _opposite)
-
-
-def _opposite(a: StructureAlgebra) -> StructureAlgebra:
     return StructureAlgebra(
         a.p,
         a.mul.transpose(1, 0, 2).copy(),
@@ -398,12 +400,9 @@ def _opposite(a: StructureAlgebra) -> StructureAlgebra:
     )
 
 
+@cached("trivial_extension")
 def trivial_extension(a: StructureAlgebra) -> StructureAlgebra:
     """T(A) = A + A-natural with (x,y)(x',y') = (xx', xy' + yx')."""
-    return _derived(a, "trivial_extension", _trivial_extension)
-
-
-def _trivial_extension(a: StructureAlgebra) -> StructureAlgebra:
     n = a.dim
     p = a.p
     mul = linalg.zeros((2 * n, 2 * n, 2 * n))
@@ -504,13 +503,8 @@ def quotient_data(ideal_rows: np.ndarray, n: int, p: int):
     lift @ proj = identity on the quotient coordinates.
     """
     rref, rk, pivots = linalg.row_reduce(ideal_rows, p)
-    rref = rref[:rk]
-    free = linalg.free_columns(pivots, n)
-    reduced_identity = linalg.reduce_rows(linalg.identity(n), rref, pivots, p)
-    proj = reduced_identity[:, free]
-    lift = linalg.zeros((free.size, n))
-    lift[np.arange(free.size), free] = 1
-    return proj, lift
+    proj = linalg.nullspace_from_rref(rref[:rk], pivots, n, p).T
+    return proj, linalg.identity(n)[linalg.free_columns(pivots, n)]
 
 
 def quotient_algebra(a: StructureAlgebra, ideal_rows: np.ndarray,
@@ -528,15 +522,12 @@ def quotient_algebra(a: StructureAlgebra, ideal_rows: np.ndarray,
     return StructureAlgebra(p, mul, unit, rad, idems, labels=labels, name=name)
 
 
+@cached("semisimple_quotient")
 def semisimple_quotient(a: StructureAlgebra):
     """(Sigma, proj) with Sigma = A/rad(A) and proj the canonical surjection."""
-    key = "semisimple_quotient"
-    if key not in a._cache:
-        rref, _ = a.radical_rref()
-        sigma = quotient_algebra(a, rref, name=f"ss({a.name})" if a.name else "ss")
-        proj, _ = quotient_data(rref, a.dim, a.p)
-        a._cache[key] = (sigma, proj)
-    return a._cache[key]
+    rref, _ = a.radical_rref()
+    sigma = quotient_algebra(a, rref, name=f"ss({a.name})" if a.name else "ss")
+    return sigma, quotient_data(rref, a.dim, a.p)[0]
 
 
 def _sigma_bimodule(a: StructureAlgebra, b: StructureAlgebra,
@@ -565,18 +556,16 @@ def _sigma_bimodule(a: StructureAlgebra, b: StructureAlgebra,
     return Bimodule(a, b, s, actions(a, proj_a, True), actions(b, proj_b, False))
 
 
+@cached("lambda")
 def build_lambda(a: StructureAlgebra) -> StructureAlgebra:
     """Triangular algebra [[A, A/rad(A)], [0, T(A/rad(A))]]."""
-    return _derived(a, "lambda", _build_lambda)
-
-
-def _build_lambda(a: StructureAlgebra) -> StructureAlgebra:
     sigma, proj = semisimple_quotient(a)
     b = trivial_extension(sigma)
     m = _sigma_bimodule(a, b, sigma, proj, left_is_b=False)
     return triangular(a, b, m, name=f"Lambda({a.name})" if a.name else "Lambda")
 
 
+@cached("cover")
 def build_cover(a: StructureAlgebra) -> StructureAlgebra:
     """The cover of A, stored in upper-triangular normal form.
 
@@ -584,10 +573,6 @@ def build_cover(a: StructureAlgebra) -> StructureAlgebra:
     as triangular(T(A/rad(A)), A, A/rad(A)) via a corner swap, so one
     triangular builder serves both constructions.
     """
-    return _derived(a, "cover", _build_cover)
-
-
-def _build_cover(a: StructureAlgebra) -> StructureAlgebra:
     sigma, proj = semisimple_quotient(a)
     b = trivial_extension(sigma)
     m = _sigma_bimodule(a, b, sigma, proj, left_is_b=True)
@@ -651,3 +636,12 @@ def lambda_cover_swap(a: StructureAlgebra) -> np.ndarray:
     for k in range(2 * s):
         perm[n + s + k, k] = 1  # B = T(Sigma) corner moves first
     return perm
+
+
+# the constructions a corpus entry or `algebra build` may name
+CONSTRUCTIONS = {
+    "opposite": opposite,
+    "trivext": trivial_extension,
+    "cover": build_cover,
+    "lambda": build_lambda,
+}

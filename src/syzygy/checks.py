@@ -70,18 +70,22 @@ CHECK_IDS = (
 )
 
 
+# fixed settings of every check; each report's config block records them
+# together with deloop.DEFAULT_HORIZON and deloop.DEFAULT_PD_CAP
+TRIALS = 5  # sampling rounds of a randomized iso test
+S_MAX = 4  # deepest syzygy of the lemma5 checks
+SAMPLE_SIZE = 10  # sampled triples of the lemma5 checks
+
+
 @dataclass
 class Config:
     seed: int = 1
-    horizon: int = deloop.DEFAULT_HORIZON
-    pd_cap: int = deloop.DEFAULT_PD_CAP
-    trials: int = 5
-    s_max: int = 4
-    sample_size: int = 10
     prime: int | None = None
 
     def to_dict(self):
-        return asdict(self)
+        return dict(asdict(self), horizon=deloop.DEFAULT_HORIZON,
+                    pd_cap=deloop.DEFAULT_PD_CAP, trials=TRIALS, s_max=S_MAX,
+                    sample_size=SAMPLE_SIZE)
 
 
 @dataclass
@@ -116,13 +120,8 @@ def _ints(m) -> list:
 # ---------------------------------------------------------------------------
 # descriptors: rebuild algebras and modules deterministically for reverify
 
-_ALGEBRA_OPS = {
-    "opposite": opposite,
-    "trivext": trivial_extension,
-    "cover": build_cover,
-    "lambda": build_lambda,
-    "sigma": lambda a: semisimple_quotient(a)[0],
-}
+_ALGEBRA_OPS = dict(algebra_mod.CONSTRUCTIONS,
+                    sigma=lambda a: semisimple_quotient(a)[0])
 
 
 def adesc(entry_id: str, *ops) -> dict:
@@ -352,8 +351,7 @@ def _finish(check_id, algebra_id, seed, t0, passed, evidence,
                        elapsed=time.monotonic() - t0)
 
 
-def check_lemma1(a: StructureAlgebra, desc: dict, seed: int,
-                 trials: int = 5) -> CheckReport:
+def check_lemma1(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     """Over T(Sigma): radical = natural part = socle of the regular module,
     and top is isomorphic to the socle."""
     t0 = time.monotonic()
@@ -378,7 +376,7 @@ def check_lemma1(a: StructureAlgebra, desc: dict, seed: int,
     rad_ok = _verify_subspace_equal(t, t.radical, natural)[0]
     soc_ok = _verify_subspace_equal(t, soc_rows, natural)[0]
     top, _ = top_of_module(regular)
-    witness = _find_iso(top, soc, derive_seed(seed, "lemma1"), trials)
+    witness = _find_iso(top, soc, derive_seed(seed, "lemma1"), TRIALS)
     evidence = {
         "sigma_dim": sigma.dim,
         "radical_equals_natural": rad_ok,
@@ -405,8 +403,7 @@ def check_lemma1(a: StructureAlgebra, desc: dict, seed: int,
     return _finish(cid, a.name, seed, t0, True, evidence)
 
 
-def check_cover_corner(a: StructureAlgebra, desc: dict, seed: int,
-                       trials: int = 5) -> CheckReport:
+def check_cover_corner(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     """The A-corner of the cover matches A exactly, and End of the corner
     projective is isomorphic to that corner as an algebra."""
     t0 = time.monotonic()
@@ -446,8 +443,7 @@ def _simples_all_torsionless(alg: StructureAlgebra, alg_desc: dict):
     return True, certs, None
 
 
-def check_lemma2(a: StructureAlgebra, desc: dict, seed: int, horizon: int = 8,
-                 trials: int = 5) -> CheckReport:
+def check_lemma2(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     """Every simple module of the cover embeds into a projective, and the
     delooping level of the cover is exactly [0, 0]."""
     t0 = time.monotonic()
@@ -458,9 +454,8 @@ def check_lemma2(a: StructureAlgebra, desc: dict, seed: int, horizon: int = 8,
     if not ok:
         return _finish(cid, a.name, seed, t0, False,
                        {"counterexample": {"non_torsionless_simple": bad}})
-    agg, per = deloop.del_algebra(cover, horizon=horizon,
-                                  seed=derive_seed(seed, "lemma2"),
-                                  trials=trials)
+    agg, per = deloop.del_algebra(cover, seed=derive_seed(seed, "lemma2"),
+                                  trials=TRIALS)
     del_ok = agg.exact and agg.lower == 0 and agg.upper == 0
     evidence = {
         "del_lower": agg.lower,
@@ -477,8 +472,7 @@ def check_lemma2(a: StructureAlgebra, desc: dict, seed: int, horizon: int = 8,
     return _finish(cid, a.name, seed, t0, True, evidence)
 
 
-def check_lambda_op(a: StructureAlgebra, desc: dict, seed: int,
-                    horizon: int = 8, trials: int = 5) -> CheckReport:
+def check_lambda_op(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     """opposite(Lambda(A)) is the cover of opposite(A) under the block
     permutation, and its delooping level is exactly [0, 0]."""
     t0 = time.monotonic()
@@ -492,9 +486,8 @@ def check_lambda_op(a: StructureAlgebra, desc: dict, seed: int,
                        {"counterexample": {"permutation": _ints(perm)}})
     ldesc = dict(desc, ops=desc["ops"] + ["lambda", "opposite"])
     ok, certs, bad = _simples_all_torsionless(lhs, ldesc)
-    agg, per = deloop.del_algebra(lhs, horizon=horizon,
-                                  seed=derive_seed(seed, "lemma4"),
-                                  trials=trials)
+    agg, per = deloop.del_algebra(lhs, seed=derive_seed(seed, "lemma4"),
+                                  trials=TRIALS)
     del_ok = ok and agg.exact and agg.lower == 0 and agg.upper == 0
     evidence = {
         "iso": True,
@@ -515,8 +508,7 @@ def check_lambda_op(a: StructureAlgebra, desc: dict, seed: int,
     return _finish(cid, a.name, seed, t0, True, evidence)
 
 
-def check_diamond(a: StructureAlgebra, desc: dict, seed: int,
-                  horizon: int = 8, trials: int = 5) -> CheckReport:
+def check_diamond(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     """The short exact sequence 0 -> (0,S,0) -> e'Lambda -> (0,S,0) -> 0:
     radical and top of e'Lambda are both (0, Sigma, 0), the syzygy of the
     top is again the top (one-periodicity), and del(top) = [0, 0]."""
@@ -528,12 +520,12 @@ def check_diamond(a: StructureAlgebra, desc: dict, seed: int,
     rad, _ = radical_submodule(eproj)
     top, _ = top_of_module(eproj)
     s1 = derive_seed(seed, "diamond", 1)
-    w_rad = _find_iso(rad, sig, s1, trials)
-    w_top = _find_iso(top, sig, s1 + 1, trials)
+    w_rad = _find_iso(rad, sig, s1, TRIALS)
+    w_top = _find_iso(top, sig, s1 + 1, TRIALS)
     om = syzygy(top, 1)
-    w_om = _find_iso(om, sig, s1 + 2, trials)
-    w_periodic = _find_iso(om, top, s1 + 3, trials)
-    b = deloop.del_bounds(top, horizon=horizon, seed=s1 + 4, trials=trials)
+    w_om = _find_iso(om, sig, s1 + 2, TRIALS)
+    w_periodic = _find_iso(om, top, s1 + 3, TRIALS)
+    b = deloop.del_bounds(top, seed=s1 + 4, trials=TRIALS)
     del_ok = b.exact and b.lower == 0 and b.upper == 0
     passed = all(w is not None for w in (w_rad, w_top, w_om, w_periodic)) \
         and del_ok
@@ -567,8 +559,7 @@ def check_diamond(a: StructureAlgebra, desc: dict, seed: int,
     return _finish(cid, a.name, seed, t0, True, evidence)
 
 
-def _lemma5_samples(a: StructureAlgebra, desc: dict, sample_size: int,
-                    seed: int):
+def _lemma5_samples(a: StructureAlgebra, desc: dict, seed: int):
     """Deterministic plus random (X, Y, f) triples over Lambda(a); each is
     (flat module, descriptor)."""
     lam = build_lambda(a)
@@ -588,7 +579,7 @@ def _lemma5_samples(a: StructureAlgebra, desc: dict, sample_size: int,
     pool_b = deloop.default_pool(lam.triangle.v)
     rng = np.random.default_rng(derive_seed(seed, "lemma5-samples"))
     guard = 0
-    while len(samples) < sample_size and guard < 8 * sample_size:
+    while len(samples) < SAMPLE_SIZE and guard < 8 * SAMPLE_SIZE:
         guard += 1
         xi = int(rng.integers(len(pool_a.modules)))
         yi = int(rng.integers(len(pool_b.modules)))
@@ -605,26 +596,25 @@ def _lemma5_samples(a: StructureAlgebra, desc: dict, sample_size: int,
 
 
 def check_syzygy_decomp(a: StructureAlgebra, desc: dict, seed: int,
-                        s_max: int = 4, sample_size: int = 10,
-                        trials: int = 5, resolved: dict | None = None) -> CheckReport:
+                        resolved: dict | None = None) -> CheckReport:
     """Omega^s of a triple splits as (Omega^s X, 0, 0) + (0, Z_s, 0) with
-    Z_s semisimple, for sampled triples and s = 1..s_max."""
+    Z_s semisimple, for sampled triples and s = 1..S_MAX."""
     t0 = time.monotonic()
     cid = "lemma5_syzygy_decomposition"
     resolved = resolved if resolved is not None else {}
-    sample_refs = _lemma5_samples(a, desc, sample_size, seed)
+    sample_refs = _lemma5_samples(a, desc, seed)
     certs = []
     for k, ref in enumerate(sample_refs):
         flat = resolve_module_ref(ref, resolved)
         om, omx = flat, corner_restrict(flat, "u")
-        for s in range(1, s_max + 1):
+        for s in range(1, S_MAX + 1):
             om, omx = syzygy_step(om)[0], syzygy_step(omx)[0]
             if om.dim == 0 and omx.dim == 0:
                 continue
             zs = module_to_triple(om).y
             candidate = _lemma5_candidate(flat.algebra, omx, zs)
             witness = _find_iso(om, candidate,
-                                derive_seed(seed, "lemma5", k, s), trials)
+                                derive_seed(seed, "lemma5", k, s), TRIALS)
             if witness is None:
                 ok, why = False, "Omega^s is not isomorphic to the candidate"
             else:
@@ -635,19 +625,18 @@ def check_syzygy_decomp(a: StructureAlgebra, desc: dict, seed: int,
                     "sample_ref": ref})
             certs.append({"kind": "lemma5_level", "sample": ref, "s": s,
                           "matrix": _ints(witness.matrix)})
-    evidence = {"samples": len(sample_refs), "s_max": s_max,
-                "levels_checked": len(sample_refs) * s_max,
+    evidence = {"samples": len(sample_refs), "s_max": S_MAX,
+                "levels_checked": len(sample_refs) * S_MAX,
                 "certificates": certs}
     return _finish(cid, a.name, seed, t0, True, evidence)
 
 
 def check_cover_restriction(a: StructureAlgebra, desc: dict, seed: int,
-                            sample_size: int = 10, trials: int = 5,
                             resolved: dict | None = None) -> CheckReport:
     t0 = time.monotonic()
     cid = "lemma5_cover_restriction"
     resolved = resolved if resolved is not None else {}
-    sample_refs = _lemma5_samples(a, desc, sample_size, seed)
+    sample_refs = _lemma5_samples(a, desc, seed)
     certs = []
     for k, ref in enumerate(sample_refs):
         flat = resolve_module_ref(ref, resolved)
@@ -667,18 +656,16 @@ def check_cover_restriction(a: StructureAlgebra, desc: dict, seed: int,
     return _finish(cid, a.name, seed, t0, True, evidence)
 
 
-def check_del_inequality(a: StructureAlgebra, desc: dict, seed: int,
-                         horizon: int = 8, trials: int = 5) -> CheckReport:
+def check_del_inequality(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     """del(A) <= del(Lambda(A)): sound form compares the lower bound of A
     with the upper bound of Lambda; the strong form also compares exact
     values when both intervals are exact."""
     t0 = time.monotonic()
     cid = "lemma6_del_inequality"
     s1 = derive_seed(seed, "lemma6")
-    agg_a, _ = deloop.del_algebra(a, horizon=horizon, seed=s1, trials=trials)
+    agg_a, _ = deloop.del_algebra(a, seed=s1, trials=TRIALS)
     lam = build_lambda(a)
-    agg_l, per_l = deloop.del_algebra(lam, horizon=horizon, seed=s1 + 1,
-                                      trials=trials)
+    agg_l, per_l = deloop.del_algebra(lam, seed=s1 + 1, trials=TRIALS)
     if agg_l.upper is None:
         return _finish(cid, a.name, seed, t0, False, {},
                        skipped_reason="no upper bound for Lambda within horizon")
@@ -717,13 +704,11 @@ def check_del_inequality(a: StructureAlgebra, desc: dict, seed: int,
     return _finish(cid, a.name, seed, t0, True, evidence)
 
 
-def check_fd_del(a: StructureAlgebra, desc: dict, seed: int,
-                 horizon: int = 8, trials: int = 5) -> CheckReport:
+def check_fd_del(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     t0 = time.monotonic()
     cid = "fd_del_inequality"
-    rep = deloop.fd_del_inequality_check(a, horizon=horizon,
-                                         seed=derive_seed(seed, "fd"),
-                                         trials=trials)
+    rep = deloop.fd_del_inequality_check(a, seed=derive_seed(seed, "fd"),
+                                         trials=TRIALS)
     evidence = dict(rep)
     passed = evidence.pop("passed")
     evidence["certificates"] = []
@@ -752,29 +737,19 @@ def run_entry(entry: CorpusEntry, a: StructureAlgebra, config: Config,
                 {"reason": "algebra failed validation"}, base_seed, 0.0))
         return reports
     a.name = entry.id
-    kw = {"trials": config.trials}
-    reports.append(check_lemma1(a, desc, derive_seed(base_seed, 1), **kw))
-    reports.append(check_cover_corner(a, desc, derive_seed(base_seed, 2), **kw))
-    reports.append(check_lemma2(a, desc, derive_seed(base_seed, 3),
-                                horizon=config.horizon, **kw))
-    reports.append(check_lambda_op(a, desc, derive_seed(base_seed, 4),
-                                   horizon=config.horizon, **kw))
-    reports.append(check_diamond(a, desc, derive_seed(base_seed, 5),
-                                 horizon=config.horizon, **kw))
     if resolved is None:
         resolved = {entry.id: a}
-    reports.append(check_syzygy_decomp(a, desc, derive_seed(base_seed, 6),
-                                       s_max=config.s_max,
-                                       sample_size=config.sample_size,
-                                       resolved=resolved, **kw))
-    reports.append(check_cover_restriction(a, desc, derive_seed(base_seed, 7),
-                                           sample_size=config.sample_size,
-                                           resolved=resolved, **kw))
-    reports.append(check_del_inequality(a, desc, derive_seed(base_seed, 8),
-                                        horizon=config.horizon, **kw))
-    reports.append(check_fd_del(a, desc, derive_seed(base_seed, 9),
-                                horizon=config.horizon, **kw))
-    return reports
+    return [
+        check_lemma1(a, desc, derive_seed(base_seed, 1)),
+        check_cover_corner(a, desc, derive_seed(base_seed, 2)),
+        check_lemma2(a, desc, derive_seed(base_seed, 3)),
+        check_lambda_op(a, desc, derive_seed(base_seed, 4)),
+        check_diamond(a, desc, derive_seed(base_seed, 5)),
+        check_syzygy_decomp(a, desc, derive_seed(base_seed, 6), resolved=resolved),
+        check_cover_restriction(a, desc, derive_seed(base_seed, 7), resolved=resolved),
+        check_del_inequality(a, desc, derive_seed(base_seed, 8)),
+        check_fd_del(a, desc, derive_seed(base_seed, 9)),
+    ]
 
 
 def run_corpus(entries: list, config: Config, only_check: str | None = None,

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import checks, corpus, deloop
-from .algebra import validate_algebra
+from .algebra import CONSTRUCTIONS, validate_algebra
 from .errors import (
     CharTooSmall,
     CorpusError,
@@ -99,7 +99,7 @@ def algebra_validate(file, prime):
 
 @algebra_group.command("build")
 @click.argument("file", type=click.Path())
-@click.option("--construction", type=click.Choice(["opposite", "trivext", "cover", "lambda"]),
+@click.option("--construction", type=click.Choice(list(CONSTRUCTIONS)),
               default=None, help="Derived algebra to build from the input.")
 @_prime_option
 @guarded
@@ -107,7 +107,7 @@ def algebra_build(file, construction, prime):
     """Build an algebra (optionally a derived one) and print its shape."""
     _, a = _load(file, prime)
     if construction is not None:
-        a = checks._ALGEBRA_OPS[construction](a)
+        a = CONSTRUCTIONS[construction](a)
         a.name = f"{construction}({Path(file).stem})"
     rep = validate_algebra(a)
     out = _summary(a)

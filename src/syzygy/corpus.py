@@ -26,8 +26,6 @@ from .errors import CorpusError
 
 BUNDLED_DIR = Path(__file__).parent / "corpus_data"
 
-CONSTRUCTION_OPS = ("opposite", "trivext", "cover", "lambda", "trivext_broken")
-
 
 @dataclass
 class CorpusEntry:
@@ -127,17 +125,11 @@ def broken_trivial_extension(a: StructureAlgebra) -> StructureAlgebra:
                             name=f"Tbroken({a.name})" if a.name else "Tbroken")
 
 
-_CONSTRUCTORS = {
-    "opposite": algebra.opposite,
-    "trivext": algebra.trivial_extension,
-    "cover": algebra.build_cover,
-    "lambda": algebra.build_lambda,
-    "trivext_broken": broken_trivial_extension,
-}
+_CONSTRUCTORS = dict(algebra.CONSTRUCTIONS, trivext_broken=broken_trivial_extension)
+CONSTRUCTION_OPS = tuple(_CONSTRUCTORS)
 
 
-def build_algebra(entry: CorpusEntry, resolved: dict, p: int | None = None,
-                  pending=()) -> StructureAlgebra:
+def build_algebra(entry: CorpusEntry, resolved: dict, p: int | None = None) -> StructureAlgebra:
     raw = entry.raw
     if "quiver" in raw:
         prime = p if p is not None else _require(raw, "field", entry.source)["p"]
@@ -151,8 +143,6 @@ def build_algebra(entry: CorpusEntry, resolved: dict, p: int | None = None,
         return algebra.from_quiver(pres, prime, name=entry.id)
     c = raw["construction"]
     base_id = c["base"]
-    if base_id in pending:
-        raise CorpusError(f"{entry.source}: construction cycle through {base_id!r}")
     if base_id not in resolved:
         raise CorpusError(f"{entry.source}: unknown base entry {base_id!r}")
     base = resolved[base_id]
@@ -180,7 +170,7 @@ def resolve_corpus(entries: list[CorpusEntry], p: int | None = None) -> dict:
                     f"{entry.source}: construction cycle through {base_id!r}"
                 )
             visit(base_id, pending + (entry_id,))
-        resolved[entry_id] = build_algebra(entry, resolved, p, pending)
+        resolved[entry_id] = build_algebra(entry, resolved, p)
 
     for e in entries:
         visit(e.id, ())

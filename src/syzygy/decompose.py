@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, poly
-from .algebra import quotient_data, same_algebra
+from .algebra import cached, quotient_data, same_algebra
 from .errors import (
     AlgebraMismatch,
     CharTooSmall,
@@ -90,16 +90,14 @@ class EndRing:
         return linalg.bilinear(x, y, self.mul, self.p)
 
 
+@cached("end_ring")
 def end_ring(x: RightModule) -> EndRing:
-    if "end_ring" not in x._cache:
-        x._cache["end_ring"] = EndRing(x, hom_space(x, x))
-    return x._cache["end_ring"]
+    return EndRing(x, hom_space(x, x))
 
 
+@cached("radical")
 def endring_radical(e: EndRing) -> np.ndarray:
     """Radical via the regular trace form; needs p > dim to be valid."""
-    if "radical" in e._cache:
-        return e._cache["radical"]
     p = e.p
     h = e.dim
     if p <= h:
@@ -117,21 +115,17 @@ def endring_radical(e: EndRing) -> np.ndarray:
         power = linalg.row_basis(prods.reshape(-1, h), p)
     if power.shape[0] != 0:
         raise AssertionError("trace-form kernel is not nilpotent")
-    e._cache["radical"] = rad
     return rad
 
 
+@cached("quotient")
 def _quotient_ring(e: EndRing):
     """(mul_bar, unit_bar, proj, lift) of E/rad(E)."""
-    if "quotient" in e._cache:
-        return e._cache["quotient"]
     p = e.p
     rad = endring_radical(e)
     proj, lift = quotient_data(rad, e.dim, p)
     mul_bar = linalg.bilinear(lift, lift, e.mul, p) @ proj % p
-    unit_bar = e.unit @ proj % p
-    e._cache["quotient"] = (mul_bar, unit_bar, proj, lift)
-    return e._cache["quotient"]
+    return mul_bar, e.unit @ proj % p, proj, lift
 
 
 def _newton(e: EndRing, z: np.ndarray) -> np.ndarray:
@@ -334,23 +328,21 @@ def iso_test(x: RightModule, y: RightModule, trials: int = 5,
     )
 
 
+@cached("class_id")
 def class_id(x: RightModule, trials: int = 5) -> int:
     """Index of the isomorphism class of x in the registry of its algebra.
 
     A new module is compared only with the representatives of its
     (dim, dimension vector) bucket, each with a seed fixed by that
     representative, so the answer does not depend on the caller."""
-    if "class_id" not in x._cache:
-        registry = x.algebra._cache.setdefault("iso_classes", {})
-        bucket = registry.setdefault((x.dim, dimension_vector(x)), [])
-        for cid, rep in bucket:
-            if iso_test(x, rep, trials=trials, seed=cid).isomorphic:
-                break
-        else:
-            cid = sum(len(b) for b in registry.values())
-            bucket.append((cid, x))
-        x._cache["class_id"] = cid
-    return x._cache["class_id"]
+    registry = x.algebra._cache.setdefault("iso_classes", {})
+    bucket = registry.setdefault((x.dim, dimension_vector(x)), [])
+    for cid, rep in bucket:
+        if iso_test(x, rep, trials=trials, seed=cid).isomorphic:
+            return cid
+    cid = sum(len(b) for b in registry.values())
+    bucket.append((cid, x))
+    return cid
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +402,7 @@ def decompose(x: RightModule, seed: int = 0, trials: int = 5) -> Decomposition:
     return Decomposition(x, summands, parts, idems, e, certs)
 
 
-def reassemble_check(dec: Decomposition, trials: int = 5, seed: int = 0) -> bool:
+def reassemble_check(dec: Decomposition) -> bool:
     """Exact split check: stacked inclusions/projections are mutually inverse."""
     x = dec.module
     p = x.p

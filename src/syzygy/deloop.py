@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .algebra import StructureAlgebra, opposite, same_algebra
+from .algebra import StructureAlgebra, cached, opposite, same_algebra
 from .decompose import class_id, decompose, iso_test
 from .errors import AlgebraMismatch
 from .modules import (
@@ -151,15 +151,12 @@ def _covers(need: Counter, have: Counter) -> bool:
     return all(have[c] >= mult for c, mult in need.items())
 
 
+@cached("embedding_quotient")
 def embedding_quotient(s: RightModule) -> RightModule | None:
     """Cokernel of s's embedding into a power of A_A, None if there is none;
     only the cokernel is cached on s, not the (large) embedding."""
-    if "embedding_quotient" not in s._cache:
-        ok, emb = torsionless_test(s)
-        s._cache["embedding_quotient"] = (
-            quotient_module(emb.target, emb.matrix)[0]
-            if ok and emb.target.dim else None)
-    return s._cache["embedding_quotient"]
+    ok, emb = torsionless_test(s)
+    return quotient_module(emb.target, emb.matrix)[0] if ok and emb.target.dim else None
 
 
 def torsionless_ladder_lower(s: RightModule) -> int:

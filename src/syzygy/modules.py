@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import StructureAlgebra, Bimodule, quotient_data, same_algebra
+from .algebra import StructureAlgebra, Bimodule, cached, quotient_data, same_algebra
 from .errors import AlgebraMismatch, NotStable, ShapeMismatch
 
 
@@ -213,25 +213,22 @@ class ProjectiveInfo:
     rows: np.ndarray  # (k, dim A): basis elements, as algebra elements
 
 
+@cached("canonical")
 def canonical_modules(a: StructureAlgebra):
     """(regular, simples, projectives): A_A, the S_i, and the e_i A."""
-    if "canonical" not in a._cache:
-        p = a.p
-        n = a.dim
-        action = a.mul.transpose(1, 0, 2).copy()  # action[j][i,k] = c[i,j,k]
-        regular = RightModule(a, action, name="A")
-        projectives = []
-        simples = []
-        for idx in range(a.idempotents.shape[0]):
-            e = a.idempotents[idx]
-            sub, incl = submodule_from_generators(regular, e.reshape(1, n))
-            sub.name = f"P{idx}"
-            projectives.append(ProjectiveInfo(idx, sub, incl.matrix))
-            s, _ = top_of_module(sub)
-            s.name = f"S{idx}"
-            simples.append(s)
-        a._cache["canonical"] = (regular, simples, projectives)
-    return a._cache["canonical"]
+    action = a.mul.transpose(1, 0, 2).copy()  # action[j][i,k] = c[i,j,k]
+    regular = RightModule(a, action, name="A")
+    projectives = []
+    simples = []
+    for idx in range(a.idempotents.shape[0]):
+        e = a.idempotents[idx]
+        sub, incl = submodule_from_generators(regular, e.reshape(1, a.dim))
+        sub.name = f"P{idx}"
+        projectives.append(ProjectiveInfo(idx, sub, incl.matrix))
+        s, _ = top_of_module(sub)
+        s.name = f"S{idx}"
+        simples.append(s)
+    return regular, simples, projectives
 
 
 @dataclass
@@ -245,19 +242,16 @@ class Presentation:
     lift: np.ndarray  # (dim x, dim cover), lift @ pi = identity
 
 
+@cached("presentation")
 def presentation(x: RightModule) -> Presentation:
     """Projective cover presentation, cached on the module."""
-    if "presentation" in x._cache:
-        return x._cache["presentation"]
     a = x.algebra
     p = a.p
     _, _, projectives = canonical_modules(a)
     if x.dim == 0:
         cover, _ = direct_sum([], a)
-        pres = Presentation([], cover, ModuleHom(cover, x, linalg.zeros((0, 0))),
+        return Presentation([], cover, ModuleHom(cover, x, linalg.zeros((0, 0))),
                             linalg.zeros((0, 0)), linalg.zeros((0, 0)))
-        x._cache["presentation"] = pres
-        return pres
     t, proj_top = top_of_module(x)
     top_e = t.rho_rows(a.idempotents)
     x_e = x.rho_rows(a.idempotents)
@@ -282,9 +276,7 @@ def presentation(x: RightModule) -> Presentation:
     kernel = linalg.nullspace_from_rref(rref, pivots, c, p)
     lift = linalg.zeros((x.dim, c))
     lift[:, pivots] = rref[:, c:].T
-    pres = Presentation(parts, cover, ModuleHom(cover, x, pi_matrix), kernel, lift)
-    x._cache["presentation"] = pres
-    return pres
+    return Presentation(parts, cover, ModuleHom(cover, x, pi_matrix), kernel, lift)
 
 
 def projective_cover(x: RightModule):
@@ -292,13 +284,11 @@ def projective_cover(x: RightModule):
     return pres.cover, pres.pi
 
 
+@cached("syzygy_step")
 def syzygy_step(x: RightModule):
     """(Omega(x), inclusion into the cover), cached on the module."""
-    if "syzygy_step" not in x._cache:
-        pres = presentation(x)
-        x._cache["syzygy_step"] = submodule_from_generators(pres.cover,
-                                                            pres.kernel_rows)
-    return x._cache["syzygy_step"]
+    pres = presentation(x)
+    return submodule_from_generators(pres.cover, pres.kernel_rows)
 
 
 def syzygy(x: RightModule, s: int) -> RightModule:
@@ -315,14 +305,11 @@ def is_projective(x: RightModule) -> bool:
     return presentation(x).kernel_rows.shape[0] == 0
 
 
+@cached("dim_vector")
 def dimension_vector(x: RightModule) -> tuple:
     """(dim x*e_i) over the stored primitive idempotents, cached on the
     module; an isomorphism invariant."""
-    if "dim_vector" not in x._cache:
-        a = x.algebra
-        x._cache["dim_vector"] = tuple(
-            linalg.rank(m, a.p) for m in x.rho_rows(a.idempotents))
-    return x._cache["dim_vector"]
+    return tuple(linalg.rank(m, x.p) for m in x.rho_rows(x.algebra.idempotents))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +384,7 @@ def tensor_over_algebra(x: RightModule, m: Bimodule) -> TensorModule:
     return TensorModule(v, action, proj, lift)
 
 
+@cached("torsionless")
 def is_torsionless(x: RightModule) -> bool:
     """Whether x embeds in a free module, cached on the module as a bool.
 
@@ -404,12 +392,9 @@ def is_torsionless(x: RightModule) -> bool:
     maps x -> A separate the points of x iff the maps x -> e_i A do, and
     each hom system is set up over e_i A instead of over all of A.
     """
-    if "torsionless" not in x._cache:
-        _, _, projectives = canonical_modules(x.algebra)
-        maps = [f.matrix for info in projectives for f in hom_space(x, info.module)]
-        x._cache["torsionless"] = x.dim == 0 or (
-            bool(maps) and linalg.rank(np.hstack(maps), x.p) == x.dim)
-    return x._cache["torsionless"]
+    _, _, projectives = canonical_modules(x.algebra)
+    maps = [f.matrix for info in projectives for f in hom_space(x, info.module)]
+    return x.dim == 0 or (bool(maps) and linalg.rank(np.hstack(maps), x.p) == x.dim)
 
 
 def torsionless_test(x: RightModule):
@@ -476,14 +461,13 @@ def triple_to_module(t: TriangleModule, lam: StructureAlgebra) -> RightModule:
     return RightModule(lam, action)
 
 
+@cached("triple")
 def module_to_triple(z: RightModule) -> TriangleModule:
     """Split a module over a triangular algebra into its triple."""
     lam = z.algebra
     info = lam.triangle
     if info is None:
         raise ShapeMismatch("algebra has no triangular block structure")
-    if "triple" in z._cache:
-        return z._cache["triple"]
     p = lam.p
 
     def corner(alg, sl):
@@ -516,9 +500,7 @@ def module_to_triple(z: RightModule) -> TriangleModule:
     else:
         fmat = linalg.zeros((tensor.dim, y_mod.dim))
     f = ModuleHom(tensor, y_mod, fmat)
-    triple = TriangleModule(x_mod, y_mod, tensor, f, x_rows=x_rows, y_rows=y_rows)
-    z._cache["triple"] = triple
-    return triple
+    return TriangleModule(x_mod, y_mod, tensor, f, x_rows=x_rows, y_rows=y_rows)
 
 
 def corner_restrict(z: RightModule, which: str = "u") -> RightModule:

@@ -8,11 +8,14 @@ certificate kind; a rename or deletion here would break
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
-from syzygy import checks, deloop
+from syzygy import checks, corpus, decompose, deloop, modules
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -46,3 +49,24 @@ def test_reverify_spans_match_the_verifier_table():
     params = list(inspect.signature(checks._verify_certificate).parameters)
     assert params[0] == "cert"
     assert sorted(checks._VERIFIERS) == sorted(tracer.CERT_KINDS)
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py checks, among others, that the tracer wraps
+    and restores every binding, including the values of dispatch dicts."""
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_memos_sit_under_the_keys_the_tracer_probes():
+    a = corpus.resolve_corpus(
+        [e for e in corpus.load_corpus() if e.id == "a2"])["a2"]
+    x = modules.canonical_modules(a)[1][0]
+    pres = modules.presentation(x)
+    ering = decompose.end_ring(x)
+    pool = deloop.default_pool(a)
+    assert x._cache["presentation"] is pres is modules.presentation(x)
+    assert x._cache["end_ring"] is ering is decompose.end_ring(x)
+    assert a._cache[("default_pool", deloop.DEFAULT_HORIZON)] is pool \
+        is deloop.default_pool(a)
