@@ -889,8 +889,10 @@ def _stored_matrix(cert: dict, key: str, rows, cols):
 def _verify_certificate(cert: dict, resolved: dict) -> tuple:
     """(ok, reason) for one stored certificate: resolve its descriptors,
     look its kind up in _VERIFIERS, and run that verifier on the stored
-    matrices.  A descriptor that does not resolve, or a stored matrix of
-    the wrong shape, fails the certificate instead of raising."""
+    matrices.  A descriptor that does not resolve, a stored matrix of the
+    wrong shape, or stored data the verifier's own computations reject
+    (such as an explicit action that is not a module) fails the
+    certificate instead of raising."""
     kind = cert.get("kind")
     if kind not in _VERIFIERS:
         return False, f"unknown certificate kind {kind!r}"
@@ -905,7 +907,10 @@ def _verify_certificate(cert: dict, resolved: dict) -> tuple:
         if m is None:
             return False, f"malformed payload: {key!r} is not a {(rows, cols)} matrix"
         matrices.append(m)
-    return verify(*objects, *matrices)
+    try:
+        return verify(*objects, *matrices)
+    except (SyzygyError, ValueError, AssertionError) as exc:
+        return False, f"verifier raised: {exc!r}"
 
 
 def reverify_report(doc: dict, entries: list) -> tuple:

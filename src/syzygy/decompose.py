@@ -2,10 +2,11 @@
 
 Everything random is Las Vegas: outputs carry exact certificates
 (idempotency, orthogonality, invertible witnesses) that are re-checked
-deterministically.  A "not isomorphic" verdict comes from an exact
-invariant (total dimension, dimension vector, hom dimensions) or, only
-when those agree, from sampling, and then it reports its one-sided error
-bound.
+deterministically.  `iso_test` searches for an invertible witness first,
+after the cheap invariants (total dimension, dimension vector); the hom
+dimensions are computed only to explain a negative verdict.  That verdict
+is exact when they differ, and otherwise was reached by sampling and
+reports its one-sided error bound.
 
 Isomorphism classes are decided once per algebra: `class_id` keeps a
 registry on the algebra, bucketed by (dim, dimension vector), and runs the
@@ -31,7 +32,7 @@ from .modules import (
     RightModule,
     dimension_vector,
     hom_space,
-    submodule_from_generators,
+    stable_submodule,
 )
 
 NEWTON_CAP = 64
@@ -290,8 +291,15 @@ class IsoVerdict:
 
 def iso_test(x: RightModule, y: RightModule, trials: int = 5,
              seed: int = 0) -> IsoVerdict:
-    """Certified Iso (invertible witness) or NotIso; a NotIso reached only
-    by sampling carries the one-sided error bound (dim/p)^trials."""
+    """Certified Iso (invertible witness) or NotIso.
+
+    A witness is searched first: the basis of Hom(x, y), then seeded
+    random combinations of it.  Only when none is invertible are the hom
+    dimensions compared, to explain the negative verdict: if they differ
+    it is exact ("HomObstruction"), otherwise it was reached by sampling
+    and carries the one-sided error bound (dim/p)^trials.  An invertible
+    module map exists only when the hom dimensions agree, and the draws do
+    not depend on them, so the search order changes no verdict."""
     if not same_algebra(x.algebra, y.algebra):
         raise AlgebraMismatch("iso test across different algebras")
     p = x.p
@@ -304,11 +312,6 @@ def iso_test(x: RightModule, y: RightModule, trials: int = 5,
     if dimension_vector(x) != dimension_vector(y):
         return IsoVerdict(False, reason="DimVectorMismatch")
     hxy = hom_space(x, y)
-    hyx = hom_space(y, x)
-    ex = end_ring(x).dim
-    ey = end_ring(y).dim
-    if not (len(hxy) == len(hyx) == ex == ey):
-        return IsoVerdict(False, reason="HomObstruction")
     for f in hxy:
         if f.is_iso():
             return IsoVerdict(True, f)
@@ -321,6 +324,8 @@ def iso_test(x: RightModule, y: RightModule, trials: int = 5,
         cand = ModuleHom(x, y, mat)
         if cand.is_iso():
             return IsoVerdict(True, cand)
+    if not (len(hxy) == len(hom_space(y, x)) == end_ring(x).dim == end_ring(y).dim):
+        return IsoVerdict(False, reason="HomObstruction")
     return IsoVerdict(
         False,
         reason="SamplingExhausted",
@@ -377,8 +382,8 @@ def decompose(x: RightModule, seed: int = 0, trials: int = 5) -> Decomposition:
     summands = []
     for coords in idems:
         mat = e.to_matrix(coords)
-        rows = linalg.row_basis(mat, p)
-        sub, incl = submodule_from_generators(x, rows)
+        # the image of an idempotent endomorphism is a submodule
+        sub, incl = stable_submodule(x, linalg.row_basis(mat, p))
         proj = ModuleHom(x, sub, linalg.solve_linear(incl.matrix, mat, p))
         summands.append(Summand(sub, incl, proj))
     reps = []

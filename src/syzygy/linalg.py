@@ -82,28 +82,30 @@ def bilinear(x: np.ndarray, y: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
 SMALL_ENTRIES = 64
 
 
-def row_reduce(m: np.ndarray, p: int):
+def row_reduce(m: np.ndarray, p: int, limit: int | None = None):
     """Reduced row-echelon form.
 
     Returns (rref, rank, pivot_columns).  Pivots are chosen leftmost, with
     the lowest-index candidate row, so the result is unique and the
-    function is idempotent.
+    function is idempotent.  With a limit, pivots are sought only in the
+    first limit columns; the other columns are carried along by the same
+    row operations.
     """
     a = np.asarray(m, dtype=np.int64) % p
     if a.ndim != 2:
         raise ValueError("row_reduce expects a 2-d array")
     if a.size <= SMALL_ENTRIES:
-        return _row_reduce_lists(a, p)
-    return _row_reduce_numpy(a, p)
+        return _row_reduce_lists(a, p, limit)
+    return _row_reduce_numpy(a, p, limit)
 
 
-def _row_reduce_lists(a: np.ndarray, p: int):
+def _row_reduce_lists(a: np.ndarray, p: int, limit: int | None = None):
     """Gauss-Jordan on Python ints; writes the result back into a."""
     rows, cols = a.shape
     m = a.tolist()
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(cols)[:limit]:
         if r == rows:
             break
         for pr in range(r, rows):
@@ -127,14 +129,14 @@ def _row_reduce_lists(a: np.ndarray, p: int):
     return a, r, pivots
 
 
-def _row_reduce_numpy(a: np.ndarray, p: int):
+def _row_reduce_numpy(a: np.ndarray, p: int, limit: int | None = None):
     """Each pivot clears only the rows nonzero in its column, and only from
     the pivot column rightwards: everything left of it is already zero in
     the pivot row."""
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(cols)[:limit]:
         if r == rows:
             break
         nz = a[r:, c].nonzero()[0]
@@ -214,11 +216,13 @@ def solve_linear(m: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 class LinearSolver:
     """Factored form of m for solving x @ m = b repeatedly.
 
-    Row-reducing [m.T | I] once gives the elimination matrix E; each later
-    solve is a single matrix product, followed by the exact residual check
-    x @ m = b.  Results match solve_linear exactly (free variables 0,
-    InconsistentSystem on failure).  m is referenced, not copied, and must
-    not change while the solver is in use.
+    Row-reducing [m.T | I] over the columns of m.T only gives the rows E of
+    the elimination matrix that carry its pivots; each later solve is a
+    single matrix product, followed by the exact residual check x @ m = b.
+    A full elimination would change E only by left-kernel relations of
+    m.T, which vanish on every consistent b, so results match solve_linear
+    exactly (free variables 0, InconsistentSystem on failure).  m is
+    referenced, not copied, and must not change while the solver is in use.
     """
 
     def __init__(self, m: np.ndarray, p: int):
@@ -227,10 +231,7 @@ class LinearSolver:
         n, c = m.shape
         self.n = n
         aug = np.hstack([m.T % p, identity(c)])
-        rref, _, pivots = row_reduce(aug, p)
-        main = [pc for pc in pivots if pc < n]
-        self.rank = len(main)
-        self.pivots = main
+        rref, self.rank, self.pivots = row_reduce(aug, p, n)
         self.elim = rref[: self.rank, n:]  # (rank, c)
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -129,28 +129,36 @@ def submodule_from_generators(x: RightModule, gens):
     Returns (sub, inclusion); the basis is the RREF of the closure, so the
     result is deterministic.
     """
-    a = x.algebra
-    p = a.p
+    p = x.p
     gens = np.atleast_2d(linalg.mat(gens, p))
     if gens.size == 0:
         gens = linalg.zeros((0, x.dim))
     basis = linalg.row_basis(gens, p)
-    while True:
-        if basis.shape[0] == 0:
-            break
+    while basis.shape[0]:
         images = np.einsum("ga,iab->igb", basis, x.action).reshape(-1, x.dim) % p
         combined = linalg.row_basis(np.vstack([basis, images]), p)
         if combined.shape[0] == basis.shape[0]:
-            basis = combined
             break
         basis = combined
-    k = basis.shape[0]
-    action = linalg.zeros((a.dim, k, k))
-    if k:
-        moved = np.matmul(basis, x.action) % p  # (dim A, k, dim x)
-        action = linalg.solve_linear(basis, moved.reshape(-1, x.dim), p)
-        action = action.reshape(a.dim, k, k)
-    sub = RightModule(a, action)
+    return stable_submodule(x, basis)
+
+
+def _restricted_action(basis: np.ndarray, acts: np.ndarray, p: int) -> np.ndarray:
+    """The matrices acts, restricted to the row space of basis, in its
+    coordinates: one solve for all of them, which raises
+    InconsistentSystem when some act moves the row space."""
+    n, k = acts.shape[0], basis.shape[0]
+    if not k:
+        return linalg.zeros((n, 0, 0))
+    moved = np.matmul(basis, acts) % p  # (n, k, dim)
+    return linalg.solve_linear(basis, moved.reshape(n * k, -1), p).reshape(n, k, k)
+
+
+def stable_submodule(x: RightModule, basis: np.ndarray):
+    """(sub, inclusion) on the row space of basis, an RREF basis of a
+    subspace the construction already knows to be action-stable; the
+    action solve proves that it is."""
+    sub = RightModule(x.algebra, _restricted_action(basis, x.action, x.p))
     return sub, ModuleHom(sub, x, basis)
 
 
@@ -181,23 +189,26 @@ def socle(x: RightModule):
     mats = x.rho_rows(a.radical)  # (r, d, d)
     stacked = np.concatenate([mats[i] for i in range(mats.shape[0])], axis=1)
     rows = linalg.kernel_basis(stacked, a.p)
-    return submodule_from_generators(x, rows)
+    return stable_submodule(x, linalg.row_basis(rows, a.p))
+
+
+def _radical_rows(x: RightModule) -> np.ndarray:
+    """Rows spanning x * rad(A), which is action-stable since rad(A) is an
+    ideal."""
+    a = x.algebra
+    if a.radical.shape[0] == 0 or x.dim == 0:
+        return linalg.zeros((0, x.dim))
+    return x.rho_rows(a.radical).reshape(-1, x.dim)
 
 
 def radical_submodule(x: RightModule):
     """x * rad(A) as a submodule."""
-    a = x.algebra
-    if a.radical.shape[0] == 0 or x.dim == 0:
-        return submodule_from_generators(x, linalg.zeros((0, x.dim)))
-    mats = x.rho_rows(a.radical)
-    rows = mats.reshape(-1, x.dim)
-    return submodule_from_generators(x, rows)
+    return stable_submodule(x, linalg.row_basis(_radical_rows(x), x.p))
 
 
 def top_of_module(x: RightModule):
     """(top, projection) with top = x / x*rad(A)."""
-    sub, incl = radical_submodule(x)
-    return quotient_module(x, incl.matrix)
+    return quotient_module(x, _radical_rows(x))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +299,8 @@ def projective_cover(x: RightModule):
 def syzygy_step(x: RightModule):
     """(Omega(x), inclusion into the cover), cached on the module."""
     pres = presentation(x)
-    return submodule_from_generators(pres.cover, pres.kernel_rows)
+    # the kernel of the cover map is a submodule
+    return stable_submodule(pres.cover, linalg.row_basis(pres.kernel_rows, x.p))
 
 
 def syzygy(x: RightModule, s: int) -> RightModule:
@@ -473,13 +485,7 @@ def module_to_triple(z: RightModule) -> TriangleModule:
     def corner(alg, sl):
         acts = z.action[sl]
         rows = linalg.row_basis(np.einsum("i,iab->ab", alg.unit, acts) % p, p)
-        k = rows.shape[0]
-        action = linalg.zeros((alg.dim, k, k))
-        if k:
-            moved = np.matmul(rows, acts) % p  # (dim alg, k, dim z)
-            action = linalg.solve_linear(rows, moved.reshape(-1, z.dim), p)
-            action = action.reshape(alg.dim, k, k)
-        return RightModule(alg, action), rows
+        return RightModule(alg, _restricted_action(rows, acts, p)), rows
 
     x_mod, x_rows = corner(info.u, info.u_slice)
     y_mod, y_rows = corner(info.v, info.v_slice)

@@ -2,8 +2,10 @@ import copy
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from syzygy import checks, corpus, deloop, modules
+from syzygy.cli import main
 
 P = 32003
 
@@ -237,6 +239,56 @@ def test_reverify_rejects_every_zeroed_pi_u(world, corner_restriction_doc):
         corner_restriction_doc, entries, "cover_restriction",
         lambda cert: bool(cert["pi_u"] and cert["pi_u"][0]) and zero(cert))
     assert len(mutated) > 40 and failed == mutated
+
+
+@pytest.fixture(scope="module")
+def del_witness_doc(world):
+    """The lemma6 PASSes of the seed-20 run, which hold its 34 del_witness
+    certificates, each with an explicit witness action."""
+    entries, _ = world
+    config = checks.Config(seed=20)
+    reports, _ = checks.run_corpus(entries, config,
+                                   only_check="lemma6_del_inequality")
+    doc = checks.report_document([r for r in reports if r.verdict == "PASS"], config,
+                                 [e.id for e in entries], [])
+    kinds = [c["kind"] for r in doc["checks"] for c in r["evidence"]["certificates"]]
+    assert kinds == ["del_witness"] * 34
+    return doc
+
+
+def _bump_action(index):
+    def mutate(cert):
+        cert["witness"]["action"][index][0][0] += 1
+        return True
+    return mutate
+
+
+@pytest.mark.parametrize("index", [-1, 0])
+def test_reverify_reports_a_witness_that_is_not_a_module(world, del_witness_doc, index):
+    """A tampered explicit action is no module; whatever a verifier raises
+    on it becomes a failed certificate.  Adding 1 to an entry of the last
+    basis element breaks every witness; on the first basis element most
+    tampered witnesses still pass, since the verifier does not check that
+    the stored action is a module."""
+    entries, _ = world
+    mutated, failed = _reverify_mutated(del_witness_doc, entries, "del_witness",
+                                        _bump_action(index))
+    assert len(mutated) == 34 and failed <= mutated and failed
+    if index == -1:
+        assert failed == mutated
+
+
+def test_cli_reverify_lists_witnesses_that_are_not_modules(del_witness_doc, tmp_path):
+    bad = copy.deepcopy(del_witness_doc)
+    for check in bad["checks"]:
+        for cert in check["evidence"].get("certificates", []):
+            _bump_action(-1)(cert)
+    out = tmp_path / "report.json"
+    out.write_text(checks.serialize_report(bad))
+    r = CliRunner().invoke(main, ["report", str(out), "--reverify"])
+    assert r.exit_code == 1, r.output
+    assert "reverify: 0/34 certificates ok" in r.output
+    assert r.output.count("(del_witness): verifier raised") == 34
 
 
 def test_resolve_module_ref_round_trip(world):

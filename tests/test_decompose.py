@@ -1,3 +1,5 @@
+from collections import Counter
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -175,6 +177,116 @@ def test_iso_dim_vector_mismatch_builds_no_hom_space(monkeypatch):
     assert v.reason == "DimVectorMismatch"
     assert modules.dimension_vector(s1) == (1, 0)
     assert modules.dimension_vector(s2) == (0, 1)
+
+
+def ref_iso_test(x, y, trials=5, seed=0):
+    """The earlier order, kept as the reference: Hom(x, y), Hom(y, x),
+    End(x) and End(y) first, then the witness search."""
+    p = x.p
+    if x is y:
+        return decompose.IsoVerdict(True, modules.ModuleHom(x, y, linalg.identity(x.dim)))
+    if x.dim != y.dim:
+        return decompose.IsoVerdict(False, reason="DimMismatch")
+    if x.dim == 0:
+        return decompose.IsoVerdict(True, modules.ModuleHom(x, y, linalg.zeros((0, 0))))
+    if modules.dimension_vector(x) != modules.dimension_vector(y):
+        return decompose.IsoVerdict(False, reason="DimVectorMismatch")
+    hxy = modules.hom_space(x, y)
+    hyx = modules.hom_space(y, x)
+    if not (len(hxy) == len(hyx) == decompose.end_ring(x).dim == decompose.end_ring(y).dim):
+        return decompose.IsoVerdict(False, reason="HomObstruction")
+    for f in hxy:
+        if f.is_iso():
+            return decompose.IsoVerdict(True, f)
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        coeffs = rng.integers(0, p, size=len(hxy))
+        mat = linalg.zeros((x.dim, y.dim))
+        for c, f in zip(coeffs, hxy):
+            mat = (mat + int(c) * f.matrix) % p
+        cand = modules.ModuleHom(x, y, mat)
+        if cand.is_iso():
+            return decompose.IsoVerdict(True, cand)
+    return decompose.IsoVerdict(False, reason="SamplingExhausted",
+                                error_bound=Fraction(x.dim, p) ** trials)
+
+
+def _verdict_key(v):
+    witness = None if v.witness is None else v.witness.matrix.tobytes()
+    return v.isomorphic, v.reason, witness, v.error_bound
+
+
+def _buckets(mods):
+    out = {}
+    for m in mods:
+        out.setdefault((m.dim, modules.dimension_vector(m)), []).append(m)
+    return list(out.values())
+
+
+def test_iso_test_matches_the_reference_order_on_pool_buckets():
+    """Every ordered pair inside a (dim, dimension vector) bucket of the
+    default pools, whose witnesses lie in the hom basis, and of the sums
+    x + y of one module of dimension at most 6 per pool bucket, where the
+    swapped sums need a random combination and sums of other pairs are hom
+    obstructions (the bound keeps the reference's End rings small)."""
+    reasons = Counter()
+    for aid in CORPUS_IDS:
+        pool = _buckets(deloop.default_pool(_corpus()[aid]).modules)
+        reps = [bucket[0] for bucket in pool if bucket[0].dim <= 6]
+        sums = [modules.direct_sum([x, y])[0] for x in reps for y in reps]
+        for bucket in pool + _buckets(sums):
+            for i, x in enumerate(bucket):
+                for j, y in enumerate(bucket):
+                    if i != j:
+                        got = decompose.iso_test(x, y, seed=i + 7 * j)
+                        want = ref_iso_test(x, y, seed=i + 7 * j)
+                        assert _verdict_key(got) == _verdict_key(want), (aid, i, j)
+                        basis = got.isomorphic and any(
+                            np.array_equal(got.witness.matrix, f.matrix)
+                            for f in modules.hom_space(x, y))
+                        reasons[got.reason, basis] += 1
+    assert set(reasons) == {(None, True), (None, False), ("HomObstruction", False)}
+
+
+def test_iso_test_matches_the_reference_order_on_negative_verdicts():
+    a = dual_numbers()
+    reg, simples, _ = modules.canonical_modules(a)
+    ss, _ = modules.direct_sum([simples[0], simples[0]])
+    got = decompose.iso_test(reg, ss)
+    assert got.reason == "HomObstruction"
+    assert _verdict_key(got) == _verdict_key(ref_iso_test(reg, ss))
+    # over F_2 no basis element of End(S + S) = M_2(F_2) is invertible and a
+    # random combination is with probability 6/16, so some seeds exhaust
+    s = modules.canonical_modules(point(2))[1][0]
+    x, _ = modules.direct_sum([s, s])
+    y, _ = modules.direct_sum([s, s])
+    reasons = set()
+    for seed in range(12):
+        got = decompose.iso_test(x, y, trials=2, seed=seed)
+        assert _verdict_key(got) == _verdict_key(ref_iso_test(x, y, trials=2, seed=seed))
+        reasons.add(got.reason)
+    assert reasons == {None, "SamplingExhausted"}
+
+
+def test_iso_found_in_the_hom_basis_builds_no_end_ring_or_reverse_hom(monkeypatch):
+    a = kA2()
+    s = modules.canonical_modules(a)[1][0]
+    y = modules.RightModule(a, s.action.copy())
+    calls = []
+    hom_space = modules.hom_space
+
+    def tracked_hom_space(u, v):
+        calls.append((u, v))
+        return hom_space(u, v)
+
+    def no_end_ring(u):
+        raise AssertionError("end_ring called")
+
+    monkeypatch.setattr(decompose, "hom_space", tracked_hom_space)
+    monkeypatch.setattr(decompose, "end_ring", no_end_ring)
+    v = decompose.iso_test(s, y)
+    assert v.isomorphic and v.witness.is_iso()
+    assert calls == [(s, y)]
 
 
 @given(st.sampled_from(CORPUS_IDS), st.integers(0, 63), st.integers(0, 2**31))

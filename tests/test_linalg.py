@@ -157,13 +157,14 @@ def test_linear_solver_degenerate_shapes():
     assert solver.solve(linalg.zeros((2, 0))).shape == (2, 3)
 
 
-def _reference_rref(m, p):
-    """The dense elimination loop: every pivot rewrites the whole matrix."""
+def _reference_rref(m, p, limit=None):
+    """The dense elimination loop: every pivot rewrites the whole matrix.
+    With a limit, only the first limit columns are searched for pivots."""
     a = np.array(m, dtype=np.int64) % p
     rows, cols = a.shape
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(cols if limit is None else min(limit, cols)):
         if r == rows:
             break
         nz = np.nonzero(a[r:, c])[0]
@@ -242,6 +243,48 @@ def test_linear_solver_matches_solve_linear_above_threshold(n, c, k, p, density,
             solver.solve(b2)
     else:
         assert np.array_equal(solver.solve(b2), expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 20),
+    st.integers(0, 40),
+    st.integers(0, 45),
+    st.sampled_from(KERNEL_PRIMES),
+    st.sampled_from([0.1, 0.4, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_reduce_with_a_column_limit_matches_dense_reference(rows, cols, limit, p,
+                                                                density, seed):
+    m = _random_matrix(np.random.default_rng(seed), rows, cols, p, density)
+    expected, exp_rank, exp_pivots = _reference_rref(m, p, limit)
+    for reduce in (linalg.row_reduce, linalg._row_reduce_lists,
+                   linalg._row_reduce_numpy):
+        rref, rank, pivots = reduce(m % p, p, limit)
+        assert np.array_equal(rref, expected)
+        assert (rank, pivots) == (exp_rank, exp_pivots)
+        assert all(c < limit for c in pivots)
+
+
+@pytest.mark.parametrize("p", [32003, 1048573])
+@pytest.mark.parametrize("n, c, r", [(3, 64, 2), (6, 200, 3), (9, 784, 5), (2, 100, 0)])
+def test_linear_solver_on_rank_deficient_wide_matrices(p, n, c, r):
+    """c >> n, as for the End-ring solver (n = dim End, c = d^2): the
+    solver eliminates only the n columns of m.T and keeps rank rows."""
+    rng = np.random.default_rng(n * c + r)
+    m = linalg.matmul(rng.integers(0, p, size=(n, r)), rng.integers(0, p, size=(r, c)), p)
+    solver = linalg.LinearSolver(m, p)
+    assert solver.rank == linalg.rank(m, p) == r
+    assert solver.elim.shape == (r, c)
+    b = linalg.matmul(rng.integers(0, p, size=(4, n)), m, p)
+    x = solver.solve(b)
+    assert np.array_equal(x, linalg.solve_linear(m, b, p))
+    assert np.array_equal(linalg.matmul(x, m, p), b)
+    off = (b + rng.integers(1, p, size=(1, c)) * (np.arange(4) == 2)[:, None]) % p
+    with pytest.raises(InconsistentSystem):
+        linalg.solve_linear(m, off, p)
+    with pytest.raises(InconsistentSystem):
+        solver.solve(off)
 
 
 def test_linear_solver_rejects_one_bad_row_among_good_ones():

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from syzygy import algebra, checks, corpus, deloop, linalg, modules
-from syzygy.decompose import end_ring
-from syzygy.errors import NotStable
+from syzygy.decompose import decompose, end_ring
+from syzygy.errors import InconsistentSystem, NotStable
 
 VALID = ["a2", "a3", "dual_numbers", "nakayama3", "point", "square",
          "truncated_cubic", "two_points"]
@@ -77,6 +77,24 @@ def ref_presentation(x):
     assert linalg.rank(pi, p) == x.dim
     lift = linalg.solve_linear(pi, linalg.identity(x.dim), p)
     return parts, pi, ref_kernel_basis(pi, p), lift
+
+
+def ref_closure(x, gens):
+    """(action, basis) of the submodule the rows generate: the closure
+    loop, then one solve per basis element of the algebra."""
+    p = x.p
+    basis = linalg.row_basis(linalg.mat(gens, p).reshape(-1, x.dim), p)
+    while True:
+        images = [linalg.matmul(basis, act, p) for act in x.action]
+        grown = linalg.row_basis(np.vstack([basis] + images), p)
+        if grown.shape[0] == basis.shape[0]:
+            break
+        basis = grown
+    k = basis.shape[0]
+    action = linalg.zeros((x.algebra.dim, k, k))
+    for i in range(x.algebra.dim if k else 0):
+        action[i] = linalg.solve_linear(basis, linalg.matmul(basis, x.action[i], p), p)
+    return action, basis
 
 
 def ref_hom_space(x, y):
@@ -311,3 +329,59 @@ def test_triples_and_corners_match_loop_reference(worlds, aid, p):
     report = checks.check_cover_corner(a, checks.adesc(aid), seed=0)
     phi = report.evidence["certificates"][0]["phi"]
     assert _same(phi, ref_cover_corner_phi(a))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("aid", VALID)
+def test_stable_submodules_match_the_closure_reference(worlds, aid, p):
+    """syzygy_step, radical_submodule, socle and the summands of decompose
+    build their submodules with stable_submodule, skipping the closure
+    loop; top_of_module quotients by x * rad(A) directly.  Random base
+    changes of the modules give kernel rows far from echelon form."""
+    a = worlds[p][aid]
+    rng = np.random.default_rng(5)
+    mods = _base_modules(a)
+    for x in list(mods):
+        g = rng.integers(0, a.p, size=(x.dim, x.dim))
+        if linalg.rank(g, a.p) == x.dim:
+            g_inv = linalg.invert(g, a.p)
+            mods.append(modules.RightModule(a, np.matmul(np.matmul(g, x.action) % a.p,
+                                                         g_inv) % a.p))
+    for x in mods:
+        pres = modules.presentation(x)
+        rad_rows = x.rho_rows(a.radical).reshape(-1, x.dim)
+        soc_rows = (ref_kernel_basis(np.hstack(list(x.rho_rows(a.radical))), x.p)
+                    if a.radical.shape[0] else linalg.identity(x.dim))
+        cases = [(modules.syzygy_step(x), pres.cover, pres.kernel_rows),
+                 (modules.radical_submodule(x), x, rad_rows),
+                 (modules.socle(x), x, soc_rows)]
+        if x.dim <= 20:  # square's pool has a module of dim 35, End of dim 125
+            dec = decompose(x, seed=3)
+            cases += [((s.module, s.inclusion), x, dec.endring.to_matrix(e))
+                      for s, e in zip(dec.summands, dec.idempotents)]
+        for (sub, incl), ambient, gens in cases:
+            action, basis = ref_closure(ambient, gens)
+            assert incl.target is ambient
+            assert _same(sub.action, action) and _same(incl.matrix, basis)
+        top, proj = modules.top_of_module(x)
+        rad_basis = ref_closure(x, rad_rows)[1]
+        for want in (ref_quotient_module(x, rad_basis),
+                     lib_quotient(x, modules.radical_submodule(x)[1].matrix)):
+            assert _same(top.action, want[0]) and _same(proj.matrix, want[1])
+
+
+def test_stable_submodule_raises_on_a_span_that_is_not_stable(worlds):
+    """e_i spans a submodule of A_A only when e_i A is simple."""
+    a = worlds[None]["a2"]
+    regular = modules.canonical_modules(a)[0]
+    raised = 0
+    for e in a.idempotents:
+        rows = linalg.row_basis(e.reshape(1, -1), a.p)
+        if modules.submodule_from_generators(regular, rows)[0].dim > 1:
+            with pytest.raises(InconsistentSystem):
+                modules.stable_submodule(regular, rows)
+            raised += 1
+        else:
+            sub, incl = modules.stable_submodule(regular, rows)
+            assert _same(incl.matrix, rows) and sub.dim == 1
+    assert raised == 1
