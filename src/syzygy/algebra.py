@@ -28,8 +28,8 @@ from .errors import (
 
 
 def cached(key):
-    """Memoize f(obj, ...) in obj._cache[key]: f is computed once per
-    object, so it must depend on obj alone."""
+    """Memoize f(obj, ...) in obj._cache[key], once per memo: f must depend
+    on obj alone, and for a module only on its algebra and action."""
     def decorate(f):
         @functools.wraps(f)
         def wrapper(obj, *args, **kwargs):

@@ -191,9 +191,9 @@ def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON,
                 if _covers(need, have):
                     return d, m, pool.tags[idx]
                 haves.append(have)
-            for i in range(len(haves)):
-                for j in range(i, len(haves)):
-                    if _covers(need, haves[i] + haves[j]):
+            for i, hi in enumerate(haves):
+                for j, hj in enumerate(haves[i:], i):
+                    if all(hi[c] + hj[c] >= mult for c, mult in need.items()):
                         witness, _ = direct_sum([pool.modules[i], pool.modules[j]])
                         return d, witness, f"{pool.tags[i]}+{pool.tags[j]}"
         cur = syzygy_step(cur)[0]

@@ -166,9 +166,8 @@ def rank(m: np.ndarray, p: int) -> int:
 
 def free_columns(pivots, cols: int) -> np.ndarray:
     """The columns below cols that are not pivots, in increasing order."""
-    mask = np.ones(cols, dtype=bool)
-    mask[pivots] = False
-    return np.flatnonzero(mask)
+    taken = set(pivots)
+    return np.array([c for c in range(cols) if c not in taken], dtype=np.intp)
 
 
 def right_nullspace(m: np.ndarray, p: int) -> np.ndarray:

@@ -8,13 +8,22 @@ system at the scale of the modules themselves.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
+from hashlib import blake2b
 
 import numpy as np
 
 from . import linalg
 from .algebra import StructureAlgebra, Bimodule, cached, quotient_data, same_algebra
 from .errors import AlgebraMismatch, NotStable, ShapeMismatch
+
+
+class _Memo(dict):
+    """A module memo; keeps the action that every module sharing it has."""
+
+    __slots__ = ("action", "__weakref__")
 
 
 class RightModule:
@@ -28,7 +37,21 @@ class RightModule:
         if self.action.shape[1] != self.action.shape[2]:
             raise ValueError("action matrices must be square")
         self.name = name
-        self._cache: dict = {}
+
+    @cached_property
+    def _cache(self) -> dict:
+        """The memo, shared by every live module over this algebra object
+        with an equal action, which therefore must not change in place.  It
+        is found on first use by (dim, digest of the action) and shared only
+        if the actions are equal, so a digest collision shares nothing."""
+        table = self.algebra._cache.setdefault("module_caches", weakref.WeakValueDictionary())
+        key = (self.dim, blake2b(np.ascontiguousarray(self.action)).digest())
+        memo = table.get(key)
+        if memo is None or not np.array_equal(memo.action, self.action):
+            memo = _Memo()
+            memo.action = self.action
+            table.setdefault(key, memo)
+        return memo
 
     @property
     def dim(self) -> int:
@@ -166,6 +189,8 @@ def quotient_module(x: RightModule, sub_rows):
     """Quotient by an action-stable row space; returns (q, projection)."""
     a = x.algebra
     p = a.p
+    if x.dim == 0:  # 0 has only the zero quotient
+        return x, identity_hom(x)
     sub_rows = linalg.mat(sub_rows, p).reshape(-1, x.dim)
     rref, rk, pivots = linalg.row_reduce(sub_rows, p)
     rref = rref[:rk]

@@ -1,10 +1,12 @@
 import copy
+import weakref
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from syzygy import checks, corpus, deloop, modules
+from syzygy.algebra import cached
 from syzygy.cli import main
 
 P = 32003
@@ -301,6 +303,14 @@ def test_resolve_module_ref_round_trip(world):
     assert m.dim == modules.syzygy(s, 2).dim
 
 
+def test_top_of_a_zero_module_descriptor_resolves(world):
+    _, resolved = world
+    desc = checks.adesc("a2")
+    ref = checks.mref("top", desc, of=checks.mref("zero", desc))
+    m = checks.resolve_module_ref(ref, resolved)
+    assert m.dim == 0 and m.algebra is resolved["a2"]
+
+
 def test_elapsed_not_in_canonical_report(world):
     entries, _ = world
     small = [e for e in entries if e.id == "point"]
@@ -326,3 +336,26 @@ def test_warm_caches_give_the_cold_evidence(aid):
     assert runs[0][0][0] == runs[0][1][0] == "PASS"
     s = modules.canonical_modules(a)[1][0]
     assert modules.syzygy_step(s) is modules.syzygy_step(s)
+
+
+def test_one_entry_computes_a_presentation_again_only_after_its_modules_died(monkeypatch):
+    """Modules with equal actions over one algebra share a memo, which
+    dies with the last of them.  So within a run_entry the presentation of
+    an (algebra, action) is computed again only when every module that held
+    it is gone; the spy sits in the memoized body, so hits are not seen."""
+    entries = [e for e in corpus.load_corpus() if e.id == "a2"]
+    a = corpus.resolve_corpus(entries)["a2"]
+    body = modules.presentation.__wrapped__
+    holders, again_while_alive = {}, []
+
+    def spy(x):
+        key = (x.algebra, x.action.shape, x.action.tobytes())
+        if key in holders and holders[key]() is not None:
+            again_while_alive.append(x)
+        holders[key] = weakref.ref(x)
+        return body(x)
+
+    monkeypatch.setattr(modules, "presentation", cached("presentation")(spy))
+    reports = checks.run_entry(entries[0], a, checks.Config(seed=20))
+    assert all(r.verdict == "PASS" for r in reports)
+    assert holders and not again_while_alive

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,66 @@ def test_class_multiset_is_computed_once_per_module(monkeypatch):
         deloop._nonprojective_classes(x, a, seed=7, trials=3)
 
 
+def test_equal_rebased_modules_share_their_class_multiset(monkeypatch):
+    a, copy = dual_numbers(), dual_numbers()
+    s = modules.canonical_modules(copy)[1][0]
+    twice, _ = modules.direct_sum([s, s])
+    held = modules.RightModule(a, twice.action)  # a live module with the action over a
+    calls = []
+    real = deloop.decompose
+    monkeypatch.setattr(deloop, "decompose",
+                        lambda x, **kwargs: calls.append(x) or real(x, **kwargs))
+    first = deloop._nonprojective_classes(twice, a, seed=1, trials=5)
+    again = modules.RightModule(copy, twice.action)
+    assert deloop._nonprojective_classes(again, a, seed=2, trials=5) is first
+    assert len(calls) == 1 and calls[0] is not held and calls[0].algebra is a
+    assert held._cache[("nonprojective_classes", 5)] is first
+
+
+def _reference_pair(need, haves):
+    """The pair loop as it was: the first (i, j), i <= j, whose summed
+    multiset covers need."""
+    for i in range(len(haves)):
+        for j in range(i, len(haves)):
+            if deloop._covers(need, haves[i] + haves[j]):
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pair_loop_takes_the_first_pair_of_the_summed_reference(monkeypatch, seed):
+    """Scripted class multisets: at level 1 no single pool module covers,
+    so the search returns the witness of the first covering pair, which
+    must be the pair the Counter-sum loop picked (or none), also when that
+    pair is one module twice."""
+    lam = algebra.build_lambda(kA2())
+    s = next(s for s in modules.canonical_modules(lam)[1]
+             if deloop.embedding_quotient(s) is None and not modules.is_projective(s))
+    pool = deloop.default_pool(lam, horizon=1)
+    rng = np.random.default_rng(seed)
+    need = Counter({0: 2, 1: 1, 2: 1, 3: 2})
+    haves = []
+    while len(haves) < len(pool.modules):  # sparse: some seeds find no pair
+        counts = rng.integers(0, 3, size=4) * (rng.random(4) < 0.5)
+        have = Counter({c: int(k) for c, k in enumerate(counts) if k})
+        if not deloop._covers(need, have):
+            haves.append(have)
+    if seed % 2:  # a module that covers only together with itself
+        haves[seed] = Counter({c: 1 for c in need})
+    script = iter([need] + haves)
+    monkeypatch.setattr(deloop, "_nonprojective_classes",
+                        lambda *args, **kwargs: next(script))
+    d, witness, tag = deloop.del_upper_search(s, horizon=1)
+    pair = _reference_pair(need, haves)
+    if pair is None:
+        assert (d, witness, tag) == (None, None, "horizon-exhausted")
+    else:
+        i, j = pair
+        want, _ = modules.direct_sum([pool.modules[i], pool.modules[j]])
+        assert d == 1 and tag == f"{pool.tags[i]}+{pool.tags[j]}"
+        assert np.array_equal(witness.action, want.action)
+
+
 def test_class_multiset_over_an_equal_copy_is_not_shared(monkeypatch):
     a, copy = dual_numbers(), dual_numbers()
     s = modules.canonical_modules(a)[1][0]
@@ -274,7 +336,8 @@ def test_del_upper_search_leaves_cached_class_multisets_unmodified(monkeypatch):
     first = deloop.del_upper_search(s)
     second = deloop.del_upper_search(s)  # reads every multiset from the caches
     assert first[0] == second[0] and first[2] == second[2]
-    # the search went through the pair loop, which sums two cached multisets
+    # the pool was scanned at three levels or more, so the pair loop ran
+    # over the cached multisets at two of them at least
     assert len(covers) > 2 * len(deloop.default_pool(lam).modules)
     assert all(out == snapshot for out, snapshot in seen)
 

@@ -185,6 +185,23 @@ def _reference_rref(m, p, limit=None):
 KERNEL_PRIMES = [2, 7, 32003, 1048573]
 
 
+def _reference_free_columns(pivots, cols):
+    """The mask version free_columns replaced."""
+    mask = np.ones(cols, dtype=bool)
+    mask[pivots] = False
+    return np.flatnonzero(mask)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_free_columns_matches_the_mask_version(cols, seed):
+    rng = np.random.default_rng(seed)
+    pivots = sorted(rng.choice(cols, size=rng.integers(0, cols + 1), replace=False).tolist())
+    got, want = linalg.free_columns(pivots, cols), _reference_free_columns(pivots, cols)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def _random_matrix(rng, rows, cols, p, density):
     """Entries nonzero with the given probability; some rows are
     combinations of earlier ones, so ranks fall short of full."""

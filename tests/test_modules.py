@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,13 @@ def test_quotient_rejects_unstable_subspace():
         modules.quotient_module(reg3, e1)
 
 
+def test_zero_module_has_the_zero_top():
+    a = kA2()
+    z = modules.zero_module(a)
+    for q, proj in (modules.top_of_module(z), modules.quotient_module(z, linalg.zeros((0, 0)))):
+        assert q.dim == 0 and proj.matrix.shape == (0, 0)
+
+
 def test_submodule_closure():
     a = kA2()
     reg = modules.canonical_modules(a)[0]
@@ -294,3 +303,62 @@ def test_corner_restrict():
     assert xu.dim + xv.dim == lam.dim
     assert modules.same_algebra(xu.algebra, lam.triangle.u)
     assert modules.same_algebra(xv.algebra, lam.triangle.v)
+
+
+# ---------------------------------------------------------------------------
+# memos shared by modules with equal actions
+
+
+def test_modules_with_equal_actions_share_one_memo():
+    a = kA2()
+    reg = modules.canonical_modules(a)[0]
+    x1 = modules.RightModule(a, reg.action.copy())
+    x2 = modules.RightModule(a, reg.action.copy())
+    assert x1 is not x2 and x1._cache is x2._cache is reg._cache
+    assert modules.presentation(x2) is modules.presentation(x1)
+    assert modules.syzygy_step(x2) is modules.syzygy_step(reg)
+
+
+def test_a_module_over_an_equal_algebra_copy_keeps_its_own_memo():
+    a, copy = kA2(), kA2()
+    x = modules.canonical_modules(a)[1][0]
+    y = modules.RightModule(copy, x.action)
+    assert y._cache is not x._cache
+    pres = modules.presentation(y)
+    assert pres is not modules.presentation(x)
+    assert pres.cover.algebra is copy
+
+
+class _ConstantDigest:
+    def __init__(self, data):
+        pass
+
+    def digest(self):
+        return b"same"
+
+
+def test_a_digest_collision_shares_no_memo(monkeypatch):
+    a = kA2()
+    simples = modules.canonical_modules(a)[1]
+    want = [modules.presentation(s).cover.dim for s in simples]
+    monkeypatch.setattr(modules, "blake2b", _ConstantDigest)
+    s0, s1 = (modules.RightModule(a, s.action) for s in simples)
+    assert s0.dim == s1.dim and not np.array_equal(s0.action, s1.action)
+    assert s0._cache is not s1._cache
+    assert [modules.presentation(s).cover.dim for s in (s0, s1)] == want
+    assert modules.RightModule(a, s0.action.copy())._cache is s0._cache
+
+
+def test_the_memo_dies_with_the_last_module_that_holds_it():
+    a = kA2()
+    action = a.mul.transpose(1, 0, 2)
+    x1, x2 = modules.RightModule(a, action), modules.RightModule(a, action)
+    modules.dimension_vector(x1)
+    table = a._cache["module_caches"]
+    assert x2._cache is x1._cache  # the memo is looked up on first use
+    del x1
+    gc.collect()
+    assert len(table) == 1 and "dim_vector" in x2._cache
+    del x2
+    gc.collect()
+    assert len(table) == 0
