@@ -37,6 +37,7 @@ from .modules import (
 
 NEWTON_CAP = 64
 SPLIT_TRIALS = 256
+TRIALS = 5  # sampling rounds of a randomized iso test
 
 
 class EndRing:
@@ -289,7 +290,7 @@ class IsoVerdict:
         return self.isomorphic
 
 
-def iso_test(x: RightModule, y: RightModule, trials: int = 5,
+def iso_test(x: RightModule, y: RightModule, trials: int = TRIALS,
              seed: int = 0) -> IsoVerdict:
     """Certified Iso (invertible witness) or NotIso.
 
@@ -334,7 +335,7 @@ def iso_test(x: RightModule, y: RightModule, trials: int = 5,
 
 
 @cached("class_id")
-def class_id(x: RightModule, trials: int = 5) -> int:
+def class_id(x: RightModule) -> int:
     """Index of the isomorphism class of x in the registry of its algebra.
 
     A new module is compared only with the representatives of its
@@ -343,7 +344,7 @@ def class_id(x: RightModule, trials: int = 5) -> int:
     registry = x.algebra._cache.setdefault("iso_classes", {})
     bucket = registry.setdefault((x.dim, dimension_vector(x)), [])
     for cid, rep in bucket:
-        if iso_test(x, rep, trials=trials, seed=cid).isomorphic:
+        if iso_test(x, rep, seed=cid).isomorphic:
             return cid
     cid = sum(len(b) for b in registry.values())
     bucket.append((cid, x))
@@ -373,7 +374,7 @@ class Decomposition:
     certificates: list = field(default_factory=list)
 
 
-def decompose(x: RightModule, seed: int = 0, trials: int = 5) -> Decomposition:
+def decompose(x: RightModule, seed: int = 0) -> Decomposition:
     p = x.p
     e = end_ring(x)
     if x.dim == 0:
@@ -391,7 +392,7 @@ def decompose(x: RightModule, seed: int = 0, trials: int = 5) -> Decomposition:
     for t, s in enumerate(summands):
         placed = False
         for ci, rep in enumerate(reps):
-            verdict = iso_test(s.module, rep, trials=trials, seed=seed + 7919 * (t + 1))
+            verdict = iso_test(s.module, rep, seed=seed + 7919 * (t + 1))
             if verdict.isomorphic:
                 s.class_index = ci
                 s.class_witness = verdict.witness
@@ -422,8 +423,7 @@ def reassemble_check(dec: Decomposition) -> bool:
     )
 
 
-def summand_multiplicity(x: RightModule, y: RightModule, seed: int = 0,
-                         trials: int = 5):
+def summand_multiplicity(x: RightModule, y: RightModule, seed: int = 0):
     """How many copies of x split off y; with an exact (u, v), v∘u = id_x,
     split-pair certificate when the multiplicity is positive."""
     if not same_algebra(x.algebra, y.algebra):
@@ -431,8 +431,8 @@ def summand_multiplicity(x: RightModule, y: RightModule, seed: int = 0,
     p = x.p
     if x.dim == 0:
         return 0, None
-    dx = decompose(x, seed=seed, trials=trials)
-    dy = decompose(y, seed=seed + 1, trials=trials)
+    dx = decompose(x, seed=seed)
+    dy = decompose(y, seed=seed + 1)
     # match x-classes to y-classes
     matches = []  # (x class index, list of y summand indices, mult in x)
     mult = None
@@ -440,8 +440,7 @@ def summand_multiplicity(x: RightModule, y: RightModule, seed: int = 0,
         slots = []
         pair_witness = {}
         for t, s in enumerate(dy.summands):
-            verdict = iso_test(rep, s.module, trials=trials,
-                               seed=seed + 104729 * (t + 1))
+            verdict = iso_test(rep, s.module, seed=seed + 104729 * (t + 1))
             if verdict.isomorphic:
                 slots.append(t)
                 pair_witness[t] = verdict.witness

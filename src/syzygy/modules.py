@@ -498,22 +498,28 @@ def triple_to_module(t: TriangleModule, lam: StructureAlgebra) -> RightModule:
     return RightModule(lam, action)
 
 
+@cached("corners")
+def corners(z: RightModule):
+    """(X_U, x_rows, Y_V, y_rows): the U- and V-corners of a module over a
+    triangular algebra, each with its basis as rows of z."""
+    info = z.algebra.triangle
+    if info is None:
+        raise ShapeMismatch("algebra has no triangular block structure")
+    p = z.p
+    out = []
+    for alg, sl in ((info.u, info.u_slice), (info.v, info.v_slice)):
+        acts = z.action[sl]
+        rows = linalg.row_basis(np.einsum("i,iab->ab", alg.unit, acts) % p, p)
+        out += [RightModule(alg, _restricted_action(rows, acts, p)), rows]
+    return tuple(out)
+
+
 @cached("triple")
 def module_to_triple(z: RightModule) -> TriangleModule:
     """Split a module over a triangular algebra into its triple."""
-    lam = z.algebra
-    info = lam.triangle
-    if info is None:
-        raise ShapeMismatch("algebra has no triangular block structure")
-    p = lam.p
-
-    def corner(alg, sl):
-        acts = z.action[sl]
-        rows = linalg.row_basis(np.einsum("i,iab->ab", alg.unit, acts) % p, p)
-        return RightModule(alg, _restricted_action(rows, acts, p)), rows
-
-    x_mod, x_rows = corner(info.u, info.u_slice)
-    y_mod, y_rows = corner(info.v, info.v_slice)
+    x_mod, x_rows, y_mod, y_rows = corners(z)
+    info = z.algebra.triangle
+    p = z.p
     tensor = tensor_over_algebra(x_mod, info.bimodule)
     dm = info.bimodule.dim
     dx = x_mod.dim
@@ -536,9 +542,9 @@ def module_to_triple(z: RightModule) -> TriangleModule:
 
 def corner_restrict(z: RightModule, which: str = "u") -> RightModule:
     """The U- (or V-) corner of a module over a triangular algebra."""
-    t = module_to_triple(z)
+    x_mod, _, y_mod, _ = corners(z)
     if which == "u":
-        return t.x
+        return x_mod
     if which == "v":
-        return t.y
+        return y_mod
     raise ValueError("which must be 'u' or 'v'")

@@ -4,7 +4,9 @@ Everything runs on the bundled corpus at p = 32003 with fixed seeds and
 exact arithmetic (zero tolerance).  Run with -s to see the summary lines.
 """
 
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,3 +226,14 @@ def test_criterion_10_determinism(world):
     passed = passed and v1 == v2
     _line(10, "byte-identical pinned report per seed, verdicts stable across seeds",
           passed)
+
+
+def test_the_benchmark_pins_the_same_report_hash():
+    """perfbench/run.py checks every corpus_verify and reverify_replay op
+    against its own copy of the pinned hash; a re-pin must change both.
+    The file is parsed, not imported, since it imports its generator."""
+    run_py = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    pins = [node.value.value for node in ast.parse(run_py.read_text()).body
+            if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["PINNED_REPORT_SHA"]]
+    assert pins == [PINNED_REPORT_SHA]

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import json
 import weakref
 
 import numpy as np
@@ -78,7 +80,7 @@ def test_diamond_negative_control(world):
     eproj = projectives[0].module  # an A-vertex projective, not e'Lambda
     sig = checks.sigma_triple_module(a)
     top, _ = modules.top_of_module(eproj)
-    assert checks._find_iso(top, sig, seed=1, trials=5) is None
+    assert checks._find_iso(top, sig, seed=1) is None
 
 
 def test_syzygy_decomposition(world):
@@ -169,6 +171,73 @@ def test_reverify_fails_a_malformed_payload_without_raising():
     assert not ok and not results[1]["ok"] and not results[-1]["ok"]
     assert all(r["detail"].startswith("malformed descriptor")
                for r in (results[1], results[-1]))
+
+
+@pytest.fixture(scope="module")
+def lemma5_a2_doc(world):
+    """The lemma5 decomposition certificates of a2, as a report reads
+    back from JSON (so no two certificates share a descriptor object)."""
+    entries, resolved = world
+    r = checks.check_syzygy_decomp(resolved["a2"], _desc("a2"), seed=6,
+                                   resolved=resolved)
+    assert r.verdict == "PASS"
+    doc = checks.report_document([r], checks.Config(), [e.id for e in entries], [])
+    return json.loads(checks.serialize_report(doc))
+
+
+# a lemma5 sample over the wrong algebra: Y an A-simple, not a T(Sigma)-module,
+# or X a Lambda-simple, not an A-module
+WRONG_ALGEBRA = {
+    "y_over_a": ("y", checks.mref("simple", checks.adesc("a2"), index=0)),
+    "x_over_lambda": ("x", checks.mref("simple", checks.adesc("a2", "lambda"), index=0)),
+}
+
+
+def _wrong_algebra_doc(doc, tamper):
+    key, ref = WRONG_ALGEBRA[tamper]
+    bad = copy.deepcopy(doc)
+    bad["checks"][0]["evidence"]["certificates"][0]["sample"][key] = ref
+    return bad
+
+
+@pytest.mark.parametrize("tamper", sorted(WRONG_ALGEBRA))
+def test_reverify_fails_a_sample_over_the_wrong_algebra(world, lemma5_a2_doc, tamper):
+    entries, _ = world
+    results, ok = checks.reverify_report(_wrong_algebra_doc(lemma5_a2_doc, tamper),
+                                         entries)
+    assert not ok and len(results) > 1
+    assert [r["certificate"] for r in results if not r["ok"]] == [0]
+    assert results[0]["detail"].startswith("malformed descriptor: AlgebraMismatch")
+
+
+def test_cli_reverify_lists_a_sample_over_the_wrong_algebra(lemma5_a2_doc, tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text(checks.serialize_report(_wrong_algebra_doc(lemma5_a2_doc, "y_over_a")))
+    r = CliRunner().invoke(main, ["report", str(out), "--reverify"])
+    assert r.exit_code == 1, r.output
+    n = len(lemma5_a2_doc["checks"][0]["evidence"]["certificates"])
+    assert f"reverify: {n - 1}/{n} certificates ok" in r.output
+    assert ("FAILED a2 lemma5_syzygy_decomposition #0 (lemma5_level): "
+            "malformed descriptor") in r.output
+
+
+def test_del_inequality_is_skipped_without_an_upper_bound_for_lambda(world, monkeypatch):
+    _, resolved = world
+    a = resolved["a2"]
+    real = deloop.del_algebra
+
+    def no_upper_for_lambda(alg, **kwargs):
+        agg, per = real(alg, **kwargs)
+        if alg is not a:
+            agg = dataclasses.replace(agg, upper=None, exact=False)
+        return agg, per
+
+    monkeypatch.setattr(deloop, "del_algebra", no_upper_for_lambda)
+    r = checks.check_del_inequality(a, _desc("a2"), seed=8)
+    assert (r.check_id, r.algebra_id, r.verdict, r.seed) == (
+        "lemma6_del_inequality", "a2", "SKIPPED", 8)
+    assert r.evidence == {"reason": "no upper bound for Lambda within horizon"}
+    assert r.elapsed >= 0
 
 
 @pytest.fixture(scope="module")

@@ -198,8 +198,8 @@ def test_covers_counts_a_class_split_across_two_haves():
     s = simples[0]
     twice, _ = modules.direct_sum([s, s])
     with_projective, _ = modules.direct_sum([s, reg])
-    need = deloop._nonprojective_classes(twice, a, seed=1, trials=5)
-    haves = [deloop._nonprojective_classes(m, a, seed=2, trials=5)
+    need = deloop._nonprojective_classes(twice, a, seed=1)
+    haves = [deloop._nonprojective_classes(m, a, seed=2)
              for m in (s, with_projective)]
     assert list(need.values()) == [2]
     assert haves[0] == haves[1] and sum(haves[0].values()) == 1
@@ -228,12 +228,10 @@ def test_class_multiset_is_computed_once_per_module(monkeypatch):
     reg, simples, _ = modules.canonical_modules(a)
     s = simples[0]
     x, _ = modules.direct_sum([s, modules.syzygy(s, 1), reg])
-    first = deloop._nonprojective_classes(x, a, seed=1, trials=5)
+    first = deloop._nonprojective_classes(x, a, seed=1)
     assert sum(first.values()) == 2
     monkeypatch.setattr(deloop, "decompose", _refuse)
-    assert deloop._nonprojective_classes(x, a, seed=7, trials=5) == first
-    with pytest.raises(_NotCalled):  # the cache is kept per trials
-        deloop._nonprojective_classes(x, a, seed=7, trials=3)
+    assert deloop._nonprojective_classes(x, a, seed=7) == first
 
 
 def test_equal_rebased_modules_share_their_class_multiset(monkeypatch):
@@ -245,11 +243,11 @@ def test_equal_rebased_modules_share_their_class_multiset(monkeypatch):
     real = deloop.decompose
     monkeypatch.setattr(deloop, "decompose",
                         lambda x, **kwargs: calls.append(x) or real(x, **kwargs))
-    first = deloop._nonprojective_classes(twice, a, seed=1, trials=5)
+    first = deloop._nonprojective_classes(twice, a, seed=1)
     again = modules.RightModule(copy, twice.action)
-    assert deloop._nonprojective_classes(again, a, seed=2, trials=5) is first
+    assert deloop._nonprojective_classes(again, a, seed=2) is first
     assert len(calls) == 1 and calls[0] is not held and calls[0].algebra is a
-    assert held._cache[("nonprojective_classes", 5)] is first
+    assert held._cache["nonprojective_classes"] is first
 
 
 def _reference_pair(need, haves):
@@ -300,7 +298,7 @@ def test_class_multiset_over_an_equal_copy_is_not_shared(monkeypatch):
     a, copy = dual_numbers(), dual_numbers()
     s = modules.canonical_modules(a)[1][0]
     twice, _ = modules.direct_sum([s, s])
-    mine = deloop._nonprojective_classes(twice, a, seed=1, trials=5)
+    mine = deloop._nonprojective_classes(twice, a, seed=1)
     calls = []
     real = deloop.decompose
 
@@ -309,11 +307,11 @@ def test_class_multiset_over_an_equal_copy_is_not_shared(monkeypatch):
         return real(x, **kwargs)
 
     monkeypatch.setattr(deloop, "decompose", spy)
-    theirs = deloop._nonprojective_classes(twice, copy, seed=1, trials=5)
+    theirs = deloop._nonprojective_classes(twice, copy, seed=1)
     # rebased onto the copy and decomposed there, with the copy's class ids
     assert [x.algebra for x in calls] == [copy]
     assert list(theirs.values()) == [2] and copy._cache["iso_classes"]
-    assert deloop._nonprojective_classes(twice, a, seed=2, trials=5) is mine
+    assert deloop._nonprojective_classes(twice, a, seed=2) is mine
     assert len(calls) == 1
 
 
@@ -367,7 +365,7 @@ def test_syzygies_of_simples_are_torsionless(aid):
             assert deloop.torsionless_ladder_lower(s) == _ladder_reference(s)
 
 
-def _upper_search_reference(s, horizon=deloop.DEFAULT_HORIZON, seed=0, trials=5):
+def _upper_search_reference(s, horizon=deloop.DEFAULT_HORIZON, seed=0):
     """The eager search: every pool module's class multiset is computed
     before any is tested, and the embedding quotient is built afresh."""
     a = s.algebra
@@ -382,10 +380,9 @@ def _upper_search_reference(s, horizon=deloop.DEFAULT_HORIZON, seed=0, trials=5)
                 return 0, q, "embedding-quotient"
         else:
             pool = deloop.default_pool(a, horizon)
-            need = deloop._nonprojective_classes(cur, a, seed=seed + d, trials=trials)
+            need = deloop._nonprojective_classes(cur, a, seed=seed + d)
             haves = [deloop._nonprojective_classes(modules.syzygy(m, d + 1), a,
-                                                   seed=seed + 101 * (idx + 1),
-                                                   trials=trials)
+                                                   seed=seed + 101 * (idx + 1))
                      for idx, m in enumerate(pool.modules)]
             for idx, have in enumerate(haves):
                 if deloop._covers(need, have):

@@ -2,7 +2,8 @@
 replaced, bit for bit.
 
 Each `ref_*` function below is the loop version of a library function,
-kept as the reference.  Inputs are the default pool and the first three
+kept as the reference; `ref_lemma5_candidate` and `ref_sigma_triple_module`
+keep the zero-map triple construction that block placement replaced.  Inputs are the default pool and the first three
 syzygies of every simple of each valid corpus algebra, tensored with
 Lambda's bimodule and with A as an A-A-bimodule, plus modules over its
 Lambda and its cover, at the default prime and at 1048573, the largest
@@ -202,6 +203,34 @@ def ref_triple_to_module(t, lam):
     return action
 
 
+def ref_lemma5_candidate(lam, omx, zs):
+    """(omx, 0, 0) + (0, zs, 0) built as triples with the zero map,
+    flattened and summed."""
+    info = lam.triangle
+    parts = []
+    if omx.dim:
+        tensor_dim = modules.tensor_over_algebra(omx, info.bimodule).dim
+        parts.append(modules.triple_to_module(modules.make_triple(
+            lam, omx, modules.zero_module(info.v), linalg.zeros((tensor_dim, 0))), lam))
+    if zs.dim:
+        parts.append(modules.triple_to_module(modules.make_triple(
+            lam, modules.zero_module(info.u), zs, linalg.zeros((0, zs.dim))), lam))
+    return modules.direct_sum(parts, lam)[0]
+
+
+def ref_sigma_triple_module(a):
+    """(0, Sigma, 0) built as a triple: Sigma as a T(Sigma)-module, the
+    zero A-module and the zero map."""
+    lam = algebra.build_lambda(a)
+    sigma, _ = algebra.semisimple_quotient(a)
+    b = lam.triangle.v
+    action = linalg.zeros((b.dim, sigma.dim, sigma.dim))
+    action[: sigma.dim] = modules.canonical_modules(sigma)[0].action
+    y = modules.RightModule(b, action)
+    t = modules.make_triple(lam, modules.zero_module(a), y, linalg.zeros((0, sigma.dim)))
+    return modules.triple_to_module(t, lam)
+
+
 def ref_corner_algebra(a, e):
     p = a.p
     compress = linalg.matmul(a.left_mult(e), a.right_mult(e), p)
@@ -329,6 +358,47 @@ def test_triples_and_corners_match_loop_reference(worlds, aid, p):
     report = checks.check_cover_corner(a, checks.adesc(aid), seed=0)
     phi = report.evidence["certificates"][0]["phi"]
     assert _same(phi, ref_cover_corner_phi(a))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("aid", VALID)
+def test_corners_match_the_triple_reference(worlds, aid, p):
+    a = worlds[p][aid]
+    for tri in (algebra.build_lambda(a), algebra.build_cover(a)):
+        for z in _triangular_modules(tri):
+            want = ref_module_to_triple(z)
+            x, x_rows, y, y_rows = modules.corners(z)
+            assert x.algebra is tri.triangle.u and y.algebra is tri.triangle.v
+            assert _same(x.action, want["x"]) and _same(x_rows, want["x_rows"])
+            assert _same(y.action, want["y"]) and _same(y_rows, want["y_rows"])
+            assert modules.corner_restrict(z, "u") is x
+            assert modules.corner_restrict(z, "v") is y
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("aid", VALID)
+def test_lemma5_candidates_and_sigma_triple_match_the_triple_reference(worlds, aid, p):
+    """Every level of every lemma5 sample of the seed-20 run, at both
+    primes: the candidate by block placement is bit for bit the flattened
+    sum of zero-map triples, and so is (0, Sigma, 0)."""
+    resolved = worlds[p]
+    a = resolved[aid]
+    lam = algebra.build_lambda(a)
+    sig, want = checks.sigma_triple_module(a), ref_sigma_triple_module(a)
+    assert sig.algebra is lam and want.algebra is lam and _same(sig.action, want.action)
+    seed = checks.derive_seed(checks.derive_seed(checks.derive_seed(20, aid), 6))
+    shapes = set()
+    for ref in checks._lemma5_samples(a, checks.adesc(aid), seed):
+        om = checks.resolve_module_ref(ref, resolved)
+        omx = modules.corner_restrict(om, "u")
+        for _ in range(checks.S_MAX):
+            om, omx = modules.syzygy_step(om)[0], modules.syzygy_step(omx)[0]
+            zs = modules.corner_restrict(om, "v")
+            got = checks._lemma5_candidate(lam, omx, zs)
+            want = ref_lemma5_candidate(lam, omx, zs)
+            assert got.algebra is lam and _same(got.action, want.action)
+            shapes.add((omx.dim > 0, zs.dim > 0))
+    assert shapes - {(False, False)}  # some level has a nonzero candidate
 
 
 @pytest.mark.parametrize("p", PRIMES)
