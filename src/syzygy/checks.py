@@ -449,7 +449,7 @@ def check_lemma2(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     ok, certs, bad = _simples_all_torsionless(cover, cdesc)
     if not ok:
         return False, {"counterexample": {"non_torsionless_simple": bad}}
-    agg, per = deloop.del_algebra(cover, seed=derive_seed(seed, "lemma2"))
+    agg, per = deloop.del_algebra(cover)
     del_ok = agg.exact and agg.lower == 0 and agg.upper == 0
     evidence = {
         "del_lower": agg.lower,
@@ -478,7 +478,7 @@ def check_lambda_op(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
         return False, {"counterexample": {"permutation": _ints(perm)}}
     ldesc = dict(desc, ops=desc["ops"] + ["lambda", "opposite"])
     ok, certs, bad = _simples_all_torsionless(lhs, ldesc)
-    agg, per = deloop.del_algebra(lhs, seed=derive_seed(seed, "lemma4"))
+    agg, per = deloop.del_algebra(lhs)
     del_ok = ok and agg.exact and agg.lower == 0 and agg.upper == 0
     evidence = {
         "iso": True,
@@ -515,7 +515,7 @@ def check_diamond(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     om = syzygy(top, 1)
     w_om = _find_iso(om, sig, s1 + 2)
     w_periodic = _find_iso(om, top, s1 + 3)
-    b = deloop.del_bounds(top, seed=s1 + 4)
+    b = deloop.del_bounds(top)
     del_ok = b.exact and b.lower == 0 and b.upper == 0
     passed = all(w is not None for w in (w_rad, w_top, w_om, w_periodic)) \
         and del_ok
@@ -644,10 +644,9 @@ def check_del_inequality(a: StructureAlgebra, desc: dict, seed: int) -> CheckRep
     """del(A) <= del(Lambda(A)): sound form compares the lower bound of A
     with the upper bound of Lambda; the strong form also compares exact
     values when both intervals are exact."""
-    s1 = derive_seed(seed, "lemma6")
-    agg_a, _ = deloop.del_algebra(a, seed=s1)
+    agg_a, _ = deloop.del_algebra(a)
     lam = build_lambda(a)
-    agg_l, per_l = deloop.del_algebra(lam, seed=s1 + 1)
+    agg_l, per_l = deloop.del_algebra(lam)
     if agg_l.upper is None:
         return None, {"reason": "no upper bound for Lambda within horizon"}
     weak = agg_a.lower <= agg_l.upper
@@ -687,7 +686,7 @@ def check_del_inequality(a: StructureAlgebra, desc: dict, seed: int) -> CheckRep
 
 @check("fd_del_inequality")
 def check_fd_del(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
-    evidence = deloop.fd_del_inequality_check(a, seed=derive_seed(seed, "fd"))
+    evidence = deloop.fd_del_inequality_check(a)
     passed = evidence.pop("passed")
     evidence["certificates"] = []
     return passed, evidence

@@ -26,8 +26,6 @@ from .errors import (
 )
 from .modules import canonical_modules
 
-_seed_option = click.option("--seed", type=int, default=1, envvar="SYZYGY_SEED",
-                            show_default=True, help="Base seed for randomized steps.")
 _prime_option = click.option("--prime", type=int, default=None, envvar="SYZYGY_PRIME",
                              help="Override the field characteristic of input files.")
 
@@ -153,19 +151,18 @@ def _fmt_bounds(label, b):
 @click.option("--simple", "simple_name", default=None,
               help="Restrict to one simple module (default: all, aggregated).")
 @click.option("--horizon", type=int, default=deloop.DEFAULT_HORIZON, show_default=True)
-@_seed_option
 @_prime_option
 @guarded
-def del_bounds_cmd(file, simple_name, horizon, seed, prime):
+def del_bounds_cmd(file, simple_name, horizon, prime):
     """Certified interval for the delooping level."""
     entry, a = _load(file, prime)
     if simple_name is not None:
         idx = _simple_index(entry, a, simple_name)
         s = canonical_modules(a)[1][idx]
-        b = deloop.del_bounds(s, horizon=horizon, seed=seed)
+        b = deloop.del_bounds(s, horizon=horizon)
         click.echo(_fmt_bounds(simple_name, b))
     else:
-        agg, per = deloop.del_algebra(a, horizon=horizon, seed=seed)
+        agg, per = deloop.del_algebra(a, horizon=horizon)
         for i, b in enumerate(per):
             click.echo(_fmt_bounds(f"S{i}", b))
         click.echo(_fmt_bounds(a.name or "A", agg))
@@ -177,10 +174,9 @@ def del_bounds_cmd(file, simple_name, horizon, seed, prime):
 @click.option("--module", "module_spec", required=True,
               help="Module to resolve: 'regular', S<vertex>, or P<vertex>.")
 @click.option("--cap", type=int, default=deloop.DEFAULT_PD_CAP, show_default=True)
-@_seed_option
 @_prime_option
 @guarded
-def pd_cmd(file, module_spec, cap, seed, prime):
+def pd_cmd(file, module_spec, cap, prime):
     """Projective dimension: finite value, certified infinite cycle, or unknown."""
     entry, a = _load(file, prime)
     regular, simples, projectives = canonical_modules(a)
@@ -190,7 +186,7 @@ def pd_cmd(file, module_spec, cap, seed, prime):
         x = projectives[_simple_index(entry, a, module_spec)].module
     else:
         x = simples[_simple_index(entry, a, module_spec)]
-    r = deloop.projective_dimension(x, cap=cap, seed=seed)
+    r = deloop.projective_dimension(x, cap=cap)
     if r.kind == "finite":
         click.echo(f"pd({module_spec}) = {r.value}")
     elif r.kind == "infinite":
@@ -213,7 +209,8 @@ def paper_group():
 @click.option("--algebra", "only_algebra", default=None, help="Run one entry only.")
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Write the canonical JSON report here.")
-@_seed_option
+@click.option("--seed", type=int, default=1, envvar="SYZYGY_SEED",
+              show_default=True, help="Base seed for randomized steps.")
 @_prime_option
 @guarded
 def paper_verify(corpus_dir, only_check, only_algebra, report_path, seed, prime):

@@ -2,21 +2,27 @@
 
 Everything random is Las Vegas: outputs carry exact certificates
 (idempotency, orthogonality, invertible witnesses) that are re-checked
-deterministically.  `iso_test` searches for an invertible witness first,
-after the cheap invariants (total dimension, dimension vector); the hom
-dimensions are computed only to explain a negative verdict.  That verdict
-is exact when they differ, and otherwise was reached by sampling and
-reports its one-sided error bound.
+deterministically, and every isomorphism verdict is exact.
+
+Two modules are compared first by their invariants (total dimension,
+dimension vector) and then by the basis of Hom(x, y), with no random draw.
+If x is indecomposable, End x is local (Fitting's lemma), so when x and y
+are isomorphic the maps x -> y that are not isomorphisms form a proper
+subspace of Hom(x, y) and some basis element is invertible: a basis with
+none is an exact NotIso.  `decompose` and `summand_multiplicity` compare
+their summands this way.  `iso_test` takes any modules: it then tries
+seeded random combinations of the basis, the fast way to a witness between
+decomposable modules, and decides what is left by Krull-Schmidt, since x
+and y of equal dimension are isomorphic exactly when x splits off y.
 
 Isomorphism classes are decided once per algebra: `class_id` keeps a
-registry on the algebra, bucketed by (dim, dimension vector), and runs the
-certified `iso_test` only against the representatives of one bucket.
+registry on the algebra, bucketed by (dim, dimension vector), and runs
+`iso_test` only against the representatives of one bucket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -278,46 +284,52 @@ def primitive_idempotents(e: EndRing, seed: int):
 @dataclass
 class IsoVerdict:
     """reason is None when isomorphic; otherwise "DimMismatch" or
-    "DimVectorMismatch" (exact invariants), "HomObstruction" (exact hom
-    dimensions), or "SamplingExhausted" (carries error_bound)."""
+    "DimVectorMismatch" (the invariants differ), "SingularHomBasis" (no
+    basis element of Hom(x, y) is invertible; exact when x is
+    indecomposable, and never the reason of an `iso_test` verdict) or
+    "KrullSchmidt" (x does not split off y)."""
 
     isomorphic: bool
     witness: ModuleHom | None = None
     reason: str | None = None
-    error_bound: Fraction | None = None
 
     def __bool__(self) -> bool:
         return self.isomorphic
 
 
-def iso_test(x: RightModule, y: RightModule, trials: int = TRIALS,
-             seed: int = 0) -> IsoVerdict:
-    """Certified Iso (invertible witness) or NotIso.
-
-    A witness is searched first: the basis of Hom(x, y), then seeded
-    random combinations of it.  Only when none is invertible are the hom
-    dimensions compared, to explain the negative verdict: if they differ
-    it is exact ("HomObstruction"), otherwise it was reached by sampling
-    and carries the one-sided error bound (dim/p)^trials.  An invertible
-    module map exists only when the hom dimensions agree, and the draws do
-    not depend on them, so the search order changes no verdict."""
+def _basis_iso(x: RightModule, y: RightModule):
+    """(verdict, basis of Hom(x, y)) from the invariants and the hom basis,
+    with no random draw."""
     if not same_algebra(x.algebra, y.algebra):
         raise AlgebraMismatch("iso test across different algebras")
-    p = x.p
     if x is y:
-        return IsoVerdict(True, ModuleHom(x, y, linalg.identity(x.dim)))
+        return IsoVerdict(True, ModuleHom(x, y, linalg.identity(x.dim))), []
     if x.dim != y.dim:
-        return IsoVerdict(False, reason="DimMismatch")
+        return IsoVerdict(False, reason="DimMismatch"), []
     if x.dim == 0:
-        return IsoVerdict(True, ModuleHom(x, y, linalg.zeros((0, 0))))
+        return IsoVerdict(True, ModuleHom(x, y, linalg.zeros((0, 0)))), []
     if dimension_vector(x) != dimension_vector(y):
-        return IsoVerdict(False, reason="DimVectorMismatch")
+        return IsoVerdict(False, reason="DimVectorMismatch"), []
     hxy = hom_space(x, y)
     for f in hxy:
         if f.is_iso():
-            return IsoVerdict(True, f)
+            return IsoVerdict(True, f), hxy
+    return IsoVerdict(False, reason="SingularHomBasis"), hxy
+
+
+def iso_test(x: RightModule, y: RightModule, seed: int = 0) -> IsoVerdict:
+    """Certified Iso (invertible witness) or exact NotIso, for any modules.
+
+    After `_basis_iso`, seeded random combinations of the hom basis are
+    tried.  If they are all singular too, Krull-Schmidt decides: with
+    dim x = dim y, x is isomorphic to y iff x splits off y, and then the
+    split map u (v∘u = id_x) is square and invertible."""
+    verdict, hxy = _basis_iso(x, y)
+    if verdict.reason != "SingularHomBasis":
+        return verdict
+    p = x.p
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for _ in range(TRIALS):
         coeffs = rng.integers(0, p, size=len(hxy))
         mat = linalg.zeros((x.dim, y.dim))
         for c, f in zip(coeffs, hxy):
@@ -325,13 +337,10 @@ def iso_test(x: RightModule, y: RightModule, trials: int = TRIALS,
         cand = ModuleHom(x, y, mat)
         if cand.is_iso():
             return IsoVerdict(True, cand)
-    if not (len(hxy) == len(hom_space(y, x)) == end_ring(x).dim == end_ring(y).dim):
-        return IsoVerdict(False, reason="HomObstruction")
-    return IsoVerdict(
-        False,
-        reason="SamplingExhausted",
-        error_bound=Fraction(x.dim, p) ** trials,
-    )
+    mult, split = summand_multiplicity(x, y, seed)
+    if mult:
+        return IsoVerdict(True, split[0])
+    return IsoVerdict(False, reason="KrullSchmidt")
 
 
 @cached("class_id")
@@ -339,12 +348,11 @@ def class_id(x: RightModule) -> int:
     """Index of the isomorphism class of x in the registry of its algebra.
 
     A new module is compared only with the representatives of its
-    (dim, dimension vector) bucket, each with a seed fixed by that
-    representative, so the answer does not depend on the caller."""
+    (dim, dimension vector) bucket."""
     registry = x.algebra._cache.setdefault("iso_classes", {})
     bucket = registry.setdefault((x.dim, dimension_vector(x)), [])
     for cid, rep in bucket:
-        if iso_test(x, rep, seed=cid).isomorphic:
+        if iso_test(x, rep).isomorphic:
             return cid
     cid = sum(len(b) for b in registry.values())
     bucket.append((cid, x))
@@ -387,24 +395,19 @@ def decompose(x: RightModule, seed: int = 0) -> Decomposition:
         sub, incl = stable_submodule(x, linalg.row_basis(mat, p))
         proj = ModuleHom(x, sub, linalg.solve_linear(incl.matrix, mat, p))
         summands.append(Summand(sub, incl, proj))
-    reps = []
-    parts = []
-    for t, s in enumerate(summands):
-        placed = False
-        for ci, rep in enumerate(reps):
-            verdict = iso_test(s.module, rep, seed=seed + 7919 * (t + 1))
+    parts = []  # (representative, multiplicity); summands are indecomposable
+    for s in summands:
+        for ci, (rep, mult) in enumerate(parts):
+            verdict, _ = _basis_iso(s.module, rep)
             if verdict.isomorphic:
-                s.class_index = ci
-                s.class_witness = verdict.witness
-                parts[ci] = (rep, parts[ci][1] + 1)
-                placed = True
+                s.class_index, s.class_witness = ci, verdict.witness
+                parts[ci] = (rep, mult + 1)
                 break
-        if not placed:
-            reps.append(s.module)
-            parts.append((s.module, 1))
-            s.class_index = len(reps) - 1
+        else:
+            s.class_index = len(parts)
             s.class_witness = ModuleHom(s.module, s.module,
                                         linalg.identity(s.module.dim))
+            parts.append((s.module, 1))
     return Decomposition(x, summands, parts, idems, e, certs)
 
 
@@ -440,7 +443,7 @@ def summand_multiplicity(x: RightModule, y: RightModule, seed: int = 0):
         slots = []
         pair_witness = {}
         for t, s in enumerate(dy.summands):
-            verdict = iso_test(rep, s.module, seed=seed + 104729 * (t + 1))
+            verdict, _ = _basis_iso(rep, s.module)
             if verdict.isomorphic:
                 slots.append(t)
                 pair_witness[t] = verdict.witness

@@ -102,8 +102,7 @@ def default_pool(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON,
     return pool
 
 
-def projective_dimension(x: RightModule, cap: int = DEFAULT_PD_CAP,
-                         seed: int = 0) -> PdResult:
+def projective_dimension(x: RightModule, cap: int = DEFAULT_PD_CAP) -> PdResult:
     """Iterate minimal syzygies; certify finiteness, an infinite periodic
     tail, or give up at the cap."""
     if cap < 1:
@@ -114,7 +113,7 @@ def projective_dimension(x: RightModule, cap: int = DEFAULT_PD_CAP,
         if is_projective(cur):
             return PdResult("finite", value=d, cap=cap)
         for i, m in seen:
-            verdict = iso_test(m, cur, seed=seed + 31 * (d + 1))
+            verdict = iso_test(m, cur)
             if verdict.isomorphic:
                 return PdResult("infinite", cycle=(i, d),
                                 witness=verdict.witness, cap=cap)
@@ -123,13 +122,13 @@ def projective_dimension(x: RightModule, cap: int = DEFAULT_PD_CAP,
     return PdResult("unknown", cap=cap)
 
 
-def _nonprojective_classes(x: RightModule, a: StructureAlgebra, seed: int) -> Counter:
+def _nonprojective_classes(x: RightModule, a: StructureAlgebra) -> Counter:
     """Multiset of the class ids, in the registry of a, of the
     non-projective indecomposable summands.
 
     By Krull-Schmidt the multiset is an isomorphism invariant, and class
     ids are fixed by a's registry, so the first answer holds for every
-    seed: it is cached on the module and must not be modified.
+    decomposition: it is cached on the module and must not be modified.
     """
     if x.algebra is not a:  # class ids of two registries do not compare
         if not same_algebra(x.algebra, a):
@@ -137,7 +136,7 @@ def _nonprojective_classes(x: RightModule, a: StructureAlgebra, seed: int) -> Co
         x = RightModule(a, x.action)
     if "nonprojective_classes" not in x._cache:
         out = Counter()
-        for rep, mult in decompose(x, seed=seed).parts:
+        for rep, mult in decompose(x).parts:
             if not is_projective(rep):
                 out[class_id(rep)] += mult
         x._cache["nonprojective_classes"] = out
@@ -164,7 +163,7 @@ def torsionless_ladder_lower(s: RightModule) -> int:
     return 0 if is_torsionless(s) else 1
 
 
-def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON, seed: int = 0):
+def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON):
     """First level d at which an explicit witness certifies the summand
     condition; returns (d, witness module, tag) or (None, None, reason)."""
     a = s.algebra
@@ -178,12 +177,11 @@ def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON, seed: int =
                 return 0, q, "embedding-quotient"
         else:
             pool = default_pool(a, horizon)  # cached on a
-            need = _nonprojective_classes(cur, a, seed=seed + d)
+            need = _nonprojective_classes(cur, a)
             # syzygies are cached on the modules, so each level extends the last
             haves = []
             for idx, m in enumerate(pool.modules):
-                have = _nonprojective_classes(syzygy(m, d + 1), a,
-                                              seed=seed + 101 * (idx + 1))
+                have = _nonprojective_classes(syzygy(m, d + 1), a)
                 if _covers(need, have):
                     return d, m, pool.tags[idx]
                 haves.append(have)
@@ -196,22 +194,20 @@ def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON, seed: int =
     return None, None, "horizon-exhausted"
 
 
-def verify_del_witness(s: RightModule, d: int, witness: RightModule,
-                       seed: int = 0) -> bool:
+def verify_del_witness(s: RightModule, d: int, witness: RightModule) -> bool:
     """Exact re-check: the non-projective classes of Omega^d(s) all appear
     in Omega^{d+1}(witness)."""
     om = syzygy(s, d)
     if is_projective(om):
         return True
-    need = _nonprojective_classes(om, s.algebra, seed=seed)
-    have = _nonprojective_classes(syzygy(witness, d + 1), s.algebra, seed=seed + 1)
+    need = _nonprojective_classes(om, s.algebra)
+    have = _nonprojective_classes(syzygy(witness, d + 1), s.algebra)
     return _covers(need, have)
 
 
-def del_bounds(s: RightModule, horizon: int = DEFAULT_HORIZON,
-               seed: int = 0) -> DelBounds:
+def del_bounds(s: RightModule, horizon: int = DEFAULT_HORIZON) -> DelBounds:
     lower = torsionless_ladder_lower(s)
-    upper, witness, tag = del_upper_search(s, horizon, seed)
+    upper, witness, tag = del_upper_search(s, horizon)
     if upper is not None and upper < lower:
         raise AssertionError("witness search beat the sound lower bound")
     return DelBounds(lower=lower, upper=upper, witness=witness,
@@ -219,10 +215,10 @@ def del_bounds(s: RightModule, horizon: int = DEFAULT_HORIZON,
                      exact=(upper is not None and upper == lower))
 
 
-def del_algebra(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON, seed: int = 0):
+def del_algebra(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON):
     """(aggregate bounds, per-simple bounds); del(A) is the max over simples."""
     _, simples, _ = canonical_modules(a)
-    per = [del_bounds(s, horizon, seed + i) for i, s in enumerate(simples)]
+    per = [del_bounds(s, horizon) for s in simples]
     lower = max(b.lower for b in per)
     uppers = [b.upper for b in per]
     upper = max(uppers) if all(u is not None for u in uppers) else None
@@ -232,25 +228,24 @@ def del_algebra(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON, seed: int =
     return agg, per
 
 
-def fd_lower_estimate(a: StructureAlgebra, cap: int = DEFAULT_PD_CAP,
-                      seed: int = 0) -> int:
+def fd_lower_estimate(a: StructureAlgebra, cap: int = DEFAULT_PD_CAP) -> int:
     """Max finite projective dimension found in the default pool; a sound
     lower bound for the finitistic dimension, never claimed to be fd itself."""
     best = 0
     for x in default_pool(a).modules:
-        r = projective_dimension(x, cap=cap, seed=seed)
+        r = projective_dimension(x, cap=cap)
         if r.kind == "finite" and r.value is not None:
             best = max(best, r.value)
     return best
 
 
-def fd_del_inequality_check(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON,
-                            seed: int = 0) -> dict:
+def fd_del_inequality_check(a: StructureAlgebra,
+                            horizon: int = DEFAULT_HORIZON) -> dict:
     """fd(A) <= del(A^op): compare the sound fd lower bound with the del
     upper bound of the opposite algebra."""
-    fd_low = fd_lower_estimate(a, seed=seed)
+    fd_low = fd_lower_estimate(a)
     aop = opposite(a)
-    agg, _ = del_algebra(aop, horizon=horizon, seed=seed)
+    agg, _ = del_algebra(aop, horizon=horizon)
     passed = agg.upper is not None and fd_low <= agg.upper
     return {
         "passed": bool(passed),

@@ -77,6 +77,21 @@ def test_pd_finite_and_infinite(runner):
     assert "= 0" in r.output
 
 
+@pytest.mark.parametrize("args", [["del", "bounds", DUAL],
+                                  ["pd", DUAL, "--module", "S1"]])
+def test_seed_is_a_usage_error_outside_paper_verify(runner, args):
+    # delooping bounds and projective dimensions draw no seed
+    r = runner.invoke(main, args + ["--seed", "3"])
+    assert r.exit_code == 2
+    assert "No such option '--seed'" in r.output
+
+
+def test_pd_prints_the_cycle_line(runner):
+    r = runner.invoke(main, ["pd", DUAL, "--module", "S1"])
+    assert r.exit_code == 0
+    assert r.output == "pd(S1) = infinite (syzygy cycle 0 ~ 1)\n"
+
+
 def test_paper_verify_single_entry_and_report(runner, tmp_path):
     out = tmp_path / "report.json"
     r = runner.invoke(main, ["paper", "verify", "--algebra", "dual_numbers",

@@ -45,7 +45,7 @@ def test_pd_projective_is_zero():
 def test_pd_simple_dual_numbers_infinite():
     a = dual_numbers()
     s = modules.canonical_modules(a)[1][0]
-    r = deloop.projective_dimension(s, seed=3)
+    r = deloop.projective_dimension(s)
     assert r.kind == "infinite"
     assert r.cycle == (0, 1)
     assert r.witness.is_iso() and r.witness.intertwines()
@@ -54,7 +54,7 @@ def test_pd_simple_dual_numbers_infinite():
 def test_pd_simple_cubic_infinite():
     a = truncated_cubic()
     s = modules.canonical_modules(a)[1][0]
-    r = deloop.projective_dimension(s, seed=3)
+    r = deloop.projective_dimension(s)
     assert r.kind == "infinite"
     assert r.cycle == (0, 2)
 
@@ -198,8 +198,8 @@ def test_covers_counts_a_class_split_across_two_haves():
     s = simples[0]
     twice, _ = modules.direct_sum([s, s])
     with_projective, _ = modules.direct_sum([s, reg])
-    need = deloop._nonprojective_classes(twice, a, seed=1)
-    haves = [deloop._nonprojective_classes(m, a, seed=2)
+    need = deloop._nonprojective_classes(twice, a)
+    haves = [deloop._nonprojective_classes(m, a)
              for m in (s, with_projective)]
     assert list(need.values()) == [2]
     assert haves[0] == haves[1] and sum(haves[0].values()) == 1
@@ -228,10 +228,10 @@ def test_class_multiset_is_computed_once_per_module(monkeypatch):
     reg, simples, _ = modules.canonical_modules(a)
     s = simples[0]
     x, _ = modules.direct_sum([s, modules.syzygy(s, 1), reg])
-    first = deloop._nonprojective_classes(x, a, seed=1)
+    first = deloop._nonprojective_classes(x, a)
     assert sum(first.values()) == 2
     monkeypatch.setattr(deloop, "decompose", _refuse)
-    assert deloop._nonprojective_classes(x, a, seed=7) == first
+    assert deloop._nonprojective_classes(x, a) == first
 
 
 def test_equal_rebased_modules_share_their_class_multiset(monkeypatch):
@@ -243,9 +243,9 @@ def test_equal_rebased_modules_share_their_class_multiset(monkeypatch):
     real = deloop.decompose
     monkeypatch.setattr(deloop, "decompose",
                         lambda x, **kwargs: calls.append(x) or real(x, **kwargs))
-    first = deloop._nonprojective_classes(twice, a, seed=1)
+    first = deloop._nonprojective_classes(twice, a)
     again = modules.RightModule(copy, twice.action)
-    assert deloop._nonprojective_classes(again, a, seed=2) is first
+    assert deloop._nonprojective_classes(again, a) is first
     assert len(calls) == 1 and calls[0] is not held and calls[0].algebra is a
     assert held._cache["nonprojective_classes"] is first
 
@@ -298,7 +298,7 @@ def test_class_multiset_over_an_equal_copy_is_not_shared(monkeypatch):
     a, copy = dual_numbers(), dual_numbers()
     s = modules.canonical_modules(a)[1][0]
     twice, _ = modules.direct_sum([s, s])
-    mine = deloop._nonprojective_classes(twice, a, seed=1)
+    mine = deloop._nonprojective_classes(twice, a)
     calls = []
     real = deloop.decompose
 
@@ -307,11 +307,11 @@ def test_class_multiset_over_an_equal_copy_is_not_shared(monkeypatch):
         return real(x, **kwargs)
 
     monkeypatch.setattr(deloop, "decompose", spy)
-    theirs = deloop._nonprojective_classes(twice, copy, seed=1)
+    theirs = deloop._nonprojective_classes(twice, copy)
     # rebased onto the copy and decomposed there, with the copy's class ids
     assert [x.algebra for x in calls] == [copy]
     assert list(theirs.values()) == [2] and copy._cache["iso_classes"]
-    assert deloop._nonprojective_classes(twice, a, seed=2) is mine
+    assert deloop._nonprojective_classes(twice, a) is mine
     assert len(calls) == 1
 
 
@@ -365,7 +365,7 @@ def test_syzygies_of_simples_are_torsionless(aid):
             assert deloop.torsionless_ladder_lower(s) == _ladder_reference(s)
 
 
-def _upper_search_reference(s, horizon=deloop.DEFAULT_HORIZON, seed=0):
+def _upper_search_reference(s, horizon=deloop.DEFAULT_HORIZON):
     """The eager search: every pool module's class multiset is computed
     before any is tested, and the embedding quotient is built afresh."""
     a = s.algebra
@@ -380,10 +380,9 @@ def _upper_search_reference(s, horizon=deloop.DEFAULT_HORIZON, seed=0):
                 return 0, q, "embedding-quotient"
         else:
             pool = deloop.default_pool(a, horizon)
-            need = deloop._nonprojective_classes(cur, a, seed=seed + d)
-            haves = [deloop._nonprojective_classes(modules.syzygy(m, d + 1), a,
-                                                   seed=seed + 101 * (idx + 1))
-                     for idx, m in enumerate(pool.modules)]
+            need = deloop._nonprojective_classes(cur, a)
+            haves = [deloop._nonprojective_classes(modules.syzygy(m, d + 1), a)
+                     for m in pool.modules]
             for idx, have in enumerate(haves):
                 if deloop._covers(need, have):
                     return d, pool.modules[idx], pool.tags[idx]
@@ -406,10 +405,10 @@ def _simples_and_lambda_simples(aid):
 def test_lazy_upper_search_matches_the_eager_reference(aid):
     """Each side runs on its own copy of the algebras, so neither reads
     class ids or syzygies the other computed."""
-    for i, (s, t) in enumerate(zip(_simples_and_lambda_simples(aid),
-                                   _simples_and_lambda_simples(aid))):
-        d, witness, tag = deloop.del_upper_search(s, seed=i)
-        want_d, want_witness, want_tag = _upper_search_reference(t, seed=i)
+    for s, t in zip(_simples_and_lambda_simples(aid),
+                    _simples_and_lambda_simples(aid)):
+        d, witness, tag = deloop.del_upper_search(s)
+        want_d, want_witness, want_tag = _upper_search_reference(t)
         assert (d, tag) == (want_d, want_tag)
         assert (witness is None) == (want_witness is None)
         if witness is not None:
@@ -431,6 +430,6 @@ def test_embedding_quotient_is_built_once_per_simple(aid, monkeypatch):
         simples = modules.canonical_modules(alg)[1]
         before = len(calls)
         deloop.default_pool(alg)
-        for i, s in enumerate(simples):
-            deloop.del_bounds(s, seed=i)
+        for s in simples:
+            deloop.del_bounds(s)
         assert len(calls) - before == sum(modules.is_torsionless(s) for s in simples)
