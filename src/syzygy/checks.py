@@ -218,7 +218,7 @@ def build_sample_triple(a: StructureAlgebra, x_ref: dict, y_ref: dict,
     fmat = linalg.zeros((tensor.dim, y.dim))
     for c, h in zip(f_coeffs, homs):
         fmat = (fmat + int(c) * h.matrix) % lam.p
-    t = make_triple(lam, x, y, fmat)
+    t = make_triple(lam, x, y, fmat, tensor)
     return triple_to_module(t, lam)
 
 

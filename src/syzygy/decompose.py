@@ -67,7 +67,7 @@ class EndRing:
             solver = linalg.LinearSolver(flat, p)
             stack = np.stack([f.matrix for f in basis]) % p
             # prods[i, j] = basis[j] @ basis[i], solved in one batch
-            prods = np.matmul(stack[None, :, :, :], stack[:, None, :, :]) % p
+            prods = linalg.matmul(stack[None, :, :, :], stack[:, None, :, :], p)
             d = module.dim
             self.mul = solver.solve(prods.reshape(h * h, d * d)).reshape(h, h, h)
             self.unit = solver.solve(linalg.identity(d).reshape(1, -1))[0]

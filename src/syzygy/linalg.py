@@ -5,20 +5,35 @@ are rows and linear maps act by right multiplication, so the kernel of a
 map m is {x : x @ m = 0}.  Pivot and free-variable choices are leftmost /
 zero so every output is bit-reproducible.
 
-Products are formed in int64 and reduced afterwards.  With p <= MAX_PRIME
-every pairwise product of reduced entries is below p^2 <= 2^40, so a sum of
-n such products stays exact while n < 2^23.
+`matmul` is the one product kernel.  A product of reduced operands with
+inner dimension n sums n terms below (p-1)^2; while that sum stays below
+2^53 every partial sum is an integer that float64 holds exactly, so the
+product runs on float64 BLAS (n <= 8192 at p = 1048573) and is converted
+back to int64 before the reduction.  Each BLAS call is kept at or below
+2^18 multiply-adds, a size at which OpenBLAS stays on the calling thread;
+larger products are cut into output tiles.  Tiny products, and inner
+dimensions beyond the float bound, stay in int64, which is exact while
+n < 2^23 with p <= MAX_PRIME.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import InconsistentSystem, ResourceGuard
 
-# A @-product of reduced matrices sums n terms below p^2 <= 2^40, which fits
-# int64 while the inner dimension n < 2^23.
 MAX_PRIME = 1 << 20
+# float64 holds every integer below 2^53 exactly
+FLOAT_EXACT = 1 << 53
+# multiply-adds per BLAS call: OpenBLAS runs a gemm of at most this size on
+# the calling thread.  On a 2-vCPU VM the threaded (28x784)@(784x784) took
+# 28 ms, as long as int64, and the same product in tiles 1.5 ms
+BLAS_CALL = 1 << 18
+# below this many multiply-adds the float conversion costs more than BLAS
+# saves
+BLAS_MIN = 1 << 14
 
 
 def is_prime(p: int) -> bool:
@@ -61,7 +76,30 @@ def identity(n: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
+    """(a @ b) % p as int64, for int64 operands reduced into [0, p), with
+    numpy's broadcasting of leading (batch) axes."""
+    if a.ndim < 2 or b.ndim < 2:
+        return (a @ b) % p
+    (m, n), k = a.shape[-2:], b.shape[-1]
+    # float pays only when converted entries are reused: not for a row or
+    # column vector, nor below BLAS_MIN multiply-adds (counted exactly
+    # unless both operands carry batch axes)
+    if (min(m, k) < 2 or max(a.size * k, b.size * m) < BLAS_MIN
+            or n * (p - 1) ** 2 >= FLOAT_EXACT):
+        return (a @ b) % p
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    af, bf = a.astype(np.float64), b.astype(np.float64)
+    out = np.empty(batch + (m, k))
+    # each gemm in the batch covers one tile of rows x n x cols <= BLAS_CALL
+    rows = min(m, max(1, math.isqrt(BLAS_CALL // n)))
+    cols = min(k, max(1, BLAS_CALL // (n * rows)))
+    for r in range(0, m, rows):
+        for c in range(0, k, cols):
+            np.matmul(af[..., r:r + rows, :], bf[..., c:c + cols],
+                      out=out[..., r:r + rows, c:c + cols])
+    res = out.astype(np.int64)
+    res %= p
+    return res
 
 
 def bilinear(x: np.ndarray, y: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
@@ -71,8 +109,8 @@ def bilinear(x: np.ndarray, y: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
     Reducing after each pairwise product keeps every sum exact; a one-shot
     three-factor einsum forms triple products near p^3 and wraps int64."""
     na, nb, k = c.shape
-    t = (np.atleast_2d(x) @ c.reshape(na, nb * k)) % p  # (I, B*K)
-    out = (np.atleast_2d(y) @ t.reshape(len(t), nb, k)) % p  # (I, J, K)
+    t = matmul(np.atleast_2d(x), c.reshape(na, nb * k), p)  # (I, B*K)
+    out = matmul(np.atleast_2d(y), t.reshape(len(t), nb, k), p)  # (I, J, K)
     return out.reshape(np.shape(x)[:-1] + np.shape(y)[:-1] + (k,))
 
 
@@ -220,16 +258,16 @@ class LinearSolver:
     single matrix product, followed by the exact residual check x @ m = b.
     A full elimination would change E only by left-kernel relations of
     m.T, which vanish on every consistent b, so results match solve_linear
-    exactly (free variables 0, InconsistentSystem on failure).  m is
-    referenced, not copied, and must not change while the solver is in use.
+    exactly (free variables 0, InconsistentSystem on failure).  The solver
+    keeps m reduced mod p, which the product kernel needs.
     """
 
     def __init__(self, m: np.ndarray, p: int):
         self.p = p
-        self.m = m
+        self.m = m % p
         n, c = m.shape
         self.n = n
-        aug = np.hstack([m.T % p, identity(c)])
+        aug = np.hstack([self.m.T, identity(c)])
         rref, self.rank, self.pivots = row_reduce(aug, p, n)
         self.elim = rref[: self.rank, n:]  # (rank, c)
 
@@ -238,10 +276,10 @@ class LinearSolver:
         b = np.atleast_2d(np.asarray(b, dtype=np.int64)) % p
         x = zeros((b.shape[0], self.n))
         if self.rank:
-            x[:, self.pivots] = ((self.elim @ b.T) % p).T
+            x[:, self.pivots] = matmul(self.elim, b.T, p).T
         # x solves the system whenever any solution exists, since the pivot
         # rows of m are independent; otherwise the residual is nonzero
-        if np.any((x @ self.m - b) % p):
+        if not np.array_equal(matmul(x, self.m, p), b):
             raise InconsistentSystem("x @ m = b has no solution")
         return x
 

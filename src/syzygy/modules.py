@@ -199,10 +199,16 @@ def quotient_module(x: RightModule, sub_rows):
     unstable = residue.reshape(a.dim, -1).any(axis=1)
     if unstable.any():  # name the lowest basis element that moves the subspace
         raise NotStable(f"subspace not stable under basis element {int(unstable.argmax())}")
-    # quotient coordinates are the free columns; the lift selects free rows
+    # quotient coordinates are the free columns; the lift selects free rows.
+    # proj is the identity on the free rows, so acting then projecting is a
+    # gather plus a rank-rk update through the pivot rows, formed in place
     free = linalg.free_columns(pivots, x.dim)
     proj = linalg.nullspace_from_rref(rref, pivots, x.dim, p).T
-    q = RightModule(a, np.matmul(x.action[:, free, :], proj) % p)
+    rows = free[:, None]
+    action = x.action[:, rows, pivots] @ proj[pivots]
+    action += x.action[:, rows, free]
+    action %= p
+    q = RightModule(a, action)
     return q, ModuleHom(x, q, proj)
 
 
@@ -382,8 +388,9 @@ def hom_space(x: RightModule, y: RightModule) -> list[ModuleHom]:
                       .reshape(h * dy, dk * dy))
     solutions = linalg.kernel_basis(np.hstack(blocks), p)
     u = solutions.reshape(-1, h, dy)[:, part_of]  # (s, c, dy)
-    phi_hat = np.einsum("sja,jab->sjb", u, cover_evals) % p
-    return [ModuleHom(x, y, phi) for phi in np.matmul(pres.lift, phi_hat) % p]
+    # phi_hat[s, j] = u[s, j] @ eval_j, batched over the cover basis j
+    phi_hat = linalg.matmul(u.transpose(1, 0, 2), cover_evals, p).transpose(1, 0, 2)
+    return [ModuleHom(x, y, phi) for phi in linalg.matmul(pres.lift, phi_hat, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +473,16 @@ class TriangleModule:
 
 
 def make_triple(lam: StructureAlgebra, x: RightModule, y: RightModule,
-                f_matrix) -> TriangleModule:
+                f_matrix, tensor: TensorModule | None = None) -> TriangleModule:
+    """The triple (x, y, f); tensor, if given, is x tensor_U M as
+    tensor_over_algebra built it, which is then not built again."""
     info = lam.triangle
     if info is None:
         raise ShapeMismatch("algebra has no triangular block structure")
     if not same_algebra(x.algebra, info.u) or not same_algebra(y.algebra, info.v):
         raise ShapeMismatch("triple components over the wrong corner algebras")
-    tensor = tensor_over_algebra(x, info.bimodule)
+    if tensor is None:
+        tensor = tensor_over_algebra(x, info.bimodule)
     f = ModuleHom(tensor, y, linalg.mat(f_matrix, lam.p).reshape(tensor.dim, y.dim))
     if not f.intertwines():
         raise ShapeMismatch("connecting map is not V-linear")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from syzygy import checks, corpus, deloop, modules
+from syzygy import checks, corpus, deloop, linalg, modules
 from syzygy.algebra import cached
 from syzygy.cli import main
 
@@ -90,6 +90,38 @@ def test_syzygy_decomposition(world):
     assert r.verdict == "PASS"
     assert r.evidence["samples"] >= 10
     assert r.evidence["s_max"] == 4
+
+
+def test_lemma5_samples_build_each_tensor_once(world, monkeypatch):
+    """build_sample_triple hands its tensor to make_triple, which then
+    builds none; the module equals the one from a rebuilt tensor."""
+    _, resolved = world
+    a = resolved["a2"]
+    refs = [r for r in checks._lemma5_samples(a, _desc("a2"), seed=6)
+            if r["x"]["kind"] == "pool"]
+    assert refs
+    built = []
+    real = modules.tensor_over_algebra
+
+    def counting(x, m):
+        built.append(x)
+        return real(x, m)
+
+    monkeypatch.setattr(checks, "tensor_over_algebra", counting)
+    monkeypatch.setattr(modules, "tensor_over_algebra", counting)
+    for ref in refs:
+        built.clear()
+        z = checks.build_sample_triple(a, ref["x"], ref["y"], ref["f_coeffs"], resolved)
+        assert len(built) == 1
+        lam = z.algebra
+        x = checks.resolve_module_ref(ref["x"], resolved)
+        y = checks.resolve_module_ref(ref["y"], resolved)
+        tensor = real(x, lam.triangle.bimodule)
+        fmat = linalg.zeros((tensor.dim, y.dim))
+        for c, h in zip(ref["f_coeffs"], modules.hom_space(tensor, y)):
+            fmat = (fmat + int(c) * h.matrix) % lam.p
+        want = modules.triple_to_module(modules.make_triple(lam, x, y, fmat), lam)
+        assert np.array_equal(z.action, want.action)
 
 
 def test_cover_restriction(world):

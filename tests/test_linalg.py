@@ -1,8 +1,13 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syzygy import algebra, linalg
+import syzygy
+from syzygy import algebra, decompose, linalg, modules
 from syzygy.errors import InconsistentSystem
 
 
@@ -352,3 +357,158 @@ def test_structure_algebra_multiply_is_exact_at_the_largest_prime():
     x, y = rng.integers(0, p, size=(2, n))
     want = _bilinear_reference(x[None], y[None], c, p)[0, 0]
     assert np.array_equal(a.multiply(x, y), want)
+
+
+# ---------------------------------------------------------------------------
+# the product kernel
+
+
+def _gemm_spy(monkeypatch):
+    """Record the (a, b) shapes of every np.matmul call; `@` bypasses it,
+    so only the float64 path of linalg.matmul shows up."""
+    calls = []
+    real = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        calls.append((a.shape, b.shape, a.dtype))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, on_float", [(8192, True), (8193, False)])
+def test_matmul_is_exact_at_the_float64_bound(monkeypatch, n, on_float):
+    """Every entry p - 1 at p = 1048573 gives the largest sums the kernel
+    can meet: n (p-1)^2 is below 2^53 up to n = 8192, which runs on
+    float64, and the next n falls back to int64."""
+    p = 1048573
+    assert (n * (p - 1) ** 2 < linalg.FLOAT_EXACT) == on_float
+    calls = _gemm_spy(monkeypatch)
+    a = np.full((3, n), p - 1, dtype=np.int64)
+    b = np.full((n, 2), p - 1, dtype=np.int64)
+    b[0, 1] = 5
+    got = linalg.matmul(a, b, p)
+    monkeypatch.undo()
+    assert bool(calls) == on_float
+    assert all(dtype == np.float64 for _, _, dtype in calls)
+    top = n * (p - 1) ** 2
+    want = np.array([[top % p, (top - (p - 1) ** 2 + 5 * (p - 1)) % p]] * 3)
+    assert np.array_equal(got, want)
+
+
+def test_matmul_keeps_each_blas_call_on_one_thread(monkeypatch):
+    """(28 x 784) @ (784 x 784), the End-ring solve at dim 28, is cut into
+    tiles of at most BLAS_CALL multiply-adds, the size at which OpenBLAS
+    stays on the calling thread."""
+    p = 1048573
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, p, size=(28, 784))
+    b = rng.integers(0, p, size=(784, 784))
+    calls = _gemm_spy(monkeypatch)
+    got = linalg.matmul(a, b, p)
+    monkeypatch.undo()
+    assert len(calls) > 1
+    assert all(x[0] * x[1] * y[1] <= linalg.BLAS_CALL for x, y, _ in calls)
+    assert np.array_equal(got, (a @ b) % p)
+
+
+@pytest.mark.parametrize("p", [32003, 1048573])
+def test_matmul_on_batched_4d_operands(monkeypatch, p):
+    """The End-ring table: prods[i, j] = s[j] @ s[i] by broadcasting
+    (1, h, d, d) against (h, 1, d, d); and a batch whose slices are large
+    enough to be tiled, with ragged edge tiles."""
+    rng = np.random.default_rng(p)
+    s = rng.integers(0, p, size=(12, 20, 20))
+    calls = _gemm_spy(monkeypatch)
+    prods = linalg.matmul(s[None], s[:, None], p)
+    a = rng.integers(0, p, size=(2, 1, 90, 70))
+    b = rng.integers(0, p, size=(1, 3, 70, 100))
+    tiled = linalg.matmul(a, b, p)
+    monkeypatch.undo()
+    assert calls and prods.dtype == tiled.dtype == np.int64
+    assert np.array_equal(prods, (s[None] @ s[:, None]) % p)
+    assert np.array_equal(prods[3, 7], (s[7] @ s[3]) % p)
+    assert tiled.shape == (2, 3, 90, 100)
+    assert np.array_equal(tiled, (a @ b) % p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 32003, 1048573]),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.integers(1, 90),
+    st.integers(0, 90),
+    st.integers(1, 90),
+    st.integers(0, 2**32 - 1),
+)
+def test_matmul_agrees_with_int64(p, batch, m, n, k, seed):
+    """Below, across and above BLAS_MIN and BLAS_CALL, with and without
+    batch axes on either side."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=tuple(batch) + (m, n))
+    b = rng.integers(0, p, size=(n, k))
+    if seed % 2:
+        a, b = (rng.integers(0, p, size=(m, n)),
+                rng.integers(0, p, size=tuple(batch) + (n, k)))
+    got = linalg.matmul(a, b, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, (a @ b) % p)
+
+
+def _load_ksgen():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "ksgen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_ksgen", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclass looks the module up
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def ref_solve(solver, b):
+    """LinearSolver.solve with its products in numpy int64, as before the
+    product kernel."""
+    p = solver.p
+    b = np.atleast_2d(np.asarray(b, dtype=np.int64)) % p
+    x = linalg.zeros((b.shape[0], solver.n))
+    if solver.rank:
+        x[:, solver.pivots] = ((solver.elim @ b.T) % p).T
+    if np.any((x @ solver.m - b) % p):
+        raise InconsistentSystem("x @ m = b has no solution")
+    return x
+
+
+def ref_end_ring_tables(x, basis):
+    """(mul, unit) of EndRing, with the int64 products of ref_solve."""
+    p, d, h = x.p, x.dim, len(basis)
+    flat = np.vstack([f.matrix.reshape(1, -1) for f in basis]) % p
+    solver = linalg.LinearSolver(flat, p)
+    stack = np.stack([f.matrix for f in basis]) % p
+    prods = np.matmul(stack[None], stack[:, None]) % p
+    mul = ref_solve(solver, prods.reshape(h * h, d * d)).reshape(h, h, h)
+    return mul, ref_solve(solver, linalg.identity(d).reshape(1, -1))[0]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_end_ring_matches_the_int64_reference_on_ksgen_instances(k):
+    """The regular T(A)-modules of the ks_large benchmark: instance 0 is at
+    p = 32003 and instance 1 at p = 1048573."""
+    ksgen = _load_ksgen()
+    inst = ksgen.generate(20)[k]
+    t = ksgen.build_algebras([inst], syzygy)[0]
+    assert t.p == ksgen.PRIMES[k]
+    x = modules.canonical_modules(t)[0]
+    basis = modules.hom_space(x, x)
+    e = decompose.EndRing(x, basis)
+    mul, unit = ref_end_ring_tables(x, basis)
+    assert np.array_equal(e.mul, mul)
+    assert np.array_equal(e.unit, unit)
+    # solves of consistent and inconsistent right-hand sides
+    solver = linalg.LinearSolver(e._flat, t.p)
+    rng = np.random.default_rng(k)
+    b = linalg.matmul(rng.integers(0, t.p, size=(40, len(basis))), e._flat, t.p)
+    assert np.array_equal(solver.solve(b), ref_solve(solver, b))
+    b[17, 0] = (b[17, 0] + 1) % t.p
+    for solve in (solver.solve, lambda b: ref_solve(solver, b)):
+        with pytest.raises(InconsistentSystem):
+            solve(b)
