@@ -247,14 +247,16 @@ def _path_ends(q: QuiverPresentation, path):
 
 def from_quiver(q: QuiverPresentation, p: int, max_path_length: int = 12,
                 name: str = "") -> StructureAlgebra:
-    """Bound path algebra kQ/I over F_p, computed degree by degree.
+    """Bound path algebra kQ/I over F_p.
 
-    Relations must be admissible (every component path has length >= 2 and
-    all paths in one relation are parallel).  Raises NotFiniteDimensional
-    when paths of length max_path_length do not vanish in the quotient.
+    Every path of length at most max_path_length is listed, and all of
+    them are reduced modulo I in one step by `quotient_data`; the basis of
+    kQ/I is the paths that are not pivots of I.  Relations must be
+    admissible (every component path has length >= 2 and all paths in one
+    relation are parallel).  Raises NotFiniteDimensional when paths of
+    length max_path_length do not vanish in the quotient.
     """
     linalg.check_prime(p)
-    amap = q.arrow_map()
     for name_, src, tgt in q.arrows:
         if src not in q.vertices or tgt not in q.vertices:
             raise NotAdmissible(f"arrow {name_!r} references unknown vertex")
@@ -294,11 +296,6 @@ def from_quiver(q: QuiverPresentation, p: int, max_path_length: int = 12,
     vertex_index = {pth[0]: i for i, pth in enumerate(paths) if len(pth[2]) == 0}
     npaths = len(paths)
 
-    def path_vector(arrs):
-        v = linalg.zeros(npaths)
-        v[index[arrs]] = 1
-        return v
-
     # ideal rows: u * r * v for parallel padding paths u, v
     ideal_rows = []
     for rel in q.relations:
@@ -323,63 +320,32 @@ def from_quiver(q: QuiverPresentation, p: int, max_path_length: int = 12,
                 if ok and row.any():
                     ideal_rows.append(row)
     ideal = np.array(ideal_rows, dtype=np.int64) if ideal_rows else linalg.zeros((0, npaths))
-    rref, rk, pivots = linalg.row_reduce(ideal, p)
-    rref = rref[:rk]
+    # proj[i] is path i reduced modulo I, in the coordinates of the basis
+    # paths, which are the columns lift selects
+    proj, lift = quotient_data(ideal, npaths, p)
 
     # finite-dimensionality: all paths of length exactly L vanish mod I
     # (vacuous when no path reaches length L)
     longest = [i for i, pth in enumerate(paths) if len(pth[2]) == L]
-    if longest:
-        probe = linalg.zeros((len(longest), npaths))
-        for r_i, i in enumerate(longest):
-            probe[r_i, i] = 1
-        if np.any(linalg.reduce_rows(probe, rref, pivots, p)):
-            raise NotFiniteDimensional(
-                f"paths of length {L} do not vanish; raise max_path_length or add relations"
-            )
+    if proj[longest].any():
+        raise NotFiniteDimensional(
+            f"paths of length {L} do not vanish; raise max_path_length or add relations"
+        )
 
-    basis_idx = [i for i in range(npaths) if i not in pivots]
-    coord = {i: k for k, i in enumerate(basis_idx)}
-    n = len(basis_idx)
-
-    def reduce_vec(v):
-        red = linalg.reduce_rows(v.reshape(1, -1), rref, pivots, p)[0]
-        out = linalg.zeros(n)
-        for i in basis_idx:
-            out[coord[i]] = red[i]
-        return out
-
+    basis = [paths[i] for i in lift.nonzero()[1]]
+    n = len(basis)
     mul = linalg.zeros((n, n, n))
-    for ai, i in enumerate(basis_idx):
-        src_i, tgt_i, arrs_i = paths[i]
-        for aj, j in enumerate(basis_idx):
-            src_j, tgt_j, arrs_j = paths[j]
-            if tgt_i != src_j:
-                continue
+    for ai, (src_i, tgt_i, arrs_i) in enumerate(basis):
+        for aj, (src_j, _, arrs_j) in enumerate(basis):
             full = arrs_i + arrs_j
-            if len(full) == 0:
-                v = linalg.zeros(npaths)
-                v[vertex_index[src_i]] = 1
-                mul[ai, aj] = reduce_vec(v)
-            elif len(full) >= L:
-                continue  # annihilated: arrow ideal^L vanishes
-            elif full in index:
-                mul[ai, aj] = reduce_vec(path_vector(full))
-    unit = linalg.zeros(n)
-    idems = []
-    for v in q.vertices:
-        i = vertex_index[v]
-        e = linalg.zeros(n)
-        e[coord[i]] = 1
-        idems.append(e)
-        unit[coord[i]] = 1
-    rad_rows = [coord[i] for i in basis_idx if len(paths[i][2]) >= 1]
-    radical = linalg.identity(n)[rad_rows, :] if rad_rows else linalg.zeros((0, n))
-    labels = []
-    for i in basis_idx:
-        src, tgt, arrs = paths[i]
-        labels.append(f"e_{src}" if not arrs else "*".join(arrs))
-    return StructureAlgebra(p, mul, unit, radical, idems, labels=labels, name=name)
+            if tgt_i != src_j or (full and len(full) >= L):
+                continue  # not composable, or in the arrow ideal^L, which vanishes
+            mul[ai, aj] = proj[index[full] if full else vertex_index[src_i]]
+    idems = proj[[vertex_index[v] for v in q.vertices]]
+    radical = linalg.identity(n)[[k for k, pth in enumerate(basis) if pth[2]]]
+    labels = ["*".join(arrs) if arrs else f"e_{src}" for src, _, arrs in basis]
+    return StructureAlgebra(p, mul, idems.sum(axis=0) % p, radical, idems,
+                            labels=labels, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +474,9 @@ def quotient_data(ideal_rows: np.ndarray, n: int, p: int):
 
 
 def quotient_algebra(a: StructureAlgebra, ideal_rows: np.ndarray,
-                     name: str = "") -> StructureAlgebra:
-    """Quotient by a two-sided ideal contained in the radical."""
+                     name: str = "") -> tuple:
+    """(A/I, proj) for a two-sided ideal I contained in the radical, with
+    proj the canonical surjection."""
     p = a.p
     n = a.dim
     proj, lift = quotient_data(ideal_rows, n, p)
@@ -519,15 +486,14 @@ def quotient_algebra(a: StructureAlgebra, ideal_rows: np.ndarray,
     rad = linalg.row_basis(linalg.matmul(a.radical, proj, p), p) if a.radical.size else linalg.zeros((0, q))
     idems = linalg.matmul(a.idempotents, proj, p)
     labels = [f"q{i}" for i in range(q)]
-    return StructureAlgebra(p, mul, unit, rad, idems, labels=labels, name=name)
+    return StructureAlgebra(p, mul, unit, rad, idems, labels=labels, name=name), proj
 
 
 @cached("semisimple_quotient")
 def semisimple_quotient(a: StructureAlgebra):
     """(Sigma, proj) with Sigma = A/rad(A) and proj the canonical surjection."""
-    rref, _ = a.radical_rref()
-    sigma = quotient_algebra(a, rref, name=f"ss({a.name})" if a.name else "ss")
-    return sigma, quotient_data(rref, a.dim, a.p)[0]
+    return quotient_algebra(a, a.radical_rref()[0],
+                            name=f"ss({a.name})" if a.name else "ss")
 
 
 def _sigma_bimodule(a: StructureAlgebra, b: StructureAlgebra,
@@ -589,17 +555,15 @@ def corner_algebra(a: StructureAlgebra, e) -> StructureAlgebra:
     compress = linalg.matmul(a.left_mult(e), a.right_mult(e), p)
     basis = linalg.row_basis(compress, p)
     k = basis.shape[0]
+    coords = linalg.LinearSolver(basis, p).solve  # coordinates in eAe
     lefts = np.einsum("ti,ijk->tjk", basis, a.mul) % p  # left_mult of each basis row
     prods = np.matmul(basis, lefts) % p  # (k, k, dim A)
-    mul = linalg.solve_linear(basis, prods.reshape(-1, a.dim), p).reshape(k, k, k)
-    unit = linalg.solve_linear(basis, e.reshape(1, -1), p)[0]
-    rad_rows = linalg.matmul(a.radical, compress, p)
-    rad = linalg.row_basis(rad_rows, p)
-    rad = linalg.solve_linear(basis, rad, p) if rad.size else linalg.zeros((0, k))
-    selected = []
-    for ei in a.idempotents:
-        if np.array_equal(a.multiply(ei, e), ei) and np.array_equal(a.multiply(e, ei), ei):
-            selected.append(linalg.solve_linear(basis, ei.reshape(1, -1), p)[0])
+    mul = coords(prods.reshape(-1, a.dim)).reshape(k, k, k)
+    unit = coords(e)[0]
+    rad = coords(linalg.row_basis(linalg.matmul(a.radical, compress, p), p))
+    selected = [coords(ei)[0] for ei in a.idempotents
+                if np.array_equal(a.multiply(ei, e), ei)
+                and np.array_equal(a.multiply(e, ei), ei)]
     return StructureAlgebra(p, mul, unit, rad, selected,
                             name=f"corner({a.name})" if a.name else "corner")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import time
 import zlib
 from dataclasses import asdict, dataclass
@@ -207,19 +208,27 @@ def sigma_triple_module(a: StructureAlgebra) -> RightModule:
     return RightModule(lam, action)
 
 
+def _sample_module(lam: StructureAlgebra, x: RightModule, y: RightModule,
+                   draw) -> tuple:
+    """(flat module, f_coeffs) of the triple (x, y, f) over the triangular
+    algebra lam, where f = sum of c_i h_i over the basis h of
+    Hom(x tensor_U M, y) and the coefficients are c = draw(len(h))."""
+    tensor = tensor_over_algebra(x, lam.triangle.bimodule)
+    homs = hom_space(tensor, y)
+    f_coeffs = draw(len(homs))
+    fmat = linalg.zeros((tensor.dim, y.dim))
+    for c, h in zip(f_coeffs, homs):
+        fmat = (fmat + int(c) * h.matrix) % lam.p
+    return triple_to_module(make_triple(lam, x, y, fmat, tensor), lam), f_coeffs
+
+
 def build_sample_triple(a: StructureAlgebra, x_ref: dict, y_ref: dict,
                         f_coeffs: list, resolved: dict) -> RightModule:
     """Rebuild a sampled Lambda-module (X, Y, f) from its descriptor."""
     lam = build_lambda(a)
     x = resolve_module_ref(x_ref, resolved)
     y = resolve_module_ref(y_ref, resolved)
-    tensor = tensor_over_algebra(x, lam.triangle.bimodule)
-    homs = hom_space(tensor, y)
-    fmat = linalg.zeros((tensor.dim, y.dim))
-    for c, h in zip(f_coeffs, homs):
-        fmat = (fmat + int(c) * h.matrix) % lam.p
-    t = make_triple(lam, x, y, fmat, tensor)
-    return triple_to_module(t, lam)
+    return _sample_module(lam, x, y, lambda n: f_coeffs)[0]
 
 
 def _lemma5_candidate(lam: StructureAlgebra, omx: RightModule,
@@ -550,51 +559,42 @@ def check_diamond(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
 
 
 def _lemma5_samples(a: StructureAlgebra, desc: dict, seed: int):
-    """Deterministic plus random (X, Y, f) triples over Lambda(a); each is
-    (flat module, descriptor)."""
+    """Deterministic plus random (X, Y, f) triples over Lambda(a), yielded
+    one at a time as (flat module, descriptor)."""
     lam = build_lambda(a)
+    b = lam.triangle.v
     ldesc = dict(desc, ops=desc["ops"] + ["lambda"])
     bdesc = dict(desc, ops=desc["ops"] + ["sigma", "trivext"])
-    samples = []
+
+    def sample(x, x_ref, y, y_ref, draw=lambda n: []):
+        flat, f_coeffs = _sample_module(lam, x, y, draw)
+        return flat, mref("lemma5_sample", ldesc, base=desc, x=x_ref, y=y_ref,
+                          f_coeffs=f_coeffs)
+
     _, simples, _ = canonical_modules(a)
-    for i in range(len(simples)):
-        ref = mref("lemma5_sample", ldesc, base=desc,
-                   x=mref("simple", desc, index=i),
-                   y=mref("zero", bdesc), f_coeffs=[])
-        samples.append(ref)
-    samples.append(mref("lemma5_sample", ldesc, base=desc,
-                        x=mref("zero", desc),
-                        y=mref("regular", bdesc), f_coeffs=[]))
+    for i, s in enumerate(simples):
+        yield sample(s, mref("simple", desc, index=i), zero_module(b),
+                     mref("zero", bdesc))
+    yield sample(zero_module(a), mref("zero", desc), canonical_modules(b)[0],
+                 mref("regular", bdesc))
     pool_a = deloop.default_pool(a)
-    pool_b = deloop.default_pool(lam.triangle.v)
+    pool_b = deloop.default_pool(b)
     rng = np.random.default_rng(derive_seed(seed, "lemma5-samples"))
-    guard = 0
-    while len(samples) < SAMPLE_SIZE and guard < 8 * SAMPLE_SIZE:
-        guard += 1
+    for _ in range(SAMPLE_SIZE - len(simples) - 1):
         xi = int(rng.integers(len(pool_a.modules)))
         yi = int(rng.integers(len(pool_b.modules)))
-        x = pool_a.modules[xi]
-        y = pool_b.modules[yi]
-        tensor = tensor_over_algebra(x, lam.triangle.bimodule)
-        homs = hom_space(tensor, y)
-        coeffs = [int(c) for c in rng.integers(0, a.p, size=len(homs))]
-        samples.append(mref("lemma5_sample", ldesc, base=desc,
-                            x=mref("pool", desc, index=xi),
-                            y=mref("pool", bdesc, index=yi),
-                            f_coeffs=coeffs))
-    return samples
+        # xi, yi, then f_coeffs once the homs are known; that order fixes each sample
+        yield sample(pool_a.modules[xi], mref("pool", desc, index=xi),
+                     pool_b.modules[yi], mref("pool", bdesc, index=yi),
+                     lambda n: [int(c) for c in rng.integers(0, a.p, size=n)])
 
 
 @check("lemma5_syzygy_decomposition")
-def check_syzygy_decomp(a: StructureAlgebra, desc: dict, seed: int,
-                        resolved: dict | None = None) -> CheckReport:
+def check_syzygy_decomp(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     """Omega^s of a triple splits as (Omega^s X, 0, 0) + (0, Z_s, 0) with
     Z_s semisimple, for sampled triples and s = 1..S_MAX."""
-    resolved = resolved if resolved is not None else {}
-    sample_refs = _lemma5_samples(a, desc, seed)
     certs = []
-    for k, ref in enumerate(sample_refs):
-        flat = resolve_module_ref(ref, resolved)
+    for k, (flat, ref) in enumerate(_lemma5_samples(a, desc, seed)):
         om, omx = flat, corner_restrict(flat, "u")
         for s in range(1, S_MAX + 1):
             om, omx = syzygy_step(om)[0], syzygy_step(omx)[0]
@@ -612,19 +612,15 @@ def check_syzygy_decomp(a: StructureAlgebra, desc: dict, seed: int,
                                "sample_ref": ref}
             certs.append({"kind": "lemma5_level", "sample": ref, "s": s,
                           "matrix": _ints(witness.matrix)})
-    return True, {"samples": len(sample_refs), "s_max": S_MAX,
-                  "levels_checked": len(sample_refs) * S_MAX,
+    return True, {"samples": k + 1, "s_max": S_MAX,
+                  "levels_checked": (k + 1) * S_MAX,
                   "certificates": certs}
 
 
 @check("lemma5_cover_restriction")
-def check_cover_restriction(a: StructureAlgebra, desc: dict, seed: int,
-                            resolved: dict | None = None) -> CheckReport:
-    resolved = resolved if resolved is not None else {}
-    sample_refs = _lemma5_samples(a, desc, seed)
+def check_cover_restriction(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     certs = []
-    for k, ref in enumerate(sample_refs):
-        flat = resolve_module_ref(ref, resolved)
+    for k, (flat, ref) in enumerate(_lemma5_samples(a, desc, seed)):
         cover, pi = projective_cover(flat)
         xu, x_rows, _, _ = corners(flat)
         pu, p_rows, _, _ = corners(cover)
@@ -636,7 +632,7 @@ def check_cover_restriction(a: StructureAlgebra, desc: dict, seed: int,
                            "sample_ref": ref}
         certs.append({"kind": "cover_restriction", "sample": ref,
                       "pi_u": _ints(pi_u)})
-    return True, {"samples": len(sample_refs), "certificates": certs}
+    return True, {"samples": k + 1, "certificates": certs}
 
 
 @check("lemma6_del_inequality")
@@ -696,8 +692,7 @@ def check_fd_del(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
 # corpus runner and reports
 
 
-def run_entry(entry: CorpusEntry, a: StructureAlgebra, config: Config,
-              resolved: dict | None = None) -> list:
+def run_entry(entry: CorpusEntry, a: StructureAlgebra, config: Config) -> list:
     desc = adesc(entry.id)
     reports = []
     base_seed = derive_seed(config.seed, entry.id)
@@ -714,16 +709,14 @@ def run_entry(entry: CorpusEntry, a: StructureAlgebra, config: Config,
                 {"reason": "algebra failed validation"}, base_seed, 0.0))
         return reports
     a.name = entry.id
-    if resolved is None:
-        resolved = {entry.id: a}
     return [
         check_lemma1(a, desc, derive_seed(base_seed, 1)),
         check_cover_corner(a, desc, derive_seed(base_seed, 2)),
         check_lemma2(a, desc, derive_seed(base_seed, 3)),
         check_lambda_op(a, desc, derive_seed(base_seed, 4)),
         check_diamond(a, desc, derive_seed(base_seed, 5)),
-        check_syzygy_decomp(a, desc, derive_seed(base_seed, 6), resolved=resolved),
-        check_cover_restriction(a, desc, derive_seed(base_seed, 7), resolved=resolved),
+        check_syzygy_decomp(a, desc, derive_seed(base_seed, 6)),
+        check_cover_restriction(a, desc, derive_seed(base_seed, 7)),
         check_del_inequality(a, desc, derive_seed(base_seed, 8)),
         check_fd_del(a, desc, derive_seed(base_seed, 9)),
     ]
@@ -739,7 +732,7 @@ def run_corpus(entries: list, config: Config, only_check: str | None = None,
     for entry in sorted(entries, key=lambda e: e.id):
         if only_algebra is not None and entry.id != only_algebra:
             continue
-        entry_reports = run_entry(entry, resolved[entry.id], config, resolved)
+        entry_reports = run_entry(entry, resolved[entry.id], config)
         if only_check is not None:
             entry_reports = [r for r in entry_reports if r.check_id == only_check]
         reports.extend(entry_reports)
@@ -812,9 +805,12 @@ def _resolve_cover_corner(cert, resolved):
 
 
 def _resolve_lemma5_level(cert, resolved):
+    s = operator.index(cert["s"])
+    if not 1 <= s <= S_MAX:  # bounds the syzygy steps a stored level asks for
+        raise CorpusError(f"level s = {s} is outside 1..{S_MAX}")
     flat = resolve_module_ref(cert["sample"], resolved)
-    om = syzygy(flat, cert["s"])
-    omx = syzygy(corner_restrict(flat, "u"), cert["s"])
+    om = syzygy(flat, s)
+    omx = syzygy(corner_restrict(flat, "u"), s)
     zs = corner_restrict(om, "v")
     candidate = _lemma5_candidate(flat.algebra, omx, zs)
     return (om, zs, candidate), {"matrix": (om.dim, candidate.dim)}
@@ -828,9 +824,12 @@ def _resolve_cover_restriction(cert, resolved):
 
 
 def _resolve_del_witness(cert, resolved):
+    d = operator.index(cert["d"])
+    if not 0 <= d <= deloop.DEFAULT_HORIZON:  # as s in lemma5_level
+        raise CorpusError(f"level d = {d} is outside 0..{deloop.DEFAULT_HORIZON}")
     x = resolve_module_ref(cert["module"], resolved)
     witness = resolve_module_ref(cert["witness"], resolved)
-    return (x, int(cert["d"]), witness), {}
+    return (x, d, witness), {}
 
 
 # certificate kind -> (resolve, verify).  resolve(cert, resolved) builds

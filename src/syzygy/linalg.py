@@ -315,24 +315,17 @@ def invert(m: np.ndarray, p: int) -> np.ndarray:
 def minimal_polynomial(m: np.ndarray, p: int) -> list[int]:
     """Monic least-degree polynomial annihilating the square matrix m.
 
-    Coefficients are returned lowest degree first.
+    Coefficients are returned lowest degree first.  With I, m, ..., m^d
+    flattened as columns, the first free column is the least degree k for
+    which m^k depends on the lower powers, and the first right-nullspace
+    row, which ends with 1 at column k, is the polynomial.
     """
     d = m.shape[0]
     if m.shape != (d, d):
         raise ValueError("minimal_polynomial expects a square matrix")
-    if d == 0:
-        return [1]
     m = m % p
-    power = identity(d)
-    stacked = power.reshape(1, d * d)
-    for k in range(1, d + 1):
-        power = (power @ m) % p
-        flat = power.reshape(1, d * d)
-        try:
-            coeffs = solve_linear(stacked, flat, p)[0]
-        except InconsistentSystem:
-            stacked = np.vstack([stacked, flat])
-            continue
-        poly = [(-int(c)) % p for c in coeffs[:k]] + [1]
-        return poly
-    raise AssertionError("no annihilating polynomial of degree <= dim")
+    powers = [identity(d)]
+    for _ in range(d):
+        powers.append(matmul(powers[-1], m, p))
+    poly = right_nullspace(np.stack(powers, axis=-1).reshape(d * d, d + 1), p)[0]
+    return [int(c) for c in poly[: np.flatnonzero(poly)[-1] + 1]]

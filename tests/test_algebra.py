@@ -1,7 +1,11 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from syzygy import algebra, linalg
+from syzygy import algebra, corpus, linalg
 from syzygy.algebra import QuiverPresentation
 from syzygy.errors import (
     BimoduleMismatch,
@@ -249,3 +253,127 @@ def test_derived_algebras_are_built_once():
         assert build(a) is build(a)
     # the two Sigma corners are one T(Sigma), so they share its caches
     assert algebra.build_lambda(a).triangle.v is algebra.build_cover(a).triangle.u
+
+
+def ref_from_quiver(q, p, max_path_length=12):
+    """(mul, unit, radical, idempotents, labels) of kQ/I as from_quiver
+    built them before it went through quotient_data: each product reduced
+    modulo I's echelon form one path vector at a time.  Admissibility is
+    not checked here."""
+    L = max_path_length
+    paths = [(v, v, ()) for v in q.vertices]
+    frontier = list(paths)
+    for _ in range(L):
+        nxt = [(src, t, arrs + (name,)) for src, tgt, arrs in frontier
+               for name, s, t in q.arrows if s == tgt]
+        paths.extend(nxt)
+        frontier = nxt
+        if not frontier:
+            break
+    paths.sort(key=lambda pth: (len(pth[2]), list(pth[2]), str(pth[0])))
+    index = {pth[2]: i for i, pth in enumerate(paths) if pth[2]}
+    vertex_index = {pth[0]: i for i, pth in enumerate(paths) if not pth[2]}
+    npaths = len(paths)
+    ideal_rows = []
+    for rel in q.relations:
+        rel_src = q.arrow_map()[rel[0][1][0]][0]
+        rel_tgt = q.arrow_map()[rel[0][1][-1]][1]
+        max_comp = max(len(path) for _, path in rel)
+        for _, utgt, uarrs in paths:
+            if utgt != rel_src:
+                continue
+            for vsrc, _, varrs in paths:
+                if vsrc != rel_tgt or len(uarrs) + max_comp + len(varrs) > L:
+                    continue
+                row = linalg.zeros(npaths)
+                ok = True
+                for coef, path in rel:
+                    full = uarrs + tuple(path) + varrs
+                    if full not in index:
+                        ok = False
+                        break
+                    row[index[full]] = (row[index[full]] + coef) % p
+                if ok and row.any():
+                    ideal_rows.append(row)
+    ideal = np.array(ideal_rows, dtype=np.int64) if ideal_rows else linalg.zeros((0, npaths))
+    rref, rk, pivots = linalg.row_reduce(ideal, p)
+    rref = rref[:rk]
+    basis_idx = [i for i in range(npaths) if i not in pivots]
+    coord = {i: k for k, i in enumerate(basis_idx)}
+    n = len(basis_idx)
+
+    def reduce_vec(i):
+        v = linalg.zeros(npaths)
+        v[i] = 1
+        red = linalg.reduce_rows(v.reshape(1, -1), rref, pivots, p)[0]
+        out = linalg.zeros(n)
+        for j in basis_idx:
+            out[coord[j]] = red[j]
+        return out
+
+    mul = linalg.zeros((n, n, n))
+    for ai, i in enumerate(basis_idx):
+        src_i, tgt_i, arrs_i = paths[i]
+        for aj, j in enumerate(basis_idx):
+            src_j, _, arrs_j = paths[j]
+            if tgt_i != src_j:
+                continue
+            full = arrs_i + arrs_j
+            if len(full) == 0:
+                mul[ai, aj] = reduce_vec(vertex_index[src_i])
+            elif len(full) < L and full in index:
+                mul[ai, aj] = reduce_vec(index[full])
+    unit = linalg.zeros(n)
+    idems = []
+    for v in q.vertices:
+        e = linalg.zeros(n)
+        e[coord[vertex_index[v]]] = 1
+        idems.append(e)
+        unit[coord[vertex_index[v]]] = 1
+    rad_rows = [coord[i] for i in basis_idx if paths[i][2]]
+    labels = [f"e_{paths[i][0]}" if not paths[i][2] else "*".join(paths[i][2])
+              for i in basis_idx]
+    return mul, unit, linalg.identity(n)[rad_rows], np.array(idems).reshape(-1, n), labels
+
+
+def _reference_quivers():
+    """(name, presentation) of every corpus quiver and of the ks_large
+    instances of generator seeds 20 and 7."""
+    out = []
+    for e in corpus.load_corpus():
+        if "quiver" in e.raw:
+            quiver = e.raw["quiver"]
+            arrows = [(x["name"], x["from"], x["to"]) for x in quiver.get("arrows", [])]
+            relations = [[(t["coef"], list(t["path"])) for t in rel]
+                         for rel in e.raw.get("relations", [])]
+            out.append((e.id, QuiverPresentation(list(quiver["vertices"]), arrows,
+                                                 relations)))
+    ksgen = _load_ksgen()
+    for seed in (20, 7):
+        for inst in ksgen.generate(seed):
+            out.append((f"ksgen{seed}-{inst.name}", QuiverPresentation(
+                inst.vertices, inst.arrows, inst.relations)))
+    return out
+
+
+def _load_ksgen():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "ksgen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_ksgen", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclass looks the module up
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("p", [P, 1048573])
+def test_from_quiver_matches_the_reference_reduction(p):
+    quivers = _reference_quivers()
+    assert len(quivers) > 26
+    for name, q in quivers:
+        a = algebra.from_quiver(q, p, name=name)
+        mul, unit, radical, idems, labels = ref_from_quiver(q, p)
+        assert np.array_equal(a.mul, mul), name
+        assert np.array_equal(a.unit, unit), name
+        assert np.array_equal(a.radical, radical), name
+        assert np.array_equal(a.idempotents, idems), name
+        assert a.labels == labels, name

@@ -85,8 +85,7 @@ def test_diamond_negative_control(world):
 
 def test_syzygy_decomposition(world):
     entries, resolved = world
-    r = checks.check_syzygy_decomp(resolved["a2"], _desc("a2"), seed=6,
-                                   resolved=resolved)
+    r = checks.check_syzygy_decomp(resolved["a2"], _desc("a2"), seed=6)
     assert r.verdict == "PASS"
     assert r.evidence["samples"] >= 10
     assert r.evidence["s_max"] == 4
@@ -97,7 +96,7 @@ def test_lemma5_samples_build_each_tensor_once(world, monkeypatch):
     builds none; the module equals the one from a rebuilt tensor."""
     _, resolved = world
     a = resolved["a2"]
-    refs = [r for r in checks._lemma5_samples(a, _desc("a2"), seed=6)
+    refs = [r for _, r in checks._lemma5_samples(a, _desc("a2"), seed=6)
             if r["x"]["kind"] == "pool"]
     assert refs
     built = []
@@ -124,10 +123,31 @@ def test_lemma5_samples_build_each_tensor_once(world, monkeypatch):
         assert np.array_equal(z.action, want.action)
 
 
+@pytest.mark.parametrize("run", [checks.check_syzygy_decomp,
+                                 checks.check_cover_restriction],
+                         ids=["syzygy_decomp", "cover_restriction"])
+def test_lemma5_checks_build_each_sample_once(world, monkeypatch, run):
+    """The check tests the module the sample builder yields: one tensor per
+    sample, none rebuilt from the sample's descriptor."""
+    _, resolved = world
+    built = []
+    real = modules.tensor_over_algebra
+
+    def counting(x, m):
+        built.append(x)
+        return real(x, m)
+
+    monkeypatch.setattr(checks, "tensor_over_algebra", counting)
+    monkeypatch.setattr(modules, "tensor_over_algebra", counting)
+    r = run(resolved["a2"], _desc("a2"), seed=6)
+    assert r.verdict == "PASS"
+    assert len(built) == r.evidence["samples"] == checks.SAMPLE_SIZE
+
+
 def test_cover_restriction(world):
     _, resolved = world
     r = checks.check_cover_restriction(resolved["nakayama3"], _desc("nakayama3"),
-                                       seed=7, resolved=resolved)
+                                       seed=7)
     assert r.verdict == "PASS"
     assert r.evidence["samples"] >= 10
 
@@ -210,8 +230,7 @@ def lemma5_a2_doc(world):
     """The lemma5 decomposition certificates of a2, as a report reads
     back from JSON (so no two certificates share a descriptor object)."""
     entries, resolved = world
-    r = checks.check_syzygy_decomp(resolved["a2"], _desc("a2"), seed=6,
-                                   resolved=resolved)
+    r = checks.check_syzygy_decomp(resolved["a2"], _desc("a2"), seed=6)
     assert r.verdict == "PASS"
     doc = checks.report_document([r], checks.Config(), [e.id for e in entries], [])
     return json.loads(checks.serialize_report(doc))
@@ -283,8 +302,7 @@ def corner_restriction_doc(world):
             continue
         a, desc = resolved[e.id], _desc(e.id)
         reports.append(checks.check_cover_corner(a, desc, seed=2))
-        reports.append(checks.check_cover_restriction(a, desc, seed=7,
-                                                      resolved=resolved))
+        reports.append(checks.check_cover_restriction(a, desc, seed=7))
     assert all(r.verdict == "PASS" for r in reports)
     doc = checks.report_document(reports, checks.Config(),
                                  [e.id for e in entries], [])
@@ -359,6 +377,30 @@ def del_witness_doc(world):
     return doc
 
 
+@pytest.mark.parametrize("kind, key, level", [
+    ("lemma5_level", "s", 0),
+    ("lemma5_level", "s", checks.S_MAX + 1),
+    ("lemma5_level", "s", 10**9),
+    ("del_witness", "d", -1),
+    ("del_witness", "d", deloop.DEFAULT_HORIZON + 1),
+    ("del_witness", "d", 10**9),
+])
+def test_reverify_fails_a_syzygy_level_out_of_range(world, lemma5_a2_doc, del_witness_doc,
+                                                    monkeypatch, kind, key, level):
+    """A stored level sets how many syzygies reverify computes; one outside
+    what the checks emit fails as malformed before any module is built."""
+    _, resolved = world
+    doc = lemma5_a2_doc if kind == "lemma5_level" else del_witness_doc
+    cert = copy.deepcopy(doc["checks"][0]["evidence"]["certificates"][0])
+    assert cert["kind"] == kind and checks._verify_certificate(cert, resolved)[0]
+    cert[key] = level
+    built = []
+    monkeypatch.setattr(checks, "resolve_module_ref",
+                        lambda ref, res: built.append(ref))
+    ok, why = checks._verify_certificate(cert, resolved)
+    assert not ok and why.startswith("malformed descriptor") and not built
+
+
 def _bump_action(index):
     def mutate(cert):
         cert["witness"]["action"][index][0][0] += 1
@@ -430,8 +472,7 @@ def test_warm_caches_give_the_cold_evidence(aid):
     runs = []
     for _ in range(2):
         lemma6 = checks.check_del_inequality(a, desc, seed=5)
-        lemma5 = checks.check_syzygy_decomp(a, desc, seed=6,
-                                            resolved={aid: a})
+        lemma5 = checks.check_syzygy_decomp(a, desc, seed=6)
         runs.append([(r.verdict, r.evidence) for r in (lemma6, lemma5)])
     assert runs[0] == runs[1]
     assert runs[0][0][0] == runs[0][1][0] == "PASS"

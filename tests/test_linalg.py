@@ -126,6 +126,46 @@ def test_minimal_polynomial_annihilates(n, data):
     assert not acc.any()
 
 
+def ref_minimal_polynomial(m, p):
+    """minimal_polynomial as a loop over the degree: the first power of m
+    that solves against the lower ones gives the polynomial."""
+    d = m.shape[0]
+    if d == 0:
+        return [1]
+    m = m % p
+    power = linalg.identity(d)
+    stacked = power.reshape(1, d * d)
+    for k in range(1, d + 1):
+        power = (power @ m) % p
+        flat = power.reshape(1, d * d)
+        try:
+            coeffs = linalg.solve_linear(stacked, flat, p)[0]
+        except InconsistentSystem:
+            stacked = np.vstack([stacked, flat])
+            continue
+        return [(-int(c)) % p for c in coeffs[:k]] + [1]
+    raise AssertionError("no annihilating polynomial of degree <= dim")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 6), st.sampled_from([2, 3, 32003, 1048573]), st.data())
+def test_minimal_polynomial_matches_the_degree_loop(d, p, data):
+    """m = u @ v + c*I with u @ v of rank at most r, so every degree up to
+    d occurs; the result equals the loop reference and annihilates m."""
+    r = data.draw(st.integers(0, d))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u, v = rng.integers(0, p, size=(d, r)), rng.integers(0, p, size=(r, d))
+    m = (u @ v + data.draw(st.integers(0, p - 1)) * linalg.identity(d)) % p
+    coeffs = linalg.minimal_polynomial(m, p)
+    assert coeffs == ref_minimal_polynomial(m, p)
+    assert all(type(c) is int for c in coeffs) and coeffs[-1] == 1
+    acc, power = linalg.zeros((d, d)), linalg.identity(d)
+    for c in coeffs:
+        acc = (acc + c * power) % p
+        power = linalg.matmul(power, m, p)
+    assert not acc.any()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4),

@@ -388,7 +388,7 @@ def test_lemma5_candidates_and_sigma_triple_match_the_triple_reference(worlds, a
     assert sig.algebra is lam and want.algebra is lam and _same(sig.action, want.action)
     seed = checks.derive_seed(checks.derive_seed(checks.derive_seed(20, aid), 6))
     shapes = set()
-    for ref in checks._lemma5_samples(a, checks.adesc(aid), seed):
+    for _, ref in checks._lemma5_samples(a, checks.adesc(aid), seed):
         om = checks.resolve_module_ref(ref, resolved)
         omx = modules.corner_restrict(om, "u")
         for _ in range(checks.S_MAX):
@@ -399,6 +399,22 @@ def test_lemma5_candidates_and_sigma_triple_match_the_triple_reference(worlds, a
             assert got.algebra is lam and _same(got.action, want.action)
             shapes.add((omx.dim > 0, zs.dim > 0))
     assert shapes - {(False, False)}  # some level has a nonzero candidate
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("aid", VALID)
+def test_lemma5_samples_are_the_modules_their_descriptors_rebuild(worlds, aid, p):
+    """The module a lemma5 check tests is, bit for bit, the module that
+    reverify rebuilds from the stored descriptor, for every sample of the
+    seed-20 run at both primes."""
+    resolved = worlds[p]
+    a = resolved[aid]
+    seed = checks.derive_seed(checks.derive_seed(20, aid), 6)
+    samples = list(checks._lemma5_samples(a, checks.adesc(aid), seed))
+    assert len(samples) == checks.SAMPLE_SIZE
+    for flat, ref in samples:
+        rebuilt = checks.resolve_module_ref(ref, resolved)
+        assert flat.algebra is rebuilt.algebra and _same(flat.action, rebuilt.action)
 
 
 @pytest.mark.parametrize("p", PRIMES)
