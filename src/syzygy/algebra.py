@@ -510,16 +510,14 @@ def _sigma_bimodule(a: StructureAlgebra, b: StructureAlgebra,
     proj_b = linalg.zeros((b.dim, s))
     proj_b[:s] = linalg.identity(s)
 
-    def actions(alg, proj, left):
-        out = linalg.zeros((alg.dim, s, s))
-        for i in range(alg.dim):
-            image = linalg.matmul(linalg.identity(alg.dim)[i:i + 1], proj, p)[0]
-            out[i] = sigma.left_mult(image) if left else sigma.right_mult(image)
-        return out
+    def actions(proj, left):
+        # row r of proj is the image of basis element r; left_mult or
+        # right_mult of every image at once
+        return np.einsum("ri,ijk->rjk" if left else "rj,ijk->rik", proj, sigma.mul) % p
 
     if left_is_b:
-        return Bimodule(b, a, s, actions(b, proj_b, True), actions(a, proj_a, False))
-    return Bimodule(a, b, s, actions(a, proj_a, True), actions(b, proj_b, False))
+        return Bimodule(b, a, s, actions(proj_b, True), actions(proj_a, False))
+    return Bimodule(a, b, s, actions(proj_a, True), actions(proj_b, False))
 
 
 @cached("lambda")

@@ -294,9 +294,7 @@ def _verify_algebra_iso(lhs: StructureAlgebra, rhs: StructureAlgebra,
 def _verify_cover_corner(a: StructureAlgebra, e, incl: ModuleHom,
                          phi) -> tuple:
     """With incl : e*cover -> cover, the corner e*cover*e is A, and phi is
-    an algebra isomorphism A -> End(e*cover): unit, products and rank."""
-    p = a.p
-    phi = linalg.mat(phi, p)
+    an algebra isomorphism A -> End(e*cover), checked as for algebra_iso."""
     corner = algebra_mod.corner_algebra(incl.target.algebra, e)
     if not (corner.dim == a.dim and np.array_equal(corner.mul, a.mul)
             and np.array_equal(corner.unit, a.unit)):
@@ -304,11 +302,7 @@ def _verify_cover_corner(a: StructureAlgebra, e, incl: ModuleHom,
     ering = end_ring(incl.source)
     if ering.dim != a.dim:
         return False, f"dim End(e*cover) = {ering.dim} != dim A = {a.dim}"
-    lhs = np.einsum("ijk,kt->ijt", a.mul, phi) % p
-    rhs = linalg.bilinear(phi, phi, ering.mul, p)
-    ok = np.array_equal((a.unit @ phi) % p, ering.unit) \
-        and np.array_equal(lhs, rhs) and linalg.rank(phi, p) == a.dim
-    return _verdict(ok, "phi is not an algebra isomorphism A -> End(e*cover)")
+    return _verify_algebra_iso(a, ering, phi)
 
 
 def _verify_lemma5_level(om: RightModule, zs: RightModule,

@@ -150,8 +150,9 @@ def _covers(need: Counter, have: Counter) -> bool:
 
 @cached("embedding_quotient")
 def embedding_quotient(s: RightModule) -> RightModule | None:
-    """Cokernel of s's embedding into a power of A_A, None if there is none;
-    only the cokernel is cached on s, not the (large) embedding."""
+    """Cokernel of s's embedding into a power of A_A, None if there is none.
+    The cokernel and the embedding matrix are cached on s; the (large) free
+    target is not, and torsionless_test builds it on each call."""
     ok, emb = torsionless_test(s)
     return quotient_module(emb.target, emb.matrix)[0] if ok and emb.target.dim else None
 

@@ -259,7 +259,8 @@ class LinearSolver:
     A full elimination would change E only by left-kernel relations of
     m.T, which vanish on every consistent b, so results match solve_linear
     exactly (free variables 0, InconsistentSystem on failure).  The solver
-    keeps m reduced mod p, which the product kernel needs.
+    keeps m reduced mod p, which the product kernel needs, and the nonzero
+    RREF rows of m.T, which give the kernel of m.
     """
 
     def __init__(self, m: np.ndarray, p: int):
@@ -269,6 +270,7 @@ class LinearSolver:
         self.n = n
         aug = np.hstack([self.m.T, identity(c)])
         rref, self.rank, self.pivots = row_reduce(aug, p, n)
+        self.rref = rref[: self.rank, :n]  # (rank, n)
         self.elim = rref[: self.rank, n:]  # (rank, c)
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -309,15 +309,14 @@ def presentation(x: RightModule) -> Presentation:
         pi_rows.append(np.einsum("ta,jab->tjb", gens, evals).reshape(-1, x.dim) % p)
     cover, _ = direct_sum([projectives[i].module for i, _ in parts], a)
     pi_matrix = np.vstack(pi_rows)
-    # one elimination of [pi^T | I] gives the kernel, a lift and surjectivity:
-    # pi is onto iff all dim x pivots lie in the pi^T block
-    c = cover.dim
-    rref, _, pivots = linalg.row_reduce(np.hstack([pi_matrix.T, linalg.identity(x.dim)]), p)
-    if pivots[-1] >= c:
+    # one factorisation of pi gives surjectivity, the kernel and a lift; with
+    # pi onto, the elimination rows are the lift's pivot columns
+    solver = linalg.LinearSolver(pi_matrix, p)
+    if solver.rank < x.dim:
         raise AssertionError("projective cover map is not surjective")
-    kernel = linalg.nullspace_from_rref(rref, pivots, c, p)
-    lift = linalg.zeros((x.dim, c))
-    lift[:, pivots] = rref[:, c:].T
+    kernel = linalg.nullspace_from_rref(solver.rref, solver.pivots, cover.dim, p)
+    lift = linalg.zeros((x.dim, cover.dim))
+    lift[:, solver.pivots] = solver.elim.T
     return Presentation(parts, cover, ModuleHom(cover, x, pi_matrix), kernel, lift)
 
 
@@ -428,31 +427,29 @@ def tensor_over_algebra(x: RightModule, m: Bimodule) -> TensorModule:
     return TensorModule(v, action, proj, lift)
 
 
-@cached("torsionless")
-def is_torsionless(x: RightModule) -> bool:
-    """Whether x embeds in a free module, cached on the module as a bool.
+@cached("embedding")
+def _free_embedding(x: RightModule) -> np.ndarray | None:
+    """The hom basis of x -> A_A, stacked side by side, if it embeds x, and
+    None if x is not torsionless.  Cached on the module as a matrix only: a
+    cached ModuleHom would keep its large free target alive."""
+    homs = hom_space(x, canonical_modules(x.algebra)[0])
+    phi = np.hstack([f.matrix for f in homs]) if homs else linalg.zeros((x.dim, 0))
+    return phi if linalg.rank(phi, x.p) == x.dim else None
 
-    A_A is the direct sum of the e_i A over the stored idempotents, so the
-    maps x -> A separate the points of x iff the maps x -> e_i A do, and
-    each hom system is set up over e_i A instead of over all of A.
-    """
-    _, _, projectives = canonical_modules(x.algebra)
-    maps = [f.matrix for info in projectives for f in hom_space(x, info.module)]
-    return x.dim == 0 or (bool(maps) and linalg.rank(np.hstack(maps), x.p) == x.dim)
+
+def is_torsionless(x: RightModule) -> bool:
+    """Whether x embeds in a free module."""
+    return _free_embedding(x) is not None
 
 
 def torsionless_test(x: RightModule):
     """(torsionless, embedding into a power of the regular module)."""
+    phi = _free_embedding(x)
+    if phi is None:
+        return False, None
     a = x.algebra
     regular = canonical_modules(a)[0]
-    if x.dim == 0:
-        target, _ = direct_sum([], a)
-        return True, ModuleHom(x, target, linalg.zeros((0, 0)))
-    if not is_torsionless(x):
-        return False, None
-    homs = hom_space(x, regular)
-    phi = np.hstack([f.matrix for f in homs])
-    target, _ = direct_sum([regular] * len(homs))
+    target, _ = direct_sum([regular] * (phi.shape[1] // a.dim), a)
     return True, ModuleHom(x, target, phi)
 
 
@@ -473,16 +470,14 @@ class TriangleModule:
 
 
 def make_triple(lam: StructureAlgebra, x: RightModule, y: RightModule,
-                f_matrix, tensor: TensorModule | None = None) -> TriangleModule:
-    """The triple (x, y, f); tensor, if given, is x tensor_U M as
-    tensor_over_algebra built it, which is then not built again."""
+                f_matrix, tensor: TensorModule) -> TriangleModule:
+    """The triple (x, y, f); tensor is x tensor_U M as tensor_over_algebra
+    built it."""
     info = lam.triangle
     if info is None:
         raise ShapeMismatch("algebra has no triangular block structure")
     if not same_algebra(x.algebra, info.u) or not same_algebra(y.algebra, info.v):
         raise ShapeMismatch("triple components over the wrong corner algebras")
-    if tensor is None:
-        tensor = tensor_over_algebra(x, info.bimodule)
     f = ModuleHom(tensor, y, linalg.mat(f_matrix, lam.p).reshape(tensor.dim, y.dim))
     if not f.intertwines():
         raise ShapeMismatch("connecting map is not V-linear")

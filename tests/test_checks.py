@@ -92,8 +92,8 @@ def test_syzygy_decomposition(world):
 
 
 def test_lemma5_samples_build_each_tensor_once(world, monkeypatch):
-    """build_sample_triple hands its tensor to make_triple, which then
-    builds none; the module equals the one from a rebuilt tensor."""
+    """build_sample_triple builds one tensor, which make_triple takes; the
+    module equals the one from a rebuilt tensor."""
     _, resolved = world
     a = resolved["a2"]
     refs = [r for _, r in checks._lemma5_samples(a, _desc("a2"), seed=6)
@@ -119,7 +119,7 @@ def test_lemma5_samples_build_each_tensor_once(world, monkeypatch):
         fmat = linalg.zeros((tensor.dim, y.dim))
         for c, h in zip(ref["f_coeffs"], modules.hom_space(tensor, y)):
             fmat = (fmat + int(c) * h.matrix) % lam.p
-        want = modules.triple_to_module(modules.make_triple(lam, x, y, fmat), lam)
+        want = modules.triple_to_module(modules.make_triple(lam, x, y, fmat, tensor), lam)
         assert np.array_equal(z.action, want.action)
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from syzygy import algebra, corpus, deloop, linalg, modules
+from syzygy import algebra, checks, corpus, decompose, deloop, linalg, modules
 from syzygy.algebra import QuiverPresentation
 
 P = 32003
@@ -116,6 +116,32 @@ def test_is_torsionless_agrees_with_torsionless_test(aid):
         assert modules.is_torsionless(x) == ok == _torsionless_via_regular(x)
         if ok:
             assert emb.intertwines() and linalg.rank(emb.matrix, x.p) == x.dim
+
+
+@pytest.mark.parametrize("aid", CORPUS_IDS)
+def test_each_simple_solves_one_hom_system_into_the_regular_module(aid, monkeypatch):
+    """The torsionless verdict, the lower end of del_bounds and the
+    embedding quotient all read one embedding: one hom_space(s, A_A) per
+    simple, for A and for its Lambda, and none into an e_i A."""
+    a = _corpus_algebra(aid)
+    targets = []
+    real = modules.hom_space
+
+    def counting(x, y):
+        targets.append((x._cache, y))
+        return real(x, y)
+
+    for mod in (modules, decompose, checks):
+        monkeypatch.setattr(mod, "hom_space", counting)
+    for alg in (a, algebra.build_lambda(a)):
+        regular, simples, projectives = modules.canonical_modules(alg)
+        for s in simples:
+            deloop.del_bounds(s)
+            modules.torsionless_test(s)
+            deloop.embedding_quotient(s)
+            into = [y for x, y in targets if x is s._cache]
+            assert sum(y is regular for y in into) == 1
+            assert not any(y is info.module for y in into for info in projectives)
 
 
 def test_upper_search_projective_shortcut():

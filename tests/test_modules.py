@@ -279,7 +279,8 @@ def test_make_triple_zero_connecting_map():
     lam = algebra.build_lambda(a)
     x = modules.canonical_modules(a)[0]
     y = modules.zero_module(lam.triangle.v)
-    t = modules.make_triple(lam, x, y, linalg.zeros((0, 0)))
+    tensor = modules.tensor_over_algebra(x, lam.triangle.bimodule)
+    t = modules.make_triple(lam, x, y, linalg.zeros((0, 0)), tensor)
     z = modules.triple_to_module(t, lam)
     assert z.dim == x.dim
     assert not modules.validate_module(z)
@@ -290,8 +291,9 @@ def test_make_triple_rejects_wrong_corner():
     lam = algebra.build_lambda(a)
     y = modules.zero_module(lam.triangle.v)
     wrong = modules.canonical_modules(dual_numbers())[0]
+    tensor = modules.tensor_over_algebra(modules.zero_module(a), lam.triangle.bimodule)
     with pytest.raises(ShapeMismatch):
-        modules.make_triple(lam, wrong, y, linalg.zeros((0, 0)))
+        modules.make_triple(lam, wrong, y, linalg.zeros((0, 0)), tensor)
 
 
 def test_corner_restrict():
