@@ -4,7 +4,8 @@ An algebra is stored by structure constants together with a certified
 radical basis and a complete family of primitive orthogonal idempotents.
 Constructors (quiver presentation, opposite, trivial extension,
 triangular matrix algebra, corner) carry these certificates structurally
-and `validate_algebra` re-checks all axioms.
+and `validate_algebra` re-checks all axioms.  An End ring
+(`decompose.EndRing`), its quotients and its corners store neither.
 
 Convention: elements are coordinate rows; left multiplication by x is
 `y @ left_mult(x)` and right multiplication is `y @ right_mult(x)`.
@@ -56,6 +57,8 @@ class StructureAlgebra:
     """Finite-dimensional algebra by structure constants over F_p.
 
     mul[i, j, k] is the coefficient of basis element k in b_i * b_j.
+    The radical and idempotent rows may be empty, as for an End ring
+    (`decompose.EndRing`), and the dimension may be 0.
     """
 
     def __init__(self, p, mul, unit, radical, idempotents, labels=None,
@@ -67,8 +70,9 @@ class StructureAlgebra:
         if self.mul.shape != (n, n, n):
             raise ValueError("structure constants must be an n x n x n tensor")
         self.unit = linalg.mat(unit, p).reshape(n)
-        self.radical = linalg.mat(radical, p).reshape(-1, n)
-        self.idempotents = linalg.mat(idempotents, p).reshape(-1, n)
+        # reshape(-1, 0) raises, so dimension 0 gets its empty rows directly
+        self.radical = linalg.mat(radical, p).reshape(-1, n) if n else linalg.zeros((0, 0))
+        self.idempotents = linalg.mat(idempotents, p).reshape(-1, n) if n else linalg.zeros((0, 0))
         self.labels = list(labels) if labels is not None else [f"b{i}" for i in range(n)]
         self.triangle = triangle
         self.name = name
@@ -475,8 +479,9 @@ def quotient_data(ideal_rows: np.ndarray, n: int, p: int):
 
 def quotient_algebra(a: StructureAlgebra, ideal_rows: np.ndarray,
                      name: str = "") -> tuple:
-    """(A/I, proj) for a two-sided ideal I contained in the radical, with
-    proj the canonical surjection."""
+    """(A/I, proj, lift) for a two-sided ideal I contained in the radical,
+    with proj, lift as from `quotient_data`; A/I stores the images of the
+    stored radical and idempotents (none for an End ring)."""
     p = a.p
     n = a.dim
     proj, lift = quotient_data(ideal_rows, n, p)
@@ -486,14 +491,15 @@ def quotient_algebra(a: StructureAlgebra, ideal_rows: np.ndarray,
     rad = linalg.row_basis(linalg.matmul(a.radical, proj, p), p) if a.radical.size else linalg.zeros((0, q))
     idems = linalg.matmul(a.idempotents, proj, p)
     labels = [f"q{i}" for i in range(q)]
-    return StructureAlgebra(p, mul, unit, rad, idems, labels=labels, name=name), proj
+    return StructureAlgebra(p, mul, unit, rad, idems, labels=labels, name=name), proj, lift
 
 
 @cached("semisimple_quotient")
 def semisimple_quotient(a: StructureAlgebra):
     """(Sigma, proj) with Sigma = A/rad(A) and proj the canonical surjection."""
-    return quotient_algebra(a, a.radical_rref()[0],
-                            name=f"ss({a.name})" if a.name else "ss")
+    sigma, proj, _ = quotient_algebra(a, a.radical_rref()[0],
+                                      name=f"ss({a.name})" if a.name else "ss")
+    return sigma, proj
 
 
 def _sigma_bimodule(a: StructureAlgebra, b: StructureAlgebra,
@@ -543,22 +549,30 @@ def build_cover(a: StructureAlgebra) -> StructureAlgebra:
     return triangular(b, a, m, name=f"Cover({a.name})" if a.name else "Cover")
 
 
-def corner_algebra(a: StructureAlgebra, e) -> StructureAlgebra:
-    """The corner eAe for an idempotent e that is a partial sum of the
-    stored primitive idempotents."""
+def corner_basis(a: StructureAlgebra, e) -> np.ndarray:
+    """RREF rows spanning the corner eAe of an idempotent e."""
     p = a.p
     e = linalg.mat(e, p).reshape(a.dim)
-    if not a.is_idempotent(e):
+    lm = a.left_mult(e)
+    if not np.array_equal(linalg.matmul(e, lm, p), e):  # e * e = e
         raise NotIdempotent("corner element is not idempotent")
-    compress = linalg.matmul(a.left_mult(e), a.right_mult(e), p)
-    basis = linalg.row_basis(compress, p)
+    return linalg.row_basis(linalg.matmul(lm, a.right_mult(e), p), p)
+
+
+def corner_algebra(a: StructureAlgebra, e) -> StructureAlgebra:
+    """The corner eAe on the rows of `corner_basis`, storing e rad(A) e and
+    the stored idempotents in eAe: all of them when e is a partial sum of
+    the primitive ones, none for an End ring or its quotient."""
+    p = a.p
+    basis = corner_basis(a, e)
     k = basis.shape[0]
     coords = linalg.LinearSolver(basis, p).solve  # coordinates in eAe
     lefts = np.einsum("ti,ijk->tjk", basis, a.mul) % p  # left_mult of each basis row
     prods = np.matmul(basis, lefts) % p  # (k, k, dim A)
     mul = coords(prods.reshape(-1, a.dim)).reshape(k, k, k)
     unit = coords(e)[0]
-    rad = coords(linalg.row_basis(linalg.matmul(a.radical, compress, p), p))
+    rad = linalg.matmul(linalg.matmul(a.radical, a.left_mult(e), p), a.right_mult(e), p)
+    rad = coords(linalg.row_basis(rad, p))
     selected = [coords(ei)[0] for ei in a.idempotents
                 if np.array_equal(a.multiply(ei, e), ei)
                 and np.array_equal(a.multiply(e, ei), ei)]

@@ -856,6 +856,10 @@ def _stored_matrix(cert: dict, key: str, rows, cols):
     return m
 
 
+def _kind(cert):
+    return cert.get("kind") if isinstance(cert, dict) else None
+
+
 def _verify_certificate(cert: dict, resolved: dict) -> tuple:
     """(ok, reason) for one stored certificate: resolve its descriptors,
     look its kind up in _VERIFIERS, and run that verifier on the stored
@@ -863,8 +867,8 @@ def _verify_certificate(cert: dict, resolved: dict) -> tuple:
     wrong shape, or stored data the verifier's own computations reject
     (such as an explicit action that is not a module) fails the
     certificate instead of raising."""
-    kind = cert.get("kind")
-    if kind not in _VERIFIERS:
+    kind = _kind(cert)
+    if not isinstance(kind, str) or kind not in _VERIFIERS:
         return False, f"unknown certificate kind {kind!r}"
     resolve, verify = _VERIFIERS[kind]
     try:
@@ -897,7 +901,7 @@ def reverify_report(doc: dict, entries: list) -> tuple:
                 "check_id": check["check_id"],
                 "algebra_id": check["algebra_id"],
                 "certificate": i,
-                "kind": cert.get("kind"),
+                "kind": _kind(cert),
                 "ok": good,
                 "detail": why,
             })

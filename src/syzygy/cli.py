@@ -247,6 +247,9 @@ def report_cmd(file, fmt, reverify, corpus_dir):
     except json.JSONDecodeError as exc:
         raise CorpusError(
             f"{file}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not (isinstance(doc, dict) and {"version", "config"} <= doc.keys()
+            and isinstance(doc.get("checks"), list)):
+        raise CorpusError(f"{file}: not a syzygy report")
     if fmt == "json":
         click.echo(checks.serialize_report(doc), nl=False)
     else:

@@ -63,27 +63,35 @@ def _check_shape(raw: dict, source: str):
         raise CorpusError(
             f"{source}: exactly one of 'quiver' or 'construction' is required"
         )
+    field = raw.get("field")
+    if field is not None and not (isinstance(field, dict)
+                                  and isinstance(field.get("p"), int)):
+        raise CorpusError(f"{source}: field must be an object with an integer 'p'")
     if has_quiver:
         q = raw["quiver"]
+        if not isinstance(q, dict):
+            raise CorpusError(f"{source}: quiver must be an object")
         if not isinstance(q.get("vertices"), list) or not q["vertices"]:
             raise CorpusError(f"{source}: quiver.vertices must be a non-empty list")
+        for key, value in (("quiver.arrows", q.get("arrows", [])),
+                           ("relations", raw.get("relations", []))):
+            if not isinstance(value, list):
+                raise CorpusError(f"{source}: {key} must be a list")
         for i, arr in enumerate(q.get("arrows", [])):
-            for key in ("name", "from", "to"):
-                if key not in arr:
-                    raise CorpusError(
-                        f"{source}: quiver.arrows[{i}] missing key {key!r}"
-                    )
+            if not isinstance(arr, dict) or not {"name", "from", "to"} <= arr.keys():
+                raise CorpusError(f"{source}: quiver.arrows[{i}] must be an "
+                                  "object with 'name', 'from' and 'to'")
         for i, rel in enumerate(raw.get("relations", [])):
             if not isinstance(rel, list) or not rel:
                 raise CorpusError(f"{source}: relations[{i}] must be a non-empty list")
             for j, term in enumerate(rel):
-                if "coef" not in term or "path" not in term:
-                    raise CorpusError(
-                        f"{source}: relations[{i}][{j}] needs 'coef' and 'path'"
-                    )
+                if not isinstance(term, dict) or not isinstance(term.get("coef"), int) \
+                        or not isinstance(term.get("path"), list):
+                    raise CorpusError(f"{source}: relations[{i}][{j}] needs an "
+                                      "integer 'coef' and a 'path' list")
     else:
         c = raw["construction"]
-        op = c.get("op")
+        op = c.get("op") if isinstance(c, dict) else None
         if op not in CONSTRUCTION_OPS:
             raise CorpusError(
                 f"{source}: construction.op must be one of {CONSTRUCTION_OPS}, got {op!r}"

@@ -4,6 +4,10 @@ Everything random is Las Vegas: outputs carry exact certificates
 (idempotency, orthogonality, invertible witnesses) that are re-checked
 deterministically, and every isomorphism verdict is exact.
 
+An End ring is a `StructureAlgebra` that stores no radical and no
+idempotents, of dimension 0 for the zero module.  Idempotents split as
+E -> E/rad E -> corners e(E/rad E)e, each corner an algebra of its own.
+
 Two modules are compared first by their invariants (total dimension,
 dimension vector) and then by the basis of Hom(x, y), with no random draw.
 If x is indecomposable, End x is local (Fitting's lemma), so when x and y
@@ -27,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, poly
-from .algebra import cached, quotient_data, same_algebra
+from .algebra import (StructureAlgebra, cached, corner_algebra, corner_basis,
+                      quotient_algebra, same_algebra)
 from .errors import (
     AlgebraMismatch,
     CharTooSmall,
@@ -46,56 +51,38 @@ SPLIT_TRIALS = 256
 TRIALS = 5  # sampling rounds of a randomized iso test
 
 
-class EndRing:
-    """End(x) on a hom basis; the product (f*g) acts as f followed by g
-    read right-to-left, i.e. (f*g).matrix = g.matrix @ f.matrix, so that
-    End of a corner projective is isomorphic (not anti-isomorphic) to the
-    corner algebra."""
+class EndRing(StructureAlgebra):
+    """End(x) as an algebra on a hom basis; the product (f*g) acts as f
+    followed by g read right-to-left, i.e. (f*g).matrix = g.matrix @
+    f.matrix, so that End of a corner projective is isomorphic (not
+    anti-isomorphic) to the corner algebra.
+
+    It stores no radical and no idempotents (empty arrays): the trace-form
+    `endring_radical` needs p > dim End, and `primitive_idempotents` draws
+    from a seed.  End of the zero module has dimension 0."""
 
     def __init__(self, module: RightModule, basis: list[ModuleHom]):
         self.module = module
         self.basis = basis
-        self.p = module.p
-        h = len(basis)
-        p = self.p
+        p, d, h = module.p, module.dim, len(basis)
         if h:
-            flat = np.vstack([f.matrix.reshape(1, -1) for f in basis]) % p
-        else:
-            flat = linalg.zeros((0, max(module.dim * module.dim, 1)))
-        self._flat = flat
-        if h:
-            solver = linalg.LinearSolver(flat, p)
+            self._flat = np.vstack([f.matrix.reshape(1, -1) for f in basis]) % p
+            solver = linalg.LinearSolver(self._flat, p)
             stack = np.stack([f.matrix for f in basis]) % p
             # prods[i, j] = basis[j] @ basis[i], solved in one batch
             prods = linalg.matmul(stack[None, :, :, :], stack[:, None, :, :], p)
-            d = module.dim
-            self.mul = solver.solve(prods.reshape(h * h, d * d)).reshape(h, h, h)
-            self.unit = solver.solve(linalg.identity(d).reshape(1, -1))[0]
+            mul = solver.solve(prods.reshape(h * h, d * d)).reshape(h, h, h)
+            unit = solver.solve(linalg.identity(d).reshape(1, -1))[0]
         else:
-            self.mul = linalg.zeros((h, h, h))
-            self.unit = linalg.zeros(0)
-        self._cache: dict = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+            self._flat = linalg.zeros((0, d * d))
+            mul, unit = linalg.zeros((0, 0, 0)), linalg.zeros(0)
+        empty = linalg.zeros((0, h))
+        super().__init__(p, mul, unit, empty, empty)
 
     def to_matrix(self, coords) -> np.ndarray:
         coords = linalg.mat(coords, self.p).reshape(self.dim)
         d = self.module.dim
-        if self.dim == 0:
-            return linalg.zeros((d, d))
         return (coords @ self._flat).reshape(d, d) % self.p
-
-    def left_mult(self, x) -> np.ndarray:
-        """Matrix of y -> x*y on coordinate rows (y @ L(x))."""
-        x = linalg.mat(x, self.p).reshape(self.dim)
-        return np.einsum("i,ijk->jk", x, self.mul) % self.p
-
-    def multiply(self, x, y) -> np.ndarray:
-        x = linalg.mat(x, self.p).reshape(self.dim)
-        y = linalg.mat(y, self.p).reshape(self.dim)
-        return linalg.bilinear(x, y, self.mul, self.p)
 
 
 @cached("end_ring")
@@ -110,9 +97,8 @@ def endring_radical(e: EndRing) -> np.ndarray:
     h = e.dim
     if p <= h:
         raise CharTooSmall(f"trace-form radical needs p > dim End = {h}, got p = {p}")
-    lmats = np.stack([e.left_mult(linalg.identity(h)[i]) for i in range(h)]) \
-        if h else linalg.zeros((0, 0, 0))
-    gram = np.einsum("iab,jba->ij", lmats, lmats) % p if h else linalg.zeros((0, 0))
+    # e.mul[i] is the matrix of left multiplication by basis element i
+    gram = np.einsum("iab,jba->ij", e.mul, e.mul) % p
     rad = linalg.kernel_basis(gram, p)
     # sanity: the span must be nilpotent
     power = rad
@@ -128,12 +114,9 @@ def endring_radical(e: EndRing) -> np.ndarray:
 
 @cached("quotient")
 def _quotient_ring(e: EndRing):
-    """(mul_bar, unit_bar, proj, lift) of E/rad(E)."""
-    p = e.p
-    rad = endring_radical(e)
-    proj, lift = quotient_data(rad, e.dim, p)
-    mul_bar = linalg.bilinear(lift, lift, e.mul, p) @ proj % p
-    return mul_bar, e.unit @ proj % p, proj, lift
+    """(E/rad(E), lift) with lift a section of the surjection."""
+    q, _, lift = quotient_algebra(e, endring_radical(e))
+    return q, lift
 
 
 def _newton(e: EndRing, z: np.ndarray) -> np.ndarray:
@@ -157,70 +140,61 @@ class PrimitivityCertificate:
     minpoly: list
 
 
-def _corner_basis(mul_bar, ebar, p):
-    m = mul_bar.shape[0]
-    lm = np.einsum("i,ijk->jk", ebar, mul_bar) % p
-    rm = np.einsum("j,ijk->ik", ebar, mul_bar) % p
-    return linalg.row_basis(linalg.matmul(lm, rm, p), p)
-
-
-def _corner_left_mult(mul_bar, corner, v, p):
-    """Left multiplication by v restricted to the corner, in corner coords."""
-    lv = np.einsum("i,ijk->jk", v, mul_bar) % p
-    moved = linalg.matmul(corner, lv, p)
-    return linalg.solve_linear(corner, moved, p)
-
-
-def _poly_eval(mul_bar, ebar, v, coeffs, p):
-    """Evaluate a polynomial at v inside the corner (ebar is the unit)."""
-    out = linalg.zeros(mul_bar.shape[0])
-    power = ebar.copy()
+def _poly_eval(alg: StructureAlgebra, v: np.ndarray, coeffs) -> np.ndarray:
+    """Evaluate a polynomial at v inside alg."""
+    out = linalg.zeros(alg.dim)
+    power = alg.unit.copy()
     for c in coeffs:
-        out = (out + int(c) * power) % p
-        power = linalg.bilinear(power, v, mul_bar, p)
+        out = (out + int(c) * power) % alg.p
+        power = alg.multiply(power, v)
     return out
 
 
-def _split_corner(mul_bar, ebar, p, rng):
-    """Either certify the corner primitive or return two complementary
-    idempotents of the semisimple quotient."""
-    corner = _corner_basis(mul_bar, ebar, p)
-    k = corner.shape[0]
+def _split_corner(q: StructureAlgebra, ebar: np.ndarray, rng):
+    """Either certify the corner ebar q ebar primitive or return two
+    complementary idempotents of the semisimple quotient q, from the
+    factored minimal polynomial of a basis vector or random element."""
+    p = q.p
+    basis = corner_basis(q, ebar)
+    k = basis.shape[0]
     if k == 1:
         return None, PrimitivityCertificate(1, ebar.copy(), [0, 1])
-    prods = linalg.bilinear(corner, corner, mul_bar, p)
-    commutative = np.array_equal(prods, prods.transpose(1, 0, 2))
+    c = corner_algebra(q, ebar)
+    commutative = np.array_equal(c.mul, c.mul.transpose(1, 0, 2))
 
     def candidates():
-        for row in corner:
-            yield row
+        yield from linalg.identity(k)
         for _ in range(SPLIT_TRIALS):
-            coeffs = rng.integers(0, p, size=k)
-            yield (coeffs @ corner) % p
+            yield rng.integers(0, p, size=k)
 
     for v in candidates():
-        mv = _corner_left_mult(mul_bar, corner, v, p)
-        f = linalg.minimal_polynomial(mv, p)
+        f = linalg.minimal_polynomial(c.left_mult(v), p)
         factors = poly.factor(f, p)
         if len(factors) >= 2:
-            g1 = [1]
-            for _ in range(factors[0][1]):
-                g1 = poly.mul(g1, factors[0][0], p)
-            g2 = [1]
-            for gg, mult in factors[1:]:
-                for _ in range(mult):
-                    g2 = poly.mul(g2, gg, p)
+            # f = g1 g2 with g1 the power of the first irreducible factor
+            g1 = poly.pow_mod(*factors[0], f, p)
+            g2 = poly.divmod_poly(f, g1, p)[0]
             _, w = poly.coprime_split(g1, g2, p)
-            e1 = _poly_eval(mul_bar, ebar, v, poly.mod(poly.mul(w, g2, p), f, p), p)
-            sq = linalg.bilinear(e1, e1, mul_bar, p)
-            if not np.array_equal(sq, e1):
+            e1 = _poly_eval(c, v, poly.mod(poly.mul(w, g2, p), f, p))
+            if not c.is_idempotent(e1):
                 raise AssertionError("Bezout element failed to be idempotent")
-            if not e1.any() or np.array_equal(e1, ebar):
+            if not e1.any() or np.array_equal(e1, c.unit):
                 continue
+            e1 = linalg.matmul(e1, basis, p)
             return (e1, (ebar - e1) % p), None
         if commutative and poly.degree(f) == k:
-            return None, PrimitivityCertificate(k, v.copy(), f)
+            return None, PrimitivityCertificate(k, linalg.matmul(v, basis, p), f)
     raise RandomnessExhausted(SPLIT_TRIALS)
+
+
+def _check_family(a: StructureAlgebra, family: list, what: str):
+    """Exact check that family is orthogonal idempotents summing to 1."""
+    rows = np.array(family)
+    want = linalg.identity(len(rows))[:, :, None] * rows[:, None, :]  # a_i a_j = delta_ij a_i
+    if not np.array_equal(linalg.bilinear(rows, rows, a.mul, a.p), want):
+        raise AssertionError(f"{what} idempotent family is not orthogonal")
+    if not np.array_equal(rows.sum(axis=0) % a.p, a.unit):
+        raise AssertionError(f"{what} idempotents do not sum to one")
 
 
 def primitive_idempotents(e: EndRing, seed: int):
@@ -229,51 +203,30 @@ def primitive_idempotents(e: EndRing, seed: int):
     p = e.p
     if e.dim == 0:
         return [], []
-    mul_bar, unit_bar, proj, lift = _quotient_ring(e)
+    q, lift = _quotient_ring(e)
     rng = np.random.default_rng(seed)
-    stack = [unit_bar]
-    bar_prims = []
-    certs = []
+    stack, bar_prims, certs = [q.unit], [], []
     while stack:
         ebar = stack.pop()
-        split, cert = _split_corner(mul_bar, ebar, p, rng)
+        split, cert = _split_corner(q, ebar, rng)
         if cert is not None:
             bar_prims.append(ebar)
             certs.append(cert)
         else:
-            e1, e2 = split
-            stack.append(e2)
-            stack.append(e1)
-    # exact family checks in the quotient
-    prims = np.array(bar_prims)
-    want = linalg.identity(len(prims))[:, :, None] * prims[:, None, :]  # a_i a_j = delta_ij a_i
-    if not np.array_equal(linalg.bilinear(prims, prims, mul_bar, p), want):
-        raise AssertionError("quotient idempotent family not orthogonal")
-    if not np.array_equal(prims.sum(axis=0) % p, unit_bar):
-        raise AssertionError("quotient idempotents do not sum to one")
-    # sequential lift: work inside (1-s)E(1-s) so orthogonality is exact
+            stack.extend(reversed(split))  # split the first idempotent next
+    _check_family(q, bar_prims, "quotient")
+    # sequential lift: work inside (1-s)E(1-s) so orthogonality is exact;
+    # the last idempotent is the complement, checked with the family
     idems = []
     s = linalg.zeros(e.dim)
-    for t, ebar in enumerate(bar_prims):
-        if t == len(bar_prims) - 1:
-            z = (e.unit - s) % p
-            if not np.array_equal(e.multiply(z, z), z):
-                raise AssertionError("final complement is not idempotent")
-        else:
-            z0 = ebar @ lift % p
-            one_minus = (e.unit - s) % p
-            z = e.multiply(e.multiply(one_minus, z0), one_minus)
-            z = _newton(e, z)
+    for ebar in bar_prims[:-1]:
+        one_minus = (e.unit - s) % p
+        z = e.multiply(e.multiply(one_minus, linalg.matmul(ebar, lift, p)), one_minus)
+        z = _newton(e, z)
         idems.append(z)
         s = (s + z) % p
-    for i, a in enumerate(idems):
-        for j, b in enumerate(idems):
-            prod = e.multiply(a, b)
-            want = a if i == j else linalg.zeros(e.dim)
-            if not np.array_equal(prod, want):
-                raise AssertionError("lifted family is not orthogonal")
-    if not np.array_equal(s, e.unit):
-        raise AssertionError("lifted idempotents do not sum to the identity")
+    idems.append((e.unit - s) % p)
+    _check_family(e, idems, "lifted")
     return idems, certs
 
 

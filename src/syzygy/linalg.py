@@ -19,6 +19,7 @@ n < 2^23 with p <= MAX_PRIME.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -36,6 +37,7 @@ BLAS_CALL = 1 << 18
 BLAS_MIN = 1 << 14
 
 
+@cache
 def is_prime(p: int) -> bool:
     if p < 2:
         return False

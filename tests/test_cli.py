@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -44,6 +45,35 @@ def test_parse_error_exit_2_with_position(runner, tmp_path):
     r = runner.invoke(main, ["algebra", "validate", str(f)])
     assert r.exit_code == 2
     assert "line 2" in r.output and "column" in r.output
+
+
+def _malformed(edit):
+    doc = json.loads(Path(A2).read_text())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _malformed(lambda d: d["quiver"].update(arrows=5)),
+    _malformed(lambda d: d["quiver"].update(arrows=[5])),
+    _malformed(lambda d: d.update(field=7)),
+    _malformed(lambda d: d.update(field={"p": "7"})),
+    _malformed(lambda d: d.update(quiver=["1"])),
+    _malformed(lambda d: d.update(relations=5)),
+    _malformed(lambda d: d.update(relations=[[{"coef": 1, "path": "ab"}]])),
+    _malformed(lambda d: d.update(relations=[[5]])),
+    _malformed(lambda d: d.update(relations=[[{"coef": "1", "path": ["a", "a"]}]])),
+    {"id": "c", "construction": 5},
+], ids=["arrows-int", "arrow-int", "field-int", "field-p-str", "quiver-list",
+        "relations-int", "path-str", "term-int", "coef-str", "construction-int"])
+def test_malformed_algebra_file_exit_2(runner, tmp_path, doc):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["algebra", "validate", str(f)])
+    assert r.exit_code == 2
+    assert f"error: {f}: " in r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
 
 
 def test_del_bounds_named_simple(runner):
@@ -136,6 +166,32 @@ def test_reverify_malformed_payload_exit_1(runner, tmp_path):
     r = runner.invoke(main, ["report", str(out), "--reverify"])
     assert r.exit_code == 1
     assert "(embedding): malformed payload" in r.output
+
+
+@pytest.mark.parametrize("doc", [{}, [], {"version": "0.1.0", "config": {}}])
+def test_report_of_a_document_that_is_not_a_report_exit_2(runner, tmp_path, doc):
+    f = tmp_path / "x.json"
+    f.write_text(json.dumps(doc))
+    for args in ([], ["--reverify"]):
+        r = runner.invoke(main, ["report", str(f)] + args)
+        assert r.exit_code == 2
+        assert r.output == f"error: {f}: not a syzygy report\n"
+
+
+def test_reverify_certificate_that_is_not_an_object_exit_1(runner, tmp_path):
+    out = tmp_path / "report.json"
+    r = runner.invoke(main, ["paper", "verify", "--algebra", "a2",
+                             "--check", "lemma2_cover_del_zero",
+                             "--seed", "3", "--report", str(out)])
+    assert r.exit_code == 0
+    doc = json.loads(out.read_text())
+    doc["checks"][0]["evidence"]["certificates"][0] = 5
+    out.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["report", str(out), "--reverify"])
+    assert r.exit_code == 1
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "FAILED a2 lemma2_cover_del_zero #0 (None): " \
+        "unknown certificate kind None" in r.output
 
 
 def test_report_missing_file_exit_2(runner, tmp_path):

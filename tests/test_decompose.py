@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import syzygy
-from syzygy import algebra, corpus, decompose, deloop, linalg, modules
+from syzygy import algebra, corpus, decompose, deloop, linalg, modules, poly
 from syzygy.algebra import QuiverPresentation
 from syzygy.errors import CharTooSmall
 
@@ -41,6 +41,29 @@ def test_end_of_simple_is_one_dimensional():
     a = kA2()
     for s in modules.canonical_modules(a)[1]:
         assert decompose.end_ring(s).dim == 1
+
+
+def test_end_of_the_zero_module_is_a_zero_dimensional_algebra():
+    zero, _ = modules.direct_sum([], kA2())
+    e = decompose.end_ring(zero)
+    assert isinstance(e, algebra.StructureAlgebra) and e.dim == 0
+    assert e.radical.shape == e.idempotents.shape == (0, 0)
+    assert e.to_matrix([]).shape == (0, 0)
+    assert decompose.endring_radical(e).shape == (0, 0)
+    assert decompose.primitive_idempotents(e, 0) == ([], [])
+    assert decompose.reassemble_check(decompose.decompose(zero))
+
+
+def test_end_ring_is_an_algebra_storing_no_radical_or_idempotents():
+    x = modules.canonical_modules(kA2())[0]
+    e = decompose.end_ring(x)
+    assert isinstance(e, algebra.StructureAlgebra)
+    assert e.radical.shape == e.idempotents.shape == (0, e.dim)
+    q, lift = decompose._quotient_ring(e)
+    _, proj, _ = algebra.quotient_algebra(e, decompose.endring_radical(e))
+    assert q.dim == e.dim - decompose.endring_radical(e).shape[0]
+    assert q.radical.shape == q.idempotents.shape == (0, q.dim)
+    assert np.array_equal(linalg.matmul(lift, proj, e.p), linalg.identity(q.dim))
 
 
 def test_end_of_double_simple_is_matrix_ring():
@@ -462,3 +485,134 @@ def test_summand_multiplicity_cases():
 
     mult, _ = decompose.summand_multiplicity(reg, reg, seed=6)
     assert mult >= 1
+
+
+# ---------------------------------------------------------------------------
+# reference: the idempotent split on bare structure-constant tensors
+
+
+def ref_endring_radical(e):
+    p, h = e.p, e.dim
+    lmats = np.stack([e.left_mult(linalg.identity(h)[i]) for i in range(h)])
+    return linalg.kernel_basis(np.einsum("iab,jba->ij", lmats, lmats) % p, p)
+
+
+def ref_corner_basis(mul_bar, ebar, p):
+    lm = np.einsum("i,ijk->jk", ebar, mul_bar) % p
+    rm = np.einsum("j,ijk->ik", ebar, mul_bar) % p
+    return linalg.row_basis(linalg.matmul(lm, rm, p), p)
+
+
+def ref_corner_left_mult(mul_bar, corner, v, p):
+    lv = np.einsum("i,ijk->jk", v, mul_bar) % p
+    return linalg.solve_linear(corner, linalg.matmul(corner, lv, p), p)
+
+
+def ref_poly_eval(mul_bar, ebar, v, coeffs, p):
+    out = linalg.zeros(mul_bar.shape[0])
+    power = ebar.copy()
+    for c in coeffs:
+        out = (out + int(c) * power) % p
+        power = linalg.bilinear(power, v, mul_bar, p)
+    return out
+
+
+def ref_split_corner(mul_bar, ebar, p, rng):
+    corner = ref_corner_basis(mul_bar, ebar, p)
+    k = corner.shape[0]
+    if k == 1:
+        return None, (1, ebar.copy(), [0, 1])
+    prods = linalg.bilinear(corner, corner, mul_bar, p)
+    commutative = np.array_equal(prods, prods.transpose(1, 0, 2))
+
+    def candidates():
+        for row in corner:
+            yield row
+        for _ in range(decompose.SPLIT_TRIALS):
+            yield (rng.integers(0, p, size=k) @ corner) % p
+
+    for v in candidates():
+        f = linalg.minimal_polynomial(ref_corner_left_mult(mul_bar, corner, v, p), p)
+        factors = poly.factor(f, p)
+        if len(factors) >= 2:
+            g1 = [1]
+            for _ in range(factors[0][1]):
+                g1 = poly.mul(g1, factors[0][0], p)
+            g2 = [1]
+            for gg, mult in factors[1:]:
+                for _ in range(mult):
+                    g2 = poly.mul(g2, gg, p)
+            _, w = poly.coprime_split(g1, g2, p)
+            e1 = ref_poly_eval(mul_bar, ebar, v, poly.mod(poly.mul(w, g2, p), f, p), p)
+            assert np.array_equal(linalg.bilinear(e1, e1, mul_bar, p), e1)
+            if not e1.any() or np.array_equal(e1, ebar):
+                continue
+            return (e1, (ebar - e1) % p), None
+        if commutative and poly.degree(f) == k:
+            return None, (k, v.copy(), f)
+    raise AssertionError("split trials exhausted")
+
+
+def ref_primitive_idempotents(e, seed):
+    """(idempotents, (corner_dim, witness, minpoly) per certificate)."""
+    p = e.p
+    proj, lift = algebra.quotient_data(ref_endring_radical(e), e.dim, p)
+    mul_bar = linalg.bilinear(lift, lift, e.mul, p) @ proj % p
+    rng = np.random.default_rng(seed)
+    stack, bar_prims, certs = [e.unit @ proj % p], [], []
+    while stack:
+        ebar = stack.pop()
+        split, cert = ref_split_corner(mul_bar, ebar, p, rng)
+        if cert is not None:
+            bar_prims.append(ebar)
+            certs.append(cert)
+        else:
+            stack.extend(reversed(split))
+    idems, s = [], linalg.zeros(e.dim)
+    for t, ebar in enumerate(bar_prims):
+        one_minus = (e.unit - s) % p
+        if t == len(bar_prims) - 1:
+            z = one_minus
+        else:
+            z = e.multiply(e.multiply(one_minus, ebar @ lift % p), one_minus)
+            z2 = e.multiply(z, z)
+            while not np.array_equal(z2, z):  # Newton's iteration
+                z = (3 * z2 - 2 * e.multiply(z2, z)) % p
+                z2 = e.multiply(z, z)
+        idems.append(z)
+        s = (s + z) % p
+    return idems, certs
+
+
+def _split_cases():
+    ksgen = _load_ksgen()
+    for seed in (20, 7):
+        insts = ksgen.generate(seed)
+        for inst, t in zip(insts, ksgen.build_algebras(insts, syzygy)):
+            yield modules.canonical_modules(t)[0], inst.decompose_seed
+    for resolved in (_corpus(), corpus.resolve_corpus(corpus.load_corpus(), 1048573)):
+        for aid in CORPUS_IDS:
+            for i, x in enumerate(deloop.default_pool(resolved[aid]).modules):
+                yield x, i
+
+
+def test_primitive_idempotents_match_the_tensor_reference():
+    """The split through StructureAlgebra corners returns the same
+    idempotents and certificates, bit for bit, as the split on bare
+    (mul_bar, unit_bar) tensors, on the regular T(A)-modules of the
+    ks_large instances and the delooping pools of the corpus at both
+    primes (End rings up to dimension 60)."""
+    checked = Counter()
+    for x, seed in _split_cases():
+        e = decompose.end_ring(x)
+        if not 0 < e.dim <= 60:
+            continue
+        idems, certs = decompose.primitive_idempotents(e, seed)
+        ref_idems, ref_certs = ref_primitive_idempotents(e, seed)
+        assert len(idems) == len(ref_idems)
+        assert all(np.array_equal(a, b) for a, b in zip(idems, ref_idems))
+        assert [(c.corner_dim, c.witness.tobytes(), c.minpoly) for c in certs] \
+            == [(k, w.tobytes(), f) for k, w, f in ref_certs]
+        checked[e.p] += 1
+        checked["split"] += len(idems) > 1
+    assert checked[32003] and checked[1048573] and checked["split"]
