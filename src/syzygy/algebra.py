@@ -559,12 +559,12 @@ def corner_basis(a: StructureAlgebra, e) -> np.ndarray:
     return linalg.row_basis(linalg.matmul(lm, a.right_mult(e), p), p)
 
 
-def corner_algebra(a: StructureAlgebra, e) -> StructureAlgebra:
-    """The corner eAe on the rows of `corner_basis`, storing e rad(A) e and
-    the stored idempotents in eAe: all of them when e is a partial sum of
-    the primitive ones, none for an End ring or its quotient."""
+def corner_algebra(a: StructureAlgebra, e, basis=None) -> StructureAlgebra:
+    """The corner eAe on the rows of `corner_basis` (computed unless given),
+    storing e rad(A) e and the stored idempotents in eAe: all of them when e
+    is a partial sum of the primitive ones, none for an End ring or its quotient."""
     p = a.p
-    basis = corner_basis(a, e)
+    basis = corner_basis(a, e) if basis is None else basis
     k = basis.shape[0]
     coords = linalg.LinearSolver(basis, p).solve  # coordinates in eAe
     lefts = np.einsum("ti,ijk->tjk", basis, a.mul) % p  # left_mult of each basis row

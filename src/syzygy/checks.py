@@ -101,13 +101,7 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         """The canonical fields; the wall-clock elapsed time is left out."""
-        return {
-            "check_id": self.check_id,
-            "algebra_id": self.algebra_id,
-            "verdict": self.verdict,
-            "evidence": self.evidence,
-            "seed": self.seed,
-        }
+        return {k: v for k, v in vars(self).items() if k != "elapsed"}
 
 
 def derive_seed(base: int, *tags) -> int:

@@ -247,8 +247,16 @@ def report_cmd(file, fmt, reverify, corpus_dir):
     except json.JSONDecodeError as exc:
         raise CorpusError(
             f"{file}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not (isinstance(doc, dict) and {"version", "config"} <= doc.keys()
-            and isinstance(doc.get("checks"), list)):
+    # every field that rendering and reverifying a report read
+    config = doc.get("config") if isinstance(doc, dict) else None
+    if not (isinstance(config, dict) and "version" in doc and "seed" in config
+            and isinstance(config.get("prime"), int | None)
+            and isinstance(doc.get("checks"), list)
+            and all(isinstance(c, dict) and isinstance(c.get("evidence"), dict)
+                    and isinstance(c["evidence"].get("certificates", []), list)
+                    and all(isinstance(c.get(k), str)
+                            for k in ("verdict", "algebra_id", "check_id"))
+                    for c in doc["checks"])):
         raise CorpusError(f"{file}: not a syzygy report")
     if fmt == "json":
         click.echo(checks.serialize_report(doc), nl=False)

@@ -86,9 +86,10 @@ def _check_shape(raw: dict, source: str):
                 raise CorpusError(f"{source}: relations[{i}] must be a non-empty list")
             for j, term in enumerate(rel):
                 if not isinstance(term, dict) or not isinstance(term.get("coef"), int) \
-                        or not isinstance(term.get("path"), list):
+                        or not isinstance(term.get("path"), list) \
+                        or not all(isinstance(a, str) for a in term["path"]):
                     raise CorpusError(f"{source}: relations[{i}][{j}] needs an "
-                                      "integer 'coef' and a 'path' list")
+                                      "integer 'coef' and a 'path' list of arrow names")
     else:
         c = raw["construction"]
         op = c.get("op") if isinstance(c, dict) else None

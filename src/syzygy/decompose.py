@@ -159,7 +159,7 @@ def _split_corner(q: StructureAlgebra, ebar: np.ndarray, rng):
     k = basis.shape[0]
     if k == 1:
         return None, PrimitivityCertificate(1, ebar.copy(), [0, 1])
-    c = corner_algebra(q, ebar)
+    c = corner_algebra(q, ebar, basis)
     commutative = np.array_equal(c.mul, c.mul.transpose(1, 0, 2))
 
     def candidates():

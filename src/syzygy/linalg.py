@@ -234,55 +234,50 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
 def solve_linear(m: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """One particular solution x of x @ m = b, free variables set to 0.
 
-    m is (n x c), b is (k x c); the result is (k x n).  Raises
-    InconsistentSystem when no solution exists.
+    m is (n x c), b is (k x c); the result is (k x n).  Pivots of
+    [m.T | b.T] are sought in its first n columns only; a row left without
+    one that is nonzero in the b block raises InconsistentSystem.
     """
     b = np.atleast_2d(np.asarray(b, dtype=np.int64)) % p
     n, c = m.shape
-    k = b.shape[0]
     if b.shape[1] != c:
         raise ValueError("incompatible shapes in solve_linear")
-    aug = np.hstack([m.T % p, b.T])
-    rref, r, pivots = row_reduce(aug, p)
-    x = zeros((k, n))
-    for row_idx, pc in enumerate(pivots):
-        if pc >= n:
-            raise InconsistentSystem("x @ m = b has no solution")
-        x[:, pc] = rref[row_idx, n:]
+    rref, r, pivots = row_reduce(np.hstack([m.T % p, b.T]), p, n)
+    if rref[r:].any():
+        raise InconsistentSystem("x @ m = b has no solution")
+    x = zeros((b.shape[0], n))
+    x[:, pivots] = rref[:r, n:].T
     return x
 
 
 class LinearSolver:
-    """Factored form of m for solving x @ m = b repeatedly.
-
-    Row-reducing [m.T | I] over the columns of m.T only gives the rows E of
-    the elimination matrix that carry its pivots; each later solve is a
-    single matrix product, followed by the exact residual check x @ m = b.
-    A full elimination would change E only by left-kernel relations of
-    m.T, which vanish on every consistent b, so results match solve_linear
-    exactly (free variables 0, InconsistentSystem on failure).  The solver
-    keeps m reduced mod p, which the product kernel needs, and the nonzero
-    RREF rows of m.T, which give the kernel of m.
+    """Factored form of m (n x c, a row per unknown) for solving x @ m = b
+    repeatedly, from one elimination of [m | I_n reversed] along the n
+    unknowns.  Its first rank rows hold RREF(m), with pivot columns `cols`,
+    and T (`elim`) with T @ m = RREF(m).  The other rows span the left
+    kernel of m; their pivots, in reversed coordinates, are the rows of m
+    that depend on earlier rows, so T is zero on those and `pivots` is the
+    row rank profile.  A solve is x = b[:, cols] @ T, solve_linear's
+    solution bit for bit, then the exact residual check x @ m = b raises
+    InconsistentSystem off the row space.  m is kept reduced mod p, as the
+    product kernel needs.
     """
 
     def __init__(self, m: np.ndarray, p: int):
         self.p = p
         self.m = m % p
         n, c = m.shape
-        self.n = n
-        aug = np.hstack([self.m.T, identity(c)])
-        rref, self.rank, self.pivots = row_reduce(aug, p, n)
-        self.rref = rref[: self.rank, :n]  # (rank, n)
-        self.elim = rref[: self.rank, n:]  # (rank, c)
+        red, _, cols = row_reduce(np.hstack([self.m, identity(n)[::-1]]), p)
+        self.rank = r = sum(j < c for j in cols)
+        self.cols = cols[:r]
+        self.rref = red[:r, :c]  # (rank, c)
+        self.elim = red[:r, c:][:, ::-1]  # (rank, n), back in row order
+        self.pivots = free_columns([n + c - 1 - j for j in cols[r:]], n).tolist()
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         p = self.p
         b = np.atleast_2d(np.asarray(b, dtype=np.int64)) % p
-        x = zeros((b.shape[0], self.n))
-        if self.rank:
-            x[:, self.pivots] = matmul(self.elim, b.T, p).T
-        # x solves the system whenever any solution exists, since the pivot
-        # rows of m are independent; otherwise the residual is nonzero
+        x = matmul(b[:, self.cols], self.elim, p)
         if not np.array_equal(matmul(x, self.m, p), b):
             raise InconsistentSystem("x @ m = b has no solution")
         return x

@@ -309,14 +309,14 @@ def presentation(x: RightModule) -> Presentation:
         pi_rows.append(np.einsum("ta,jab->tjb", gens, evals).reshape(-1, x.dim) % p)
     cover, _ = direct_sum([projectives[i].module for i, _ in parts], a)
     pi_matrix = np.vstack(pi_rows)
-    # one factorisation of pi gives surjectivity, the kernel and a lift; with
-    # pi onto, the elimination rows are the lift's pivot columns
-    solver = linalg.LinearSolver(pi_matrix, p)
+    # one factorisation of pi.T (x.dim unknowns) gives surjectivity, the
+    # kernel of pi from RREF(pi.T) and, with pi onto, the lift from T
+    solver = linalg.LinearSolver(pi_matrix.T, p)
     if solver.rank < x.dim:
         raise AssertionError("projective cover map is not surjective")
-    kernel = linalg.nullspace_from_rref(solver.rref, solver.pivots, cover.dim, p)
+    kernel = linalg.nullspace_from_rref(solver.rref, solver.cols, cover.dim, p)
     lift = linalg.zeros((x.dim, cover.dim))
-    lift[:, solver.pivots] = solver.elim.T
+    lift[:, solver.cols] = solver.elim.T
     return Presentation(parts, cover, ModuleHom(cover, x, pi_matrix), kernel, lift)
 
 

@@ -63,9 +63,11 @@ def _malformed(edit):
     _malformed(lambda d: d.update(relations=[[{"coef": 1, "path": "ab"}]])),
     _malformed(lambda d: d.update(relations=[[5]])),
     _malformed(lambda d: d.update(relations=[[{"coef": "1", "path": ["a", "a"]}]])),
+    _malformed(lambda d: d.update(relations=[[{"coef": 1, "path": [{"x": 1}, "b"]}]])),
     {"id": "c", "construction": 5},
 ], ids=["arrows-int", "arrow-int", "field-int", "field-p-str", "quiver-list",
-        "relations-int", "path-str", "term-int", "coef-str", "construction-int"])
+        "relations-int", "path-str", "term-int", "coef-str", "path-object",
+        "construction-int"])
 def test_malformed_algebra_file_exit_2(runner, tmp_path, doc):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc))
@@ -168,13 +170,27 @@ def test_reverify_malformed_payload_exit_1(runner, tmp_path):
     assert "(embedding): malformed payload" in r.output
 
 
-@pytest.mark.parametrize("doc", [{}, [], {"version": "0.1.0", "config": {}}])
+@pytest.mark.parametrize("doc", [
+    {}, [], {"version": "0.1.0", "config": {}},
+    {"version": 1, "config": {}, "checks": []},
+    {"version": 1, "config": {"seed": 1}, "checks": [5]},
+    {"version": 1, "config": {"seed": 1}, "checks": [
+        {"check_id": "c", "algebra_id": "a2", "verdict": "PASS"}]},
+    {"version": 1, "config": {"seed": 1}, "checks": [
+        {"check_id": "c", "algebra_id": 2, "verdict": "PASS", "evidence": {}}]},
+    {"version": 1, "config": {"seed": 1}, "checks": [
+        {"check_id": "c", "algebra_id": "a2", "verdict": "PASS",
+         "evidence": {"certificates": 5}}]},
+    {"version": 1, "config": {"seed": 1, "prime": "7"}, "checks": []},
+], ids=["empty", "list", "no-checks", "config-no-seed", "check-int", "no-evidence",
+        "algebra-id-int", "certificates-int", "prime-str"])
 def test_report_of_a_document_that_is_not_a_report_exit_2(runner, tmp_path, doc):
     f = tmp_path / "x.json"
     f.write_text(json.dumps(doc))
     for args in ([], ["--reverify"]):
         r = runner.invoke(main, ["report", str(f)] + args)
         assert r.exit_code == 2
+        assert r.exception is None or isinstance(r.exception, SystemExit)
         assert r.output == f"error: {f}: not a syzygy report\n"
 
 

@@ -438,6 +438,33 @@ def test_decompose_tells_equal_dimension_vector_summands_apart_exactly(monkeypat
     assert ksgen.oracle_failures(inst, t, dec, decompose) == []
 
 
+def test_decompose_reduces_each_corner_once(monkeypatch):
+    """One corner_basis call per corner split of the idempotent split:
+    corner_algebra reuses the basis _split_corner already holds, on the
+    regular module of the first ksgen instance at seed 20."""
+    ksgen = _load_ksgen()
+    inst = ksgen.generate(20)[0]
+    t = ksgen.build_algebras([inst], syzygy)[0]
+    regular = modules.canonical_modules(t)[0]
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    basis = counted("corner_basis", algebra.corner_basis)
+    monkeypatch.setattr(algebra, "corner_basis", basis)
+    monkeypatch.setattr(decompose, "corner_basis", basis)
+    for name in ("_split_corner", "corner_algebra"):
+        monkeypatch.setattr(decompose, name, counted(name, getattr(decompose, name)))
+    decompose.decompose(regular, seed=inst.decompose_seed)
+    monkeypatch.undo()
+    assert calls["corner_algebra"] > 0
+    assert calls["corner_basis"] == calls["_split_corner"]
+
+
 @pytest.mark.parametrize("aid", CORPUS_IDS)
 def test_class_id_agrees_with_iso_test(aid):
     a = corpus.resolve_corpus(corpus.load_corpus())[aid]  # empty registry

@@ -332,12 +332,12 @@ def test_row_reduce_with_a_column_limit_matches_dense_reference(rows, cols, limi
 @pytest.mark.parametrize("n, c, r", [(3, 64, 2), (6, 200, 3), (9, 784, 5), (2, 100, 0)])
 def test_linear_solver_on_rank_deficient_wide_matrices(p, n, c, r):
     """c >> n, as for the End-ring solver (n = dim End, c = d^2): the
-    solver eliminates only the n columns of m.T and keeps rank rows."""
+    solver eliminates along the n unknowns and keeps rank rows of T."""
     rng = np.random.default_rng(n * c + r)
     m = linalg.matmul(rng.integers(0, p, size=(n, r)), rng.integers(0, p, size=(r, c)), p)
     solver = linalg.LinearSolver(m, p)
     assert solver.rank == linalg.rank(m, p) == r
-    assert solver.elim.shape == (r, c)
+    assert solver.elim.shape == (r, n)
     b = linalg.matmul(rng.integers(0, p, size=(4, n)), m, p)
     x = solver.solve(b)
     assert np.array_equal(x, linalg.solve_linear(m, b, p))
@@ -347,6 +347,126 @@ def test_linear_solver_on_rank_deficient_wide_matrices(p, n, c, r):
         linalg.solve_linear(m, off, p)
     with pytest.raises(InconsistentSystem):
         solver.solve(off)
+
+
+class ref_linear_solver:
+    """LinearSolver as it was: [m.T | I_c] reduced over the n columns of
+    m.T, a c x (n + c) elimination; elim (rank x c) carries the pivots."""
+
+    def __init__(self, m, p):
+        self.p, self.m = p, m % p
+        n, c = m.shape
+        self.n = n
+        rref, self.rank, self.pivots = linalg.row_reduce(
+            np.hstack([self.m.T, linalg.identity(c)]), p, n)
+        self.rref = rref[: self.rank, :n]
+        self.elim = rref[: self.rank, n:]
+
+    def solve(self, b):
+        p = self.p
+        b = np.atleast_2d(np.asarray(b, dtype=np.int64)) % p
+        x = linalg.zeros((b.shape[0], self.n))
+        if self.rank:
+            x[:, self.pivots] = ((self.elim @ b.T) % p).T
+        if np.any((x @ self.m - b) % p):
+            raise InconsistentSystem("x @ m = b has no solution")
+        return x
+
+
+def ref_solve_linear(m, b, p):
+    """solve_linear as it was: pivots sought in every column of
+    [m.T | b.T], and any pivot in the b block is an inconsistency."""
+    b = np.atleast_2d(np.asarray(b, dtype=np.int64)) % p
+    n = m.shape[0]
+    rref, _, pivots = linalg.row_reduce(np.hstack([m.T % p, b.T]), p)
+    x = linalg.zeros((b.shape[0], n))
+    for row, pc in enumerate(pivots):
+        if pc >= n:
+            raise InconsistentSystem("x @ m = b has no solution")
+        x[:, pc] = rref[row, n:]
+    return x
+
+
+def _solver_matrix(rng, shape, n, c, p):
+    """A tall, wide or rank-deficient n x c matrix with some dependent rows."""
+    if shape == "deficient":
+        r = int(rng.integers(0, min(n, c) + 1))
+        return linalg.matmul(rng.integers(0, p, size=(n, r)),
+                             rng.integers(0, p, size=(r, c)), p)
+    if shape == "tall":
+        n, c = max(n, c), min(n, c)
+    elif shape == "wide":
+        n, c = min(n, c), max(n, c)
+    return _random_matrix(rng, n, c, p, rng.choice([0.1, 0.4, 1.0]))
+
+
+def _same_outcome(solve, ref, b):
+    """Both raise InconsistentSystem, or both return the same array."""
+    try:
+        want = ref(b)
+    except InconsistentSystem:
+        with pytest.raises(InconsistentSystem):
+            solve(b)
+    else:
+        got = solve(b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["tall", "wide", "deficient"]),
+    st.integers(0, 24),
+    st.integers(0, 60),
+    st.integers(1, 4),
+    st.sampled_from([13, 32003, 1048573]),
+    st.integers(0, 2**32 - 1),
+)
+def test_linear_solver_matches_the_transposed_reference(shape, n, c, k, p, seed):
+    """rank, pivots (the row rank profile), solve on consistent and
+    inconsistent b, and presentation's kernel and lift, against the old
+    [m.T | I] elimination; solve_linear with its column limit against the
+    unlimited one."""
+    rng = np.random.default_rng(seed)
+    m = _solver_matrix(rng, shape, n, c, p)
+    n, c = m.shape
+    solver, ref = linalg.LinearSolver(m, p), ref_linear_solver(m, p)
+    assert (solver.rank, solver.pivots) == (ref.rank, ref.pivots)
+    assert np.array_equal(solver.rref, linalg.row_reduce(m, p)[0][: solver.rank])
+    assert np.array_equal(linalg.matmul(solver.elim, m, p), solver.rref)
+    good = linalg.matmul(rng.integers(0, p, size=(k, n)), m, p)
+    bad = good.copy()
+    if c:
+        bad[k - 1] = rng.integers(0, p, size=c)
+    for b in (good, bad, rng.integers(0, p, size=(k, c))):
+        _same_outcome(solver.solve, ref.solve, b)
+        _same_outcome(lambda b: linalg.solve_linear(m, b, p),
+                      lambda b: ref_solve_linear(m, b, p), b)
+    # presentation factors pi.T, here m.T: the kernel of m from RREF(m.T)
+    # and its pivot columns, and while m.T has full row rank, the lift
+    t_solver = linalg.LinearSolver(m.T, p)
+    assert t_solver.cols == ref.pivots
+    assert np.array_equal(linalg.nullspace_from_rref(t_solver.rref, t_solver.cols, n, p),
+                          linalg.nullspace_from_rref(ref.rref, ref.pivots, n, p))
+    if ref.rank == c:
+        lift, ref_lift = linalg.zeros((c, n)), linalg.zeros((c, n))
+        lift[:, t_solver.cols] = t_solver.elim.T
+        ref_lift[:, ref.pivots] = ref.elim.T
+        assert np.array_equal(lift, ref_lift)
+        assert np.array_equal(linalg.matmul(lift, m, p), linalg.identity(c))
+
+
+def test_linear_solver_reduces_along_the_unknowns(monkeypatch):
+    """The End-ring shape at d = 28 (h = 28 unknowns, d^2 = 784 equations):
+    one row_reduce, on 28 rows, not on 784."""
+    p = 32003
+    m = np.random.default_rng(28).integers(0, p, size=(28, 784))
+    shapes, real = [], linalg.row_reduce
+    monkeypatch.setattr(linalg, "row_reduce",
+                        lambda a, *args: shapes.append(a.shape) or real(a, *args))
+    solver = linalg.LinearSolver(m, p)
+    monkeypatch.undo()
+    assert shapes == [(28, 784 + 28)]
+    assert solver.rank == 28 and solver.pivots == list(range(28))
 
 
 def test_linear_solver_rejects_one_bad_row_among_good_ones():
@@ -510,9 +630,7 @@ def ref_solve(solver, b):
     product kernel."""
     p = solver.p
     b = np.atleast_2d(np.asarray(b, dtype=np.int64)) % p
-    x = linalg.zeros((b.shape[0], solver.n))
-    if solver.rank:
-        x[:, solver.pivots] = ((solver.elim @ b.T) % p).T
+    x = (b[:, solver.cols] @ solver.elim) % p
     if np.any((x @ solver.m - b) % p):
         raise InconsistentSystem("x @ m = b has no solution")
     return x
