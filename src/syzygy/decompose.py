@@ -57,21 +57,23 @@ class EndRing(StructureAlgebra):
     f.matrix, so that End of a corner projective is isomorphic (not
     anti-isomorphic) to the corner algebra.
 
-    It stores no radical and no idempotents (empty arrays): the trace-form
-    `endring_radical` needs p > dim End, and `primitive_idempotents` draws
-    from a seed.  End of the zero module has dimension 0."""
+    mul[i] is solved from the h products basis[j] @ basis[i], one h x d^2
+    block per basis element, no larger than the flattened basis itself.
+
+    It stores no radical and no idempotents (empty arrays): `endring_radical`
+    computes the radical on demand, and `primitive_idempotents` draws from a
+    seed.  End of the zero module has dimension 0."""
 
     def __init__(self, module: RightModule, basis: list[ModuleHom]):
         self.module = module
-        self.basis = basis
         p, d, h = module.p, module.dim, len(basis)
         if h:
             self._flat = np.vstack([f.matrix.reshape(1, -1) for f in basis]) % p
             solver = linalg.LinearSolver(self._flat, p)
-            stack = np.stack([f.matrix for f in basis]) % p
-            # prods[i, j] = basis[j] @ basis[i], solved in one batch
-            prods = linalg.matmul(stack[None, :, :, :], stack[:, None, :, :], p)
-            mul = solver.solve(prods.reshape(h * h, d * d)).reshape(h, h, h)
+            stack = self._flat.reshape(h, d, d)
+            # mul[i, j] = coordinates of basis[j] @ basis[i]
+            mul = np.stack([solver.solve(linalg.matmul(stack, f, p).reshape(h, d * d))
+                            for f in stack])
             unit = solver.solve(linalg.identity(d).reshape(1, -1))[0]
         else:
             self._flat = linalg.zeros((0, d * d))
@@ -92,15 +94,15 @@ def end_ring(x: RightModule) -> EndRing:
 
 @cached("radical")
 def endring_radical(e: EndRing) -> np.ndarray:
-    """Radical via the regular trace form; needs p > dim to be valid."""
+    """Radical as the kernel K of the regular trace form.  K is an ideal
+    that contains rad E in every characteristic, and a nilpotent ideal lies
+    in rad E, so K = rad E once the nilpotency check passes.  K fails it
+    only when p <= dim End (CharTooSmall); above that it cannot."""
     p = e.p
     h = e.dim
-    if p <= h:
-        raise CharTooSmall(f"trace-form radical needs p > dim End = {h}, got p = {p}")
     # e.mul[i] is the matrix of left multiplication by basis element i
     gram = np.einsum("iab,jba->ij", e.mul, e.mul) % p
     rad = linalg.kernel_basis(gram, p)
-    # sanity: the span must be nilpotent
     power = rad
     for _ in range(h + 1):
         if power.shape[0] == 0:
@@ -108,6 +110,8 @@ def endring_radical(e: EndRing) -> np.ndarray:
         prods = linalg.bilinear(power, rad, e.mul, p)
         power = linalg.row_basis(prods.reshape(-1, h), p)
     if power.shape[0] != 0:
+        if p <= h:
+            raise CharTooSmall(f"trace-form kernel is not nilpotent at p = {p} <= dim End = {h}")
         raise AssertionError("trace-form kernel is not nilpotent")
     return rad
 

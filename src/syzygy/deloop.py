@@ -22,9 +22,9 @@ from .modules import (
     RightModule,
     canonical_modules,
     direct_sum,
+    free_cokernel,
     is_projective,
     is_torsionless,
-    quotient_module,
     radical_submodule,
     socle,
     syzygy,
@@ -151,10 +151,10 @@ def _covers(need: Counter, have: Counter) -> bool:
 @cached("embedding_quotient")
 def embedding_quotient(s: RightModule) -> RightModule | None:
     """Cokernel of s's embedding into a power of A_A, None if there is none.
-    The cokernel and the embedding matrix are cached on s; the (large) free
-    target is not, and torsionless_test builds it on each call."""
-    ok, emb = torsionless_test(s)
-    return quotient_module(emb.target, emb.matrix)[0] if ok and emb.target.dim else None
+    The cokernel and the embedding matrix are cached on s; free_cokernel
+    reads the free target off the regular action and never builds it."""
+    ok, phi = torsionless_test(s)
+    return free_cokernel(s.algebra, phi) if ok and phi.shape[1] else None
 
 
 def torsionless_ladder_lower(s: RightModule) -> int:

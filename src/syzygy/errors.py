@@ -48,8 +48,8 @@ class ShapeMismatch(SyzygyError):
 
 
 class CharTooSmall(SyzygyError):
-    """The trace-form radical criterion needs p > dim; rebuild the corpus
-    with a larger prime."""
+    """The trace-form kernel of an End ring is not nilpotent, which can
+    happen only when p <= dim End; rebuild the corpus with a larger prime."""
 
 
 class ResourceGuard(SyzygyError):

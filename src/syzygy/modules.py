@@ -187,29 +187,35 @@ def stable_submodule(x: RightModule, basis: np.ndarray):
 
 def quotient_module(x: RightModule, sub_rows):
     """Quotient by an action-stable row space; returns (q, projection)."""
-    a = x.algebra
-    p = a.p
     if x.dim == 0:  # 0 has only the zero quotient
         return x, identity_hom(x)
-    sub_rows = linalg.mat(sub_rows, p).reshape(-1, x.dim)
+    q, proj = _cokernel(x.algebra, x.dim, sub_rows,
+                        lambda rows: np.matmul(rows, x.action) % x.p,
+                        lambda rows, cols: x.action[:, rows, cols])
+    return q, ModuleHom(x, q, proj)
+
+
+def _cokernel(a: StructureAlgebra, dim: int, sub_rows, act, gather):
+    """(q, projection matrix) of quotient_module, for an action read only
+    through act(rows) = rows @ action and gather(rows, cols) = action[:, rows, cols]."""
+    p = a.p
+    sub_rows = linalg.mat(sub_rows, p).reshape(-1, dim)
     rref, rk, pivots = linalg.row_reduce(sub_rows, p)
     rref = rref[:rk]
-    moved = np.matmul(rref, x.action) % p  # (dim A, rk, dim x)
-    residue = linalg.reduce_rows(moved.reshape(-1, x.dim), rref, pivots, p)
+    residue = linalg.reduce_rows(act(rref).reshape(-1, dim), rref, pivots, p)
     unstable = residue.reshape(a.dim, -1).any(axis=1)
     if unstable.any():  # name the lowest basis element that moves the subspace
         raise NotStable(f"subspace not stable under basis element {int(unstable.argmax())}")
     # quotient coordinates are the free columns; the lift selects free rows.
     # proj is the identity on the free rows, so acting then projecting is a
     # gather plus a rank-rk update through the pivot rows, formed in place
-    free = linalg.free_columns(pivots, x.dim)
-    proj = linalg.nullspace_from_rref(rref, pivots, x.dim, p).T
+    free = linalg.free_columns(pivots, dim)
+    proj = linalg.nullspace_from_rref(rref, pivots, dim, p).T
     rows = free[:, None]
-    action = x.action[:, rows, pivots] @ proj[pivots]
-    action += x.action[:, rows, free]
+    action = gather(rows, pivots) @ proj[pivots]
+    action += gather(rows, free)
     action %= p
-    q = RightModule(a, action)
-    return q, ModuleHom(x, q, proj)
+    return RightModule(a, action), proj
 
 
 def socle(x: RightModule):
@@ -430,8 +436,9 @@ def tensor_over_algebra(x: RightModule, m: Bimodule) -> TensorModule:
 @cached("embedding")
 def _free_embedding(x: RightModule) -> np.ndarray | None:
     """The hom basis of x -> A_A, stacked side by side, if it embeds x, and
-    None if x is not torsionless.  Cached on the module as a matrix only: a
-    cached ModuleHom would keep its large free target alive."""
+    None if x is not torsionless.  Cached on the module as a matrix: the
+    free target is never built, since free_action and free_cokernel read
+    it off the regular action."""
     homs = hom_space(x, canonical_modules(x.algebra)[0])
     phi = np.hstack([f.matrix for f in homs]) if homs else linalg.zeros((x.dim, 0))
     return phi if linalg.rank(phi, x.p) == x.dim else None
@@ -443,14 +450,33 @@ def is_torsionless(x: RightModule) -> bool:
 
 
 def torsionless_test(x: RightModule):
-    """(torsionless, embedding into a power of the regular module)."""
+    """(torsionless, embedding matrix into A_A^k, or None).  The target is
+    not built; direct_sum([regular] * k) gives it as a module."""
     phi = _free_embedding(x)
-    if phi is None:
-        return False, None
-    a = x.algebra
-    regular = canonical_modules(a)[0]
-    target, _ = direct_sum([regular] * (phi.shape[1] // a.dim), a)
-    return True, ModuleHom(x, target, phi)
+    return phi is not None, phi
+
+
+def free_action(a: StructureAlgebra, rows: np.ndarray) -> np.ndarray:
+    """rows @ action of A_A^k, for reduced rows of k * dim A columns: the
+    action is block diagonal, so each block of a row meets A_A alone."""
+    n = a.dim
+    moved = np.matmul(rows.reshape(-1, n), canonical_modules(a)[0].action) % a.p
+    return moved.reshape((n,) + rows.shape)
+
+
+def free_cokernel(a: StructureAlgebra, phi: np.ndarray) -> RightModule:
+    """quotient_module(direct_sum([A_A] * k), phi)[0], bit for bit, for phi
+    with k * dim A columns, without the (k * dim A)^2 action of the sum."""
+    n = a.dim
+    regular = canonical_modules(a)[0].action
+
+    def gather(rows, cols):  # action[:, rows, cols] of the block-diagonal sum
+        cols = np.asarray(cols, dtype=np.intp)
+        block = regular[:, rows % n, cols % n]
+        block *= rows // n == cols // n
+        return block
+
+    return _cokernel(a, phi.shape[1], phi, lambda rows: free_action(a, rows), gather)[0]
 
 
 # ---------------------------------------------------------------------------

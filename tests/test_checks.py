@@ -2,13 +2,14 @@ import copy
 import dataclasses
 import json
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from syzygy import checks, corpus, deloop, linalg, modules
-from syzygy.algebra import cached
+from syzygy.algebra import build_cover, build_lambda, cached, opposite
 from syzygy.cli import main
 
 P = 32003
@@ -501,3 +502,55 @@ def test_one_entry_computes_a_presentation_again_only_after_its_modules_died(mon
     reports = checks.run_entry(entries[0], a, checks.Config(seed=20))
     assert all(r.verdict == "PASS" for r in reports)
     assert holders and not again_while_alive
+
+
+def ref_verify_embedding(x, matrix):
+    """The dense check: the map into the block-diagonal A_A^k intertwines
+    and has rank dim x."""
+    a = x.algebra
+    copies, rest = divmod(matrix.shape[1], a.dim)
+    if rest:
+        return False, "embedding width is not a multiple of dim A"
+    target, _ = modules.direct_sum([modules.canonical_modules(a)[0]] * copies, a)
+    ok = modules.ModuleHom(x, target, matrix).intertwines() \
+        and linalg.rank(matrix, a.p) == x.dim
+    return ok, "" if ok else "stored embedding fails"
+
+
+def _tampered_embeddings(phi, n):
+    """phi, then phi with its first block zeroed, its first two blocks
+    swapped, one entry changed, and one column dropped."""
+    yield phi
+    zeroed = phi.copy()
+    zeroed[:, :n] = 0
+    yield zeroed
+    if phi.shape[1] >= 2 * n:
+        yield np.hstack([phi[:, n:2 * n], phi[:, :n], phi[:, 2 * n:]])
+    changed = phi.copy()
+    changed[-1, -1] = (changed[-1, -1] + 1) % P
+    yield changed
+    yield phi[:, 1:]
+
+
+def test_blockwise_embedding_check_matches_the_dense_check(world):
+    """On the torsionless simples and pool modules of the corpus, of its
+    covers and of opposite(Lambda), honest and tampered embeddings get the
+    same verdict from the blockwise check as from the dense A_A^k."""
+    _, resolved = world
+    verdicts = Counter()
+    for aid in ["a2", "a3", "dual_numbers", "nakayama3", "point", "square",
+                "truncated_cubic", "two_points"]:
+        a = resolved[aid]
+        for alg in (a, build_cover(a), opposite(build_lambda(a))):
+            _, simples, _ = modules.canonical_modules(alg)
+            mods = list(simples) + (deloop.default_pool(a).modules if alg is a else [])
+            for x in mods:
+                ok, phi = modules.torsionless_test(x)
+                if not ok or not x.dim:
+                    continue
+                for t, m in enumerate(_tampered_embeddings(phi, alg.dim)):
+                    got = checks._verify_embedding(x, m)
+                    assert got == ref_verify_embedding(x, m)
+                    verdicts[t > 0, got[0]] += 1
+    assert verdicts[False, True] and not verdicts[False, False]
+    assert verdicts[True, False] and verdicts[True, True]  # swapped blocks embed too

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -240,3 +241,29 @@ def test_prime_guard_exit_3(runner):
     r = runner.invoke(main, ["algebra", "validate", A2,
                              "--prime", str((1 << 20) + 7)])
     assert r.exit_code == 3
+
+
+@pytest.mark.parametrize("aid,certificates", [("nakayama3", 73), ("square", 75)])
+def test_paper_verify_at_p5_passes_and_reverifies(runner, tmp_path, aid, certificates):
+    """p = 5 is at most dim End for End rings of these entries (up to 50),
+    but their trace-form kernels are nilpotent, so they are the radicals:
+    every check passes, and the report reverifies."""
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    r = runner.invoke(main, ["paper", "verify", "--prime", "5", "--algebra", aid,
+                             "--seed", "20", "--report", str(out)])
+    elapsed = time.perf_counter() - start
+    assert r.exit_code == 0, r.output
+    assert r.output.endswith("9 passed, 0 failed, 0 skipped\n")
+    assert elapsed < 1
+    r = runner.invoke(main, ["report", str(out), "--reverify"])
+    assert r.exit_code == 0, r.output
+    assert f"reverify: {certificates}/{certificates} certificates ok" in r.output
+
+
+def test_paper_verify_at_p3_exits_3(runner):
+    """At p = 3 the trace-form kernel of an End ring of square is not
+    nilpotent: a guard, not a wrong radical."""
+    r = runner.invoke(main, ["paper", "verify", "--prime", "3", "--algebra", "square"])
+    assert r.exit_code == 3
+    assert "error: trace-form kernel is not nilpotent at p = 3" in r.output

@@ -5,6 +5,7 @@ import pytest
 
 from syzygy import algebra, checks, corpus, decompose, deloop, linalg, modules
 from syzygy.algebra import QuiverPresentation
+from syzygy.errors import NotStable
 
 P = 32003
 
@@ -105,6 +106,12 @@ def _corpus_algebra(aid):
     return corpus.resolve_corpus(corpus.load_corpus())[aid]
 
 
+def _free_target(x, phi):
+    """The dense A_A^k that the embedding matrix phi of x maps into."""
+    a = x.algebra
+    return modules.direct_sum([modules.canonical_modules(a)[0]] * (phi.shape[1] // a.dim), a)[0]
+
+
 @pytest.mark.parametrize("aid", CORPUS_IDS)
 def test_is_torsionless_agrees_with_torsionless_test(aid):
     a = _corpus_algebra(aid)
@@ -112,10 +119,11 @@ def test_is_torsionless_agrees_with_torsionless_test(aid):
     for s in modules.canonical_modules(a)[1]:
         mods += [modules.syzygy(s, i) for i in range(deloop.DEFAULT_HORIZON + 1)]
     for x in mods:
-        ok, emb = modules.torsionless_test(x)
+        ok, phi = modules.torsionless_test(x)
         assert modules.is_torsionless(x) == ok == _torsionless_via_regular(x)
         if ok:
-            assert emb.intertwines() and linalg.rank(emb.matrix, x.p) == x.dim
+            emb = modules.ModuleHom(x, _free_target(x, phi), phi)
+            assert emb.intertwines() and linalg.rank(phi, x.p) == x.dim
 
 
 @pytest.mark.parametrize("aid", CORPUS_IDS)
@@ -400,9 +408,9 @@ def _upper_search_reference(s, horizon=deloop.DEFAULT_HORIZON):
         if modules.is_projective(cur):
             return d, modules.zero_module(a), "projective-shortcut"
         if d == 0:
-            ok, emb = modules.torsionless_test(s)
+            ok, phi = modules.torsionless_test(s)
             if ok:
-                q, _ = modules.quotient_module(emb.target, emb.matrix)
+                q, _ = modules.quotient_module(_free_target(s, phi), phi)
                 return 0, q, "embedding-quotient"
         else:
             pool = deloop.default_pool(a, horizon)
@@ -445,13 +453,13 @@ def test_lazy_upper_search_matches_the_eager_reference(aid):
 def test_embedding_quotient_is_built_once_per_simple(aid, monkeypatch):
     a = _corpus_algebra(aid)
     calls = []
-    real = deloop.quotient_module
+    real = deloop.free_cokernel
 
-    def count(x, rows):
-        calls.append(x)
-        return real(x, rows)
+    def count(alg, phi):
+        calls.append(phi)
+        return real(alg, phi)
 
-    monkeypatch.setattr(deloop, "quotient_module", count)
+    monkeypatch.setattr(deloop, "free_cokernel", count)
     for alg in (a, algebra.build_lambda(a)):
         simples = modules.canonical_modules(alg)[1]
         before = len(calls)
@@ -459,3 +467,40 @@ def test_embedding_quotient_is_built_once_per_simple(aid, monkeypatch):
         for s in simples:
             deloop.del_bounds(s)
         assert len(calls) - before == sum(modules.is_torsionless(s) for s in simples)
+
+
+def _not_stable_message(build):
+    try:
+        build()
+    except NotStable as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("aid", CORPUS_IDS)
+def test_free_cokernel_matches_the_dense_quotient(aid):
+    """The cokernel read off the regular action equals the quotient of the
+    dense A_A^k, bit for bit, for every torsionless simple and pool module
+    of A and of its Lambda; a row space that is not a submodule raises the
+    same NotStable."""
+    a = _corpus_algebra(aid)
+    checked = unstable = 0
+    for alg in (a, algebra.build_lambda(a)):
+        regular, simples, _ = modules.canonical_modules(alg)
+        for x in list(simples) + deloop.default_pool(alg).modules:
+            ok, phi = modules.torsionless_test(x)
+            if not ok or not phi.shape[1]:
+                continue
+            want, _ = modules.quotient_module(_free_target(x, phi), phi)
+            got = modules.free_cokernel(alg, phi)
+            assert got.action.dtype == want.action.dtype
+            assert np.array_equal(got.action, want.action)
+            checked += 1
+        # the line of the first basis vector of the second copy in A_A^2
+        line = linalg.zeros((1, 2 * alg.dim))
+        line[0, alg.dim] = 1
+        dense, _ = modules.direct_sum([regular] * 2, alg)
+        message = _not_stable_message(lambda: modules.free_cokernel(alg, line))
+        assert message == _not_stable_message(lambda: modules.quotient_module(dense, line))
+        unstable += message is not None
+    assert checked and unstable
