@@ -102,10 +102,6 @@ class StructureAlgebra:
         rref, rank, pivots = linalg.row_reduce(self.radical, self.p)
         return rref[:rank], pivots
 
-    def is_idempotent(self, e) -> bool:
-        e = linalg.mat(e, self.p).reshape(self.dim)
-        return np.array_equal(self.multiply(e, e), e)
-
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"<StructureAlgebra{tag} dim={self.dim} p={self.p}>"
@@ -132,29 +128,42 @@ class ValidationReport:
         return not self.violations
 
 
-def _ideal_power_ranks(a: StructureAlgebra, rows: np.ndarray) -> list[int]:
-    """Ranks of the chain J, J^2, ...; ends with 0 iff J is nilpotent."""
-    p = a.p
-    ranks = []
-    current = linalg.row_basis(rows, p)
-    gens = [a.right_mult(r) for r in rows]
-    while True:
-        ranks.append(current.shape[0])
-        if current.shape[0] == 0 or len(ranks) > a.dim + 1:
-            break
-        if len(ranks) >= 2 and ranks[-1] == ranks[-2]:
-            break  # stabilized without reaching zero
-        nxt = (
-            np.vstack([linalg.matmul(current, g, p) for g in gens])
-            if gens
-            else linalg.zeros((0, a.dim))
-        )
-        current = linalg.row_basis(nxt, p)
-    return ranks
+def is_nilpotent(a: StructureAlgebra, rows) -> bool:
+    """Whether the chain J, J^2 = J*J, J^3 = J^2*J, ... of the span J of
+    rows reaches 0.  It stops at 0, at a rank equal to the one before (for
+    an ideal, J^k = J^(k+1) != 0), or after dim A + 1 products."""
+    power = rows = linalg.row_basis(rows, a.p)
+    for _ in range(a.dim + 1):
+        if power.shape[0] == 0:
+            return True
+        nxt = linalg.row_basis(linalg.bilinear(power, rows, a.mul, a.p).reshape(-1, a.dim), a.p)
+        if nxt.shape[0] == power.shape[0]:
+            return False
+        power = nxt
+    return power.shape[0] == 0
+
+
+def idempotent_violations(a: StructureAlgebra, rows) -> list:
+    """Why rows are not orthogonal idempotents summing to 1, one product
+    e_i * e_j for every pair; empty when they are."""
+    rows, t = linalg.mat(rows, a.p), len(rows)
+    if t == 0:
+        return ["no idempotents stored"]
+    prods = linalg.bilinear(rows, rows, a.mul, a.p)
+    bad = [f"idempotent {i} is not idempotent" for i in range(t)
+           if not np.array_equal(prods[i, i], rows[i])]
+    bad += [f"idempotents {i}, {j} are not orthogonal" for i in range(t)
+            for j in range(t) if i != j and prods[i, j].any()]
+    if not np.array_equal(rows.sum(axis=0) % a.p, a.unit):
+        bad.append("idempotents do not sum to 1")
+    return bad
 
 
 def validate_algebra(a: StructureAlgebra) -> ValidationReport:
-    """Check every structural invariant; violations are returned as data."""
+    """Check every structural invariant, violations returned as data, in
+    order: unit, associativity, radical an ideal (naming its lowest failing
+    basis element), `is_nilpotent` radical, `idempotent_violations` and a
+    split basic semisimple quotient."""
     p = a.p
     n = a.dim
     bad = []
@@ -168,37 +177,19 @@ def validate_algebra(a: StructureAlgebra) -> ValidationReport:
     rhs = np.einsum("jkm,iml->ijkl", a.mul, a.mul) % p
     if not np.array_equal(lhs, rhs):
         bad.append("associativity fails on basis triples")
-    # radical: two-sided ideal
+    # radical: two-sided ideal; rad*b_k and b_k*rad of every k in one reduction
     rref, pivots = a.radical_rref()
     r = rref.shape[0]
-    for k in range(n):
-        e_k = linalg.zeros(n)
-        e_k[k] = 1
-        for m in (a.right_mult(e_k), a.left_mult(e_k)):
-            if not linalg.rowspace_contains(rref, pivots, linalg.matmul(rref, m, p), p):
-                bad.append(f"radical is not an ideal (basis element {k})")
-                break
-        else:
-            continue
-        break
-    # radical: nilpotent
-    ranks = _ideal_power_ranks(a, rref)
-    if ranks[-1] != 0:
+    prods = np.stack([linalg.matmul(rref, a.mul.reshape(n, n * n), p),
+                      linalg.matmul(rref, a.mul.transpose(1, 0, 2).reshape(n, n * n), p)])
+    prods = prods.reshape(2, r, n, n).transpose(2, 0, 1, 3).reshape(2 * r * n, n)
+    outside = linalg.reduce_rows(prods, rref, pivots, p).reshape(n, 2 * r * n).any(axis=1)
+    if outside.any():
+        bad.append(f"radical is not an ideal (basis element {np.flatnonzero(outside)[0]})")
+    if not is_nilpotent(a, rref):
         bad.append("radical ideal is not nilpotent")
-    # idempotents
     ids = a.idempotents
-    if ids.shape[0] == 0:
-        bad.append("no idempotents stored")
-    else:
-        for i, e in enumerate(ids):
-            if not a.is_idempotent(e):
-                bad.append(f"idempotent {i} is not idempotent")
-        for i in range(ids.shape[0]):
-            for j in range(ids.shape[0]):
-                if i != j and np.any(a.multiply(ids[i], ids[j])):
-                    bad.append(f"idempotents {i}, {j} are not orthogonal")
-        if not np.array_equal(ids.sum(axis=0) % p, a.unit):
-            bad.append("idempotents do not sum to 1")
+    bad += idempotent_violations(a, ids)
     # split basic semisimple quotient
     t = ids.shape[0]
     quotient_dim = n - r
@@ -320,7 +311,7 @@ def from_quiver(q: QuiverPresentation, p: int, max_path_length: int = 12,
                     if full not in index:
                         ok = False
                         break
-                    row[index[full]] = (row[index[full]] + coef) % p
+                    row[index[full]] = (row[index[full]] + coef % p) % p
                 if ok and row.any():
                     ideal_rows.append(row)
     ideal = np.array(ideal_rows, dtype=np.int64) if ideal_rows else linalg.zeros((0, npaths))
@@ -444,11 +435,10 @@ def triangular(u: StructureAlgebra, v: StructureAlgebra, m: Bimodule,
     mul = linalg.zeros((n, n, n))
     mul[su, su, su] = u.mul
     mul[sv, sv, sv] = v.mul
-    # (u-basis i) * (m-basis j) = row j of the left action of b_i
-    for i in range(nu):
-        mul[i, sm, sm] = m.left_action[i]
-    for j in range(nv):
-        mul[sm, nu + dm + j, sm] = m.right_action[j]
+    # (u-basis i) * (m-basis j) = row j of the left action of b_i, and
+    # (m-basis j) * (v-basis i) = row j of the right action of b_i
+    mul[su, sm, sm] = m.left_action
+    mul[sm, sv, sm] = m.right_action.transpose(1, 0, 2)
     unit = linalg.zeros(n)
     unit[su] = u.unit
     unit[sv] = v.unit

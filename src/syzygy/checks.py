@@ -53,24 +53,12 @@ from .modules import (
     tensor_over_algebra,
     top_of_module,
     torsionless_test,
+    triangular_module,
     triple_to_module,
     zero_module,
 )
 
 VERSION = "0.1.0"
-
-CHECK_IDS = (
-    "lemma1_trivial_extension",
-    "construction1_corner",
-    "lemma2_cover_del_zero",
-    "lemma4_lambda_opposite",
-    "lemma3_diamond",
-    "lemma5_syzygy_decomposition",
-    "lemma5_cover_restriction",
-    "lemma6_del_inequality",
-    "fd_del_inequality",
-)
-
 
 # fixed settings of every check; each report's config block records them
 # together with decompose.TRIALS, deloop.DEFAULT_HORIZON and
@@ -196,10 +184,9 @@ def sigma_triple_module(a: StructureAlgebra) -> RightModule:
     natural part and the other corners act by zero."""
     lam = build_lambda(a)
     sigma, _ = semisimple_quotient(a)
-    v0 = lam.triangle.v_slice.start
-    action = linalg.zeros((lam.dim, sigma.dim, sigma.dim))
-    action[v0:v0 + sigma.dim] = canonical_modules(sigma)[0].action
-    return RightModule(lam, action)
+    v_action = linalg.zeros((lam.triangle.v.dim, sigma.dim, sigma.dim))
+    v_action[:sigma.dim] = canonical_modules(sigma)[0].action
+    return triangular_module(lam, zero_module(a), RightModule(lam.triangle.v, v_action))
 
 
 def _sample_module(lam: StructureAlgebra, x: RightModule, y: RightModule,
@@ -223,18 +210,6 @@ def build_sample_triple(a: StructureAlgebra, x_ref: dict, y_ref: dict,
     x = resolve_module_ref(x_ref, resolved)
     y = resolve_module_ref(y_ref, resolved)
     return _sample_module(lam, x, y, lambda n: f_coeffs)[0]
-
-
-def _lemma5_candidate(lam: StructureAlgebra, omx: RightModule,
-                     zs: RightModule) -> RightModule:
-    """(omx, 0, 0) + (0, zs, 0) over the triangular algebra lam: the two
-    corner actions on the diagonal blocks, and M acting by zero."""
-    info = lam.triangle
-    dx = omx.dim
-    action = linalg.zeros((lam.dim, dx + zs.dim, dx + zs.dim))
-    action[info.u_slice, :dx, :dx] = omx.action
-    action[info.v_slice, dx:, dx:] = zs.action
-    return RightModule(lam, action)
 
 
 def _find_iso(x: RightModule, y: RightModule, seed: int):
@@ -334,10 +309,13 @@ def _verify_del_witness(x: RightModule, d: int, witness: RightModule) -> tuple:
 # the checks
 
 
+CHECKS: dict = {}  # check id -> check, in the order run_entry runs them
+
+
 def check(check_id: str):
     """Make a check from its body, which returns (passed, evidence); passed
     None means SKIPPED, with the reason in evidence["reason"].  The check
-    times the body into a CheckReport."""
+    times the body into a CheckReport and is registered in CHECKS."""
     def decorate(body):
         @functools.wraps(body)
         def run(a: StructureAlgebra, desc: dict, seed: int, *args, **kwargs):
@@ -346,6 +324,7 @@ def check(check_id: str):
             verdict = "SKIPPED" if passed is None else "PASS" if passed else "FAIL"
             return CheckReport(check_id, a.name, verdict, evidence, seed,
                                elapsed=time.monotonic() - t0)
+        CHECKS[check_id] = run
         return run
     return decorate
 
@@ -589,7 +568,7 @@ def check_syzygy_decomp(a: StructureAlgebra, desc: dict, seed: int) -> CheckRepo
             if om.dim == 0 and omx.dim == 0:
                 continue
             zs = corner_restrict(om, "v")
-            candidate = _lemma5_candidate(flat.algebra, omx, zs)
+            candidate = triangular_module(flat.algebra, omx, zs)
             witness = _find_iso(om, candidate, derive_seed(seed, "lemma5", k, s))
             if witness is None:
                 ok, why = False, "Omega^s is not isomorphic to the candidate"
@@ -676,38 +655,27 @@ def check_fd_del(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     return passed, evidence
 
 
+CHECK_IDS = tuple(CHECKS)
+
+
 # ---------------------------------------------------------------------------
 # corpus runner and reports
 
 
 def run_entry(entry: CorpusEntry, a: StructureAlgebra, config: Config) -> list:
     desc = adesc(entry.id)
-    reports = []
     base_seed = derive_seed(config.seed, entry.id)
     report = validate_algebra(a)
-    if not report.ok:
-        t0 = time.monotonic()
-        reports.append(CheckReport(
-            "lemma1_trivial_extension", entry.id, "FAIL",
-            {"counterexample": {"violations": report.violations}},
-            base_seed, time.monotonic() - t0))
-        for cid in CHECK_IDS[1:]:
-            reports.append(CheckReport(
-                cid, entry.id, "SKIPPED",
-                {"reason": "algebra failed validation"}, base_seed, 0.0))
-        return reports
+    if not report.ok:  # lemma1 FAILs with the violations, the rest are SKIPPED
+        return [CheckReport(CHECK_IDS[0], entry.id, "FAIL",
+                            {"counterexample": {"violations": report.violations}},
+                            base_seed, 0.0)] + [
+            CheckReport(cid, entry.id, "SKIPPED",
+                        {"reason": "algebra failed validation"}, base_seed, 0.0)
+            for cid in CHECK_IDS[1:]]
     a.name = entry.id
-    return [
-        check_lemma1(a, desc, derive_seed(base_seed, 1)),
-        check_cover_corner(a, desc, derive_seed(base_seed, 2)),
-        check_lemma2(a, desc, derive_seed(base_seed, 3)),
-        check_lambda_op(a, desc, derive_seed(base_seed, 4)),
-        check_diamond(a, desc, derive_seed(base_seed, 5)),
-        check_syzygy_decomp(a, desc, derive_seed(base_seed, 6)),
-        check_cover_restriction(a, desc, derive_seed(base_seed, 7)),
-        check_del_inequality(a, desc, derive_seed(base_seed, 8)),
-        check_fd_del(a, desc, derive_seed(base_seed, 9)),
-    ]
+    return [run(a, desc, derive_seed(base_seed, i))
+            for i, run in enumerate(CHECKS.values(), 1)]
 
 
 def run_corpus(entries: list, config: Config, only_check: str | None = None,
@@ -800,7 +768,7 @@ def _resolve_lemma5_level(cert, resolved):
     om = syzygy(flat, s)
     omx = syzygy(corner_restrict(flat, "u"), s)
     zs = corner_restrict(om, "v")
-    candidate = _lemma5_candidate(flat.algebra, omx, zs)
+    candidate = triangular_module(flat.algebra, omx, zs)
     return (om, zs, candidate), {"matrix": (om.dim, candidate.dim)}
 
 

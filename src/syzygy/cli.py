@@ -242,11 +242,7 @@ def report_cmd(file, fmt, reverify, corpus_dir):
     path = Path(file)
     if not path.is_file():
         raise CorpusError(f"{file}: no such report file")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CorpusError(
-            f"{file}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = corpus.parse_json(path.read_text(), file)
     # every field that rendering and reverifying a report read
     config = doc.get("config") if isinstance(doc, dict) else None
     if not (isinstance(config, dict) and "version" in doc and "seed" in config

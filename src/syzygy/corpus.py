@@ -38,13 +38,21 @@ class CorpusEntry:
         return bool(self.raw.get("expect_fail", False))
 
 
-def parse_entry_text(text: str, source: str) -> dict:
+def parse_json(text: str, source: str):
+    """The JSON document in text; bad syntax, or nesting too deep to
+    decode, is a CorpusError naming source."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorpusError(
             f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise CorpusError(f"{source}: nested too deeply") from exc
+
+
+def parse_entry_text(text: str, source: str) -> dict:
+    raw = parse_json(text, source)
     if not isinstance(raw, dict):
         raise CorpusError(f"{source}: top level must be an object")
     return raw
@@ -57,6 +65,8 @@ def _require(raw: dict, key: str, source: str):
 
 
 def _check_shape(raw: dict, source: str):
+    if not isinstance(raw.get("id", ""), str):
+        raise CorpusError(f"{source}: id must be a string")
     has_quiver = "quiver" in raw
     has_construction = "construction" in raw
     if has_quiver == has_construction:
@@ -64,23 +74,24 @@ def _check_shape(raw: dict, source: str):
             f"{source}: exactly one of 'quiver' or 'construction' is required"
         )
     field = raw.get("field")
-    if field is not None and not (isinstance(field, dict)
-                                  and isinstance(field.get("p"), int)):
+    if "field" in raw and not (isinstance(field, dict) and isinstance(field.get("p"), int)):
         raise CorpusError(f"{source}: field must be an object with an integer 'p'")
     if has_quiver:
         q = raw["quiver"]
         if not isinstance(q, dict):
             raise CorpusError(f"{source}: quiver must be an object")
-        if not isinstance(q.get("vertices"), list) or not q["vertices"]:
-            raise CorpusError(f"{source}: quiver.vertices must be a non-empty list")
+        if not isinstance(q.get("vertices"), list) or not q["vertices"] \
+                or not all(isinstance(v, str) for v in q["vertices"]):
+            raise CorpusError(f"{source}: quiver.vertices must be a non-empty list of names")
         for key, value in (("quiver.arrows", q.get("arrows", [])),
                            ("relations", raw.get("relations", []))):
             if not isinstance(value, list):
                 raise CorpusError(f"{source}: {key} must be a list")
         for i, arr in enumerate(q.get("arrows", [])):
-            if not isinstance(arr, dict) or not {"name", "from", "to"} <= arr.keys():
+            if not isinstance(arr, dict) or not all(
+                    isinstance(arr.get(k), str) for k in ("name", "from", "to")):
                 raise CorpusError(f"{source}: quiver.arrows[{i}] must be an "
-                                  "object with 'name', 'from' and 'to'")
+                                  "object with names 'name', 'from' and 'to'")
         for i, rel in enumerate(raw.get("relations", [])):
             if not isinstance(rel, list) or not rel:
                 raise CorpusError(f"{source}: relations[{i}] must be a non-empty list")

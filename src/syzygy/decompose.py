@@ -32,7 +32,8 @@ import numpy as np
 
 from . import linalg, poly
 from .algebra import (StructureAlgebra, cached, corner_algebra, corner_basis,
-                      quotient_algebra, same_algebra)
+                      idempotent_violations, is_nilpotent, quotient_algebra,
+                      same_algebra)
 from .errors import (
     AlgebraMismatch,
     CharTooSmall,
@@ -96,22 +97,15 @@ def end_ring(x: RightModule) -> EndRing:
 def endring_radical(e: EndRing) -> np.ndarray:
     """Radical as the kernel K of the regular trace form.  K is an ideal
     that contains rad E in every characteristic, and a nilpotent ideal lies
-    in rad E, so K = rad E once the nilpotency check passes.  K fails it
-    only when p <= dim End (CharTooSmall); above that it cannot."""
+    in rad E, so K = rad E once `is_nilpotent` passes.  K fails it only
+    when p <= dim End (CharTooSmall); above that it cannot."""
     p = e.p
-    h = e.dim
     # e.mul[i] is the matrix of left multiplication by basis element i
     gram = np.einsum("iab,jba->ij", e.mul, e.mul) % p
     rad = linalg.kernel_basis(gram, p)
-    power = rad
-    for _ in range(h + 1):
-        if power.shape[0] == 0:
-            break
-        prods = linalg.bilinear(power, rad, e.mul, p)
-        power = linalg.row_basis(prods.reshape(-1, h), p)
-    if power.shape[0] != 0:
-        if p <= h:
-            raise CharTooSmall(f"trace-form kernel is not nilpotent at p = {p} <= dim End = {h}")
+    if not is_nilpotent(e, rad):
+        if p <= e.dim:
+            raise CharTooSmall(f"trace-form kernel is not nilpotent at p = {p} <= dim End = {e.dim}")
         raise AssertionError("trace-form kernel is not nilpotent")
     return rad
 
@@ -180,8 +174,7 @@ def _split_corner(q: StructureAlgebra, ebar: np.ndarray, rng):
             g2 = poly.divmod_poly(f, g1, p)[0]
             _, w = poly.coprime_split(g1, g2, p)
             e1 = _poly_eval(c, v, poly.mod(poly.mul(w, g2, p), f, p))
-            if not c.is_idempotent(e1):
-                raise AssertionError("Bezout element failed to be idempotent")
+            _check_family(c, [e1, (c.unit - e1) % p], "Bezout")
             if not e1.any() or np.array_equal(e1, c.unit):
                 continue
             e1 = linalg.matmul(e1, basis, p)
@@ -192,13 +185,11 @@ def _split_corner(q: StructureAlgebra, ebar: np.ndarray, rng):
 
 
 def _check_family(a: StructureAlgebra, family: list, what: str):
-    """Exact check that family is orthogonal idempotents summing to 1."""
-    rows = np.array(family)
-    want = linalg.identity(len(rows))[:, :, None] * rows[:, None, :]  # a_i a_j = delta_ij a_i
-    if not np.array_equal(linalg.bilinear(rows, rows, a.mul, a.p), want):
-        raise AssertionError(f"{what} idempotent family is not orthogonal")
-    if not np.array_equal(rows.sum(axis=0) % a.p, a.unit):
-        raise AssertionError(f"{what} idempotents do not sum to one")
+    """Exact check that family is orthogonal idempotents summing to 1;
+    raises on the first of its `idempotent_violations`."""
+    bad = idempotent_violations(a, family)
+    if bad:
+        raise AssertionError(f"{what} family: {bad[0]}")
 
 
 def primitive_idempotents(e: EndRing, seed: int):

@@ -510,23 +510,31 @@ def make_triple(lam: StructureAlgebra, x: RightModule, y: RightModule,
     return TriangleModule(x, y, tensor, f)
 
 
+def triangular_module(lam: StructureAlgebra, x: RightModule, y: RightModule,
+                      m_block=None) -> RightModule:
+    """The module on x + y over the triangular algebra lam: U acts by x and
+    V by y on the diagonal blocks, and M by m_block (dim M x dim x x dim y)
+    from x into y, or by zero when it is None."""
+    info = lam.triangle
+    dx = x.dim
+    action = linalg.zeros((lam.dim, dx + y.dim, dx + y.dim))
+    action[info.u_slice, :dx, :dx] = x.action
+    if m_block is not None:
+        action[info.m_slice, :dx, dx:] = m_block
+    action[info.v_slice, dx:, dx:] = y.action
+    return RightModule(lam, action)
+
+
 def triple_to_module(t: TriangleModule, lam: StructureAlgebra) -> RightModule:
-    """Flatten (X, Y, f) to a module over the triangular algebra."""
+    """Flatten (X, Y, f) over the triangular algebra it lives on: the
+    `triangular_module` with m_c acting as x -> f(x (x) m_c)."""
     info = lam.triangle
     if info is None:
         raise ShapeMismatch("algebra has no triangular block structure")
     if not same_algebra(t.x.algebra, info.u) or not same_algebra(t.y.algebra, info.v):
         raise ShapeMismatch("triple does not match the triangular algebra")
-    p = lam.p
-    dx, dy = t.x.dim, t.y.dim
-    d = dx + dy
-    action = linalg.zeros((lam.dim, d, d))
-    action[info.u_slice, :dx, :dx] = t.x.action
-    # m_c sends x to the image under f of the class of x (x) m_c
-    pure = t.tensor.proj.reshape(dx, info.bimodule.dim, t.tensor.dim).transpose(1, 0, 2)
-    action[info.m_slice, :dx, dx:] = np.matmul(pure, t.f.matrix) % p
-    action[info.v_slice, dx:, dx:] = t.y.action
-    return RightModule(lam, action)
+    pure = t.tensor.proj.reshape(t.x.dim, info.bimodule.dim, t.tensor.dim).transpose(1, 0, 2)
+    return triangular_module(lam, t.x, t.y, np.matmul(pure, t.f.matrix) % lam.p)
 
 
 @cached("corners")

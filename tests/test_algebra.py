@@ -377,3 +377,167 @@ def test_from_quiver_matches_the_reference_reduction(p):
         assert np.array_equal(a.radical, radical), name
         assert np.array_equal(a.idempotents, idems), name
         assert a.labels == labels, name
+
+
+# ---------------------------------------------------------------------------
+# the law checks against the loops they replaced
+
+
+def ref_ideal_power_ranks(a, rows):
+    """Ranks of the chain J, J^2, ...; ends with 0 iff J is nilpotent."""
+    p = a.p
+    ranks = []
+    current = linalg.row_basis(rows, p)
+    gens = [a.right_mult(r) for r in rows]
+    while True:
+        ranks.append(current.shape[0])
+        if current.shape[0] == 0 or len(ranks) > a.dim + 1:
+            break
+        if len(ranks) >= 2 and ranks[-1] == ranks[-2]:
+            break  # stabilized without reaching zero
+        nxt = (
+            np.vstack([linalg.matmul(current, g, p) for g in gens])
+            if gens
+            else linalg.zeros((0, a.dim))
+        )
+        current = linalg.row_basis(nxt, p)
+    return ranks
+
+
+def ref_validate_algebra(a):
+    """The violations of `validate_algebra`, law by law with per-element loops."""
+    p = a.p
+    n = a.dim
+    bad = []
+    left = np.einsum("i,ijk->jk", a.unit, a.mul) % p
+    right = np.einsum("j,ijk->ik", a.unit, a.mul) % p
+    if not np.array_equal(left, linalg.identity(n)) or not np.array_equal(right, linalg.identity(n)):
+        bad.append("unit laws fail")
+    lhs = np.einsum("ijm,mkl->ijkl", a.mul, a.mul) % p
+    rhs = np.einsum("jkm,iml->ijkl", a.mul, a.mul) % p
+    if not np.array_equal(lhs, rhs):
+        bad.append("associativity fails on basis triples")
+    rref, pivots = a.radical_rref()
+    r = rref.shape[0]
+    for k in range(n):
+        e_k = linalg.zeros(n)
+        e_k[k] = 1
+        for m in (a.right_mult(e_k), a.left_mult(e_k)):
+            if not linalg.rowspace_contains(rref, pivots, linalg.matmul(rref, m, p), p):
+                bad.append(f"radical is not an ideal (basis element {k})")
+                break
+        else:
+            continue
+        break
+    if ref_ideal_power_ranks(a, rref)[-1] != 0:
+        bad.append("radical ideal is not nilpotent")
+    ids = a.idempotents
+    if ids.shape[0] == 0:
+        bad.append("no idempotents stored")
+    else:
+        for i, e in enumerate(ids):
+            if not np.array_equal(a.multiply(e, e), e):
+                bad.append(f"idempotent {i} is not idempotent")
+        for i in range(ids.shape[0]):
+            for j in range(ids.shape[0]):
+                if i != j and np.any(a.multiply(ids[i], ids[j])):
+                    bad.append(f"idempotents {i}, {j} are not orthogonal")
+        if not np.array_equal(ids.sum(axis=0) % p, a.unit):
+            bad.append("idempotents do not sum to 1")
+    t = ids.shape[0]
+    corner_total = 0
+    for i in range(t):
+        li = a.left_mult(ids[i])
+        for j in range(t):
+            rows = linalg.matmul(li, a.right_mult(ids[j]), p)
+            d = linalg.rank(np.vstack([rows, rref]), p) - r
+            if i == j and d != 1:
+                bad.append(f"dim(e_{i} Abar e_{i}) = {d}, expected 1")
+            if i != j and d != 0:
+                bad.append(f"dim(e_{i} Abar e_{j}) = {d}, expected 0")
+        corner_total += linalg.rank(np.vstack([li, rref]), p) - r
+    if corner_total != n - r:
+        bad.append("quotient not semisimple-split: corner dims do not fill A/rad")
+    return bad
+
+
+def ref_endring_nilpotent(e, rows):
+    """The power loop `decompose.endring_radical` ran before `is_nilpotent`."""
+    p, h = e.p, e.dim
+    power = rows
+    for _ in range(h + 1):
+        if power.shape[0] == 0:
+            break
+        power = linalg.row_basis(linalg.bilinear(power, rows, e.mul, p).reshape(-1, h), p)
+    return power.shape[0] == 0
+
+
+@pytest.mark.parametrize("p", [None, 2, 1048573])
+def test_validation_matches_the_reference_on_the_corpus_and_its_constructions(p):
+    resolved = corpus.resolve_corpus(corpus.load_corpus(), p)
+    seen = 0
+    for a in resolved.values():
+        for b in (a, algebra.opposite(a), algebra.trivial_extension(a),
+                  algebra.build_cover(a), algebra.build_lambda(a)):
+            assert algebra.validate_algebra(b).violations == ref_validate_algebra(b), b
+            seen += 1
+    assert seen == 5 * len(resolved)
+    assert ref_validate_algebra(resolved["mutant_broken_trivext"])  # a failing entry
+
+
+def _mutants():
+    """(law, algebra) pairs: a3 (1 -a-> 2 -b-> 3, basis e_1 e_2 e_3 a b ab)
+    with one law broken each; the radical rows are a, b, ab, so a alone is
+    only a left ideal and b alone only a right ideal."""
+    a = corpus.resolve_corpus(corpus.load_corpus())["a3"]
+    p, n = a.p, a.dim
+    e1, e2, e3, arrow_a = linalg.identity(n)[:4]
+
+    def with_(mul=a.mul, unit=a.unit, radical=a.radical, idempotents=a.idempotents):
+        return algebra.StructureAlgebra(p, mul, unit, radical, idempotents)
+
+    mul = a.mul.copy()
+    mul[3, 4, 4] = 1  # a*b = ab + b
+    return [
+        ("unit laws fail", with_(unit=(a.unit + arrow_a) % p)),
+        ("associativity fails", with_(mul=mul)),
+        ("radical is not an ideal (basis element 3)", with_(radical=a.radical[:2])),
+        ("radical is not an ideal (basis element 4)", with_(radical=a.radical[:1])),  # a*b
+        ("radical is not an ideal (basis element 3)", with_(radical=a.radical[1:2])),  # a*b
+        ("radical ideal is not nilpotent", with_(radical=linalg.identity(n))),
+        ("idempotent 0 is not idempotent", with_(idempotents=[2 * e1, e2, e3])),
+        ("idempotents 0, 1 are not orthogonal", with_(idempotents=[(e1 + arrow_a) % p, e2, e3])),
+        ("idempotents do not sum to 1", with_(idempotents=[e1, e2])),
+        ("no idempotents stored", with_(idempotents=linalg.zeros((0, n)))),
+        ("dim(e_0 Abar e_0) = 2", with_(idempotents=[e1 + e2, e3])),
+    ]
+
+
+@pytest.mark.parametrize("law, mutant", _mutants(), ids=lambda v: v if isinstance(v, str) else "")
+def test_validation_matches_the_reference_on_one_mutant_per_law(law, mutant):
+    got = algebra.validate_algebra(mutant).violations
+    assert got == ref_validate_algebra(mutant)
+    assert any(v.startswith(law) for v in got), got
+
+
+def test_is_nilpotent_matches_the_end_ring_power_loop():
+    """On the trace-form kernel of the End ring of every nonzero module in
+    the default pools of the valid corpus algebras; at p = 2 some of these
+    kernels are not nilpotent."""
+    from syzygy import decompose, deloop
+    entries = corpus.load_corpus()
+    verdicts = {}
+    for p in (P, 2):
+        resolved = corpus.resolve_corpus(entries, p)
+        for entry in entries:
+            if entry.expect_fail:
+                continue
+            for x in deloop.default_pool(resolved[entry.id]).modules:
+                if x.dim == 0:
+                    continue
+                e = decompose.end_ring(x)
+                kernel = linalg.kernel_basis(np.einsum("iab,jba->ij", e.mul, e.mul) % p, p)
+                verdict = algebra.is_nilpotent(e, kernel)
+                assert verdict == ref_endring_nilpotent(e, kernel), (entry.id, p)
+                verdicts.setdefault(p, set()).add(verdict)
+    assert verdicts == {P: {True}, 2: {True, False}}

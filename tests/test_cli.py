@@ -66,9 +66,13 @@ def _malformed(edit):
     _malformed(lambda d: d.update(relations=[[{"coef": "1", "path": ["a", "a"]}]])),
     _malformed(lambda d: d.update(relations=[[{"coef": 1, "path": [{"x": 1}, "b"]}]])),
     {"id": "c", "construction": 5},
+    _malformed(lambda d: d.update(id=5)),
+    _malformed(lambda d: d.update(field=None)),
+    _malformed(lambda d: d["quiver"].update(vertices=[["1"], "2"])),
+    _malformed(lambda d: d["quiver"]["arrows"][0].update(name=["a"])),
 ], ids=["arrows-int", "arrow-int", "field-int", "field-p-str", "quiver-list",
         "relations-int", "path-str", "term-int", "coef-str", "path-object",
-        "construction-int"])
+        "construction-int", "id-int", "field-null", "vertex-list", "arrow-name-list"])
 def test_malformed_algebra_file_exit_2(runner, tmp_path, doc):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc))
@@ -77,6 +81,30 @@ def test_malformed_algebra_file_exit_2(runner, tmp_path, doc):
     assert f"error: {f}: " in r.output
     assert r.exception is None or isinstance(r.exception, SystemExit)
     assert "Traceback" not in r.output
+
+
+def test_relation_coefficients_beyond_int64_reduce_mod_p(runner, tmp_path):
+    square = corpus.BUNDLED_DIR / "square.json"
+    doc = json.loads(square.read_text())
+    doc["relations"][0][1]["coef"] = -1 + 32003 * 2**70  # -1 mod 32003
+    f = tmp_path / "square.json"
+    f.write_text(json.dumps(doc))
+    want = runner.invoke(main, ["algebra", "validate", str(square)])
+    r = runner.invoke(main, ["algebra", "validate", str(f)])
+    assert r.exit_code == want.exit_code == 0 and r.output == want.output
+
+
+def test_json_nested_beyond_the_decoder_exit_2(runner, tmp_path):
+    """100,000 nested lists make json.loads raise RecursionError; every
+    command that reads the file reports it as a parse error."""
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000 + "]" * 100_000)
+    for args in (["report", str(f)], ["report", str(f), "--reverify"],
+                 ["algebra", "validate", str(f)], ["paper", "verify", str(tmp_path)]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, args
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert r.output == f"error: {f}: nested too deeply\n"
 
 
 def test_del_bounds_named_simple(runner):

@@ -1,0 +1,85 @@
+"""Mutated inputs never crash the command line.
+
+Each example takes a bundled corpus file or a small stored report, makes
+one mutation at one place in its JSON (drop a key, change a type, nest a
+value, up to far deeper than the decoder allows, or swap in a name that
+does not exist) and runs `algebra validate`, `paper verify --algebra` and
+`report --reverify` on the result.  Every run must end with a documented
+exit code (0, 1, 2 or 3) and no exception may escape.
+"""
+
+import functools
+import json
+import tempfile
+from pathlib import Path
+
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from syzygy import corpus
+from syzygy.cli import main
+
+TEXTS = {p.name: p.read_text() for p in corpus.BUNDLED_DIR.glob("*.json")}
+DEEP = "@@nest-here@@"  # placeholder of the nested value in the dumped text
+
+
+@functools.cache
+def _report_text() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a2.json"
+        r = CliRunner().invoke(main, ["paper", "verify", "--algebra", "a2",
+                                      "--report", str(path)])
+        assert r.exit_code == 0, r.output
+        return path.read_text()
+
+
+def _mutate(doc, path, kind, value, depth) -> str:
+    """The text of doc after one mutation at the place path leads to: at
+    each level path picks a child (its index modulo the number of
+    children) until it runs out or meets a value with no children."""
+    parent, key, node = None, None, doc
+    for step in path:
+        if not (isinstance(node, dict | list) and node):
+            break
+        key = sorted(node)[step % len(node)] if isinstance(node, dict) else step % len(node)
+        parent, node = node, node[key]
+    new = {"drop": node, "retype": value, "nest": DEEP, "unknown": "no_such_name"}[kind]
+    if parent is None:
+        doc = {} if kind == "drop" else new
+    elif kind == "drop":
+        del parent[key]
+    else:
+        parent[key] = new
+    text = json.dumps(doc)
+    if kind == "nest":
+        text = text.replace(json.dumps(DEEP), "[" * depth + json.dumps(node) + "]" * depth)
+    return text
+
+
+def _runs_cleanly(args):
+    r = CliRunner().invoke(main, args)
+    assert r.exit_code in (0, 1, 2, 3), (args, r.output)
+    assert r.exception is None or isinstance(r.exception, SystemExit), \
+        (args, r.output, r.exc_info)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(name=st.one_of(st.just("report"), st.sampled_from(sorted(TEXTS))),
+       path=st.lists(st.integers(0, 63), max_size=8),
+       kind=st.sampled_from(["drop", "retype", "nest", "unknown"]),
+       value=st.sampled_from([0, -1, 2**70, 1.5, "x", None, True, [], {}]),
+       depth=st.sampled_from([1, 40, 900, 100_000]))
+def test_mutated_inputs_exit_with_a_documented_code(tmp_path, name, path, kind, value, depth):
+    doc = json.loads(TEXTS[name] if name in TEXTS else _report_text())
+    text = _mutate(doc, path, kind, value, depth)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    if name == "report":
+        (work / name).write_text(text)
+        _runs_cleanly(["report", str(work / name), "--reverify"])
+        return
+    for other, other_text in TEXTS.items():
+        (work / other).write_text(text if other == name else other_text)
+    _runs_cleanly(["algebra", "validate", str(work / name)])
+    _runs_cleanly(["paper", "verify", str(work), "--algebra", Path(name).stem])

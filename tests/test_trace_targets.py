@@ -8,6 +8,7 @@ certificate kind; a rename or deletion here would break
 import importlib
 import importlib.util
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,24 @@ def test_tracer_targets_resolve():
     # the default_pool probe binds these arguments by name
     assert {"a", "horizon", "extra"} <= set(
         inspect.signature(deloop.default_pool).parameters)
+
+
+def test_every_registered_check_has_a_traced_span():
+    """The tracer names the spans of the check functions in CHECK_FUNCS;
+    run_entry runs checks.CHECKS.  The two lists are the same, in the same
+    order, and a traced corpus pass times every check."""
+    tracer = _load_tracer()
+    assert tuple(tracer.CHECK_FUNCS.values()) == checks.CHECK_IDS == tuple(checks.CHECKS)
+    for fn, cid in tracer.CHECK_FUNCS.items():
+        assert checks.CHECKS[cid] is getattr(checks, fn)
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "corpus_verify",
+         "--seed", "20", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
+    for cid in checks.CHECK_IDS:
+        assert metrics[f"checks.{cid}.s"]["value"] > 0, cid
 
 
 def test_reverify_spans_match_the_verifier_table():
