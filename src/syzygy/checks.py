@@ -318,9 +318,9 @@ def check(check_id: str):
     times the body into a CheckReport and is registered in CHECKS."""
     def decorate(body):
         @functools.wraps(body)
-        def run(a: StructureAlgebra, desc: dict, seed: int, *args, **kwargs):
+        def run(a: StructureAlgebra, desc: dict, seed: int):
             t0 = time.monotonic()
-            passed, evidence = body(a, desc, seed, *args, **kwargs)
+            passed, evidence = body(a, desc, seed)
             verdict = "SKIPPED" if passed is None else "PASS" if passed else "FAIL"
             return CheckReport(check_id, a.name, verdict, evidence, seed,
                                elapsed=time.monotonic() - t0)
@@ -399,21 +399,30 @@ def check_cover_corner(a: StructureAlgebra, desc: dict, seed: int) -> CheckRepor
                   "certificates": [cert]}
 
 
-def _simples_all_torsionless(alg: StructureAlgebra, alg_desc: dict):
-    """(all_ok, embedding certificates, failing index)."""
-    certs = []
-    _, simples, _ = canonical_modules(alg)
-    for i, s in enumerate(simples):
-        ok, phi = torsionless_test(s)
-        if not ok:
-            return False, [], i
+def _del_zero(alg: StructureAlgebra, alg_desc: dict):
+    """(ok, evidence, embedding certificates): every simple of alg embeds
+    into a power of alg, and the delooping level of alg is exactly [0, 0]."""
+    certs, bad = [], None
+    for i, s in enumerate(canonical_modules(alg)[1]):
+        torsionless, phi = torsionless_test(s)
+        if not torsionless:
+            bad = i
+            break
         certs.append({
             "kind": "embedding",
             "x": mref("simple", alg_desc, index=i),
             "copies": phi.shape[1] // alg.dim,
             "matrix": _ints(phi),
         })
-    return True, certs, None
+    agg, per = deloop.del_algebra(alg)
+    ok = bad is None and agg.exact and agg.lower == 0 and agg.upper == 0
+    evidence = {"del_lower": agg.lower, "del_upper": agg.upper, "del_exact": agg.exact}
+    if not ok:
+        evidence["counterexample"] = {
+            "non_torsionless_simple": bad,
+            "per_simple": [(b.lower, b.upper) for b in per],
+        }
+    return ok, evidence, certs
 
 
 @check("lemma2_cover_del_zero")
@@ -421,25 +430,11 @@ def check_lemma2(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     """Every simple module of the cover embeds into a projective, and the
     delooping level of the cover is exactly [0, 0]."""
     cover = build_cover(a)
-    cdesc = dict(desc, ops=desc["ops"] + ["cover"])
-    ok, certs, bad = _simples_all_torsionless(cover, cdesc)
-    if not ok:
-        return False, {"counterexample": {"non_torsionless_simple": bad}}
-    agg, per = deloop.del_algebra(cover)
-    del_ok = agg.exact and agg.lower == 0 and agg.upper == 0
-    evidence = {
-        "del_lower": agg.lower,
-        "del_upper": agg.upper,
-        "del_exact": agg.exact,
-        "simples": len(per),
-    }
-    if not del_ok:
-        evidence["counterexample"] = {
-            "per_simple": [(b.lower, b.upper) for b in per]
-        }
-        return False, evidence
-    evidence["certificates"] = certs
-    return True, evidence
+    ok, evidence, certs = _del_zero(cover, dict(desc, ops=desc["ops"] + ["cover"]))
+    evidence["simples"] = len(canonical_modules(cover)[1])
+    if ok:
+        evidence["certificates"] = certs
+    return ok, evidence
 
 
 @check("lemma4_lambda_opposite")
@@ -453,26 +448,14 @@ def check_lambda_op(a: StructureAlgebra, desc: dict, seed: int) -> CheckReport:
     if not iso_ok:
         return False, {"counterexample": {"permutation": _ints(perm)}}
     ldesc = dict(desc, ops=desc["ops"] + ["lambda", "opposite"])
-    ok, certs, bad = _simples_all_torsionless(lhs, ldesc)
-    agg, per = deloop.del_algebra(lhs)
-    del_ok = ok and agg.exact and agg.lower == 0 and agg.upper == 0
-    evidence = {
-        "iso": True,
-        "del_lower": agg.lower,
-        "del_upper": agg.upper,
-        "del_exact": agg.exact,
-    }
-    if not del_ok:
-        evidence["counterexample"] = {
-            "non_torsionless_simple": bad,
-            "per_simple": [(b.lower, b.upper) for b in per],
-        }
-        return False, evidence
-    rdesc = dict(desc, ops=desc["ops"] + ["opposite", "cover"])
-    evidence["certificates"] = [
-        {"kind": "algebra_iso", "a": ldesc, "b": rdesc, "matrix": _ints(perm)},
-    ] + certs
-    return True, evidence
+    ok, evidence, certs = _del_zero(lhs, ldesc)
+    evidence["iso"] = True
+    if ok:
+        rdesc = dict(desc, ops=desc["ops"] + ["opposite", "cover"])
+        evidence["certificates"] = [
+            {"kind": "algebra_iso", "a": ldesc, "b": rdesc, "matrix": _ints(perm)},
+        ] + certs
+    return ok, evidence
 
 
 @check("lemma3_diamond")

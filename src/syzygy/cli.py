@@ -66,8 +66,7 @@ def algebra_group():
 
 def _load(path, prime):
     entry = corpus.load_entry_file(path)
-    a = corpus.load_algebra_file(path, prime)
-    return entry, a
+    return entry, corpus.entry_algebra(entry, prime)
 
 
 def _summary(a):

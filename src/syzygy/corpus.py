@@ -200,8 +200,15 @@ def resolve_corpus(entries: list[CorpusEntry], p: int | None = None) -> dict:
 def load_algebra_file(path, p: int | None = None) -> StructureAlgebra:
     """Single-file loader; construction bases resolve against the bundled
     corpus."""
-    entry = load_entry_file(path)
-    if "quiver" in entry.raw:
-        return build_algebra(entry, {}, p)
-    resolved = resolve_corpus(load_corpus(), p)
-    return build_algebra(entry, resolved, p)
+    return entry_algebra(load_entry_file(path), p)
+
+
+def entry_algebra(entry: CorpusEntry, p: int | None = None) -> StructureAlgebra:
+    """The algebra of one entry; a construction builds its chain of bases
+    from the bundled corpus, and nothing else of it."""
+    bundled = {e.id: e for e in load_corpus()} if "construction" in entry.raw else {}
+    chain, base = [], entry.raw.get("construction", {}).get("base")
+    while base in bundled and bundled[base] not in chain:  # a cycle: resolve_corpus raises
+        chain.append(bundled[base])
+        base = chain[-1].raw.get("construction", {}).get("base")
+    return build_algebra(entry, resolve_corpus(chain, p), p)

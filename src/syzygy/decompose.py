@@ -317,7 +317,6 @@ class Summand:
     inclusion: ModuleHom  # summand -> x
     projection: ModuleHom  # x -> summand
     class_index: int = -1
-    class_witness: ModuleHom | None = None  # summand -> class representative
 
 
 @dataclass
@@ -346,15 +345,12 @@ def decompose(x: RightModule, seed: int = 0) -> Decomposition:
     parts = []  # (representative, multiplicity); summands are indecomposable
     for s in summands:
         for ci, (rep, mult) in enumerate(parts):
-            verdict, _ = _basis_iso(s.module, rep)
-            if verdict.isomorphic:
-                s.class_index, s.class_witness = ci, verdict.witness
+            if _basis_iso(s.module, rep)[0].isomorphic:
+                s.class_index = ci
                 parts[ci] = (rep, mult + 1)
                 break
         else:
             s.class_index = len(parts)
-            s.class_witness = ModuleHom(s.module, s.module,
-                                        linalg.identity(s.module.dim))
             parts.append((s.module, 1))
     return Decomposition(x, summands, parts, idems, e, certs)
 
@@ -376,7 +372,8 @@ def reassemble_check(dec: Decomposition) -> bool:
 
 def summand_multiplicity(x: RightModule, y: RightModule, seed: int = 0):
     """How many copies of x split off y; with an exact (u, v), v∘u = id_x,
-    split-pair certificate when the multiplicity is positive."""
+    split-pair certificate when the multiplicity is positive, built from
+    one isomorphism between each summand of x and its matched summand of y."""
     if not same_algebra(x.algebra, y.algebra):
         raise AlgebraMismatch("summand test across different algebras")
     p = x.p
@@ -384,43 +381,23 @@ def summand_multiplicity(x: RightModule, y: RightModule, seed: int = 0):
         return 0, None
     dx = decompose(x, seed=seed)
     dy = decompose(y, seed=seed + 1)
-    # match x-classes to y-classes
-    matches = []  # (x class index, list of y summand indices, mult in x)
-    mult = None
-    for ci, (rep, mx) in enumerate(dx.parts):
-        slots = []
-        pair_witness = {}
-        for t, s in enumerate(dy.summands):
-            verdict, _ = _basis_iso(rep, s.module)
-            if verdict.isomorphic:
-                slots.append(t)
-                pair_witness[t] = verdict.witness
-        here = len(slots) // mx
-        mult = here if mult is None else min(mult, here)
-        matches.append((ci, slots, pair_witness))
-        if mult == 0:
+    slots = []  # per x-class, the y summands isomorphic to it
+    for rep, mx in dx.parts:
+        slots.append([t for t, ys in enumerate(dy.summands)
+                      if _basis_iso(rep, ys.module)[0].isomorphic])
+        if len(slots[-1]) < mx:
             return 0, None
-    # assemble one split pair (u, v) for a single copy of x inside y
+    mult = min(len(sl) // mx for sl, (_, mx) in zip(slots, dx.parts))
+    # one copy of x inside y: x -> summand -> y summand -> y, and back
     u = linalg.zeros((x.dim, y.dim))
     v = linalg.zeros((y.dim, x.dim))
-    used = set()
     for s in dx.summands:
-        ci = s.class_index
-        _, slots, pair_witness = matches[ci]
-        t = next(tt for tt in slots if tt not in used)
-        used.add(t)
-        ys = dy.summands[t]
-        w = pair_witness[t]  # x-class rep -> y summand
-        # x -> summand -> rep -> y summand -> y
-        a = s.class_witness.matrix  # summand -> rep
-        fwd = linalg.matmul(
-            linalg.matmul(s.projection.matrix, linalg.matmul(a, w.matrix, p), p),
-            ys.inclusion.matrix, p)
-        back = linalg.matmul(
-            linalg.matmul(ys.projection.matrix,
-                          linalg.matmul(linalg.invert(w.matrix, p),
-                                        linalg.invert(a, p), p), p),
-            s.inclusion.matrix, p)
+        ys = dy.summands[slots[s.class_index].pop()]
+        g = _basis_iso(s.module, ys.module)[0].witness.matrix
+        fwd = linalg.matmul(linalg.matmul(s.projection.matrix, g, p),
+                            ys.inclusion.matrix, p)
+        back = linalg.matmul(linalg.matmul(ys.projection.matrix, linalg.invert(g, p), p),
+                             s.inclusion.matrix, p)
         u = (u + fwd) % p
         v = (v + back) % p
     if not np.array_equal(linalg.matmul(u, v, p), linalg.identity(x.dim)):

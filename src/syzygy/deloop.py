@@ -24,7 +24,6 @@ from .modules import (
     direct_sum,
     free_cokernel,
     is_projective,
-    is_torsionless,
     radical_submodule,
     socle,
     syzygy,
@@ -122,25 +121,21 @@ def projective_dimension(x: RightModule, cap: int = DEFAULT_PD_CAP) -> PdResult:
     return PdResult("unknown", cap=cap)
 
 
-def _nonprojective_classes(x: RightModule, a: StructureAlgebra) -> Counter:
-    """Multiset of the class ids, in the registry of a, of the
+@cached("nonprojective_classes")
+def _nonprojective_classes(x: RightModule) -> Counter:
+    """Multiset of the class ids, in the registry of x's algebra, of the
     non-projective indecomposable summands.
 
     By Krull-Schmidt the multiset is an isomorphism invariant, and class
-    ids are fixed by a's registry, so the first answer holds for every
-    decomposition: it is cached on the module and must not be modified.
+    ids are fixed by the registry, so the first answer holds for every
+    decomposition; it is cached and must not be modified.  Multisets over
+    two algebra objects do not compare.
     """
-    if x.algebra is not a:  # class ids of two registries do not compare
-        if not same_algebra(x.algebra, a):
-            raise AlgebraMismatch("modules over different algebras")
-        x = RightModule(a, x.action)
-    if "nonprojective_classes" not in x._cache:
-        out = Counter()
-        for rep, mult in decompose(x).parts:
-            if not is_projective(rep):
-                out[class_id(rep)] += mult
-        x._cache["nonprojective_classes"] = out
-    return x._cache["nonprojective_classes"]
+    out = Counter()
+    for rep, mult in decompose(x).parts:
+        if not is_projective(rep):
+            out[class_id(rep)] += mult
+    return out
 
 
 def _covers(need: Counter, have: Counter) -> bool:
@@ -161,7 +156,7 @@ def torsionless_ladder_lower(s: RightModule) -> int:
     """Sound lower bound for del(s), 0 or 1: del(s) = 0 needs s itself to be
     torsionless, while Omega^i(s) for i >= 1 embeds in its projective cover
     and so is always torsionless."""
-    return 0 if is_torsionless(s) else 1
+    return 0 if torsionless_test(s)[0] else 1
 
 
 def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON):
@@ -178,11 +173,11 @@ def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON):
                 return 0, q, "embedding-quotient"
         else:
             pool = default_pool(a, horizon)  # cached on a
-            need = _nonprojective_classes(cur, a)
+            need = _nonprojective_classes(cur)
             # syzygies are cached on the modules, so each level extends the last
             haves = []
             for idx, m in enumerate(pool.modules):
-                have = _nonprojective_classes(syzygy(m, d + 1), a)
+                have = _nonprojective_classes(syzygy(m, d + 1))
                 if _covers(need, have):
                     return d, m, pool.tags[idx]
                 haves.append(have)
@@ -197,13 +192,18 @@ def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON):
 
 def verify_del_witness(s: RightModule, d: int, witness: RightModule) -> bool:
     """Exact re-check: the non-projective classes of Omega^d(s) all appear
-    in Omega^{d+1}(witness)."""
+    in Omega^{d+1}(witness).  A witness over an equal copy of s's algebra
+    is moved onto s's algebra first, so both multisets use one registry."""
+    a = s.algebra
+    if witness.algebra is not a:
+        if not same_algebra(witness.algebra, a):
+            raise AlgebraMismatch("modules over different algebras")
+        witness = RightModule(a, witness.action)
     om = syzygy(s, d)
     if is_projective(om):
         return True
-    need = _nonprojective_classes(om, s.algebra)
-    have = _nonprojective_classes(syzygy(witness, d + 1), s.algebra)
-    return _covers(need, have)
+    return _covers(_nonprojective_classes(om),
+                   _nonprojective_classes(syzygy(witness, d + 1)))
 
 
 def del_bounds(s: RightModule, horizon: int = DEFAULT_HORIZON) -> DelBounds:

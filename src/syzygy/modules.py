@@ -444,11 +444,6 @@ def _free_embedding(x: RightModule) -> np.ndarray | None:
     return phi if linalg.rank(phi, x.p) == x.dim else None
 
 
-def is_torsionless(x: RightModule) -> bool:
-    """Whether x embeds in a free module."""
-    return _free_embedding(x) is not None
-
-
 def torsionless_test(x: RightModule):
     """(torsionless, embedding matrix into A_A^k, or None).  The target is
     not built; direct_sum([regular] * k) gives it as a module."""
@@ -491,8 +486,6 @@ class TriangleModule:
     y: RightModule
     tensor: TensorModule
     f: ModuleHom
-    x_rows: np.ndarray | None = None  # embedding data when extracted from a module
-    y_rows: np.ndarray | None = None
 
 
 def make_triple(lam: StructureAlgebra, x: RightModule, y: RightModule,
@@ -576,7 +569,7 @@ def module_to_triple(z: RightModule) -> TriangleModule:
     else:
         fmat = linalg.zeros((tensor.dim, y_mod.dim))
     f = ModuleHom(tensor, y_mod, fmat)
-    return TriangleModule(x_mod, y_mod, tensor, f, x_rows=x_rows, y_rows=y_rows)
+    return TriangleModule(x_mod, y_mod, tensor, f)
 
 
 def corner_restrict(z: RightModule, which: str = "u") -> RightModule:

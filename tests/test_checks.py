@@ -226,6 +226,25 @@ def test_reverify_fails_a_malformed_payload_without_raising():
                for r in (results[1], results[-1]))
 
 
+def test_reverify_fails_a_del_witness_over_another_algebra_without_raising():
+    """two_points has the dimension of dual_numbers but another product:
+    verify_del_witness refuses to move the witness onto dual_numbers, and
+    reverify fails that certificate alone."""
+    small = [e for e in corpus.load_corpus() if e.id in ("dual_numbers", "two_points")]
+    resolved = corpus.resolve_corpus(small)
+    assert resolved["dual_numbers"].dim == resolved["two_points"].dim
+    certs = [{"kind": "del_witness", "d": 0,
+              "module": checks.mref("simple", _desc("dual_numbers"), index=0),
+              "witness": checks.mref("simple", _desc(eid), index=0)}
+             for eid in ("dual_numbers", "two_points")]
+    report = checks.CheckReport("lemma6_del_inequality", "dual_numbers", "PASS",
+                                {"certificates": certs}, 1, 0.0)
+    doc = checks.report_document([report], checks.Config(), [e.id for e in small], [])
+    results, ok = checks.reverify_report(doc, small)
+    assert not ok and [r["ok"] for r in results] == [True, False]
+    assert results[1]["detail"].startswith("verifier raised: AlgebraMismatch")
+
+
 @pytest.fixture(scope="module")
 def lemma5_a2_doc(world):
     """The lemma5 decomposition certificates of a2, as a report reads

@@ -40,6 +40,24 @@ def test_algebra_build_construction(runner):
     assert out["dim"] == 9  # T(Sigma) + A + Sigma = 4 + 3 + 2
 
 
+def test_construction_file_is_read_once_and_builds_its_base_chain_only(
+        runner, tmp_path, monkeypatch):
+    f = tmp_path / "my_cover.json"
+    f.write_text(json.dumps({"id": "my_cover",
+                             "construction": {"op": "cover", "base": "a2"}}))
+    reads, builds = [], []
+    read_text, build_algebra = Path.read_text, corpus.build_algebra
+    monkeypatch.setattr(Path, "read_text",
+                        lambda path, *a, **k: reads.append(path) or read_text(path, *a, **k))
+    monkeypatch.setattr(corpus, "build_algebra",
+                        lambda entry, *a: builds.append(entry.id) or build_algebra(entry, *a))
+    r = runner.invoke(main, ["algebra", "validate", str(f)])
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output)["id"] == "my_cover"
+    assert reads.count(f) == 1
+    assert builds == ["a2", "my_cover"]
+
+
 def test_parse_error_exit_2_with_position(runner, tmp_path):
     f = tmp_path / "bad.json"
     f.write_text('{"id": "bad",\n "quiver": }')

@@ -515,6 +515,41 @@ def test_summand_multiplicity_cases():
     assert mult >= 1
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("aid", ["a3", "nakayama3", "square", "truncated_cubic"])
+def test_split_pairs_join_summands_through_non_identity_isomorphisms(aid, seed, monkeypatch):
+    """y is x = R + R + P (P the largest projective, R its radical) with
+    its summands in another order and in a random basis, so no summand of
+    y shares an action, and with it a memo, with a summand of x.  The split
+    pairs still compose to the identity, and with no random round iso_test
+    takes its witness from the Krull-Schmidt fallback."""
+    monkeypatch.setattr(decompose, "TRIALS", 0)
+    a = _corpus()[aid]
+    proj = max((info.module for info in modules.canonical_modules(a)[2]),
+               key=lambda m: m.dim)
+    rad, _ = modules.radical_submodule(proj)
+    x, _ = modules.direct_sum([rad, rad, proj])
+    y = _conjugate(modules.direct_sum([proj, rad, rad])[0], np.random.default_rng(seed))
+    dx, dy = decompose.decompose(x, seed=seed), decompose.decompose(y, seed=seed + 1)
+    assert sorted(m for _, m in dx.parts) == [1, 2]
+    assert not any(np.array_equal(s.module.action, t.module.action)
+                   for s in dx.summands for t in dy.summands)
+    for part, want in ((x, 1), (rad, 2), (proj, 1)):
+        mult, (u, v) = decompose.summand_multiplicity(part, y, seed=seed)
+        assert mult == want
+        assert np.array_equal(linalg.matmul(u.matrix, v.matrix, P),
+                              linalg.identity(part.dim))
+        assert u.intertwines() and v.intertwines()
+    assert not any(f.is_iso() for f in modules.hom_space(x, y))
+    calls = []
+    real = decompose.summand_multiplicity
+    monkeypatch.setattr(decompose, "summand_multiplicity",
+                        lambda *args: calls.append(args) or real(*args))
+    v = decompose.iso_test(x, y, seed=seed)
+    assert v.isomorphic and v.witness.intertwines() and v.witness.is_iso()
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # reference: the idempotent split on bare structure-constant tensors
 

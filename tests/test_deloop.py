@@ -5,7 +5,7 @@ import pytest
 
 from syzygy import algebra, checks, corpus, decompose, deloop, linalg, modules
 from syzygy.algebra import QuiverPresentation
-from syzygy.errors import NotStable
+from syzygy.errors import AlgebraMismatch, NotStable
 
 P = 32003
 
@@ -113,14 +113,14 @@ def _free_target(x, phi):
 
 
 @pytest.mark.parametrize("aid", CORPUS_IDS)
-def test_is_torsionless_agrees_with_torsionless_test(aid):
+def test_torsionless_test_agrees_with_the_regular_reference(aid):
     a = _corpus_algebra(aid)
     mods = list(deloop.default_pool(a).modules)
     for s in modules.canonical_modules(a)[1]:
         mods += [modules.syzygy(s, i) for i in range(deloop.DEFAULT_HORIZON + 1)]
     for x in mods:
         ok, phi = modules.torsionless_test(x)
-        assert modules.is_torsionless(x) == ok == _torsionless_via_regular(x)
+        assert ok == _torsionless_via_regular(x)
         if ok:
             emb = modules.ModuleHom(x, _free_target(x, phi), phi)
             assert emb.intertwines() and linalg.rank(phi, x.p) == x.dim
@@ -232,9 +232,8 @@ def test_covers_counts_a_class_split_across_two_haves():
     s = simples[0]
     twice, _ = modules.direct_sum([s, s])
     with_projective, _ = modules.direct_sum([s, reg])
-    need = deloop._nonprojective_classes(twice, a)
-    haves = [deloop._nonprojective_classes(m, a)
-             for m in (s, with_projective)]
+    need = deloop._nonprojective_classes(twice)
+    haves = [deloop._nonprojective_classes(m) for m in (s, with_projective)]
     assert list(need.values()) == [2]
     assert haves[0] == haves[1] and sum(haves[0].values()) == 1
     assert not deloop._covers(need, haves[0])
@@ -262,26 +261,39 @@ def test_class_multiset_is_computed_once_per_module(monkeypatch):
     reg, simples, _ = modules.canonical_modules(a)
     s = simples[0]
     x, _ = modules.direct_sum([s, modules.syzygy(s, 1), reg])
-    first = deloop._nonprojective_classes(x, a)
+    first = deloop._nonprojective_classes(x)
     assert sum(first.values()) == 2
     monkeypatch.setattr(deloop, "decompose", _refuse)
-    assert deloop._nonprojective_classes(x, a) == first
+    assert deloop._nonprojective_classes(x) == first
 
 
-def test_equal_rebased_modules_share_their_class_multiset(monkeypatch):
-    a, copy = dual_numbers(), dual_numbers()
-    s = modules.canonical_modules(copy)[1][0]
-    twice, _ = modules.direct_sum([s, s])
-    held = modules.RightModule(a, twice.action)  # a live module with the action over a
+def _decompose_spy(monkeypatch):
+    """The modules deloop decomposes from now on, in call order."""
     calls = []
     real = deloop.decompose
     monkeypatch.setattr(deloop, "decompose",
                         lambda x, **kwargs: calls.append(x) or real(x, **kwargs))
-    first = deloop._nonprojective_classes(twice, a)
+    return calls
+
+
+def test_equal_rebased_modules_share_their_class_multiset(monkeypatch):
+    """A witness over an equal copy is moved onto the algebra of s: the
+    multiset of its syzygy is computed once, in the registry of that
+    algebra, and shared with every live module of the same action there."""
+    a, copy = dual_numbers(), dual_numbers()
+    s = modules.canonical_modules(a)[1][0]
+    need = deloop._nonprojective_classes(s)
+    t = modules.canonical_modules(copy)[1][0]
+    twice, _ = modules.direct_sum([t, t])
+    held = modules.RightModule(a, modules.syzygy(twice, 1).action)  # live, over a
+    calls = _decompose_spy(monkeypatch)
+    assert deloop.verify_del_witness(s, 0, twice)
     again = modules.RightModule(copy, twice.action)
-    assert deloop._nonprojective_classes(again, a) is first
+    assert deloop.verify_del_witness(s, 0, again)
     assert len(calls) == 1 and calls[0] is not held and calls[0].algebra is a
-    assert held._cache["nonprojective_classes"] is first
+    first = held._cache["nonprojective_classes"]
+    assert list(first.values()) == [2] and set(first) == set(need)
+    assert "iso_classes" not in copy._cache
 
 
 def _reference_pair(need, haves):
@@ -329,24 +341,35 @@ def test_pair_loop_takes_the_first_pair_of_the_summed_reference(monkeypatch, see
 
 
 def test_class_multiset_over_an_equal_copy_is_not_shared(monkeypatch):
+    """A witness over a, checked against a simple of an equal copy, is
+    moved onto the copy and decomposed there, with the copy's class ids;
+    the multiset a holds for the same action is neither read nor changed."""
     a, copy = dual_numbers(), dual_numbers()
-    s = modules.canonical_modules(a)[1][0]
-    twice, _ = modules.direct_sum([s, s])
-    mine = deloop._nonprojective_classes(twice, a)
-    calls = []
-    real = deloop.decompose
-
-    def spy(x, **kwargs):
-        calls.append(x)
-        return real(x, **kwargs)
-
-    monkeypatch.setattr(deloop, "decompose", spy)
-    theirs = deloop._nonprojective_classes(twice, copy)
+    twice, _ = modules.direct_sum([modules.canonical_modules(a)[1][0]] * 2)
+    omega = modules.syzygy(twice, 1)
+    mine = deloop._nonprojective_classes(omega)
+    s = modules.canonical_modules(copy)[1][0]
+    deloop._nonprojective_classes(s)
+    held = modules.RightModule(copy, omega.action)  # live, over the copy
+    registry = {k: list(b) for k, b in a._cache["iso_classes"].items()}
+    calls = _decompose_spy(monkeypatch)
+    assert deloop.verify_del_witness(s, 0, twice)
     # rebased onto the copy and decomposed there, with the copy's class ids
     assert [x.algebra for x in calls] == [copy]
+    theirs = held._cache["nonprojective_classes"]
     assert list(theirs.values()) == [2] and copy._cache["iso_classes"]
-    assert deloop._nonprojective_classes(twice, a) is mine
+    assert a._cache["iso_classes"] == registry
+    assert deloop._nonprojective_classes(omega) is mine
     assert len(calls) == 1
+
+
+def test_del_witness_over_another_algebra_of_the_same_dimension_is_refused():
+    a = dual_numbers()
+    other = algebra.from_quiver(QuiverPresentation(["1", "2"], [], []), P, 6)
+    assert other.dim == a.dim and not algebra.same_algebra(a, other)
+    s = modules.canonical_modules(a)[1][0]
+    with pytest.raises(AlgebraMismatch):
+        deloop.verify_del_witness(s, 0, modules.canonical_modules(other)[1][0])
 
 
 def test_del_upper_search_leaves_cached_class_multisets_unmodified(monkeypatch):
@@ -382,7 +405,7 @@ def _ladder_reference(s, horizon=deloop.DEFAULT_HORIZON):
     for i in range(horizon + 1):
         if cur.dim == 0:
             break
-        if not modules.is_torsionless(cur):
+        if not modules.torsionless_test(cur)[0]:
             best = i + 1
         cur = modules.syzygy_step(cur)[0]
     return best
@@ -395,7 +418,7 @@ def test_syzygies_of_simples_are_torsionless(aid):
     a = _corpus_algebra(aid)
     for alg in (a, algebra.build_cover(a), algebra.build_lambda(a)):
         for s in modules.canonical_modules(alg)[1]:
-            assert all(modules.is_torsionless(modules.syzygy(s, i)) for i in (1, 2, 3))
+            assert all(modules.torsionless_test(modules.syzygy(s, i))[0] for i in (1, 2, 3))
             assert deloop.torsionless_ladder_lower(s) == _ladder_reference(s)
 
 
@@ -414,8 +437,8 @@ def _upper_search_reference(s, horizon=deloop.DEFAULT_HORIZON):
                 return 0, q, "embedding-quotient"
         else:
             pool = deloop.default_pool(a, horizon)
-            need = deloop._nonprojective_classes(cur, a)
-            haves = [deloop._nonprojective_classes(modules.syzygy(m, d + 1), a)
+            need = deloop._nonprojective_classes(cur)
+            haves = [deloop._nonprojective_classes(modules.syzygy(m, d + 1))
                      for m in pool.modules]
             for idx, have in enumerate(haves):
                 if deloop._covers(need, have):
@@ -466,7 +489,7 @@ def test_embedding_quotient_is_built_once_per_simple(aid, monkeypatch):
         deloop.default_pool(alg)
         for s in simples:
             deloop.del_bounds(s)
-        assert len(calls) - before == sum(modules.is_torsionless(s) for s in simples)
+        assert len(calls) - before == sum(modules.torsionless_test(s)[0] for s in simples)
 
 
 def _not_stable_message(build):

@@ -345,8 +345,9 @@ def test_triples_and_corners_match_loop_reference(worlds, aid, p):
         for z in _triangular_modules(tri):
             t = modules.module_to_triple(z)
             want = ref_module_to_triple(z)
-            got = {"x": t.x.action, "y": t.y.action, "x_rows": t.x_rows,
-                   "y_rows": t.y_rows, "t_action": t.tensor.action,
+            _, x_rows, _, y_rows = modules.corners(z)
+            got = {"x": t.x.action, "y": t.y.action, "x_rows": x_rows,
+                   "y_rows": y_rows, "t_action": t.tensor.action,
                    "proj": t.tensor.proj, "lift": t.tensor.lift, "f": t.f.matrix}
             for key in want:
                 assert _same(got[key], want[key]), key
