@@ -6,13 +6,16 @@ quantifier over all M is not searchable, so del is reported as a certified
 interval.  The lower end is 0 if x is torsionless and 1 otherwise: for
 i >= 1 Omega^i(x) embeds in its projective cover, so no deeper syzygy can
 raise it.  The upper end comes from an explicit witness M, the first
-module (or pair) of a finite candidate pool that covers.
+module (or pair) of a finite candidate pool that covers; a recipe reads each
+pool module's Omega^{d+1} off the simples' syzygy chains (Schanuel's lemma).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .algebra import StructureAlgebra, cached, opposite, same_algebra
 from .decompose import class_id, decompose, iso_test
@@ -21,6 +24,7 @@ from .modules import (
     ModuleHom,
     RightModule,
     canonical_modules,
+    dimension_vector,
     direct_sum,
     free_cokernel,
     is_projective,
@@ -49,20 +53,28 @@ class PdResult:
 class DelBounds:
     lower: int
     upper: int | None  # None = unknown within the horizon
-    witness: RightModule | None
+    found: RightModule | None  # the witness the search returned
     witness_tag: str
     horizon: int
     exact: bool
+    module: RightModule | None = None  # the module bounded; None for an aggregate
+
+    @property
+    def witness(self) -> RightModule | None:  # a d = 0 A^k/s is built on first read
+        lazy = self.found is None and self.witness_tag == "embedding-quotient"
+        return embedding_quotient(self.module) if lazy else self.found
 
 
 @dataclass
 class CandidatePool:
     modules: list = field(default_factory=list)
     tags: list = field(default_factory=list)
+    recipes: list = field(default_factory=list)  # [(simple j, shift, copies)]; None: extra
 
-    def add(self, module: RightModule, tag: str):
+    def add(self, module: RightModule, tag: str, recipe):
         self.modules.append(module)
         self.tags.append(tag)
+        self.recipes.append(recipe)
 
 
 def default_pool(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON,
@@ -74,28 +86,29 @@ def default_pool(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON,
         return a._cache[cache_key]
     pool = CandidatePool()
     _, simples, projectives = canonical_modules(a)
-    for s in simples:
-        pool.add(s, "simple")
-    for info in projectives:
+    for j, s in enumerate(simples):
+        pool.add(s, "simple", [(j, 0, 1)])
+    for info in projectives:  # P_i covers S_i
         r, _ = radical_submodule(info.module)
         if r.dim:
-            pool.add(r, "rad-of-projective")
+            pool.add(r, "rad-of-projective", [(info.index, 1, 1)])
         sc, _ = socle(info.module)
         if sc.dim and sc.dim != info.module.dim:
-            pool.add(sc, "soc-of-projective")
-    for s in simples:
+            pool.add(sc, "soc-of-projective",
+                     [(j, 0, n) for j, n in enumerate(dimension_vector(sc)) if n])
+    for j, s in enumerate(simples):
         cur = s
         for i in range(1, horizon + 1):
             cur = syzygy_step(cur)[0]
             if cur.dim == 0:
                 break
-            pool.add(cur, "syzygy")
-    for s in simples:
+            pool.add(cur, "syzygy", [(j, i, 1)])
+    for j, s in enumerate(simples):
         q = embedding_quotient(s)
         if q is not None:
-            pool.add(q, "embedding-quotient")
+            pool.add(q, "embedding-quotient", [(j, -1, 1)])
     for m in extra:
-        pool.add(m, "user")
+        pool.add(m, "user", None)
     if not extra:
         a._cache[cache_key] = pool
     return pool
@@ -159,33 +172,54 @@ def torsionless_ladder_lower(s: RightModule) -> int:
     return 0 if torsionless_test(s)[0] else 1
 
 
+def _pool_haves(a: StructureAlgebra, pool: CandidatePool, d: int):
+    """Yields, in pool order, the class multiset of each module's Omega^{d+1}
+    from its recipe; each chain is walked once, only as deep as needed."""
+    chains = [[s] for s in canonical_modules(a)[1]]  # chains[j][n] = Omega^n(S_j)
+    for recipe in pool.recipes:
+        have = Counter()
+        for j, shift, copies in recipe:
+            while len(chains[j]) <= d + 1 + shift:
+                chains[j].append(syzygy_step(chains[j][-1])[0])
+            for _ in range(copies):
+                have.update(_nonprojective_classes(chains[j][d + 1 + shift]))
+        yield have
+
+
+def _pool_witness(s: RightModule, d: int, pool: CandidatePool, picks) -> tuple:
+    """(d, witness, tag) for the pool modules at picks, summed and checked."""
+    mods = [pool.modules[k] for k in picks]
+    witness = mods[0] if len(mods) == 1 else direct_sum(mods)[0]
+    if not verify_del_witness(s, d, witness):
+        raise AssertionError("a pool recipe disagrees with its witness")
+    return d, witness, "+".join(pool.tags[k] for k in picks)
+
+
 def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON):
     """First level d at which an explicit witness certifies the summand
-    condition; returns (d, witness module, tag) or (None, None, reason)."""
+    condition; returns (d, witness module, tag) or (None, None, reason).
+    DelBounds.witness builds a d = 0 A^k/s.  At d >= 1 the first single that
+    covers wins, else the first pair (i <= j, row-major) of count vectors."""
     a = s.algebra
     cur = s
     for d in range(horizon + 1):
         if is_projective(cur):
             return d, zero_module(a), "projective-shortcut"
-        if d == 0:
-            q = embedding_quotient(s)
-            if q is not None:
-                return 0, q, "embedding-quotient"
-        else:
+        if d == 0 and torsionless_test(s)[0]:
+            return 0, None, "embedding-quotient"
+        if d:
             pool = default_pool(a, horizon)  # cached on a
             need = _nonprojective_classes(cur)
-            # syzygies are cached on the modules, so each level extends the last
             haves = []
-            for idx, m in enumerate(pool.modules):
-                have = _nonprojective_classes(syzygy(m, d + 1))
+            for k, have in enumerate(_pool_haves(a, pool, d)):
                 if _covers(need, have):
-                    return d, m, pool.tags[idx]
-                haves.append(have)
-            for i, hi in enumerate(haves):
-                for j, hj in enumerate(haves[i:], i):
-                    if all(hi[c] + hj[c] >= mult for c, mult in need.items()):
-                        witness, _ = direct_sum([pool.modules[i], pool.modules[j]])
-                        return d, witness, f"{pool.tags[i]}+{pool.tags[j]}"
+                    return _pool_witness(s, d, pool, [k])
+                haves.append([have[c] for c in need])
+            h = np.array(haves)
+            rows, cols = np.triu_indices(len(h))
+            hits = np.flatnonzero((h[rows] + h[cols] >= list(need.values())).all(axis=1))
+            if hits.size:
+                return _pool_witness(s, d, pool, [rows[hits[0]], cols[hits[0]]])
         cur = syzygy_step(cur)[0]
     return None, None, "horizon-exhausted"
 
@@ -211,9 +245,9 @@ def del_bounds(s: RightModule, horizon: int = DEFAULT_HORIZON) -> DelBounds:
     upper, witness, tag = del_upper_search(s, horizon)
     if upper is not None and upper < lower:
         raise AssertionError("witness search beat the sound lower bound")
-    return DelBounds(lower=lower, upper=upper, witness=witness,
+    return DelBounds(lower=lower, upper=upper, found=witness,
                      witness_tag=tag, horizon=horizon,
-                     exact=(upper is not None and upper == lower))
+                     exact=(upper is not None and upper == lower), module=s)
 
 
 def del_algebra(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON):
@@ -224,7 +258,7 @@ def del_algebra(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON):
     uppers = [b.upper for b in per]
     upper = max(uppers) if all(u is not None for u in uppers) else None
     exact = all(b.exact for b in per) and upper is not None and upper == lower
-    agg = DelBounds(lower=lower, upper=upper, witness=None,
+    agg = DelBounds(lower=lower, upper=upper, found=None,
                     witness_tag="aggregate", horizon=horizon, exact=exact)
     return agg, per
 
