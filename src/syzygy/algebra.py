@@ -25,6 +25,7 @@ from .errors import (
     NotAdmissible,
     NotFiniteDimensional,
     NotIdempotent,
+    ResourceGuard,
 )
 
 
@@ -249,7 +250,8 @@ def from_quiver(q: QuiverPresentation, p: int, max_path_length: int = 12,
     kQ/I is the paths that are not pivots of I.  Relations must be
     admissible (every component path has length >= 2 and all paths in one
     relation are parallel).  Raises NotFiniteDimensional when paths of
-    length max_path_length do not vanish in the quotient.
+    length max_path_length do not vanish in the quotient, and ResourceGuard
+    when the dense rows of I would pass 10^7 entries.
     """
     linalg.check_prime(p)
     for name_, src, tgt in q.arrows:
@@ -313,6 +315,8 @@ def from_quiver(q: QuiverPresentation, p: int, max_path_length: int = 12,
                         break
                     row[index[full]] = (row[index[full]] + coef % p) % p
                 if ok and row.any():
+                    if (len(ideal_rows) + 1) * npaths > 10**7:
+                        raise ResourceGuard(f"the dense ideal rows up to length {L} pass 10^7 entries")
                     ideal_rows.append(row)
     ideal = np.array(ideal_rows, dtype=np.int64) if ideal_rows else linalg.zeros((0, npaths))
     # proj[i] is path i reduced modulo I, in the coordinates of the basis

@@ -176,7 +176,7 @@ def del_bounds_cmd(file, simple_name, horizon, prime):
 @_prime_option
 @guarded
 def pd_cmd(file, module_spec, cap, prime):
-    """Projective dimension: finite value, certified infinite cycle, or unknown."""
+    """Projective dimension: finite value, a repeated syzygy class set (infinite), or unknown."""
     entry, a = _load(file, prime)
     regular, simples, projectives = canonical_modules(a)
     if module_spec in ("regular", "A"):
@@ -189,10 +189,10 @@ def pd_cmd(file, module_spec, cap, prime):
     if r.kind == "finite":
         click.echo(f"pd({module_spec}) = {r.value}")
     elif r.kind == "infinite":
-        i, j = r.cycle
-        click.echo(f"pd({module_spec}) = infinite (syzygy cycle {i} ~ {j})")
+        click.echo(f"pd({module_spec}) = infinite "
+                   f"(syzygies {r.cycle[0]} and {r.cycle[1]} have the same summand classes)")
     else:
-        click.echo(f"pd({module_spec}) unknown within cap {r.cap}")
+        click.echo(f"pd({module_spec}) unknown within cap {cap}")
     sys.exit(0)
 
 

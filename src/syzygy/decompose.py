@@ -19,9 +19,9 @@ seeded random combinations of the basis, the fast way to a witness between
 decomposable modules, and decides what is left by Krull-Schmidt, since x
 and y of equal dimension are isomorphic exactly when x splits off y.
 
-Isomorphism classes are decided once per algebra: `class_id` keeps a
-registry on the algebra, bucketed by (dim, dimension vector), and runs
-`iso_test` only against the representatives of one bucket.
+Isomorphism classes are decided once per algebra: `class_id` keeps one
+representative per class id in a list on the algebra, and runs `iso_test`
+only against the representatives of x's (dim, dimension vector).
 """
 
 from __future__ import annotations
@@ -293,18 +293,16 @@ def iso_test(x: RightModule, y: RightModule, seed: int = 0) -> IsoVerdict:
 
 @cached("class_id")
 def class_id(x: RightModule) -> int:
-    """Index of the isomorphism class of x in the registry of its algebra.
-
-    A new module is compared only with the representatives of its
-    (dim, dimension vector) bucket."""
-    registry = x.algebra._cache.setdefault("iso_classes", {})
-    bucket = registry.setdefault((x.dim, dimension_vector(x)), [])
-    for cid, rep in bucket:
-        if iso_test(x, rep).isomorphic:
+    """Index of the isomorphism class of x in the registry of its algebra,
+    the list `class_reps` of one representative per class id.  Only the
+    representatives of x's (dim, dimension vector) go to `iso_test`."""
+    reps = x.algebra._cache.setdefault("class_reps", [])
+    key = (x.dim, dimension_vector(x))
+    for cid, rep in enumerate(reps):
+        if (rep.dim, dimension_vector(rep)) == key and iso_test(x, rep).isomorphic:
             return cid
-    cid = sum(len(b) for b in registry.values())
-    bucket.append((cid, x))
-    return cid
+    reps.append(x)
+    return len(reps) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ quantifier over all M is not searchable, so del is reported as a certified
 interval.  The lower end is 0 if x is torsionless and 1 otherwise: for
 i >= 1 Omega^i(x) embeds in its projective cover, so no deeper syzygy can
 raise it.  The upper end comes from an explicit witness M, the first
-module (or pair) of a finite candidate pool that covers; a recipe reads each
-pool module's Omega^{d+1} off the simples' syzygy chains (Schanuel's lemma).
+module (or pair) of a finite candidate pool that covers.  Minimal syzygies
+commute with direct sums, so `_syzygy_classes` takes Omega once per
+isomorphism class, and each pool module reads its Omega^{d+1} off one such
+class chain (Schanuel's lemma for A^k/S_j).
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import StructureAlgebra, cached, opposite, same_algebra
-from .decompose import class_id, decompose, iso_test
+from .decompose import class_id, decompose, iso_test  # noqa: F401 (perfbench wraps iso_test here)
 from .errors import AlgebraMismatch
 from .modules import (
-    ModuleHom,
     RightModule,
     canonical_modules,
-    dimension_vector,
     direct_sum,
     free_cokernel,
     is_projective,
@@ -44,9 +44,7 @@ DEFAULT_PD_CAP = 32
 class PdResult:
     kind: str  # "finite" | "infinite" | "unknown"
     value: int | None = None  # the dimension when finite
-    cycle: tuple | None = None  # (i, j) with Omega^i iso Omega^j, i < j
-    witness: ModuleHom | None = None  # the certifying isomorphism
-    cap: int | None = None
+    cycle: tuple | None = None  # (i, j), i < j: Omega^i, Omega^j share their class set
 
 
 @dataclass
@@ -69,12 +67,12 @@ class DelBounds:
 class CandidatePool:
     modules: list = field(default_factory=list)
     tags: list = field(default_factory=list)
-    recipes: list = field(default_factory=list)  # [(simple j, shift, copies)]; None: extra
+    reads: list = field(default_factory=list)  # (y, shift): Omega^n(module) ~ Omega^{n+shift}(y)
 
-    def add(self, module: RightModule, tag: str, recipe):
+    def add(self, module: RightModule, tag: str, read=None):
         self.modules.append(module)
         self.tags.append(tag)
-        self.recipes.append(recipe)
+        self.reads.append(read or (module, 0))
 
 
 def default_pool(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON,
@@ -86,52 +84,49 @@ def default_pool(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON,
         return a._cache[cache_key]
     pool = CandidatePool()
     _, simples, projectives = canonical_modules(a)
-    for j, s in enumerate(simples):
-        pool.add(s, "simple", [(j, 0, 1)])
-    for info in projectives:  # P_i covers S_i
+    for s in simples:
+        pool.add(s, "simple")
+    for info in projectives:  # P_i covers S_i, so rad P_i = Omega S_i
         r, _ = radical_submodule(info.module)
         if r.dim:
-            pool.add(r, "rad-of-projective", [(info.index, 1, 1)])
+            pool.add(r, "rad-of-projective", (simples[info.index], 1))
         sc, _ = socle(info.module)
         if sc.dim and sc.dim != info.module.dim:
-            pool.add(sc, "soc-of-projective",
-                     [(j, 0, n) for j, n in enumerate(dimension_vector(sc)) if n])
-    for j, s in enumerate(simples):
+            pool.add(sc, "soc-of-projective")
+    for s in simples:
         cur = s
         for i in range(1, horizon + 1):
             cur = syzygy_step(cur)[0]
             if cur.dim == 0:
                 break
-            pool.add(cur, "syzygy", [(j, i, 1)])
-    for j, s in enumerate(simples):
+            pool.add(cur, "syzygy", (s, i))
+    for s in simples:
         q = embedding_quotient(s)
-        if q is not None:
-            pool.add(q, "embedding-quotient", [(j, -1, 1)])
+        if q is not None:  # Schanuel: Omega^{n+1}(A^k/s) ~ Omega^n(s)
+            pool.add(q, "embedding-quotient", (s, -1))
     for m in extra:
-        pool.add(m, "user", None)
+        pool.add(m, "user")
     if not extra:
         a._cache[cache_key] = pool
     return pool
 
 
 def projective_dimension(x: RightModule, cap: int = DEFAULT_PD_CAP) -> PdResult:
-    """Iterate minimal syzygies; certify finiteness, an infinite periodic
-    tail, or give up at the cap."""
+    """Follow the class sets of Omega^n(x), n = 1..cap: finite at the first
+    empty one; infinite at the first that repeats, since each set determines
+    the next, so the sets then cycle and no syzygy is projective; else unknown."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    seen = []  # (index, module)
-    cur = x
-    for d in range(cap + 1):
-        if is_projective(cur):
-            return PdResult("finite", value=d, cap=cap)
-        for i, m in seen:
-            verdict = iso_test(m, cur)
-            if verdict.isomorphic:
-                return PdResult("infinite", cycle=(i, d),
-                                witness=verdict.witness, cap=cap)
-        seen.append((d, cur))
-        cur = syzygy_step(cur)[0]
-    return PdResult("unknown", cap=cap)
+    if is_projective(x):
+        return PdResult("finite", value=0)
+    seen = {}
+    for n in range(1, cap + 1):
+        classes = frozenset(_syzygy_classes(x, n))
+        if not classes:
+            return PdResult("finite", value=n)
+        if seen.setdefault(classes, n) < n:  # class set of Omega^n(x) -> first n
+            return PdResult("infinite", cycle=(seen[classes], n))
+    return PdResult("unknown")
 
 
 @cached("nonprojective_classes")
@@ -149,6 +144,23 @@ def _nonprojective_classes(x: RightModule) -> Counter:
         if not is_projective(rep):
             out[class_id(rep)] += mult
     return out
+
+
+def _syzygy_classes(x: RightModule, n: int) -> Counter:
+    """Class multiset of Omega^n(x) for n >= 1, cached on x; it must not be
+    modified.  Omega(x) is decomposed once.  Each deeper level follows the
+    class graph of x's algebra: class c goes to the classes of Omega of its
+    representative in the registry, the first link of that module's chain."""
+    chain = x._cache.setdefault("syzygy_classes", [])
+    if not chain:
+        chain.append(_nonprojective_classes(syzygy_step(x)[0]))
+    while len(chain) < n:
+        nxt = Counter()
+        for c, mult in chain[-1].items():
+            for child, k in _syzygy_classes(x.algebra._cache["class_reps"][c], 1).items():
+                nxt[child] += mult * k
+        chain.append(nxt)
+    return chain[n - 1]
 
 
 def _covers(need: Counter, have: Counter) -> bool:
@@ -172,55 +184,41 @@ def torsionless_ladder_lower(s: RightModule) -> int:
     return 0 if torsionless_test(s)[0] else 1
 
 
-def _pool_haves(a: StructureAlgebra, pool: CandidatePool, d: int):
-    """Yields, in pool order, the class multiset of each module's Omega^{d+1}
-    from its recipe; each chain is walked once, only as deep as needed."""
-    chains = [[s] for s in canonical_modules(a)[1]]  # chains[j][n] = Omega^n(S_j)
-    for recipe in pool.recipes:
-        have = Counter()
-        for j, shift, copies in recipe:
-            while len(chains[j]) <= d + 1 + shift:
-                chains[j].append(syzygy_step(chains[j][-1])[0])
-            for _ in range(copies):
-                have.update(_nonprojective_classes(chains[j][d + 1 + shift]))
-        yield have
-
-
 def _pool_witness(s: RightModule, d: int, pool: CandidatePool, picks) -> tuple:
     """(d, witness, tag) for the pool modules at picks, summed and checked."""
     mods = [pool.modules[k] for k in picks]
     witness = mods[0] if len(mods) == 1 else direct_sum(mods)[0]
     if not verify_del_witness(s, d, witness):
-        raise AssertionError("a pool recipe disagrees with its witness")
+        raise AssertionError("a pool read disagrees with its witness")
     return d, witness, "+".join(pool.tags[k] for k in picks)
 
 
 def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON):
     """First level d at which an explicit witness certifies the summand
     condition; returns (d, witness module, tag) or (None, None, reason).
-    DelBounds.witness builds a d = 0 A^k/s.  At d >= 1 the first single that
-    covers wins, else the first pair (i <= j, row-major) of count vectors."""
+    DelBounds.witness builds a d = 0 A^k/s.  At d >= 1, over the pool's reads,
+    the first single that covers wins, else the first pair (i <= j, row-major)."""
     a = s.algebra
-    cur = s
-    for d in range(horizon + 1):
-        if is_projective(cur):
+    if is_projective(s):
+        return 0, zero_module(a), "projective-shortcut"
+    if torsionless_test(s)[0]:
+        return 0, None, "embedding-quotient"
+    for d in range(1, horizon + 1):
+        need = _syzygy_classes(s, d)
+        if not need:
             return d, zero_module(a), "projective-shortcut"
-        if d == 0 and torsionless_test(s)[0]:
-            return 0, None, "embedding-quotient"
-        if d:
-            pool = default_pool(a, horizon)  # cached on a
-            need = _nonprojective_classes(cur)
-            haves = []
-            for k, have in enumerate(_pool_haves(a, pool, d)):
-                if _covers(need, have):
-                    return _pool_witness(s, d, pool, [k])
-                haves.append([have[c] for c in need])
-            h = np.array(haves)
-            rows, cols = np.triu_indices(len(h))
-            hits = np.flatnonzero((h[rows] + h[cols] >= list(need.values())).all(axis=1))
-            if hits.size:
-                return _pool_witness(s, d, pool, [rows[hits[0]], cols[hits[0]]])
-        cur = syzygy_step(cur)[0]
+        pool = default_pool(a, horizon)  # cached on a
+        haves = []
+        for k, (y, shift) in enumerate(pool.reads):
+            have = _syzygy_classes(y, d + 1 + shift)
+            if _covers(need, have):
+                return _pool_witness(s, d, pool, [k])
+            haves.append([have[c] for c in need])
+        h = np.array(haves)
+        rows, cols = np.triu_indices(len(h))
+        hits = np.flatnonzero((h[rows] + h[cols] >= list(need.values())).all(axis=1))
+        if hits.size:
+            return _pool_witness(s, d, pool, [rows[hits[0]], cols[hits[0]]])
     return None, None, "horizon-exhausted"
 
 

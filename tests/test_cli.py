@@ -1,4 +1,7 @@
 import json
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -151,7 +154,7 @@ def test_pd_finite_and_infinite(runner):
     assert "pd(S1) = 1" in r.output
     r = runner.invoke(main, ["pd", DUAL, "--module", "S1"])
     assert r.exit_code == 0
-    assert "infinite" in r.output and "cycle" in r.output
+    assert "infinite" in r.output and "summand classes" in r.output
     r = runner.invoke(main, ["pd", A2, "--module", "regular"])
     assert "= 0" in r.output
 
@@ -168,7 +171,35 @@ def test_seed_is_a_usage_error_outside_paper_verify(runner, args):
 def test_pd_prints_the_cycle_line(runner):
     r = runner.invoke(main, ["pd", DUAL, "--module", "S1"])
     assert r.exit_code == 0
-    assert r.output == "pd(S1) = infinite (syzygy cycle 0 ~ 1)\n"
+    assert r.output == "pd(S1) = infinite (syzygies 1 and 2 have the same summand classes)\n"
+
+
+LOOP = {"id": "loop", "field": {"p": 32003},
+        "quiver": {"vertices": ["1", "2"],
+                   "arrows": [{"name": "a", "from": "1", "to": "2"},
+                              {"name": "x", "from": "2", "to": "2"},
+                              {"name": "y", "from": "2", "to": "2"}]},
+        "relations": [[{"coef": 1, "path": path}]
+                      for path in (["x", "x"], ["y", "y"], ["x", "y"], ["y", "x"], ["a", "x"])]}
+
+
+def _address_space_3gb():
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+def test_validate_stops_before_the_dense_ideal_outgrows_memory(tmp_path):
+    """At the default max_path_length of 12 the loop algebra lists about
+    12,000 paths; its dense ideal rows would take more memory than 3 GB of
+    address space holds.  The build stops at 10^7 entries with exit 3."""
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(LOOP))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "syzygy.cli", "algebra", "validate", str(path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(src)}, preexec_fn=_address_space_3gb)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "10^7" in proc.stderr
 
 
 def test_paper_verify_single_entry_and_report(runner, tmp_path):

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import numpy as np
@@ -43,13 +44,22 @@ def test_pd_projective_is_zero():
     assert r.kind == "finite" and r.value == 0
 
 
+def _same_summand_classes(build, cycle):
+    """Omega^i and Omega^j of the first simple of a fresh copy, decomposed
+    whole, have the same non-empty set of non-projective summand classes."""
+    s = modules.canonical_modules(build())[1][0]
+    i, j = cycle
+    classes = [set(deloop._nonprojective_classes(modules.syzygy(s, n))) for n in (i, j)]
+    return classes[0] == classes[1] != set()
+
+
 def test_pd_simple_dual_numbers_infinite():
     a = dual_numbers()
     s = modules.canonical_modules(a)[1][0]
     r = deloop.projective_dimension(s)
     assert r.kind == "infinite"
-    assert r.cycle == (0, 1)
-    assert r.witness.is_iso() and r.witness.intertwines()
+    assert r.cycle == (1, 2)
+    assert _same_summand_classes(dual_numbers, r.cycle)
 
 
 def test_pd_simple_cubic_infinite():
@@ -57,7 +67,8 @@ def test_pd_simple_cubic_infinite():
     s = modules.canonical_modules(a)[1][0]
     r = deloop.projective_dimension(s)
     assert r.kind == "infinite"
-    assert r.cycle == (0, 2)
+    assert r.cycle == (1, 3)
+    assert _same_summand_classes(truncated_cubic, r.cycle)
 
 
 def test_pd_ka2_simples():
@@ -300,7 +311,7 @@ def test_equal_rebased_modules_share_their_class_multiset(monkeypatch):
     assert len(calls) == 1 and calls[0] is not held and calls[0].algebra is a
     first = held._cache["nonprojective_classes"]
     assert list(first.values()) == [2] and set(first) == set(need)
-    assert "iso_classes" not in copy._cache
+    assert "class_reps" not in copy._cache
 
 
 def _reference_pair(need, haves):
@@ -334,14 +345,15 @@ def test_pair_loop_takes_the_first_pair_of_the_summed_reference(monkeypatch, see
             haves.append(have)
     if seed % 2:  # a module that covers only together with itself
         haves[seed] = Counter({c: 1 for c in need})
-    script = iter([need])
-    verified = []
-    monkeypatch.setattr(deloop, "_nonprojective_classes",
-                        lambda *args, **kwargs: next(script))
-    monkeypatch.setattr(deloop, "_pool_haves", lambda alg, p, d: haves)
+    script, reads, verified = iter([need] + haves), [], []
+    monkeypatch.setattr(deloop, "_syzygy_classes",
+                        lambda x, n: reads.append((x, n)) or next(script))
     monkeypatch.setattr(deloop, "verify_del_witness",
                         lambda x, d, w: verified.append((x, d, w)) or True)
     d, witness, tag = deloop.del_upper_search(s, horizon=1)
+    # Omega^1 of s, then each pool module's Omega^2 read once, in pool order
+    assert [(id(x), n) for x, n in reads] == [(id(s), 1)] + [
+        (id(y), 2 + shift) for y, shift in pool.reads]
     pair = _reference_pair(need, haves)
     if pair is None:
         assert (d, witness, tag) == (None, None, "horizon-exhausted")
@@ -367,8 +379,8 @@ def test_an_embedding_quotient_found_at_level_one_is_the_witness(monkeypatch):
     k = pool.tags.index("embedding-quotient")
     need = Counter({0: 1})
     haves = [need if i == k else Counter() for i in range(len(pool.modules))]
-    monkeypatch.setattr(deloop, "_nonprojective_classes", lambda *args, **kwargs: need)
-    monkeypatch.setattr(deloop, "_pool_haves", lambda alg, p, d: haves)
+    script = iter([need] + haves)
+    monkeypatch.setattr(deloop, "_syzygy_classes", lambda x, n: next(script))
     monkeypatch.setattr(deloop, "verify_del_witness", lambda x, d, w: True)
     b = deloop.del_bounds(s, horizon=1)
     assert (b.upper, b.witness_tag) == (1, "embedding-quotient")
@@ -386,14 +398,14 @@ def test_class_multiset_over_an_equal_copy_is_not_shared(monkeypatch):
     s = modules.canonical_modules(copy)[1][0]
     deloop._nonprojective_classes(s)
     held = modules.RightModule(copy, omega.action)  # live, over the copy
-    registry = {k: list(b) for k, b in a._cache["iso_classes"].items()}
+    registry = [id(rep) for rep in a._cache["class_reps"]]
     calls = _decompose_spy(monkeypatch)
     assert deloop.verify_del_witness(s, 0, twice)
     # rebased onto the copy and decomposed there, with the copy's class ids
     assert [x.algebra for x in calls] == [copy]
     theirs = held._cache["nonprojective_classes"]
-    assert list(theirs.values()) == [2] and copy._cache["iso_classes"]
-    assert a._cache["iso_classes"] == registry
+    assert list(theirs.values()) == [2] and copy._cache["class_reps"]
+    assert [id(rep) for rep in a._cache["class_reps"]] == registry
     assert deloop._nonprojective_classes(omega) is mine
     assert len(calls) == 1
 
@@ -410,26 +422,31 @@ def test_del_witness_over_another_algebra_of_the_same_dimension_is_refused():
 def test_del_upper_search_leaves_cached_class_multisets_unmodified(monkeypatch):
     lam = algebra.build_lambda(kA2())
     s = modules.canonical_modules(lam)[1][0]
-    seen = []
-    real = deloop._nonprojective_classes
+    seen, reads, depth = [], [], [0]
+    real = deloop._syzygy_classes
 
-    def record(*args, **kwargs):
-        out = real(*args, **kwargs)
+    def record(x, n):  # the reads of the search itself, not of the class graph
+        depth[0] += 1
+        out = real(x, n)
+        depth[0] -= 1
         seen.append((out, out.copy()))
+        if not depth[0]:
+            reads.append((id(x), n))
         return out
 
-    levels = []
-    real_haves = deloop._pool_haves
-    monkeypatch.setattr(deloop, "_nonprojective_classes", record)
-    monkeypatch.setattr(deloop, "_pool_haves",
-                        lambda alg, pool, d: levels.append(d) or real_haves(alg, pool, d))
+    monkeypatch.setattr(deloop, "_syzygy_classes", record)
     first = deloop.del_upper_search(s)
+    half = len(reads)
     second = deloop.del_upper_search(s)  # reads every multiset from the caches
     assert first[0] == second[0] and first[2] == second[2]
-    # each search summed the pool's multisets at every level up to its
-    # witness, and at level 1 no single module covered, so the pairs were
-    # compared over the cached multisets in both searches
-    assert first[0] >= 2 and levels == [*range(1, first[0] + 1)] * 2
+    # each search read Omega^d(s) and every pool module's Omega^{d+1} at
+    # every level below its witness, so at level 1 no single module
+    # covered and the pairs were compared over the cached multisets
+    pool = deloop.default_pool(lam)
+    want = [read for d in range(1, first[0] + 1) for read in
+            [(id(s), d)] + [(id(y), d + 1 + shift) for y, shift in pool.reads]]
+    assert first[0] >= 2 and reads[:half] == reads[half:] == want[:half]
+    assert half > len(want) - len(pool.reads)
     assert all(out == snapshot for out, snapshot in seen)
 
 
@@ -565,54 +582,133 @@ def test_free_cokernel_matches_the_dense_quotient(aid):
     assert checked and unstable
 
 
-def _recipe_tags(alg):
-    """Check every recipe of alg's pool for d = 1..3, as in the test below;
-    the tags of the pool modules checked by computation."""
-    pool, theorems = deloop.default_pool(alg), deloop.CandidatePool()
+def two_arrows():
+    """Two arrows 1 -> 2 and one back, all paths of length 2 zero: the
+    socle of P_1 is S_2 twice."""
+    q = QuiverPresentation(
+        ["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "1")],
+        [[(1, ["a", "c"])], [(1, ["b", "c"])], [(1, ["c", "a"])], [(1, ["c", "b"])]])
+    return algebra.from_quiver(q, P, 6, name="two_arrows")
+
+
+def _read_tags(alg):
+    """Check every read of alg's pool for d = 1..3, as in the test below;
+    the tags of the pool modules checked by decomposition."""
+    pool = deloop.default_pool(alg)
     simples = modules.canonical_modules(alg)[1]
-    for m, tag, recipe in zip(pool.modules, pool.tags, pool.recipes):
-        assert recipe is not None
-        if tag != "syzygy":
-            theorems.add(m, tag, recipe)
-            continue
-        [(j, i, copies)] = recipe
-        assert copies == 1
-        for d in (1, 2, 3):
-            assert modules.syzygy(m, d + 1) is modules.syzygy(simples[j], d + 1 + i)
-    for d in (1, 2, 3):
-        for m, have in zip(theorems.modules, deloop._pool_haves(alg, theorems, d)):
-            assert deloop._nonprojective_classes(modules.syzygy(m, d + 1)) == have
-    return set(theorems.tags)
-
-
-@pytest.mark.parametrize("aid", CORPUS_IDS)
-def test_pool_recipes_match_the_syzygies_of_their_modules(aid):
-    """Schanuel's lemma, rad P_i = Omega S_i and soc P_i as a sum of
-    simples, by computation: for every pool module of A, Lambda(A) and
-    cover(A) with a recipe and d = 1..3, the class multiset of the module's
-    own Omega^{d+1} equals the one its recipe sums over the simples'
-    chains.  A pool syzygy Omega^i S_j is a module of the chain itself, so
-    its Omega^{d+1} is the chain's module at depth d+1+i, and only that is
-    checked: deep chains of the self-injective entries decompose slowly."""
-    a = _corpus_algebra(aid)
     tags = set()
-    for alg in (a, algebra.build_lambda(a), algebra.build_cover(a)):
-        tags |= _recipe_tags(alg)
+    for m, tag, (y, shift) in zip(pool.modules, pool.tags, pool.reads):
+        want = {"simple": (m, 0), "soc-of-projective": (m, 0), "syzygy": (y, shift),
+                "rad-of-projective": (y, 1), "embedding-quotient": (y, -1)}[tag]
+        assert (y, shift) == want and (y is m or any(y is t for t in simples))
+        for d in (1, 2, 3):
+            if tag == "syzygy":  # Omega^i S_j is a module of the chain of S_j itself
+                assert modules.syzygy(m, d + 1) is modules.syzygy(y, d + 1 + shift)
+                continue
+            have = deloop._syzygy_classes(y, d + 1 + shift)
+            assert have == deloop._nonprojective_classes(modules.syzygy(m, d + 1))
+            tags.add(tag)
+    return tags
+
+
+@pytest.mark.parametrize("aid", CORPUS_IDS + ["two_arrows"])
+def test_pool_reads_match_the_syzygies_of_their_modules(aid):
+    """Schanuel's lemma, rad P_i = Omega S_i and the class graph, by
+    computation: for every pool module of A, Lambda(A) and cover(A) and
+    d = 1..3, the class multiset its read takes off a class chain equals
+    the one of the module's own Omega^{d+1}, decomposed whole.  A pool
+    syzygy Omega^i S_j is a module of the chain of S_j, so its Omega^{d+1}
+    is the chain's module at depth d+1+i, and only that is checked: deep
+    chains decompose slowly, and the class graph test below checks them to
+    depth 8.  two_arrows (A alone, its chains double) has a socle with a
+    simple twice, which reads its own syzygies."""
+    if aid == "two_arrows":
+        algs = [two_arrows()]
+    else:
+        a = _corpus_algebra(aid)
+        algs = [a, algebra.build_lambda(a), algebra.build_cover(a)]
+    tags = set().union(*map(_read_tags, algs))
     assert {"simple", "rad-of-projective", "soc-of-projective",
             "embedding-quotient"} <= tags
 
 
-def test_a_socle_recipe_counts_each_simple_with_its_multiplicity():
-    """Two arrows 1 -> 2 and one back, all paths of length 2 zero: the
-    socle of P_1 is S_2 twice, so its recipe takes two copies of the
-    chain of S_2, and the syzygies of P_1's socle agree."""
+def _regular_algebras(aid):
+    """A fresh A of a regular corpus entry, with its opposite and Lambda(A)."""
+    a = _corpus_algebra(aid)
+    return [a, algebra.opposite(a), algebra.build_lambda(a)]
+
+
+@pytest.mark.parametrize("aid", CORPUS_IDS)
+def test_class_graph_matches_the_direct_decomposition(aid):
+    """For every simple S of A, A^op and Lambda(A) and n <= 8, the class
+    multiset of Omega^n(S) read off the class graph equals the one of
+    Omega^n(S) decomposed whole.  The graph is read first."""
+    for alg in _regular_algebras(aid):
+        simples = modules.canonical_modules(alg)[1]
+        graph = [[deloop._syzygy_classes(s, n) for n in range(1, 9)] for s in simples]
+        for s, chain in zip(simples, graph):
+            assert chain == [deloop._nonprojective_classes(modules.syzygy(s, n))
+                             for n in range(1, 9)]
+
+
+def loop_algebra():
+    """An arrow a: 1 -> 2 and loops x, y at 2 with x^2, y^2, xy, yx and ax:
+    6-dimensional, and Omega of the simple at 2 is that simple twice."""
     q = QuiverPresentation(
-        ["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "1")],
-        [[(1, ["a", "c"])], [(1, ["b", "c"])], [(1, ["c", "a"])], [(1, ["c", "b"])]])
-    a = algebra.from_quiver(q, P, 6, name="two_arrows")
-    pool = deloop.default_pool(a)
-    assert [(1, 0, 2)] in pool.recipes
-    assert "soc-of-projective" in _recipe_tags(a)
+        ["1", "2"], [("a", "1", "2"), ("x", "2", "2"), ("y", "2", "2")],
+        [[(1, ["x", "x"])], [(1, ["y", "y"])], [(1, ["x", "y"])], [(1, ["y", "x"])],
+         [(1, ["a", "x"])]])
+    return algebra.from_quiver(q, P, 4, name="loop")
+
+
+def _timed(f):
+    t0 = time.perf_counter()
+    out = f()
+    return out, time.perf_counter() - t0
+
+
+def test_loop_algebra_syzygies_stay_on_three_classes():
+    """The whole syzygies of the loop algebra's simples double at every
+    step, so no two are isomorphic; their class sets repeat at once."""
+    a = loop_algebra()
+    s0, s1 = modules.canonical_modules(a)[1]
+    assert a.dim == 6 and list(deloop._syzygy_classes(s1, 1).values()) == [2]
+    r, took = _timed(lambda: deloop.projective_dimension(s1))
+    assert (r.kind, r.cycle) == ("infinite", (1, 2)) and took < 5
+    r, took = _timed(lambda: deloop.projective_dimension(s0))
+    assert r.kind == "infinite" and took < 5
+    b, took = _timed(lambda: deloop.del_bounds(s0, 8))
+    assert (b.lower, b.upper) == (1, 2) and took < 5
+    assert len(a._cache["class_reps"]) <= 3
+
+
+def ref_projective_dimension(x, cap=deloop.DEFAULT_PD_CAP):
+    """The whole-module search it replaced: the first projective syzygy,
+    or the first pair of isomorphic syzygies (i, j), i < j, by iso_test."""
+    seen = []
+    cur = x
+    for d in range(cap + 1):
+        if modules.is_projective(cur):
+            return "finite", d
+        if any(decompose.iso_test(m, cur).isomorphic for m in seen):
+            return "infinite", None
+        seen.append(cur)
+        cur = modules.syzygy_step(cur)[0]
+    return "unknown", None
+
+
+@pytest.mark.parametrize("aid", CORPUS_IDS)
+def test_projective_dimension_matches_the_whole_module_reference(aid):
+    """On every simple and pool module of A and A^op, each on its own copy
+    of the algebras: the same finite values, and infinite wherever the
+    reference finds two isomorphic syzygies.  So fd_lower_estimate, which
+    reads only finite values, is unchanged."""
+    for alg, ref in zip(_regular_algebras(aid)[:2], _regular_algebras(aid)[:2]):
+        mods = [modules.canonical_modules(alg)[1], deloop.default_pool(alg).modules]
+        refs = [modules.canonical_modules(ref)[1], deloop.default_pool(ref).modules]
+        for x, y in zip(mods[0] + mods[1], refs[0] + refs[1]):
+            r, (kind, value) = deloop.projective_dimension(x), ref_projective_dimension(y)
+            assert (r.kind, r.value) == (kind, value) or (r.kind, kind) == ("infinite", "unknown")
 
 
 @pytest.mark.parametrize("aid", CORPUS_IDS)
