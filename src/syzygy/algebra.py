@@ -241,23 +241,31 @@ def _path_ends(q: QuiverPresentation, path):
     return src, tgt
 
 
-def from_quiver(q: QuiverPresentation, p: int, max_path_length: int = 12,
-                name: str = "") -> StructureAlgebra:
+MAX_PATH_LENGTH = 12
+
+
+def from_quiver(q: QuiverPresentation, p: int, name: str = "") -> StructureAlgebra:
     """Bound path algebra kQ/I over F_p.
 
-    Every path of length at most max_path_length is listed, and all of
-    them are reduced modulo I in one step by `quotient_data`; the basis of
-    kQ/I is the paths that are not pivots of I.  Relations must be
-    admissible (every component path has length >= 2 and all paths in one
-    relation are parallel).  Raises NotFiniteDimensional when paths of
-    length max_path_length do not vanish in the quotient, and ResourceGuard
-    when the dense rows of I would pass 10^7 entries.
+    The paths are listed one length L = 1, 2, ... at a time.  At each L the
+    relations padded to u*r*v of length at most L are reduced in one step
+    by `quotient_data`, and the build stops at the first L at which every
+    path of length in (L - w, L] reduces to 0: w = max(delta, 1), where
+    delta is the largest gap between the longest and the shortest
+    component of one relation.  The stop is exact: those paths lie in I, so
+    J^L does, and a padded relation too long to be a row keeps, below
+    length L + 1, only components of length >= L + 1 - delta, which the
+    rows span.  The basis of kQ/I is the paths that are not pivots of I.
+    Relations must be admissible (every component path has length >= 2 and
+    all paths in one relation are parallel).  Raises NotFiniteDimensional
+    when no L up to MAX_PATH_LENGTH stops, and ResourceGuard when the dense
+    rows of I would pass 10^7 entries.
     """
     linalg.check_prime(p)
     for name_, src, tgt in q.arrows:
         if src not in q.vertices or tgt not in q.vertices:
             raise NotAdmissible(f"arrow {name_!r} references unknown vertex")
-    # relations: admissibility
+    rels, width = [], 1  # (relation, its ends, its longest component), w
     for rel in q.relations:
         ends = set()
         for coef, path in rel:
@@ -266,81 +274,53 @@ def from_quiver(q: QuiverPresentation, p: int, max_path_length: int = 12,
             ends.add(_path_ends(q, path))
         if len(ends) > 1:
             raise NotAdmissible("relation paths are not parallel")
+        lengths = [len(path) for _, path in rel]
+        rels.append((rel, ends.pop(), max(lengths)))
+        width = max(width, max(lengths) - min(lengths))
 
-    L = max_path_length
-    # enumerate paths by length; a path is (source, target, tuple of arrows)
-    paths = [(v, v, ()) for v in q.vertices]
-    frontier = list(paths)
-    for _ in range(L):
-        nxt = []
-        for src, tgt, arrs in frontier:
-            for name_, s, t in q.arrows:
-                if s == tgt:
-                    nxt.append((src, t, arrs + (name_,)))
-        paths.extend(nxt)
-        frontier = nxt
+    # a path is (source, target, tuple of arrows), ordered by length, then
+    # arrows (vertices by name); those of length k are paths[starts[k]:starts[k + 1]]
+    paths = sorted(((v, v, ()) for v in q.vertices), key=lambda pth: str(pth[0]))
+    index = {(src, arrs): i for i, (src, _, arrs) in enumerate(paths)}
+    frontier, starts, rows = paths, [0, len(paths)], []
+    for L in range(1, MAX_PATH_LENGTH + 1):
+        frontier = sorted(((src, t, arrs + (a,)) for src, tgt, arrs in frontier
+                           for a, s, t in q.arrows if s == tgt), key=lambda pth: pth[2])
+        index.update(((src, arrs), len(paths) + i) for i, (src, _, arrs) in enumerate(frontier))
+        paths += frontier
+        starts.append(len(paths))
         if len(paths) > 50000:
             raise NotFiniteDimensional("path enumeration exploded; quiver has unbounded paths")
-        if not frontier:
+        # the ideal rows u * r * v of length L, one list of (path, coef) each
+        for rel, (rel_src, rel_tgt), m in rels:
+            rows += [[(index[src, u + tuple(path) + v], coef % p) for coef, path in rel]
+                        for k in range(L - m + 1)
+                        for src, tgt, u in paths[starts[k]:starts[k + 1]] if tgt == rel_src
+                        for vsrc, _, v in paths[starts[L - m - k]:starts[L - m - k + 1]]
+                        if vsrc == rel_tgt]
+        if len(rows) * len(paths) > 10**7:
+            raise ResourceGuard(f"the dense ideal rows up to length {L} pass 10^7 entries")
+        ideal = linalg.zeros((len(rows), len(paths)))
+        for dense, row in zip(ideal, rows):
+            for j, coef in row:
+                dense[j] += coef
+        # proj[i] is path i reduced modulo I, in the coordinates of the basis
+        # paths, which are the columns lift selects
+        proj, lift = quotient_data(ideal % p, len(paths), p)
+        if not proj[starts[max(L - width + 1, 0)]:].any():
             break
-    # deterministic coordinate order: by (length, arrows tuple); vertices tie-break
-    order = sorted(
-        range(len(paths)),
-        key=lambda i: (len(paths[i][2]), list(paths[i][2]), str(paths[i][0])),
-    )
-    paths = [paths[i] for i in order]
-    index = {pth[2]: i for i, pth in enumerate(paths) if len(pth[2]) > 0}
-    vertex_index = {pth[0]: i for i, pth in enumerate(paths) if len(pth[2]) == 0}
-    npaths = len(paths)
-
-    # ideal rows: u * r * v for parallel padding paths u, v
-    ideal_rows = []
-    for rel in q.relations:
-        rel_src, rel_tgt = _path_ends(q, rel[0][1])
-        max_comp = max(len(path) for _, path in rel)
-        for usrc, utgt, uarrs in paths:
-            if utgt != rel_src:
-                continue
-            for vsrc, vtgt, varrs in paths:
-                if vsrc != rel_tgt:
-                    continue
-                if len(uarrs) + max_comp + len(varrs) > L:
-                    continue
-                row = linalg.zeros(npaths)
-                ok = True
-                for coef, path in rel:
-                    full = uarrs + tuple(path) + varrs
-                    if full not in index:
-                        ok = False
-                        break
-                    row[index[full]] = (row[index[full]] + coef % p) % p
-                if ok and row.any():
-                    if (len(ideal_rows) + 1) * npaths > 10**7:
-                        raise ResourceGuard(f"the dense ideal rows up to length {L} pass 10^7 entries")
-                    ideal_rows.append(row)
-    ideal = np.array(ideal_rows, dtype=np.int64) if ideal_rows else linalg.zeros((0, npaths))
-    # proj[i] is path i reduced modulo I, in the coordinates of the basis
-    # paths, which are the columns lift selects
-    proj, lift = quotient_data(ideal, npaths, p)
-
-    # finite-dimensionality: all paths of length exactly L vanish mod I
-    # (vacuous when no path reaches length L)
-    longest = [i for i, pth in enumerate(paths) if len(pth[2]) == L]
-    if proj[longest].any():
+    else:
         raise NotFiniteDimensional(
-            f"paths of length {L} do not vanish; raise max_path_length or add relations"
-        )
+            f"the paths do not vanish by length {MAX_PATH_LENGTH}; add relations")
 
     basis = [paths[i] for i in lift.nonzero()[1]]
     n = len(basis)
     mul = linalg.zeros((n, n, n))
     for ai, (src_i, tgt_i, arrs_i) in enumerate(basis):
         for aj, (src_j, _, arrs_j) in enumerate(basis):
-            full = arrs_i + arrs_j
-            if tgt_i != src_j or (full and len(full) >= L):
-                continue  # not composable, or in the arrow ideal^L, which vanishes
-            mul[ai, aj] = proj[index[full] if full else vertex_index[src_i]]
-    idems = proj[[vertex_index[v] for v in q.vertices]]
+            if tgt_i == src_j and len(arrs_i + arrs_j) < L:  # J^L lies in I
+                mul[ai, aj] = proj[index[src_i, arrs_i + arrs_j]]
+    idems = proj[[index[v, ()] for v in q.vertices]]
     radical = linalg.identity(n)[[k for k, pth in enumerate(basis) if pth[2]]]
     labels = ["*".join(arrs) if arrs else f"e_{src}" for src, _, arrs in basis]
     return StructureAlgebra(p, mul, idems.sum(axis=0) % p, radical, idems,

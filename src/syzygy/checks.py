@@ -646,20 +646,21 @@ CHECK_IDS = tuple(CHECKS)
 # corpus runner and reports
 
 
-def run_entry(entry: CorpusEntry, a: StructureAlgebra, config: Config) -> list:
+def run_entry(entry: CorpusEntry, a: StructureAlgebra, config: Config,
+              only_check: str | None = None) -> list:
+    """The reports of every check, or of only_check alone, on one entry;
+    check i of CHECKS draws the seed derived from its position i."""
     desc = adesc(entry.id)
     base_seed = derive_seed(config.seed, entry.id)
+    picked = [(i, cid) for i, cid in enumerate(CHECK_IDS, 1) if only_check in (None, cid)]
     report = validate_algebra(a)
     if not report.ok:  # lemma1 FAILs with the violations, the rest are SKIPPED
-        return [CheckReport(CHECK_IDS[0], entry.id, "FAIL",
-                            {"counterexample": {"violations": report.violations}},
-                            base_seed, 0.0)] + [
-            CheckReport(cid, entry.id, "SKIPPED",
-                        {"reason": "algebra failed validation"}, base_seed, 0.0)
-            for cid in CHECK_IDS[1:]]
+        fail = {"counterexample": {"violations": report.violations}}
+        skip = {"reason": "algebra failed validation"}
+        return [CheckReport(cid, entry.id, "FAIL" if i == 1 else "SKIPPED",
+                            fail if i == 1 else skip, base_seed, 0.0) for i, cid in picked]
     a.name = entry.id
-    return [run(a, desc, derive_seed(base_seed, i))
-            for i, run in enumerate(CHECKS.values(), 1)]
+    return [CHECKS[cid](a, desc, derive_seed(base_seed, i)) for i, cid in picked]
 
 
 def run_corpus(entries: list, config: Config, only_check: str | None = None,
@@ -672,9 +673,7 @@ def run_corpus(entries: list, config: Config, only_check: str | None = None,
     for entry in sorted(entries, key=lambda e: e.id):
         if only_algebra is not None and entry.id != only_algebra:
             continue
-        entry_reports = run_entry(entry, resolved[entry.id], config)
-        if only_check is not None:
-            entry_reports = [r for r in entry_reports if r.check_id == only_check]
+        entry_reports = run_entry(entry, resolved[entry.id], config, only_check)
         reports.extend(entry_reports)
         fails = [r for r in entry_reports if r.verdict == "FAIL"]
         if entry.expect_fail:

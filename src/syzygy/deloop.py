@@ -263,13 +263,13 @@ def del_algebra(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON):
 
 def fd_lower_estimate(a: StructureAlgebra, cap: int = DEFAULT_PD_CAP) -> int:
     """Max finite projective dimension found in the default pool; a sound
-    lower bound for the finitistic dimension, never claimed to be fd itself."""
-    best = 0
-    for x in default_pool(a).modules:
-        r = projective_dimension(x, cap=cap)
-        if r.kind == "finite" and r.value is not None:
-            best = max(best, r.value)
-    return best
+    lower bound for the finitistic dimension, never claimed to be fd itself.
+    A pool module read as Omega^i(y), i >= 1, is skipped: y is a pool
+    simple and pd(Omega^i(y)) <= pd(y)."""
+    pool = default_pool(a)
+    pds = [projective_dimension(x, cap=cap)
+           for x, (_, shift) in zip(pool.modules, pool.reads) if shift < 1]
+    return max([r.value for r in pds if r.kind == "finite"], default=0)
 
 
 def fd_del_inequality_check(a: StructureAlgebra,

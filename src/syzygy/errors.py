@@ -19,7 +19,7 @@ class NotAdmissible(SyzygyError):
 
 
 class NotFiniteDimensional(SyzygyError):
-    """Arrow-ideal powers do not vanish within the requested path length."""
+    """The paths of a quiver presentation do not vanish by algebra.MAX_PATH_LENGTH."""
 
 
 class BimoduleMismatch(SyzygyError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import StructureAlgebra, Bimodule, cached, quotient_data, same_algebra
-from .errors import AlgebraMismatch, NotStable, ShapeMismatch
+from .errors import AlgebraMismatch, NotStable, ResourceGuard, ShapeMismatch
 
 
 class _Memo(dict):
@@ -376,6 +376,10 @@ def hom_space(x: RightModule, y: RightModule) -> list[ModuleHom]:
     _, _, projectives = canonical_modules(a)
     idx = [i for i, _ in pres.parts]
     h, dy, c = len(idx), y.dim, pres.cover.dim
+    dk = pres.kernel_rows.shape[0]
+    if h * dy * (h * dy + dk * dy) > 10**7:
+        raise ResourceGuard(f"the dense Hom system of a {x.dim}-dimensional module into "
+                            f"a {dy}-dimensional one passes 10^7 entries")
     evals = {i: y.rho_rows(projectives[i].rows) for i in set(idx)}
     cover_evals = np.concatenate([evals[i] for i in idx])  # (c, dy, dy)
     part_of = np.repeat(np.arange(h), [evals[i].shape[0] for i in idx])
@@ -384,7 +388,6 @@ def hom_space(x: RightModule, y: RightModule) -> list[ModuleHom]:
     gauge[np.arange(h), :, np.arange(h)] = (
         linalg.identity(dy) - y.rho_rows(a.idempotents)[idx]) % p
     blocks = [gauge.reshape(h * dy, h * dy)]
-    dk = pres.kernel_rows.shape[0]
     if dk:
         # m[k, t] = sum over the cover basis j of part t of kernel[k, j] * eval_j
         seg = pres.kernel_rows[:, None, :] * (part_of == np.arange(h)[:, None])

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
@@ -19,21 +20,21 @@ P = 32003
 
 
 def point():
-    return algebra.from_quiver(QuiverPresentation(["1"], [], []), P, 4, name="point")
+    return algebra.from_quiver(QuiverPresentation(["1"], [], []), P, name="point")
 
 
 def dual_numbers():
     q = QuiverPresentation(["1"], [("a", "1", "1")], [[(1, ["a", "a"])]])
-    return algebra.from_quiver(q, P, 6, name="dual")
+    return algebra.from_quiver(q, P, name="dual")
 
 
 def kA2():
     q = QuiverPresentation(["1", "2"], [("a", "1", "2")], [])
-    return algebra.from_quiver(q, P, 6, name="kA2")
+    return algebra.from_quiver(q, P, name="kA2")
 
 
 def two_points():
-    return algebra.from_quiver(QuiverPresentation(["1", "2"], [], []), P, 4)
+    return algebra.from_quiver(QuiverPresentation(["1", "2"], [], []), P)
 
 
 def test_point_is_field():
@@ -73,13 +74,35 @@ def test_missing_radical_detected():
 def test_inadmissible_relation():
     q = QuiverPresentation(["1"], [("a", "1", "1")], [[(1, ["a"])]])
     with pytest.raises(NotAdmissible):
-        algebra.from_quiver(q, P, 4)
+        algebra.from_quiver(q, P)
 
 
 def test_unbounded_quiver():
     q = QuiverPresentation(["1"], [("a", "1", "1")], [])
     with pytest.raises(NotFiniteDimensional):
-        algebra.from_quiver(q, P, 5)
+        algebra.from_quiver(q, P)
+
+
+def test_a_relation_longer_than_the_cap_is_not_dropped():
+    """x^12 and x^2 - x^13 put x^2 in I, but x^13 lies past MAX_PATH_LENGTH:
+    the build raises rather than return the 12-dimensional k[x]/(x^12)."""
+    q = QuiverPresentation(["1"], [("x", "1", "1")],
+                           [[(1, ["x"] * 12)], [(1, ["x", "x"]), (-1, ["x"] * 13)]])
+    with pytest.raises(NotFiniteDimensional):
+        algebra.from_quiver(q, P)
+
+
+def test_the_stop_waits_for_the_longest_component_of_a_relation():
+    """All 16 words of length 4 and xy - yxyx: the length-4 paths vanish at
+    L = 4, but x*y*x = yxyx*x only reduces to 0 at L = 5.  Stopping at L = 4
+    would keep x*x*y, x*y*x, x*y*y and y*x*y and break associativity."""
+    words = [[(1, list(w))] for w in itertools.product("xy", repeat=4)]
+    q = QuiverPresentation(["1"], [("x", "1", "1"), ("y", "1", "1")],
+                           words + [[(1, ["x", "y"]), (-1, list("yxyx"))]])
+    a = algebra.from_quiver(q, P)
+    assert a.labels == ["e_1", "x", "y", "x*x", "y*x", "y*y",
+                        "x*x*x", "y*x*x", "y*y*x", "y*y*y"]
+    assert algebra.validate_algebra(a).ok
 
 
 def test_opposite_commutative_fixed():

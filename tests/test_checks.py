@@ -184,6 +184,28 @@ def test_report_determinism(world):
     assert checks.serialize_report(d1) == checks.serialize_report(d2)
 
 
+def test_one_check_runs_alone_with_the_seed_of_its_position(monkeypatch):
+    """`run_corpus(only_check=X)` runs the body of X alone, and its report
+    is X's part of the report of all nine checks."""
+    entries = corpus.load_corpus()
+    config = checks.Config(seed=20)
+    ids, fails = [e.id for e in entries], [e.id for e in entries if e.expect_fail]
+
+    def text(reports):
+        return checks.serialize_report(checks.report_document(reports, config, ids, fails))
+
+    full, _ = checks.run_corpus(entries, config)
+    ran = []
+    for cid, run in list(checks.CHECKS.items()):
+        monkeypatch.setitem(checks.CHECKS, cid,
+                            lambda *args, cid=cid, run=run: ran.append(cid) or run(*args))
+    for cid in checks.CHECK_IDS:
+        ran.clear()
+        only, _ = checks.run_corpus(entries, config, only_check=cid)
+        assert set(ran) == {cid}
+        assert text(only) == text([r for r in full if r.check_id == cid])
+
+
 def _lemma2_a2_doc():
     small = [e for e in corpus.load_corpus() if e.id == "a2"]
     config = checks.Config(seed=3)

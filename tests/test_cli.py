@@ -187,19 +187,49 @@ def _address_space_3gb():
     resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
 
 
-def test_validate_stops_before_the_dense_ideal_outgrows_memory(tmp_path):
-    """At the default max_path_length of 12 the loop algebra lists about
-    12,000 paths; its dense ideal rows would take more memory than 3 GB of
-    address space holds.  The build stops at 10^7 entries with exit 3."""
-    path = tmp_path / "loop.json"
-    path.write_text(json.dumps(LOOP))
+def _run_capped(*args):
+    """The command line in a fresh process under 3 GB of address space."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-m", "syzygy.cli", "algebra", "validate", str(path)],
+    return subprocess.run([sys.executable, "-m", "syzygy.cli", *args],
                           capture_output=True, text=True, timeout=120,
                           env={"PYTHONPATH": str(src)}, preexec_fn=_address_space_3gb)
+
+
+def test_validate_stops_before_the_dense_ideal_outgrows_memory(tmp_path):
+    """Two loops x, y with x^2 and y^2 alone never vanish: at length 10 the
+    paths xyxy... would need dense ideal rows of more than 10^7 entries,
+    and the build stops there with exit 3."""
+    doc = {"id": "two_loops", "field": {"p": 32003},
+           "quiver": {"vertices": ["1"],
+                      "arrows": [{"name": "x", "from": "1", "to": "1"},
+                                 {"name": "y", "from": "1", "to": "1"}]},
+           "relations": [[{"coef": 1, "path": ["x", "x"]}], [{"coef": 1, "path": ["y", "y"]}]]}
+    path = tmp_path / "two_loops.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_capped("algebra", "validate", str(path))
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    assert "10^7" in proc.stderr
+    assert "10^7" in proc.stderr and "length 10" in proc.stderr
+
+
+def test_validate_builds_the_loop_algebra(runner, tmp_path):
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(LOOP))
+    t0 = time.perf_counter()
+    r = runner.invoke(main, ["algebra", "validate", str(path)])
+    assert r.exit_code == 0, r.output
+    assert time.perf_counter() - t0 < 1
+    assert json.loads(r.output)["dim"] == 6
+
+
+def test_paper_verify_stops_before_a_hom_system_outgrows_memory(tmp_path):
+    """lemma5 on the loop algebra asks for Hom systems far past 10^7 entries;
+    the run exits 3 with one error line instead of running out of memory."""
+    (tmp_path / "loop.json").write_text(json.dumps(LOOP))
+    proc = _run_capped("paper", "verify", str(tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "10^7" in proc.stderr
 
 
 def test_paper_verify_single_entry_and_report(runner, tmp_path):

@@ -25,17 +25,17 @@ def _corpus():
 
 
 def point(p=P):
-    return algebra.from_quiver(QuiverPresentation(["1"], [], []), p, 4, name="point")
+    return algebra.from_quiver(QuiverPresentation(["1"], [], []), p, name="point")
 
 
 def dual_numbers():
     q = QuiverPresentation(["1"], [("a", "1", "1")], [[(1, ["a", "a"])]])
-    return algebra.from_quiver(q, P, 6, name="dual")
+    return algebra.from_quiver(q, P, name="dual")
 
 
 def kA2():
     q = QuiverPresentation(["1", "2"], [("a", "1", "2")], [])
-    return algebra.from_quiver(q, P, 6, name="kA2")
+    return algebra.from_quiver(q, P, name="kA2")
 
 
 def test_end_of_simple_is_one_dimensional():

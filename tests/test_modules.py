@@ -11,22 +11,22 @@ P = 32003
 
 
 def point():
-    return algebra.from_quiver(QuiverPresentation(["1"], [], []), P, 4, name="point")
+    return algebra.from_quiver(QuiverPresentation(["1"], [], []), P, name="point")
 
 
 def dual_numbers():
     q = QuiverPresentation(["1"], [("a", "1", "1")], [[(1, ["a", "a"])]])
-    return algebra.from_quiver(q, P, 6, name="dual")
+    return algebra.from_quiver(q, P, name="dual")
 
 
 def truncated_cubic():
     q = QuiverPresentation(["1"], [("a", "1", "1")], [[(1, ["a", "a", "a"])]])
-    return algebra.from_quiver(q, P, 8, name="cubic")
+    return algebra.from_quiver(q, P, name="cubic")
 
 
 def kA2():
     q = QuiverPresentation(["1", "2"], [("a", "1", "2")], [])
-    return algebra.from_quiver(q, P, 6, name="kA2")
+    return algebra.from_quiver(q, P, name="kA2")
 
 
 def is_iso_somewhere(x, y):
@@ -159,7 +159,7 @@ def test_quotient_rejects_unstable_subspace():
     # in kA3 both paths out of vertex 1 move e1 out of its span; the
     # message names the lowest of them, as the loop did
     q = QuiverPresentation(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")], [])
-    a3 = algebra.from_quiver(q, P, 6, name="kA3")
+    a3 = algebra.from_quiver(q, P, name="kA3")
     reg3 = modules.canonical_modules(a3)[0]
     e1 = a3.idempotents[0].reshape(1, -1)
     bad = _unstable_basis_elements(reg3, e1)

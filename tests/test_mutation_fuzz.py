@@ -2,8 +2,9 @@
 
 Each example takes a bundled corpus file or a small stored report, makes
 one mutation at one place in its JSON (drop a key, change a type, nest a
-value, up to far deeper than the decoder allows, or swap in a name that
-does not exist) and runs `algebra validate`, `paper verify --algebra` and
+value, up to far deeper than the decoder allows, swap in a name that
+does not exist, or add a loop to the quiver, bare or with its square as a
+relation) and runs `algebra validate`, `paper verify --algebra` and
 `report --reverify` on the result.  Every run must end with a documented
 exit code (0, 1, 2 or 3) and no exception may escape.
 """
@@ -33,10 +34,24 @@ def _report_text() -> str:
         return path.read_text()
 
 
+def _add_loop(doc, path, nilpotent) -> str:
+    """The text of doc with a loop z at the vertex path picks and, when
+    nilpotent, the relation z*z; a doc without a quiver is kept as it is."""
+    quiver = doc.get("quiver") if isinstance(doc, dict) else None
+    if isinstance(quiver, dict) and quiver.get("vertices"):
+        v = quiver["vertices"][(path[0] if path else 0) % len(quiver["vertices"])]
+        quiver["arrows"].append({"name": "z", "from": v, "to": v})
+        if nilpotent:
+            doc["relations"].append([{"coef": 1, "path": ["z", "z"]}])
+    return json.dumps(doc)
+
+
 def _mutate(doc, path, kind, value, depth) -> str:
     """The text of doc after one mutation at the place path leads to: at
     each level path picks a child (its index modulo the number of
     children) until it runs out or meets a value with no children."""
+    if kind in ("loop", "nilpotent-loop"):
+        return _add_loop(doc, path, kind == "nilpotent-loop")
     parent, key, node = None, None, doc
     for step in path:
         if not (isinstance(node, dict | list) and node):
@@ -68,7 +83,8 @@ def _runs_cleanly(args):
                                  HealthCheck.too_slow])
 @given(name=st.one_of(st.just("report"), st.sampled_from(sorted(TEXTS))),
        path=st.lists(st.integers(0, 63), max_size=8),
-       kind=st.sampled_from(["drop", "retype", "nest", "unknown"]),
+       kind=st.sampled_from(["drop", "retype", "nest", "unknown", "loop",
+                             "nilpotent-loop"]),
        value=st.sampled_from([0, -1, 2**70, 1.5, "x", None, True, [], {}]),
        depth=st.sampled_from([1, 40, 900, 100_000]))
 def test_mutated_inputs_exit_with_a_documented_code(tmp_path, name, path, kind, value, depth):
