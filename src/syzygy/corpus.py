@@ -197,12 +197,6 @@ def resolve_corpus(entries: list[CorpusEntry], p: int | None = None) -> dict:
     return resolved
 
 
-def load_algebra_file(path, p: int | None = None) -> StructureAlgebra:
-    """Single-file loader; construction bases resolve against the bundled
-    corpus."""
-    return entry_algebra(load_entry_file(path), p)
-
-
 def entry_algebra(entry: CorpusEntry, p: int | None = None) -> StructureAlgebra:
     """The algebra of one entry; a construction builds its chain of bases
     from the bundled corpus, and nothing else of it."""

@@ -5,11 +5,13 @@ summand of P + Omega^{d+1}(M) for a projective P and some module M.  The
 quantifier over all M is not searchable, so del is reported as a certified
 interval.  The lower end is 0 if x is torsionless and 1 otherwise: for
 i >= 1 Omega^i(x) embeds in its projective cover, so no deeper syzygy can
-raise it.  The upper end comes from an explicit witness M, the first
-module (or pair) of a finite candidate pool that covers.  Minimal syzygies
-commute with direct sums, so `_syzygy_classes` takes Omega once per
-isomorphism class, and each pool module reads its Omega^{d+1} off one such
-class chain (Schanuel's lemma for A^k/S_j).
+raise it.  The upper end comes from a witness M in add(pool) for a finite
+candidate pool: the first pool module whose Omega^{d+1} holds every class
+of Omega^d(x), in the copies it needs, else the first module holding each
+class.  Minimal syzygies commute with direct sums, so `_syzygy_classes`
+takes Omega once per isomorphism class.  A pool module is a read (y, shift),
+Omega^shift(y) or A^k/y at shift -1, whose Omega^{d+1} is read off the class
+chain of y (Schanuel's lemma for A^k/y); it is built only when read.
 """
 
 from __future__ import annotations
@@ -17,18 +19,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .algebra import StructureAlgebra, cached, opposite, same_algebra
 from .decompose import class_id, decompose, iso_test  # noqa: F401 (perfbench wraps iso_test here)
 from .errors import AlgebraMismatch
 from .modules import (
     RightModule,
     canonical_modules,
+    _radical_rows,
+    dimension_vector,
     direct_sum,
     free_cokernel,
     is_projective,
-    radical_submodule,
     socle,
     syzygy,
     syzygy_step,
@@ -53,9 +54,11 @@ class DelBounds:
     upper: int | None  # None = unknown within the horizon
     found: RightModule | None  # the witness the search returned
     witness_tag: str
-    horizon: int
-    exact: bool
     module: RightModule | None = None  # the module bounded; None for an aggregate
+
+    @property
+    def exact(self) -> bool:  # an aggregate too: del(A) is the max over the simples
+        return self.upper == self.lower
 
     @property
     def witness(self) -> RightModule | None:  # a d = 0 A^k/s is built on first read
@@ -65,47 +68,51 @@ class DelBounds:
 
 @dataclass
 class CandidatePool:
-    modules: list = field(default_factory=list)
     tags: list = field(default_factory=list)
     reads: list = field(default_factory=list)  # (y, shift): Omega^n(module) ~ Omega^{n+shift}(y)
 
-    def add(self, module: RightModule, tag: str, read=None):
-        self.modules.append(module)
+    def add(self, tag: str, y: RightModule, shift: int = 0):
         self.tags.append(tag)
-        self.reads.append(read or (module, 0))
+        self.reads.append((y, shift))
+
+    def __len__(self) -> int:
+        return len(self.reads)
+
+    def module(self, k: int) -> RightModule:
+        """Pool module k, built from its read: Omega^shift(y), or A^k/y at
+        shift -1 (Schanuel: Omega^{n+1}(A^k/y) ~ Omega^n(y))."""
+        y, shift = self.reads[k]
+        return embedding_quotient(y) if shift < 0 else syzygy(y, shift)
 
 
 def default_pool(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON,
                  extra=()) -> CandidatePool:
     """Simples, radicals/socles of projectives, simple syzygies up to the
-    horizon, embedding-quotients of torsionless simples, user extras."""
+    horizon, embedding-quotients of torsionless simples, user extras.  Only
+    the socles are built; the rest are reads of the simples."""
     cache_key = ("default_pool", horizon)
     if not extra and cache_key in a._cache:
         return a._cache[cache_key]
     pool = CandidatePool()
     _, simples, projectives = canonical_modules(a)
     for s in simples:
-        pool.add(s, "simple")
+        pool.add("simple", s)
     for info in projectives:  # P_i covers S_i, so rad P_i = Omega S_i
-        r, _ = radical_submodule(info.module)
-        if r.dim:
-            pool.add(r, "rad-of-projective", (simples[info.index], 1))
+        if not is_projective(simples[info.index]):
+            pool.add("rad-of-projective", simples[info.index], 1)
         sc, _ = socle(info.module)
         if sc.dim and sc.dim != info.module.dim:
-            pool.add(sc, "soc-of-projective")
+            pool.add("soc-of-projective", sc)
+    for s in simples:  # Omega^i S, i <= horizon, up to the first zero one
+        depth = 0 if is_projective(s) else next(
+            (n for n in range(1, horizon) if not _syzygy_classes(s, n)), horizon)
+        for i in range(1, depth + 1):
+            pool.add("syzygy", s, i)
     for s in simples:
-        cur = s
-        for i in range(1, horizon + 1):
-            cur = syzygy_step(cur)[0]
-            if cur.dim == 0:
-                break
-            pool.add(cur, "syzygy", (s, i))
-    for s in simples:
-        q = embedding_quotient(s)
-        if q is not None:  # Schanuel: Omega^{n+1}(A^k/s) ~ Omega^n(s)
-            pool.add(q, "embedding-quotient", (s, -1))
+        if torsionless_test(s)[0]:
+            pool.add("embedding-quotient", s, -1)
     for m in extra:
-        pool.add(m, "user")
+        pool.add("user", m)
     if not extra:
         a._cache[cache_key] = pool
     return pool
@@ -137,8 +144,13 @@ def _nonprojective_classes(x: RightModule) -> Counter:
     By Krull-Schmidt the multiset is an isomorphism invariant, and class
     ids are fixed by the registry, so the first answer holds for every
     decomposition; it is cached and must not be modified.  Multisets over
-    two algebra objects do not compare.
+    two algebra objects do not compare.  A semisimple x is the sum of the
+    S_i^(dim x e_i), the algebra being split basic, and is not decomposed.
     """
+    if not _radical_rows(x).any():
+        _, simples, _ = canonical_modules(x.algebra)
+        return Counter({class_id(s): n for s, n in zip(simples, dimension_vector(x))
+                        if n and not is_projective(s)})
     out = Counter()
     for rep, mult in decompose(x).parts:
         if not is_projective(rep):
@@ -184,20 +196,28 @@ def torsionless_ladder_lower(s: RightModule) -> int:
     return 0 if torsionless_test(s)[0] else 1
 
 
-def _pool_witness(s: RightModule, d: int, pool: CandidatePool, picks) -> tuple:
-    """(d, witness, tag) for the pool modules at picks, summed and checked."""
-    mods = [pool.modules[k] for k in picks]
+def _pool_witness(s: RightModule, d: int, pool: CandidatePool, need, haves, owner) -> tuple:
+    """(d, witness, tag): each needed class c comes from pool module owner[c],
+    in the most copies one of that module's classes needs; the modules are
+    summed in pool order, and the sum is checked."""
+    copies = Counter()
+    for c, k in owner.items():
+        copies[k] = max(copies[k], -(-need[c] // haves[k][c]))
+    ks = sorted(copies.elements())
+    mods = [pool.module(k) for k in ks]
     witness = mods[0] if len(mods) == 1 else direct_sum(mods)[0]
     if not verify_del_witness(s, d, witness):
         raise AssertionError("a pool read disagrees with its witness")
-    return d, witness, "+".join(pool.tags[k] for k in picks)
+    return d, witness, "+".join(pool.tags[k] for k in ks)
 
 
 def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON):
     """First level d at which an explicit witness certifies the summand
     condition; returns (d, witness module, tag) or (None, None, reason).
-    DelBounds.witness builds a d = 0 A^k/s.  At d >= 1, over the pool's reads,
-    the first single that covers wins, else the first pair (i <= j, row-major)."""
+    DelBounds.witness builds a d = 0 A^k/s.  At d >= 1, over the pool's
+    reads, the first module whose Omega^{d+1} holds every needed class wins,
+    in the copies it needs; else each class takes the first module holding
+    it, so a level is missed only if no module of add(pool) is a witness."""
     a = s.algebra
     if is_projective(s):
         return 0, zero_module(a), "projective-shortcut"
@@ -209,16 +229,15 @@ def del_upper_search(s: RightModule, horizon: int = DEFAULT_HORIZON):
             return d, zero_module(a), "projective-shortcut"
         pool = default_pool(a, horizon)  # cached on a
         haves = []
-        for k, (y, shift) in enumerate(pool.reads):
-            have = _syzygy_classes(y, d + 1 + shift)
-            if _covers(need, have):
-                return _pool_witness(s, d, pool, [k])
-            haves.append([have[c] for c in need])
-        h = np.array(haves)
-        rows, cols = np.triu_indices(len(h))
-        hits = np.flatnonzero((h[rows] + h[cols] >= list(need.values())).all(axis=1))
-        if hits.size:
-            return _pool_witness(s, d, pool, [rows[hits[0]], cols[hits[0]]])
+        for y, shift in pool.reads:
+            haves.append(_syzygy_classes(y, d + 1 + shift))
+            if all(haves[-1][c] for c in need):
+                owner = dict.fromkeys(need, len(haves) - 1)
+                break
+        else:
+            owner = {c: next((k for k, have in enumerate(haves) if have[c]), None) for c in need}
+        if None not in owner.values():
+            return _pool_witness(s, d, pool, need, haves, owner)
     return None, None, "horizon-exhausted"
 
 
@@ -243,22 +262,16 @@ def del_bounds(s: RightModule, horizon: int = DEFAULT_HORIZON) -> DelBounds:
     upper, witness, tag = del_upper_search(s, horizon)
     if upper is not None and upper < lower:
         raise AssertionError("witness search beat the sound lower bound")
-    return DelBounds(lower=lower, upper=upper, found=witness,
-                     witness_tag=tag, horizon=horizon,
-                     exact=(upper is not None and upper == lower), module=s)
+    return DelBounds(lower=lower, upper=upper, found=witness, witness_tag=tag, module=s)
 
 
 def del_algebra(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON):
     """(aggregate bounds, per-simple bounds); del(A) is the max over simples."""
     _, simples, _ = canonical_modules(a)
     per = [del_bounds(s, horizon) for s in simples]
-    lower = max(b.lower for b in per)
     uppers = [b.upper for b in per]
-    upper = max(uppers) if all(u is not None for u in uppers) else None
-    exact = all(b.exact for b in per) and upper is not None and upper == lower
-    agg = DelBounds(lower=lower, upper=upper, found=None,
-                    witness_tag="aggregate", horizon=horizon, exact=exact)
-    return agg, per
+    upper = None if None in uppers else max(uppers)
+    return DelBounds(max(b.lower for b in per), upper, None, "aggregate"), per
 
 
 def fd_lower_estimate(a: StructureAlgebra, cap: int = DEFAULT_PD_CAP) -> int:
@@ -267,22 +280,16 @@ def fd_lower_estimate(a: StructureAlgebra, cap: int = DEFAULT_PD_CAP) -> int:
     A pool module read as Omega^i(y), i >= 1, is skipped: y is a pool
     simple and pd(Omega^i(y)) <= pd(y)."""
     pool = default_pool(a)
-    pds = [projective_dimension(x, cap=cap)
-           for x, (_, shift) in zip(pool.modules, pool.reads) if shift < 1]
+    pds = [projective_dimension(pool.module(k), cap=cap)
+           for k, (_, shift) in enumerate(pool.reads) if shift < 1]
     return max([r.value for r in pds if r.kind == "finite"], default=0)
 
 
-def fd_del_inequality_check(a: StructureAlgebra,
-                            horizon: int = DEFAULT_HORIZON) -> dict:
+def fd_del_inequality_check(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON) -> dict:
     """fd(A) <= del(A^op): compare the sound fd lower bound with the del
     upper bound of the opposite algebra."""
     fd_low = fd_lower_estimate(a)
-    aop = opposite(a)
-    agg, _ = del_algebra(aop, horizon=horizon)
+    agg, _ = del_algebra(opposite(a), horizon=horizon)
     passed = agg.upper is not None and fd_low <= agg.upper
-    return {
-        "passed": bool(passed),
-        "fd_lower": fd_low,
-        "del_op_lower": agg.lower,
-        "del_op_upper": agg.upper,
-    }
+    return {"passed": bool(passed), "fd_lower": fd_low,
+            "del_op_lower": agg.lower, "del_op_upper": agg.upper}

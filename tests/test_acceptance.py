@@ -161,7 +161,8 @@ def test_criterion_09_engine_soundness(world):
     torsionless_checked = 0
     for aid in REAL_IDS:
         a = resolved[aid]
-        for x in deloop.default_pool(a).modules:
+        pool = deloop.default_pool(a)
+        for x in [pool.module(k) for k in range(len(pool))]:
             if x.dim == 0 or modules.is_projective(x):
                 continue
             ok, phi = modules.torsionless_test(x)
@@ -176,7 +177,10 @@ def test_criterion_09_engine_soundness(world):
     # decompose / reassemble on sampled direct sums, exact idempotents
     rng = np.random.default_rng(SEED)
     sums_checked = 0
-    pools = {aid: deloop.default_pool(resolved[aid]).modules for aid in REAL_IDS}
+    pools = {}
+    for aid in REAL_IDS:
+        pool = deloop.default_pool(resolved[aid])
+        pools[aid] = [pool.module(k) for k in range(len(pool))]
     while sums_checked < 50:
         aid = REAL_IDS[int(rng.integers(len(REAL_IDS)))]
         mods = pools[aid]

@@ -322,7 +322,7 @@ def test_del_inequality_is_skipped_without_an_upper_bound_for_lambda(world, monk
     def no_upper_for_lambda(alg, **kwargs):
         agg, per = real(alg, **kwargs)
         if alg is not a:
-            agg = dataclasses.replace(agg, upper=None, exact=False)
+            agg = dataclasses.replace(agg, upper=None)
         return agg, per
 
     monkeypatch.setattr(deloop, "del_algebra", no_upper_for_lambda)
@@ -584,7 +584,8 @@ def test_blockwise_embedding_check_matches_the_dense_check(world):
         a = resolved[aid]
         for alg in (a, build_cover(a), opposite(build_lambda(a))):
             _, simples, _ = modules.canonical_modules(alg)
-            mods = list(simples) + (deloop.default_pool(a).modules if alg is a else [])
+            pool = deloop.default_pool(a)
+            mods = list(simples) + ([pool.module(k) for k in range(len(pool))] if alg is a else [])
             for x in mods:
                 ok, phi = modules.torsionless_test(x)
                 if not ok or not x.dim:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from syzygy import corpus
+from syzygy import checks, corpus
 from syzygy.cli import main
 
 A2 = str(corpus.BUNDLED_DIR / "a2.json")
@@ -248,6 +248,16 @@ def test_paper_verify_mutant_expected_failure_exits_zero(runner):
                              "--algebra", "mutant_broken_trivext", "--seed", "3"])
     assert r.exit_code == 0, r.output
     assert "FAIL" in r.output
+
+
+@pytest.mark.parametrize("check_id", checks.CHECK_IDS)
+def test_paper_verify_of_one_check_counts_the_invalid_mutant_as_caught(runner, check_id):
+    """The mutant fails validation, so only lemma1 FAILs on it and every
+    other check is SKIPPED; the run still exits 0 for each check alone."""
+    r = runner.invoke(main, ["paper", "verify", "--check", check_id, "--seed", "20"])
+    assert r.exit_code == 0, r.output
+    verdict = "FAIL" if check_id == "lemma1_trivial_extension" else "SKIPPED"
+    assert f"{verdict:7s} {'mutant_broken_trivext':24s} {check_id}" in r.output
 
 
 def test_report_roundtrip_and_reverify(runner, tmp_path):

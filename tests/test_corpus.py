@@ -104,11 +104,11 @@ def test_unknown_base_rejected():
         corpus.resolve_corpus(entries)
 
 
-def test_load_algebra_file_with_construction(tmp_path):
+def test_entry_algebra_with_construction(tmp_path):
     f = tmp_path / "derived.json"
     f.write_text(json.dumps({
         "id": "derived", "construction": {"op": "lambda", "base": "a2"}}))
-    a = corpus.load_algebra_file(f)
+    a = corpus.entry_algebra(corpus.load_entry_file(f))
     # Lambda(a2): dim(A) + dim(T(Sigma)) + dim(Sigma) = 3 + 4 + 2
     assert a.dim == 9
     assert validate_algebra(a).ok

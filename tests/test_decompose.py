@@ -24,6 +24,12 @@ def _corpus():
     return corpus.resolve_corpus(corpus.load_corpus())
 
 
+def _pool_modules(a):
+    """Every module of a's default pool, each built from its read."""
+    pool = deloop.default_pool(a)
+    return [pool.module(k) for k in range(len(pool))]
+
+
 def point(p=P):
     return algebra.from_quiver(QuiverPresentation(["1"], [], []), p, name="point")
 
@@ -263,7 +269,7 @@ def test_iso_test_matches_the_reference_order_on_pool_buckets():
     bytes match the reference on every pair."""
     reasons = Counter()
     for aid in CORPUS_IDS:
-        pool = _buckets(deloop.default_pool(_corpus()[aid]).modules)
+        pool = _buckets(_pool_modules(_corpus()[aid]))
         reps = [bucket[0] for bucket in pool if bucket[0].dim <= 6]
         sums = [modules.direct_sum([x, y])[0] for x in reps for y in reps]
         for bucket in pool + _buckets(sums):
@@ -340,7 +346,7 @@ def test_prefilter_passes_conjugated_module(aid, pick, seed):
     """A base change of a module passes the dimension-vector prefilter, and
     iso_test certifies the two as isomorphic."""
     a = _corpus()[aid]
-    pool = [m for m in deloop.default_pool(a).modules if m.dim]
+    pool = [m for m in _pool_modules(a) if m.dim]
     x = pool[pick % len(pool)]
     y = _conjugate(x, np.random.default_rng(seed))
     assert modules.dimension_vector(x) == modules.dimension_vector(y)
@@ -356,7 +362,7 @@ def test_krull_schmidt_certifies_conjugated_direct_sums(aid, pick, other, seed):
     """With no random round, a base change of a sum of two pool modules is
     still Iso, through the hom basis or the split pair of Krull-Schmidt."""
     a = _corpus()[aid]
-    pool = [m for m in deloop.default_pool(a).modules if m.dim]
+    pool = [m for m in _pool_modules(a) if m.dim]
     x, _ = modules.direct_sum([pool[pick % len(pool)], pool[other % len(pool)]])
     y = _conjugate(x, np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
@@ -468,8 +474,8 @@ def test_decompose_reduces_each_corner_once(monkeypatch):
 
 @pytest.mark.parametrize("aid", CORPUS_IDS)
 def test_class_id_agrees_with_iso_test(aid):
-    a = corpus.resolve_corpus(corpus.load_corpus())[aid]  # empty registry
-    pool = deloop.default_pool(a).modules
+    a = corpus.resolve_corpus(corpus.load_corpus())[aid]  # the pool's reads fill its registry
+    pool = _pool_modules(a)
     ids = [decompose.class_id(m) for m in pool]
     for i, x in enumerate(pool):
         for j in range(i, len(pool)):
@@ -655,7 +661,7 @@ def _split_cases():
             yield modules.canonical_modules(t)[0], inst.decompose_seed
     for resolved in (_corpus(), corpus.resolve_corpus(corpus.load_corpus(), 1048573)):
         for aid in CORPUS_IDS:
-            for i, x in enumerate(deloop.default_pool(resolved[aid]).modules):
+            for i, x in enumerate(_pool_modules(resolved[aid])):
                 yield x, i
 
 

@@ -117,6 +117,46 @@ def _corpus_algebra(aid):
     return corpus.resolve_corpus(corpus.load_corpus())[aid]
 
 
+def _pool_modules(a):
+    """Every module of a's default pool, each built from its read."""
+    pool = deloop.default_pool(a)
+    return [pool.module(k) for k in range(len(pool))]
+
+
+def ref_default_pool(a, horizon=deloop.DEFAULT_HORIZON):
+    """The eager builder the read-defined pool replaced: (modules, tags,
+    reads), every syzygy, radical and A^k/S_j built whole."""
+    mods, tags, reads = [], [], []
+
+    def add(m, tag, read=None):
+        mods.append(m)
+        tags.append(tag)
+        reads.append(read or (m, 0))
+
+    _, simples, projectives = modules.canonical_modules(a)
+    for s in simples:
+        add(s, "simple")
+    for info in projectives:
+        r, _ = modules.radical_submodule(info.module)
+        if r.dim:
+            add(r, "rad-of-projective", (simples[info.index], 1))
+        sc, _ = modules.socle(info.module)
+        if sc.dim and sc.dim != info.module.dim:
+            add(sc, "soc-of-projective")
+    for s in simples:
+        cur = s
+        for i in range(1, horizon + 1):
+            cur = modules.syzygy_step(cur)[0]
+            if cur.dim == 0:
+                break
+            add(cur, "syzygy", (s, i))
+    for s in simples:
+        ok, phi = modules.torsionless_test(s)
+        if ok and phi.shape[1]:
+            add(modules.free_cokernel(a, phi), "embedding-quotient", (s, -1))
+    return mods, tags, reads
+
+
 def _free_target(x, phi):
     """The dense A_A^k that the embedding matrix phi of x maps into."""
     a = x.algebra
@@ -126,7 +166,7 @@ def _free_target(x, phi):
 @pytest.mark.parametrize("aid", CORPUS_IDS)
 def test_torsionless_test_agrees_with_the_regular_reference(aid):
     a = _corpus_algebra(aid)
-    mods = list(deloop.default_pool(a).modules)
+    mods = _pool_modules(a)
     for s in modules.canonical_modules(a)[1]:
         mods += [modules.syzygy(s, i) for i in range(deloop.DEFAULT_HORIZON + 1)]
     for x in mods:
@@ -285,12 +325,13 @@ def test_class_multiset_is_computed_once_per_module(monkeypatch):
     assert deloop._nonprojective_classes(x) == first
 
 
-def _decompose_spy(monkeypatch):
-    """The modules deloop decomposes from now on, in call order."""
+def _multiset_spy(monkeypatch):
+    """The modules deloop computes a class multiset of from now on, in call
+    order: each computation reads the radical rows of its module first, and
+    then decomposes it or, when they are zero, reads its dimension vector."""
     calls = []
-    real = deloop.decompose
-    monkeypatch.setattr(deloop, "decompose",
-                        lambda x, **kwargs: calls.append(x) or real(x, **kwargs))
+    real = deloop._radical_rows
+    monkeypatch.setattr(deloop, "_radical_rows", lambda x: calls.append(x) or real(x))
     return calls
 
 
@@ -304,7 +345,7 @@ def test_equal_rebased_modules_share_their_class_multiset(monkeypatch):
     t = modules.canonical_modules(copy)[1][0]
     twice, _ = modules.direct_sum([t, t])
     held = modules.RightModule(a, modules.syzygy(twice, 1).action)  # live, over a
-    calls = _decompose_spy(monkeypatch)
+    calls = _multiset_spy(monkeypatch)
     assert deloop.verify_del_witness(s, 0, twice)
     again = modules.RightModule(copy, twice.action)
     assert deloop.verify_del_witness(s, 0, again)
@@ -314,57 +355,103 @@ def test_equal_rebased_modules_share_their_class_multiset(monkeypatch):
     assert "class_reps" not in copy._cache
 
 
-def _reference_pair(need, haves):
-    """The pair loop as it was: the first (i, j), i <= j, whose summed
-    multiset covers need."""
-    for i in range(len(haves)):
-        for j in range(i, len(haves)):
-            if deloop._covers(need, haves[i] + haves[j]):
-                return i, j
-    return None
+def _reference_union(need, haves):
+    """The add(pool) witness as {k: copies}: the first module whose multiset
+    holds every needed class, in the fewest copies that cover need; else,
+    class by class, the first module holding it, in the fewest copies that
+    cover the classes it was given; None if some class is in no module."""
+    def fewest(have, classes):
+        want, m = Counter({c: need[c] for c in classes}), 1
+        while not deloop._covers(want, Counter({c: m * n for c, n in have.items()})):
+            m += 1
+        return m
+
+    for k, have in enumerate(haves):
+        if set(need) <= set(have):
+            return {k: fewest(have, need)}
+    owner = {}
+    for c in need:
+        ks = [k for k, have in enumerate(haves) if c in have]
+        if not ks:
+            return None
+        owner.setdefault(ks[0], []).append(c)
+    return {k: fewest(haves[k], cs) for k, cs in owner.items()}
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_pair_loop_takes_the_first_pair_of_the_summed_reference(monkeypatch, seed):
-    """Scripted per-entry class multisets: at level 1 no single pool module
-    covers, so the search returns the witness of the first covering pair,
-    which must be the pair the Counter-sum loop picked (or none), also when
-    that pair is one module twice.  The scripted multisets belong to no
-    module, so the check on the witness is recorded, not run."""
+def _sum_of_picks(mods, tags, picks):
+    """(witness, tag): picks[k] copies of each mods[k], summed in pool order."""
+    ks = [k for k in sorted(picks) for _ in range(picks[k])]
+    witness = mods[ks[0]] if len(ks) == 1 else modules.direct_sum([mods[k] for k in ks])[0]
+    return witness, "+".join(tags[k] for k in ks)
+
+
+def _scripted_search(monkeypatch, need, haves):
+    """del_upper_search at horizon 1 on a simple of Lambda(kA2) that is
+    neither projective nor torsionless, with Omega^1 of it read as need and
+    the Omega^2 of pool module k as haves[k].  The multisets belong to no
+    module, so the check on the witness is recorded, not run.  Returns
+    (search result, reads as (id, n), recorded checks, pool, s)."""
     lam = algebra.build_lambda(kA2())
     s = next(s for s in modules.canonical_modules(lam)[1]
              if deloop.embedding_quotient(s) is None and not modules.is_projective(s))
     pool = deloop.default_pool(lam, horizon=1)
-    rng = np.random.default_rng(seed)
-    need = Counter({0: 2, 1: 1, 2: 1, 3: 2})
-    haves = []
-    while len(haves) < len(pool.modules):  # sparse: some seeds find no pair
-        counts = rng.integers(0, 3, size=4) * (rng.random(4) < 0.5)
-        have = Counter({c: int(k) for c, k in enumerate(counts) if k})
-        if not deloop._covers(need, have):
-            haves.append(have)
-    if seed % 2:  # a module that covers only together with itself
-        haves[seed] = Counter({c: 1 for c in need})
-    script, reads, verified = iter([need] + haves), [], []
+    script, reads, verified = iter([need] + haves(len(pool))), [], []
     monkeypatch.setattr(deloop, "_syzygy_classes",
                         lambda x, n: reads.append((x, n)) or next(script))
     monkeypatch.setattr(deloop, "verify_del_witness",
                         lambda x, d, w: verified.append((x, d, w)) or True)
-    d, witness, tag = deloop.del_upper_search(s, horizon=1)
-    # Omega^1 of s, then each pool module's Omega^2 read once, in pool order
-    assert [(id(x), n) for x, n in reads] == [(id(s), 1)] + [
-        (id(y), 2 + shift) for y, shift in pool.reads]
-    pair = _reference_pair(need, haves)
-    if pair is None:
+    found = deloop.del_upper_search(s, horizon=1)
+    return found, [(id(x), n) for x, n in reads], verified, pool, s
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_search_takes_the_witness_of_the_union_reference(monkeypatch, seed):
+    """Scripted per-entry class multisets at level 1: the search returns the
+    witness of the union reference, or none, after reading Omega^1 of s and
+    then the pool modules in order, up to the first that holds every needed
+    class.  Odd seeds add a module that holds each class once, so it wins
+    in two copies; seeds 3 and 7 leave class 3 in no module."""
+    rng = np.random.default_rng(seed)
+    need = Counter({0: 2, 1: 1, 2: 1, 3: 2})
+    haves = []
+
+    def script(n):
+        for _ in range(n):
+            counts = rng.integers(0, 3, size=5) * (rng.random(5) < 0.4)
+            haves.append(Counter({c: int(k) for c, k in enumerate(counts)
+                                  if k and not (seed % 4 == 3 and c == 3)}))
+        if seed % 4 == 1:
+            haves[seed] = Counter({c: 1 for c in need})
+        return haves
+
+    (d, witness, tag), reads, verified, pool, s = _scripted_search(monkeypatch, need, script)
+    read = next((k for k, have in enumerate(haves) if set(need) <= set(have)), len(haves) - 1)
+    assert reads == [(id(s), 1)] + [(id(y), 2 + shift) for y, shift in pool.reads[:read + 1]]
+    picks = _reference_union(need, haves)
+    assert (picks is None) == (seed % 4 == 3)
+    if picks is None:
         assert (d, witness, tag) == (None, None, "horizon-exhausted")
         assert verified == []
     else:
-        i, j = pair
-        want, _ = modules.direct_sum([pool.modules[i], pool.modules[j]])
-        assert d == 1 and tag == f"{pool.tags[i]}+{pool.tags[j]}"
+        mods = [pool.module(k) for k in range(len(pool))]
+        want, want_tag = _sum_of_picks(mods, pool.tags, picks)
+        assert d == 1 and tag == want_tag
         assert np.array_equal(witness.action, want.action)
         [(x, level, checked)] = verified
         assert x is s and level == 1 and checked is witness
+
+
+def test_a_module_holding_a_needed_class_once_is_taken_three_times(monkeypatch):
+    """need {c: 3}, and only the last pool module holds c, once: the
+    witness is that module Y thrice, Y^3 at d = 1.  Summing at most two
+    pool modules leaves c short, so that search exhausts the horizon."""
+    need = Counter({0: 3})
+    (d, witness, tag), _, verified, pool, _ = _scripted_search(
+        monkeypatch, need, lambda n: [Counter()] * (n - 1) + [Counter({0: 1})])
+    y = pool.module(len(pool) - 1)
+    assert d == 1 and tag == "+".join([pool.tags[-1]] * 3)
+    assert np.array_equal(witness.action, modules.direct_sum([y] * 3)[0].action)
+    assert [checked for _, _, checked in verified] == [witness]
 
 
 def test_an_embedding_quotient_found_at_level_one_is_the_witness(monkeypatch):
@@ -378,13 +465,13 @@ def test_an_embedding_quotient_found_at_level_one_is_the_witness(monkeypatch):
     pool = deloop.default_pool(lam, horizon=1)
     k = pool.tags.index("embedding-quotient")
     need = Counter({0: 1})
-    haves = [need if i == k else Counter() for i in range(len(pool.modules))]
+    haves = [need if i == k else Counter() for i in range(len(pool))]
     script = iter([need] + haves)
     monkeypatch.setattr(deloop, "_syzygy_classes", lambda x, n: next(script))
     monkeypatch.setattr(deloop, "verify_del_witness", lambda x, d, w: True)
     b = deloop.del_bounds(s, horizon=1)
     assert (b.upper, b.witness_tag) == (1, "embedding-quotient")
-    assert b.found is pool.modules[k] and b.witness is pool.modules[k]
+    assert b.found is pool.module(k) and b.witness is pool.module(k)
 
 
 def test_class_multiset_over_an_equal_copy_is_not_shared(monkeypatch):
@@ -399,7 +486,7 @@ def test_class_multiset_over_an_equal_copy_is_not_shared(monkeypatch):
     deloop._nonprojective_classes(s)
     held = modules.RightModule(copy, omega.action)  # live, over the copy
     registry = [id(rep) for rep in a._cache["class_reps"]]
-    calls = _decompose_spy(monkeypatch)
+    calls = _multiset_spy(monkeypatch)
     assert deloop.verify_del_witness(s, 0, twice)
     # rebased onto the copy and decomposed there, with the copy's class ids
     assert [x.algebra for x in calls] == [copy]
@@ -422,6 +509,7 @@ def test_del_witness_over_another_algebra_of_the_same_dimension_is_refused():
 def test_del_upper_search_leaves_cached_class_multisets_unmodified(monkeypatch):
     lam = algebra.build_lambda(kA2())
     s = modules.canonical_modules(lam)[1][0]
+    pool = deloop.default_pool(lam)  # built first: its own reads are not the search's
     seen, reads, depth = [], [], [0]
     real = deloop._syzygy_classes
 
@@ -441,8 +529,7 @@ def test_del_upper_search_leaves_cached_class_multisets_unmodified(monkeypatch):
     assert first[0] == second[0] and first[2] == second[2]
     # each search read Omega^d(s) and every pool module's Omega^{d+1} at
     # every level below its witness, so at level 1 no single module
-    # covered and the pairs were compared over the cached multisets
-    pool = deloop.default_pool(lam)
+    # covered and the union was taken over the cached multisets
     want = [read for d in range(1, first[0] + 1) for read in
             [(id(s), d)] + [(id(y), d + 1 + shift) for y, shift in pool.reads]]
     assert first[0] >= 2 and reads[:half] == reads[half:] == want[:half]
@@ -476,9 +563,11 @@ def test_syzygies_of_simples_are_torsionless(aid):
 
 
 def _upper_search_reference(s, horizon=deloop.DEFAULT_HORIZON):
-    """The eager search: every pool module's class multiset is computed
-    before any is tested, and the embedding quotient is built afresh."""
+    """The eager search: every module of the eager pool is built, and its
+    class multiset computed from the whole module, before any is tested;
+    the embedding quotient is built afresh."""
     a = s.algebra
+    pool = None
     cur = s
     for d in range(horizon + 1):
         if modules.is_projective(cur):
@@ -489,18 +578,12 @@ def _upper_search_reference(s, horizon=deloop.DEFAULT_HORIZON):
                 q, _ = modules.quotient_module(_free_target(s, phi), phi)
                 return 0, q, "embedding-quotient"
         else:
-            pool = deloop.default_pool(a, horizon)
+            mods, tags, _ = pool = pool or ref_default_pool(a, horizon)
             need = deloop._nonprojective_classes(cur)
-            haves = [deloop._nonprojective_classes(modules.syzygy(m, d + 1))
-                     for m in pool.modules]
-            for idx, have in enumerate(haves):
-                if deloop._covers(need, have):
-                    return d, pool.modules[idx], pool.tags[idx]
-            for i in range(len(haves)):
-                for j in range(i, len(haves)):
-                    if deloop._covers(need, haves[i] + haves[j]):
-                        witness, _ = modules.direct_sum([pool.modules[i], pool.modules[j]])
-                        return d, witness, f"{pool.tags[i]}+{pool.tags[j]}"
+            haves = [deloop._nonprojective_classes(modules.syzygy(m, d + 1)) for m in mods]
+            picks = _reference_union(need, haves)
+            if picks is not None:
+                return (d,) + _sum_of_picks(mods, tags, picks)
         cur = modules.syzygy_step(cur)[0]
     return None, None, "horizon-exhausted"
 
@@ -527,6 +610,8 @@ def test_lazy_upper_search_matches_the_eager_reference(aid):
 
 @pytest.mark.parametrize("aid", CORPUS_IDS)
 def test_embedding_quotient_is_built_once_per_simple(aid, monkeypatch):
+    """Building the pool builds no A^k/S_j and no radical; reading every
+    pool module and every witness builds each A^k/S_j once."""
     a = _corpus_algebra(aid)
     calls = []
     real = deloop.free_cokernel
@@ -536,12 +621,16 @@ def test_embedding_quotient_is_built_once_per_simple(aid, monkeypatch):
         return real(alg, phi)
 
     monkeypatch.setattr(deloop, "free_cokernel", count)
+    monkeypatch.setattr(modules, "radical_submodule", _refuse)
     for alg in (a, algebra.build_lambda(a)):
         simples = modules.canonical_modules(alg)[1]
         before = len(calls)
-        deloop.default_pool(alg)
+        pool = deloop.default_pool(alg)
+        assert len(calls) == before
         for s in simples:
-            deloop.del_bounds(s)
+            assert deloop.del_bounds(s).witness is not None
+        for k in range(len(pool)):
+            pool.module(k)
         assert len(calls) - before == sum(modules.torsionless_test(s)[0] for s in simples)
 
 
@@ -563,7 +652,7 @@ def test_free_cokernel_matches_the_dense_quotient(aid):
     checked = unstable = 0
     for alg in (a, algebra.build_lambda(a)):
         regular, simples, _ = modules.canonical_modules(alg)
-        for x in list(simples) + deloop.default_pool(alg).modules:
+        for x in list(simples) + _pool_modules(alg):
             ok, phi = modules.torsionless_test(x)
             if not ok or not phi.shape[1]:
                 continue
@@ -597,7 +686,8 @@ def _read_tags(alg):
     pool = deloop.default_pool(alg)
     simples = modules.canonical_modules(alg)[1]
     tags = set()
-    for m, tag, (y, shift) in zip(pool.modules, pool.tags, pool.reads):
+    for k, (tag, (y, shift)) in enumerate(zip(pool.tags, pool.reads)):
+        m = pool.module(k)
         want = {"simple": (m, 0), "soc-of-projective": (m, 0), "syzygy": (y, shift),
                 "rad-of-projective": (y, 1), "embedding-quotient": (y, -1)}[tag]
         assert (y, shift) == want and (y is m or any(y is t for t in simples))
@@ -704,8 +794,8 @@ def test_projective_dimension_matches_the_whole_module_reference(aid):
     reference finds two isomorphic syzygies.  So fd_lower_estimate, which
     reads only finite values, is unchanged."""
     for alg, ref in zip(_regular_algebras(aid)[:2], _regular_algebras(aid)[:2]):
-        mods = [modules.canonical_modules(alg)[1], deloop.default_pool(alg).modules]
-        refs = [modules.canonical_modules(ref)[1], deloop.default_pool(ref).modules]
+        mods = [modules.canonical_modules(alg)[1], _pool_modules(alg)]
+        refs = [modules.canonical_modules(ref)[1], ref_default_pool(ref)[0]]
         for x, y in zip(mods[0] + mods[1], refs[0] + refs[1]):
             r, (kind, value) = deloop.projective_dimension(x), ref_projective_dimension(y)
             assert (r.kind, r.value) == (kind, value) or (r.kind, kind) == ("infinite", "unknown")
@@ -734,7 +824,7 @@ def test_only_a_stored_witness_builds_an_embedding_quotient(aid, monkeypatch):
 def ref_fd_lower_estimate(a, cap=deloop.DEFAULT_PD_CAP):
     """The whole-pool loop it replaced: the max finite pd over every pool module."""
     best = 0
-    for x in deloop.default_pool(a).modules:
+    for x in ref_default_pool(a)[0]:
         r = deloop.projective_dimension(x, cap=cap)
         if r.kind == "finite" and r.value is not None:
             best = max(best, r.value)
@@ -754,3 +844,88 @@ def test_fd_lower_estimate_of_the_loop_algebra_is_quick():
     does not finish in 100 s; the pool simples have infinite pd."""
     value, took = _timed(lambda: deloop.fd_lower_estimate(loop_algebra()))
     assert value == 0 and took < 10
+
+
+def _six_algebras(aid):
+    """A, A^op, Lambda(A), Lambda(A)^op, cover(A) and T(Sigma) of a fresh copy."""
+    a = _corpus_algebra(aid)
+    lam = algebra.build_lambda(a)
+    return [a, algebra.opposite(a), lam, algebra.opposite(lam), algebra.build_cover(a),
+            algebra.trivial_extension(algebra.semisimple_quotient(a)[0])]
+
+
+@pytest.mark.parametrize("aid", CORPUS_IDS)
+def test_default_pool_matches_the_eager_reference(aid):
+    """Tags, reads and every module built from its read equal the eager
+    pool's, bit for bit, at horizons 1 and 8: rad P_i is Omega S_i, and the
+    reads of a simple's syzygies stop where the eager chain reached 0."""
+    for alg in _six_algebras(aid):
+        for horizon in (1, 8):
+            pool = deloop.default_pool(alg, horizon)
+            mods, tags, reads = ref_default_pool(alg, horizon)
+            assert pool.tags == tags and len(pool) == len(mods)
+            for k, ((y, shift), (z, want_shift), m) in enumerate(zip(pool.reads, reads, mods)):
+                assert shift == want_shift and np.array_equal(y.action, z.action)
+                got = pool.module(k).action
+                assert got.dtype == m.action.dtype and np.array_equal(got, m.action)
+
+
+def radical_square_zero():
+    """Loops a0, a1, a2 at 0 and an arrow a3: 1 -> 0, every path of length
+    2 zero: Omega S_0 is S_0 thrice, so dim Omega^i S_0 = 3^i."""
+    arrows = [("a0", "0", "0"), ("a1", "0", "0"), ("a2", "0", "0"), ("a3", "1", "0")]
+    rels = [[(1, [x, y])] for x, _, t in arrows for y, s, _ in arrows if t == s]
+    return algebra.from_quiver(QuiverPresentation(["0", "1"], arrows, rels), P, name="rsz")
+
+
+def test_del_and_fd_of_a_radical_square_zero_algebra_are_quick():
+    """The eager pool built every Omega^i S_0 whole, up to dimension 3^8,
+    and del of A did not finish in 90 s.  Every witness checks."""
+    a = radical_square_zero()
+    got, took = _timed(lambda: [
+        (deloop.del_algebra(alg), deloop.fd_lower_estimate(alg))
+        for alg in (a, algebra.opposite(a))])
+    assert [((agg.lower, agg.upper), fd) for (agg, _), fd in got] == [((1, 1), 0), ((0, 0), 0)]
+    for (_, per), _ in got:
+        for b in per:
+            assert deloop.verify_del_witness(b.module, b.upper, b.witness)
+    assert took < 10
+
+
+def _decomposed_classes(x):
+    """The class multiset of x from its decomposition."""
+    out = Counter()
+    for rep, mult in decompose.decompose(x).parts:
+        if not modules.is_projective(rep):
+            out[decompose.class_id(rep)] += mult
+    return out
+
+
+def test_semisimple_multisets_match_their_decomposition(monkeypatch):
+    """On every semisimple module whose class multiset a seed-20 pass over
+    the corpus computes, the multiset read off the dimension vector equals
+    the one of its decomposition."""
+    semisimple = []
+    real = deloop._radical_rows
+
+    def spy(x):
+        rows = real(x)
+        if not rows.any():
+            semisimple.append(x)
+        return rows
+
+    monkeypatch.setattr(deloop, "_radical_rows", spy)
+    checks.run_corpus(corpus.load_corpus(), checks.Config(seed=20))
+    assert len({id(x.algebra) for x in semisimple}) > 10
+    for x in semisimple:
+        assert deloop._nonprojective_classes(x) == _decomposed_classes(x)
+
+
+def test_a_semisimple_syzygy_is_not_decomposed(monkeypatch):
+    """Omega^4 of the loop algebra's simple at 2 is that simple 16 times,
+    which took 109 s to decompose."""
+    s1 = modules.canonical_modules(loop_algebra())[1][1]
+    x = modules.syzygy(s1, 4)
+    monkeypatch.setattr(deloop, "decompose", _refuse)
+    classes, took = _timed(lambda: deloop._nonprojective_classes(x))
+    assert x.dim == 16 and classes == {decompose.class_id(s1): 16} and took < 1

@@ -285,7 +285,8 @@ def worlds():
 
 
 def _base_modules(a):
-    mods = list(deloop.default_pool(a).modules)
+    pool = deloop.default_pool(a)
+    mods = [pool.module(k) for k in range(len(pool))]
     for s in modules.canonical_modules(a)[1]:
         mods += [modules.syzygy(s, i) for i in (1, 2, 3)]
     return [x for x in mods if x.dim]
