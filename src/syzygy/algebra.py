@@ -25,7 +25,6 @@ from .errors import (
     NotAdmissible,
     NotFiniteDimensional,
     NotIdempotent,
-    ResourceGuard,
 )
 
 
@@ -298,8 +297,7 @@ def from_quiver(q: QuiverPresentation, p: int, name: str = "") -> StructureAlgeb
                         for src, tgt, u in paths[starts[k]:starts[k + 1]] if tgt == rel_src
                         for vsrc, _, v in paths[starts[L - m - k]:starts[L - m - k + 1]]
                         if vsrc == rel_tgt]
-        if len(rows) * len(paths) > 10**7:
-            raise ResourceGuard(f"the dense ideal rows up to length {L} pass 10^7 entries")
+        linalg.guard_dense(len(rows) * len(paths), f"the ideal rows up to length {L}")
         ideal = linalg.zeros((len(rows), len(paths)))
         for dense, row in zip(ideal, rows):
             for j, coef in row:

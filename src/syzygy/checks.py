@@ -50,7 +50,6 @@ from .modules import (
     socle,
     submodule_from_generators,
     syzygy,
-    syzygy_step,
     tensor_over_algebra,
     top_of_module,
     torsionless_test,
@@ -143,11 +142,10 @@ def resolve_module_ref(ref: dict, resolved: dict) -> RightModule:
         return radical_submodule(resolve_module_ref(ref["of"], resolved))[0]
     if kind == "socle":
         return socle(resolve_module_ref(ref["of"], resolved))[0]
-    if kind == "syzygy":
-        return syzygy(resolve_module_ref(ref["of"], resolved), ref["s"])
+    if kind == "syzygy":  # the diamond writes s = 1
+        return syzygy(resolve_module_ref(ref["of"], resolved), _level(ref["s"], S_MAX, "s"))
     if kind == "pool":
-        pool = deloop.default_pool(a, ref.get("horizon", deloop.DEFAULT_HORIZON))
-        return pool.module(ref["index"])
+        return deloop.default_pool(a).module(ref["index"])
     if kind == "eprime":
         return corner_projective(a)[1].source
     if kind == "sigma_triple":
@@ -213,9 +211,22 @@ def build_sample_triple(a: StructureAlgebra, x_ref: dict, y_ref: dict,
     return _sample_module(lam, x, y, lambda n: f_coeffs)[0]
 
 
-def _find_iso(x: RightModule, y: RightModule, seed: int):
-    v = iso_test(x, y, seed=seed)
-    return v.witness if v.isomorphic else None
+def _lemma5_level(flat: RightModule, s: int) -> tuple:
+    """(Omega^s, Z_s, candidate) of a sampled triple at level s: Z_s is the
+    V-corner of Omega^s and the candidate (Omega^s X, 0, 0) + (0, Z_s, 0)."""
+    om = syzygy(flat, s)
+    zs = corner_restrict(om, "v")
+    omx = syzygy(corner_restrict(flat, "u"), s)
+    return om, zs, triangular_module(flat.algebra, omx, zs)
+
+
+def _level(value, top: int, name: str, bottom: int = 1) -> int:
+    """A stored level as an int in bottom..top; the bound caps the syzygy
+    steps that a certificate asks reverify for."""
+    level = operator.index(value)
+    if not bottom <= level <= top:
+        raise CorpusError(f"level {name} = {level} is outside {bottom}..{top}")
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +363,7 @@ def check_lemma1(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
     rad_ok = _verify_subspace_equal(t, t.radical, natural)[0]
     soc_ok = _verify_subspace_equal(t, soc_rows, natural)[0]
     top, _ = top_of_module(regular)
-    witness = _find_iso(top, soc, derive_seed(seed, "lemma1"))
+    witness = iso_test(top, soc, seed=derive_seed(seed, "lemma1")).witness
     evidence = {
         "sigma_dim": sigma.dim,
         "radical_equals_natural": rad_ok,
@@ -470,11 +481,11 @@ def check_diamond(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
     rad, _ = radical_submodule(eproj)
     top, _ = top_of_module(eproj)
     s1 = derive_seed(seed, "diamond", 1)
-    w_rad = _find_iso(rad, sig, s1)
-    w_top = _find_iso(top, sig, s1 + 1)
+    w_rad = iso_test(rad, sig, seed=s1).witness
+    w_top = iso_test(top, sig, seed=s1 + 1).witness
     om = syzygy(top, 1)
-    w_om = _find_iso(om, sig, s1 + 2)
-    w_periodic = _find_iso(om, top, s1 + 3)
+    w_om = iso_test(om, sig, seed=s1 + 2).witness
+    w_periodic = iso_test(om, top, seed=s1 + 3).witness
     b = deloop.del_bounds(top)
     del_ok = b.exact and b.lower == 0 and b.upper == 0
     passed = all(w is not None for w in (w_rad, w_top, w_om, w_periodic)) \
@@ -546,14 +557,11 @@ def check_syzygy_decomp(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
     Z_s semisimple, for sampled triples and s = 1..S_MAX."""
     certs = []
     for k, (flat, ref) in enumerate(_lemma5_samples(a, desc, seed)):
-        om, omx = flat, corner_restrict(flat, "u")
         for s in range(1, S_MAX + 1):
-            om, omx = syzygy_step(om)[0], syzygy_step(omx)[0]
-            if om.dim == 0 and omx.dim == 0:
+            om, zs, candidate = _lemma5_level(flat, s)
+            if om.dim == candidate.dim == 0:
                 continue
-            zs = corner_restrict(om, "v")
-            candidate = triangular_module(flat.algebra, omx, zs)
-            witness = _find_iso(om, candidate, derive_seed(seed, "lemma5", k, s))
+            witness = iso_test(om, candidate, seed=derive_seed(seed, "lemma5", k, s)).witness
             if witness is None:
                 ok, why = False, "Omega^s is not isomorphic to the candidate"
             else:
@@ -742,14 +750,8 @@ def _resolve_cover_corner(cert, resolved):
 
 
 def _resolve_lemma5_level(cert, resolved):
-    s = operator.index(cert["s"])
-    if not 1 <= s <= S_MAX:  # bounds the syzygy steps a stored level asks for
-        raise CorpusError(f"level s = {s} is outside 1..{S_MAX}")
-    flat = resolve_module_ref(cert["sample"], resolved)
-    om = syzygy(flat, s)
-    omx = syzygy(corner_restrict(flat, "u"), s)
-    zs = corner_restrict(om, "v")
-    candidate = triangular_module(flat.algebra, omx, zs)
+    s = _level(cert["s"], S_MAX, "s")
+    om, zs, candidate = _lemma5_level(resolve_module_ref(cert["sample"], resolved), s)
     return (om, zs, candidate), {"matrix": (om.dim, candidate.dim)}
 
 
@@ -761,9 +763,7 @@ def _resolve_cover_restriction(cert, resolved):
 
 
 def _resolve_del_witness(cert, resolved):
-    d = operator.index(cert["d"])
-    if not 0 <= d <= deloop.DEFAULT_HORIZON:  # as s in lemma5_level
-        raise CorpusError(f"level d = {d} is outside 0..{deloop.DEFAULT_HORIZON}")
+    d = _level(cert["d"], deloop.DEFAULT_HORIZON, "d", bottom=0)
     x = resolve_module_ref(cert["module"], resolved)
     witness = resolve_module_ref(cert["witness"], resolved)
     return (x, d, witness), {}

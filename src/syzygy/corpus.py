@@ -51,13 +51,6 @@ def parse_json(text: str, source: str):
         raise CorpusError(f"{source}: nested too deeply") from exc
 
 
-def parse_entry_text(text: str, source: str) -> dict:
-    raw = parse_json(text, source)
-    if not isinstance(raw, dict):
-        raise CorpusError(f"{source}: top level must be an object")
-    return raw
-
-
 def _require(raw: dict, key: str, source: str):
     if key not in raw:
         raise CorpusError(f"{source}: missing key {key!r}")
@@ -114,7 +107,9 @@ def _check_shape(raw: dict, source: str):
 
 def load_entry_file(path) -> CorpusEntry:
     path = Path(path)
-    raw = parse_entry_text(path.read_text(), str(path))
+    raw = parse_json(path.read_text(), str(path))
+    if not isinstance(raw, dict):
+        raise CorpusError(f"{path}: top level must be an object")
     _check_shape(raw, str(path))
     entry_id = raw.get("id", path.stem)
     return CorpusEntry(id=entry_id, raw=raw, source=str(path))

@@ -26,7 +26,7 @@ only against the representatives of x's (dim, dimension vector).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -241,9 +241,6 @@ class IsoVerdict:
     witness: ModuleHom | None = None
     reason: str | None = None
 
-    def __bool__(self) -> bool:
-        return self.isomorphic
-
 
 def _basis_iso(x: RightModule, y: RightModule):
     """(verdict, basis of Hom(x, y)) from the invariants and the hom basis,
@@ -324,7 +321,6 @@ class Decomposition:
     parts: list  # (representative RightModule, multiplicity)
     idempotents: list  # EndRing coordinate rows
     endring: EndRing
-    certificates: list = field(default_factory=list)
 
 
 def decompose(x: RightModule, seed: int = 0) -> Decomposition:
@@ -332,7 +328,7 @@ def decompose(x: RightModule, seed: int = 0) -> Decomposition:
     e = end_ring(x)
     if x.dim == 0:
         return Decomposition(x, [], [], [], e)
-    idems, certs = primitive_idempotents(e, seed)
+    idems, _ = primitive_idempotents(e, seed)
     summands = []
     for coords in idems:
         mat = e.to_matrix(coords)
@@ -350,7 +346,7 @@ def decompose(x: RightModule, seed: int = 0) -> Decomposition:
         else:
             s.class_index = len(parts)
             parts.append((s.module, 1))
-    return Decomposition(x, summands, parts, idems, e, certs)
+    return Decomposition(x, summands, parts, idems, e)
 
 
 def reassemble_check(dec: Decomposition) -> bool:

@@ -274,22 +274,22 @@ def del_algebra(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON):
     return DelBounds(max(b.lower for b in per), upper, None, "aggregate"), per
 
 
-def fd_lower_estimate(a: StructureAlgebra, cap: int = DEFAULT_PD_CAP) -> int:
+def fd_lower_estimate(a: StructureAlgebra) -> int:
     """Max finite projective dimension found in the default pool; a sound
     lower bound for the finitistic dimension, never claimed to be fd itself.
     A pool module read as Omega^i(y), i >= 1, is skipped: y is a pool
     simple and pd(Omega^i(y)) <= pd(y)."""
     pool = default_pool(a)
-    pds = [projective_dimension(pool.module(k), cap=cap)
+    pds = [projective_dimension(pool.module(k))
            for k, (_, shift) in enumerate(pool.reads) if shift < 1]
     return max([r.value for r in pds if r.kind == "finite"], default=0)
 
 
-def fd_del_inequality_check(a: StructureAlgebra, horizon: int = DEFAULT_HORIZON) -> dict:
+def fd_del_inequality_check(a: StructureAlgebra) -> dict:
     """fd(A) <= del(A^op): compare the sound fd lower bound with the del
     upper bound of the opposite algebra."""
     fd_low = fd_lower_estimate(a)
-    agg, _ = del_algebra(opposite(a), horizon=horizon)
+    agg, _ = del_algebra(opposite(a))
     passed = agg.upper is not None and fd_low <= agg.upper
     return {"passed": bool(passed), "fd_lower": fd_low,
             "del_op_lower": agg.lower, "del_op_upper": agg.upper}

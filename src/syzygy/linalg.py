@@ -35,6 +35,9 @@ BLAS_CALL = 1 << 18
 # below this many multiply-adds the float conversion costs more than BLAS
 # saves
 BLAS_MIN = 1 << 14
+# the most entries a dense system or product may hold: past it guard_dense
+# raises ResourceGuard (exit 3), before anything is allocated
+DENSE_ENTRIES = 10**7
 
 
 @cache
@@ -55,6 +58,12 @@ def check_prime(p: int) -> int:
     if p > MAX_PRIME:
         raise ResourceGuard(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
     return p
+
+
+def guard_dense(entries: int, what: str):
+    """Raise ResourceGuard if what would hold more than DENSE_ENTRIES."""
+    if entries > DENSE_ENTRIES:
+        raise ResourceGuard(f"{what} would take {entries} dense entries, past 10^7")
 
 
 def inv_mod(a: int, p: int) -> int:

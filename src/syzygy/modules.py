@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import StructureAlgebra, Bimodule, cached, quotient_data, same_algebra
-from .errors import AlgebraMismatch, NotStable, ResourceGuard, ShapeMismatch
+from .errors import AlgebraMismatch, NotStable, ShapeMismatch
 
 
 class _Memo(dict):
@@ -120,10 +120,6 @@ class ModuleHom:
         )
 
 
-def identity_hom(x: RightModule) -> ModuleHom:
-    return ModuleHom(x, x, linalg.identity(x.dim))
-
-
 def direct_sum(mods, algebra: StructureAlgebra | None = None):
     """Direct sum with block-diagonal action; returns (module, slices)."""
     if not mods:
@@ -173,7 +169,8 @@ def _restricted_action(basis: np.ndarray, acts: np.ndarray, p: int) -> np.ndarra
     n, k = acts.shape[0], basis.shape[0]
     if not k:
         return linalg.zeros((n, 0, 0))
-    moved = np.matmul(basis, acts) % p  # (n, k, dim)
+    linalg.guard_dense(n * k * basis.shape[1], f"the action solve of a {k}-dimensional submodule")
+    moved = linalg.matmul(basis, acts, p)  # (n, k, dim)
     return linalg.solve_linear(basis, moved.reshape(n * k, -1), p).reshape(n, k, k)
 
 
@@ -188,7 +185,7 @@ def stable_submodule(x: RightModule, basis: np.ndarray):
 def quotient_module(x: RightModule, sub_rows):
     """Quotient by an action-stable row space; returns (q, projection)."""
     if x.dim == 0:  # 0 has only the zero quotient
-        return x, identity_hom(x)
+        return x, ModuleHom(x, x, linalg.identity(x.dim))
     q, proj = _cokernel(x.algebra, x.dim, sub_rows,
                         lambda rows: np.matmul(rows, x.action) % x.p,
                         lambda rows, cols: x.action[:, rows, cols])
@@ -222,7 +219,7 @@ def socle(x: RightModule):
     """Annihilator of the radical: the largest semisimple submodule."""
     a = x.algebra
     if a.radical.shape[0] == 0 or x.dim == 0:
-        return x, identity_hom(x)
+        return x, ModuleHom(x, x, linalg.identity(x.dim))
     mats = x.rho_rows(a.radical)  # (r, d, d)
     stacked = np.concatenate([mats[i] for i in range(mats.shape[0])], axis=1)
     rows = linalg.kernel_basis(stacked, a.p)
@@ -377,9 +374,8 @@ def hom_space(x: RightModule, y: RightModule) -> list[ModuleHom]:
     idx = [i for i, _ in pres.parts]
     h, dy, c = len(idx), y.dim, pres.cover.dim
     dk = pres.kernel_rows.shape[0]
-    if h * dy * (h * dy + dk * dy) > 10**7:
-        raise ResourceGuard(f"the dense Hom system of a {x.dim}-dimensional module into "
-                            f"a {dy}-dimensional one passes 10^7 entries")
+    linalg.guard_dense(h * dy * (h * dy + dk * dy), f"the Hom system of a {x.dim}-dimensional "
+                       f"module into a {dy}-dimensional one")
     evals = {i: y.rho_rows(projectives[i].rows) for i in set(idx)}
     cover_evals = np.concatenate([evals[i] for i in idx])  # (c, dy, dy)
     part_of = np.repeat(np.arange(h), [evals[i].shape[0] for i in idx])
@@ -437,21 +433,15 @@ def tensor_over_algebra(x: RightModule, m: Bimodule) -> TensorModule:
 
 
 @cached("embedding")
-def _free_embedding(x: RightModule) -> np.ndarray | None:
-    """The hom basis of x -> A_A, stacked side by side, if it embeds x, and
-    None if x is not torsionless.  Cached on the module as a matrix: the
-    free target is never built, since free_action and free_cokernel read
-    it off the regular action."""
+def torsionless_test(x: RightModule):
+    """(torsionless, embedding matrix into A_A^k, or None), cached on the
+    module: phi is the hom basis of x -> A_A stacked side by side, which
+    embeds x iff x is torsionless.  The free target is never built, since
+    free_action and free_cokernel read it off the regular action."""
     homs = hom_space(x, canonical_modules(x.algebra)[0])
     phi = np.hstack([f.matrix for f in homs]) if homs else linalg.zeros((x.dim, 0))
-    return phi if linalg.rank(phi, x.p) == x.dim else None
-
-
-def torsionless_test(x: RightModule):
-    """(torsionless, embedding matrix into A_A^k, or None).  The target is
-    not built; direct_sum([regular] * k) gives it as a module."""
-    phi = _free_embedding(x)
-    return phi is not None, phi
+    torsionless = linalg.rank(phi, x.p) == x.dim
+    return torsionless, phi if torsionless else None
 
 
 def free_action(a: StructureAlgebra, rows: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import time
 import weakref
 from collections import Counter
 
@@ -81,7 +82,7 @@ def test_diamond_negative_control(world):
     eproj = projectives[0].module  # an A-vertex projective, not e'Lambda
     sig = checks.sigma_triple_module(a)
     top, _ = modules.top_of_module(eproj)
-    assert checks._find_iso(top, sig, seed=1) is None
+    assert checks.iso_test(top, sig, seed=1).witness is None
 
 
 def test_syzygy_decomposition(world):
@@ -486,6 +487,33 @@ def test_resolve_module_ref_round_trip(world):
     a = checks.resolve_algebra_desc(desc, resolved)
     s = modules.canonical_modules(a)[1][0]
     assert m.dim == modules.syzygy(s, 2).dim
+
+
+@pytest.mark.parametrize("s", [0, checks.S_MAX + 1, 200])
+def test_reverify_fails_a_syzygy_descriptor_out_of_range_at_once(world, s):
+    """A syzygy descriptor asks for s syzygy steps; the checks write s = 1,
+    and s = 200 over T(dual_numbers) took over 90 s before it was bounded."""
+    _, resolved = world
+    desc = checks.adesc("dual_numbers", "trivext")
+    om = checks.mref("syzygy", desc, of=checks.mref("simple", desc, index=0), s=1)
+    cert = {"kind": "iso", "x": om, "y": copy.deepcopy(om), "matrix": np.eye(3, dtype=int).tolist()}
+    assert checks._verify_certificate(cert, resolved)[0]
+    cert["x"]["s"] = s
+    t0 = time.perf_counter()
+    ok, why = checks._verify_certificate(cert, resolved)
+    assert not ok and why.startswith("malformed descriptor") and f"s = {s}" in why
+    assert time.perf_counter() - t0 < 1
+
+
+def test_a_pool_descriptor_ignores_a_stored_horizon(world):
+    """No check writes a pool horizon; a descriptor that carries one reads
+    the default pool, as one without it does."""
+    _, resolved = world
+    a, desc, k = resolved["truncated_cubic"], checks.adesc("truncated_cubic"), 4
+    want = checks.resolve_module_ref(checks.mref("pool", desc, index=k), resolved)
+    got = checks.resolve_module_ref(checks.mref("pool", desc, index=k, horizon=1), resolved)
+    assert np.array_equal(got.action, want.action)
+    assert deloop.default_pool(a, 1).module(k).dim != want.dim  # the horizon would matter
 
 
 def test_top_of_a_zero_module_descriptor_resolves(world):

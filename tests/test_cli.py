@@ -232,6 +232,24 @@ def test_paper_verify_stops_before_a_hom_system_outgrows_memory(tmp_path):
     assert "Traceback" not in proc.stderr and "10^7" in proc.stderr
 
 
+def test_paper_verify_stops_before_an_action_solve_outgrows_memory(tmp_path):
+    """Loops a0, a1, a2 at 0, an arrow a3: 1 -> 0 and every path of length 2
+    zero: dim Omega^i S_0 = 3^i, and a lemma5 sample reads Omega^7 S_0 from
+    the pool.  Restricting the action to it would pass 10^7 dense entries;
+    the run exits 3 where it ran for minutes before."""
+    arrows = [("a0", "0", "0"), ("a1", "0", "0"), ("a2", "0", "0"), ("a3", "1", "0")]
+    doc = {"id": "rsz", "field": {"p": 32003},
+           "quiver": {"vertices": ["0", "1"],
+                      "arrows": [{"name": n, "from": s, "to": t} for n, s, t in arrows]},
+           "relations": [[{"coef": 1, "path": [x, y]}] for x, _, t in arrows
+                         for y, s, _ in arrows if t == s]}
+    (tmp_path / "rsz.json").write_text(json.dumps(doc))
+    proc = _run_capped("paper", "verify", str(tmp_path), "--check", "lemma5_cover_restriction")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "10^7" in proc.stderr
+
+
 def test_paper_verify_single_entry_and_report(runner, tmp_path):
     out = tmp_path / "report.json"
     r = runner.invoke(main, ["paper", "verify", "--algebra", "dual_numbers",

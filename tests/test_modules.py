@@ -5,7 +5,7 @@ import pytest
 
 from syzygy import algebra, linalg, modules
 from syzygy.algebra import QuiverPresentation
-from syzygy.errors import AlgebraMismatch, NotStable, ShapeMismatch
+from syzygy.errors import AlgebraMismatch, NotStable, ResourceGuard, ShapeMismatch
 
 P = 32003
 
@@ -366,3 +366,19 @@ def test_the_memo_dies_with_the_last_module_that_holds_it():
     del x2
     gc.collect()
     assert len(table) == 0
+
+
+def test_an_oversized_action_solve_stops_before_any_product(monkeypatch):
+    """Omega^7 S_0 of the radical-square-zero algebra with three loops is a
+    2187-dimensional submodule of a 2916-dimensional cover: restricting the
+    6 actions to it would take 6 * 2187 * 2916 dense entries, past 10^7.
+    The guard fires before the product or the solve is formed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oversized product was formed")
+
+    for mod, name in ((np, "matmul"), (linalg, "matmul"), (linalg, "solve_linear")):
+        monkeypatch.setattr(mod, name, refuse)
+    basis = np.broadcast_to(linalg.zeros(()), (2187, 2916))  # no memory of its own
+    acts = np.broadcast_to(linalg.zeros(()), (6, 2916, 2916))
+    with pytest.raises(ResourceGuard, match="2187-dimensional submodule.*10\\^7"):
+        modules._restricted_action(basis, acts, P)
