@@ -379,31 +379,6 @@ class Bimodule:
     left_action: np.ndarray  # (dim U, m, m)
     right_action: np.ndarray  # (dim V, m, m)
 
-    def validate(self) -> list:
-        p = self.left.p
-        bad = []
-        m = self.dim
-        lu = np.einsum("i,iab->ab", self.left.unit, self.left_action) % p
-        rv = np.einsum("j,jab->ab", self.right.unit, self.right_action) % p
-        if not np.array_equal(lu, linalg.identity(m)) or not np.array_equal(rv, linalg.identity(m)):
-            bad.append("bimodule actions are not unital")
-        # left multiplicativity: (b_i b_j) w = b_i (b_j w); on rows
-        # L_{b_i b_j} = L_j @ L_i
-        lhs = np.einsum("ijk,kab->ijab", self.left.mul, self.left_action) % p
-        rhs = np.einsum("jab,ibc->ijac", self.left_action, self.left_action) % p
-        if not np.array_equal(lhs, rhs):
-            bad.append("left action is not multiplicative")
-        lhs = np.einsum("ijk,kab->ijab", self.right.mul, self.right_action) % p
-        rhs = np.einsum("iab,jbc->ijac", self.right_action, self.right_action) % p
-        if not np.array_equal(lhs, rhs):
-            bad.append("right action is not multiplicative")
-        # actions commute
-        lhs = np.einsum("iab,jbc->ijac", self.left_action, self.right_action) % p
-        rhs = np.einsum("jab,ibc->ijac", self.right_action, self.left_action) % p
-        if not np.array_equal(lhs, rhs):
-            bad.append("left and right actions do not commute")
-        return bad
-
 
 def triangular(u: StructureAlgebra, v: StructureAlgebra, m: Bimodule,
                name: str = "") -> StructureAlgebra:

@@ -13,19 +13,22 @@ dimension vector) and then by the basis of Hom(x, y), with no random draw.
 If x is indecomposable, End x is local (Fitting's lemma), so when x and y
 are isomorphic the maps x -> y that are not isomorphisms form a proper
 subspace of Hom(x, y) and some basis element is invertible: a basis with
-none is an exact NotIso.  `decompose` and `summand_multiplicity` compare
-their summands this way.  `iso_test` takes any modules: it then tries
-seeded random combinations of the basis, the fast way to a witness between
-decomposable modules, and decides what is left by Krull-Schmidt, since x
-and y of equal dimension are isomorphic exactly when x splits off y.
+none is an exact NotIso.
 
-Isomorphism classes are decided once per algebra: `class_id` keeps one
-representative per class id in a list on the algebra, and runs `iso_test`
-only against the representatives of x's (dim, dimension vector).
+Isomorphism classes of indecomposables are decided in one place, a
+registry per algebra: `class_id` keeps one representative per class id in
+a list on the algebra and compares x with them by the hom basis.
+`decompose` files every summand it splits off there, and
+`summand_multiplicity` matches summands by their ids.  `iso_test` takes
+any modules: after the hom basis it tries seeded random combinations of
+the basis, the fast way to a witness between decomposable modules, and
+decides what is left by Krull-Schmidt, since x and y of equal dimension
+are isomorphic exactly when x splits off y.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +47,7 @@ from .modules import (
     RightModule,
     dimension_vector,
     hom_space,
+    onto_algebra,
     stable_submodule,
 )
 
@@ -129,15 +133,6 @@ def _newton(e: EndRing, z: np.ndarray) -> np.ndarray:
     raise AssertionError("idempotent lifting did not converge")
 
 
-@dataclass
-class PrimitivityCertificate:
-    """Witness that a corner of the semisimple quotient is a field."""
-
-    corner_dim: int
-    witness: np.ndarray  # element of E/rad, coordinates
-    minpoly: list
-
-
 def _poly_eval(alg: StructureAlgebra, v: np.ndarray, coeffs) -> np.ndarray:
     """Evaluate a polynomial at v inside alg."""
     out = linalg.zeros(alg.dim)
@@ -149,14 +144,16 @@ def _poly_eval(alg: StructureAlgebra, v: np.ndarray, coeffs) -> np.ndarray:
 
 
 def _split_corner(q: StructureAlgebra, ebar: np.ndarray, rng):
-    """Either certify the corner ebar q ebar primitive or return two
-    complementary idempotents of the semisimple quotient q, from the
-    factored minimal polynomial of a basis vector or random element."""
+    """Two complementary idempotents of the semisimple quotient q that
+    split ebar, from the factored minimal polynomial of a basis vector or
+    random element of the corner ebar q ebar; None when the corner is a
+    field: of dimension 1, or commutative with an element whose minimal
+    polynomial has its dimension as degree and one irreducible factor."""
     p = q.p
     basis = corner_basis(q, ebar)
     k = basis.shape[0]
     if k == 1:
-        return None, PrimitivityCertificate(1, ebar.copy(), [0, 1])
+        return None
     c = corner_algebra(q, ebar, basis)
     commutative = np.array_equal(c.mul, c.mul.transpose(1, 0, 2))
 
@@ -178,9 +175,9 @@ def _split_corner(q: StructureAlgebra, ebar: np.ndarray, rng):
             if not e1.any() or np.array_equal(e1, c.unit):
                 continue
             e1 = linalg.matmul(e1, basis, p)
-            return (e1, (ebar - e1) % p), None
+            return e1, (ebar - e1) % p
         if commutative and poly.degree(f) == k:
-            return None, PrimitivityCertificate(k, linalg.matmul(v, basis, p), f)
+            return None
     raise RandomnessExhausted(SPLIT_TRIALS)
 
 
@@ -193,20 +190,19 @@ def _check_family(a: StructureAlgebra, family: list, what: str):
 
 
 def primitive_idempotents(e: EndRing, seed: int):
-    """Complete orthogonal primitive idempotent family of E, with
-    certificates from the semisimple quotient; exact checks throughout."""
+    """Complete orthogonal primitive idempotent family of E, split in the
+    semisimple quotient and lifted; exact checks throughout."""
     p = e.p
     if e.dim == 0:
-        return [], []
+        return []
     q, lift = _quotient_ring(e)
     rng = np.random.default_rng(seed)
-    stack, bar_prims, certs = [q.unit], [], []
+    stack, bar_prims = [q.unit], []
     while stack:
         ebar = stack.pop()
-        split, cert = _split_corner(q, ebar, rng)
-        if cert is not None:
+        split = _split_corner(q, ebar, rng)
+        if split is None:
             bar_prims.append(ebar)
-            certs.append(cert)
         else:
             stack.extend(reversed(split))  # split the first idempotent next
     _check_family(q, bar_prims, "quotient")
@@ -222,7 +218,7 @@ def primitive_idempotents(e: EndRing, seed: int):
         s = (s + z) % p
     idems.append((e.unit - s) % p)
     _check_family(e, idems, "lifted")
-    return idems, certs
+    return idems
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +286,14 @@ def iso_test(x: RightModule, y: RightModule, seed: int = 0) -> IsoVerdict:
 
 @cached("class_id")
 def class_id(x: RightModule) -> int:
-    """Index of the isomorphism class of x in the registry of its algebra,
-    the list `class_reps` of one representative per class id.  Only the
-    representatives of x's (dim, dimension vector) go to `iso_test`."""
+    """Index of the isomorphism class of the indecomposable module x in the
+    registry of its algebra, the list `class_reps` of one representative
+    per class id, which `decompose` fills with every summand it splits off.
+    x is compared with each representative by `_basis_iso`, exact for an
+    indecomposable x since End x is local."""
     reps = x.algebra._cache.setdefault("class_reps", [])
-    key = (x.dim, dimension_vector(x))
     for cid, rep in enumerate(reps):
-        if (rep.dim, dimension_vector(rep)) == key and iso_test(x, rep).isomorphic:
+        if _basis_iso(x, rep)[0].isomorphic:
             return cid
     reps.append(x)
     return len(reps) - 1
@@ -311,7 +308,7 @@ class Summand:
     module: RightModule
     inclusion: ModuleHom  # summand -> x
     projection: ModuleHom  # x -> summand
-    class_index: int = -1
+    class_index: int  # class_id(module)
 
 
 @dataclass
@@ -324,28 +321,23 @@ class Decomposition:
 
 
 def decompose(x: RightModule, seed: int = 0) -> Decomposition:
+    """Krull-Schmidt split of x, each summand labelled with its class id;
+    parts holds the first summand of each id, in order, with its count."""
     p = x.p
     e = end_ring(x)
     if x.dim == 0:
         return Decomposition(x, [], [], [], e)
-    idems, _ = primitive_idempotents(e, seed)
+    idems = primitive_idempotents(e, seed)
     summands = []
     for coords in idems:
         mat = e.to_matrix(coords)
         # the image of an idempotent endomorphism is a submodule
         sub, incl = stable_submodule(x, linalg.row_basis(mat, p))
         proj = ModuleHom(x, sub, linalg.solve_linear(incl.matrix, mat, p))
-        summands.append(Summand(sub, incl, proj))
-    parts = []  # (representative, multiplicity); summands are indecomposable
-    for s in summands:
-        for ci, (rep, mult) in enumerate(parts):
-            if _basis_iso(s.module, rep)[0].isomorphic:
-                s.class_index = ci
-                parts[ci] = (rep, mult + 1)
-                break
-        else:
-            s.class_index = len(parts)
-            parts.append((s.module, 1))
+        summands.append(Summand(sub, incl, proj, class_id(sub)))
+    counts = Counter(s.class_index for s in summands)
+    parts = [(next(s.module for s in summands if s.class_index == c), n)
+             for c, n in counts.items()]
     return Decomposition(x, summands, parts, idems, e)
 
 
@@ -367,21 +359,20 @@ def reassemble_check(dec: Decomposition) -> bool:
 def summand_multiplicity(x: RightModule, y: RightModule, seed: int = 0):
     """How many copies of x split off y; with an exact (u, v), v∘u = id_x,
     split-pair certificate when the multiplicity is positive, built from
-    one isomorphism between each summand of x and its matched summand of y."""
-    if not same_algebra(x.algebra, y.algebra):
-        raise AlgebraMismatch("summand test across different algebras")
+    one isomorphism between each summand of x and its matched summand of y.
+    Summands match by class id, y being moved onto x's algebra first."""
+    y_on = onto_algebra(y, x.algebra)
     p = x.p
     if x.dim == 0:
         return 0, None
     dx = decompose(x, seed=seed)
-    dy = decompose(y, seed=seed + 1)
-    slots = []  # per x-class, the y summands isomorphic to it
-    for rep, mx in dx.parts:
-        slots.append([t for t, ys in enumerate(dy.summands)
-                      if _basis_iso(rep, ys.module)[0].isomorphic])
-        if len(slots[-1]) < mx:
-            return 0, None
-    mult = min(len(sl) // mx for sl, (_, mx) in zip(slots, dx.parts))
+    dy = decompose(y_on, seed=seed + 1)
+    slots = {}  # class id -> the y summands of that class
+    for t, ys in enumerate(dy.summands):
+        slots.setdefault(ys.class_index, []).append(t)
+    mult = min(len(slots.get(class_id(rep), ())) // mx for rep, mx in dx.parts)
+    if not mult:
+        return 0, None
     # one copy of x inside y: x -> summand -> y summand -> y, and back
     u = linalg.zeros((x.dim, y.dim))
     v = linalg.zeros((y.dim, x.dim))

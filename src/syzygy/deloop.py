@@ -19,9 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .algebra import StructureAlgebra, cached, opposite, same_algebra
+from .algebra import StructureAlgebra, cached, opposite
 from .decompose import class_id, decompose, iso_test  # noqa: F401 (perfbench wraps iso_test here)
-from .errors import AlgebraMismatch
 from .modules import (
     RightModule,
     canonical_modules,
@@ -30,6 +29,7 @@ from .modules import (
     direct_sum,
     free_cokernel,
     is_projective,
+    onto_algebra,
     socle,
     syzygy,
     syzygy_step,
@@ -139,7 +139,7 @@ def projective_dimension(x: RightModule, cap: int = DEFAULT_PD_CAP) -> PdResult:
 @cached("nonprojective_classes")
 def _nonprojective_classes(x: RightModule) -> Counter:
     """Multiset of the class ids, in the registry of x's algebra, of the
-    non-projective indecomposable summands.
+    non-projective indecomposable summands, as `decompose` labels them.
 
     By Krull-Schmidt the multiset is an isomorphism invariant, and class
     ids are fixed by the registry, so the first answer holds for every
@@ -151,11 +151,8 @@ def _nonprojective_classes(x: RightModule) -> Counter:
         _, simples, _ = canonical_modules(x.algebra)
         return Counter({class_id(s): n for s, n in zip(simples, dimension_vector(x))
                         if n and not is_projective(s)})
-    out = Counter()
-    for rep, mult in decompose(x).parts:
-        if not is_projective(rep):
-            out[class_id(rep)] += mult
-    return out
+    return Counter({class_id(rep): mult for rep, mult in decompose(x).parts
+                    if not is_projective(rep)})
 
 
 def _syzygy_classes(x: RightModule, n: int) -> Counter:
@@ -245,11 +242,7 @@ def verify_del_witness(s: RightModule, d: int, witness: RightModule) -> bool:
     """Exact re-check: the non-projective classes of Omega^d(s) all appear
     in Omega^{d+1}(witness).  A witness over an equal copy of s's algebra
     is moved onto s's algebra first, so both multisets use one registry."""
-    a = s.algebra
-    if witness.algebra is not a:
-        if not same_algebra(witness.algebra, a):
-            raise AlgebraMismatch("modules over different algebras")
-        witness = RightModule(a, witness.action)
+    witness = onto_algebra(witness, s.algebra)
     om = syzygy(s, d)
     if is_projective(om):
         return True

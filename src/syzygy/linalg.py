@@ -265,11 +265,10 @@ class LinearSolver:
     unknowns.  Its first rank rows hold RREF(m), with pivot columns `cols`,
     and T (`elim`) with T @ m = RREF(m).  The other rows span the left
     kernel of m; their pivots, in reversed coordinates, are the rows of m
-    that depend on earlier rows, so T is zero on those and `pivots` is the
-    row rank profile.  A solve is x = b[:, cols] @ T, solve_linear's
-    solution bit for bit, then the exact residual check x @ m = b raises
-    InconsistentSystem off the row space.  m is kept reduced mod p, as the
-    product kernel needs.
+    that depend on earlier rows, so T is zero on those.  A solve is
+    x = b[:, cols] @ T, solve_linear's solution bit for bit, then the exact
+    residual check x @ m = b raises InconsistentSystem off the row space.
+    m is kept reduced mod p, as the product kernel needs.
     """
 
     def __init__(self, m: np.ndarray, p: int):
@@ -281,7 +280,6 @@ class LinearSolver:
         self.cols = cols[:r]
         self.rref = red[:r, :c]  # (rank, c)
         self.elim = red[:r, c:][:, ::-1]  # (rank, n), back in row order
-        self.pivots = free_columns([n + c - 1 - j for j in cols[r:]], n).tolist()
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         p = self.p

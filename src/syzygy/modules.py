@@ -76,6 +76,16 @@ class RightModule:
         return f"<RightModule{tag} dim={self.dim} over {self.algebra.name or 'A'}>"
 
 
+def onto_algebra(x: RightModule, a: StructureAlgebra) -> RightModule:
+    """x as a module over a: x itself, or x's action over a when x lives
+    on an equal but distinct copy of a, so that both use a's registry."""
+    if x.algebra is a:
+        return x
+    if not same_algebra(x.algebra, a):
+        raise AlgebraMismatch("modules over different algebras")
+    return RightModule(a, x.action)
+
+
 def zero_module(a: StructureAlgebra) -> RightModule:
     return RightModule(a, linalg.zeros((a.dim, 0, 0)), name="0")
 
@@ -309,7 +319,7 @@ def presentation(x: RightModule) -> Presentation:
         gens = linalg.matmul(w, x_e[info.index], p)
         parts += [(info.index, v) for v in gens]
         evals = x.rho_rows(info.rows)  # (k, dim x, dim x)
-        pi_rows.append(np.einsum("ta,jab->tjb", gens, evals).reshape(-1, x.dim) % p)
+        pi_rows.append(linalg.matmul(gens, evals, p).transpose(1, 0, 2).reshape(-1, x.dim))
     cover, _ = direct_sum([projectives[i].module for i, _ in parts], a)
     pi_matrix = np.vstack(pi_rows)
     # one factorisation of pi.T (x.dim unknowns) gives surjectivity, the

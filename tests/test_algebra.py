@@ -161,7 +161,6 @@ def test_triangular_2x2_upper():
         linalg.identity(1).reshape(1, 1, 1),
         linalg.identity(1).reshape(1, 1, 1),
     )
-    assert not m.validate()
     t = algebra.triangular(u, v, m)
     assert t.dim == 3
     assert algebra.validate_algebra(t).ok
