@@ -8,7 +8,8 @@ and `validate_algebra` re-checks all axioms.  An End ring
 (`decompose.EndRing`), its quotients and its corners store neither.
 
 Convention: elements are coordinate rows; left multiplication by x is
-`y @ left_mult(x)` and right multiplication is `y @ right_mult(x)`.
+`y @ left_mult(x)` and right multiplication is `y @ right_mult(x)`, and
+both take a stack of rows as well, one matrix per row.
 """
 
 from __future__ import annotations
@@ -89,13 +90,12 @@ class StructureAlgebra:
 
     def left_mult(self, x) -> np.ndarray:
         """Matrix of y -> x*y acting on rows by right multiplication."""
-        x = linalg.mat(x, self.p).reshape(self.dim)
-        return np.einsum("i,ijk->jk", x, self.mul) % self.p
+        n, x = self.dim, linalg.mat(x, self.p)
+        return linalg.matmul(x, self.mul.reshape(n, n * n), self.p).reshape(x.shape + (n,))
 
     def right_mult(self, x) -> np.ndarray:
         """Matrix of y -> y*x acting on rows by right multiplication."""
-        x = linalg.mat(x, self.p).reshape(self.dim)
-        return np.einsum("j,ijk->ik", x, self.mul) % self.p
+        return linalg.matmul(linalg.mat(x, self.p), self.mul, self.p).swapaxes(0, -2)
 
     @cached("radical_rref")
     def radical_rref(self):
@@ -167,22 +167,19 @@ def validate_algebra(a: StructureAlgebra) -> ValidationReport:
     p = a.p
     n = a.dim
     bad = []
-    # unit laws
-    left = np.einsum("i,ijk->jk", a.unit, a.mul) % p
-    right = np.einsum("j,ijk->ik", a.unit, a.mul) % p
-    if not np.array_equal(left, linalg.identity(n)) or not np.array_equal(right, linalg.identity(n)):
+    if not (np.array_equal(a.left_mult(a.unit), linalg.identity(n))
+            and np.array_equal(a.right_mult(a.unit), linalg.identity(n))):
         bad.append("unit laws fail")
-    # associativity on all basis triples
-    lhs = np.einsum("ijm,mkl->ijkl", a.mul, a.mul) % p
-    rhs = np.einsum("jkm,iml->ijkl", a.mul, a.mul) % p
-    if not np.array_equal(lhs, rhs):
+    # associativity on all basis triples: (b_i b_j) b_k against b_i (b_j b_k)
+    lhs = linalg.matmul(a.mul.reshape(n * n, n), a.mul.reshape(n, n * n), p)
+    rhs = linalg.matmul(a.mul.reshape(n * n, n), a.mul, p)
+    if not np.array_equal(lhs.reshape(-1), rhs.reshape(-1)):
         bad.append("associativity fails on basis triples")
     # radical: two-sided ideal; rad*b_k and b_k*rad of every k in one reduction
     rref, pivots = a.radical_rref()
     r = rref.shape[0]
-    prods = np.stack([linalg.matmul(rref, a.mul.reshape(n, n * n), p),
-                      linalg.matmul(rref, a.mul.transpose(1, 0, 2).reshape(n, n * n), p)])
-    prods = prods.reshape(2, r, n, n).transpose(2, 0, 1, 3).reshape(2 * r * n, n)
+    prods = np.stack([a.left_mult(rref), a.right_mult(rref)])  # (2, r, n, n)
+    prods = prods.transpose(2, 0, 1, 3).reshape(2 * r * n, n)
     outside = linalg.reduce_rows(prods, rref, pivots, p).reshape(n, 2 * r * n).any(axis=1)
     if outside.any():
         bad.append(f"radical is not an ideal (basis element {np.flatnonzero(outside)[0]})")
@@ -458,19 +455,13 @@ def _sigma_bimodule(a: StructureAlgebra, b: StructureAlgebra,
     projection.  left_is_b selects the cover orientation (B-A) versus the
     dual orientation (A-B).
     """
-    p = a.p
     s = sigma.dim
     proj_b = linalg.zeros((b.dim, s))
     proj_b[:s] = linalg.identity(s)
-
-    def actions(proj, left):
-        # row r of proj is the image of basis element r; left_mult or
-        # right_mult of every image at once
-        return np.einsum("ri,ijk->rjk" if left else "rj,ijk->rik", proj, sigma.mul) % p
-
+    # row r of a proj is the image of basis element r
     if left_is_b:
-        return Bimodule(b, a, s, actions(proj_b, True), actions(proj_a, False))
-    return Bimodule(a, b, s, actions(proj_a, True), actions(proj_b, False))
+        return Bimodule(b, a, s, sigma.left_mult(proj_b), sigma.right_mult(proj_a))
+    return Bimodule(a, b, s, sigma.left_mult(proj_a), sigma.right_mult(proj_b))
 
 
 @cached("lambda")
@@ -514,8 +505,7 @@ def corner_algebra(a: StructureAlgebra, e, basis=None) -> StructureAlgebra:
     basis = corner_basis(a, e) if basis is None else basis
     k = basis.shape[0]
     coords = linalg.LinearSolver(basis, p).solve  # coordinates in eAe
-    lefts = np.einsum("ti,ijk->tjk", basis, a.mul) % p  # left_mult of each basis row
-    prods = np.matmul(basis, lefts) % p  # (k, k, dim A)
+    prods = linalg.matmul(basis, a.left_mult(basis), p)  # (k, k, dim A)
     mul = coords(prods.reshape(-1, a.dim)).reshape(k, k, k)
     unit = coords(e)[0]
     rad = linalg.matmul(linalg.matmul(a.radical, a.left_mult(e), p), a.right_mult(e), p)
@@ -538,11 +528,9 @@ def canonical_iso_check(a: StructureAlgebra, b: StructureAlgebra,
         raise DimensionMismatch("basis map is not invertible")
     if not np.array_equal(linalg.matmul(a.unit.reshape(1, -1), bm, p)[0], b.unit):
         return False
-    # image of each basis product vs product of the images
-    images = bm  # row i = image of a's basis element i
-    lhs = np.einsum("ijk,kl->ijl", a.mul, images) % p
-    rhs = linalg.bilinear(images, images, b.mul, p)
-    return np.array_equal(lhs, rhs)
+    # image of each basis product vs product of the images; row i of bm is
+    # the image of a's basis element i
+    return np.array_equal(linalg.matmul(a.mul, bm, p), linalg.bilinear(bm, bm, b.mul, p))
 
 
 def lambda_cover_swap(a: StructureAlgebra) -> np.ndarray:

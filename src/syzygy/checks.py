@@ -258,7 +258,7 @@ def _verify_embedding(x: RightModule, matrix) -> tuple:
     if matrix.shape[1] % a.dim:
         return False, "embedding width is not a multiple of dim A"
     matrix = linalg.mat(matrix, a.p)
-    moved = np.matmul(x.action, matrix) % a.p
+    moved = linalg.matmul(x.action, matrix, a.p)
     ok = np.array_equal(moved, free_action(a, matrix)) and linalg.rank(matrix, a.p) == x.dim
     return _verdict(ok, "stored embedding fails")
 
@@ -400,7 +400,7 @@ def check_cover_corner(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
     # phi sends b in A to left multiplication by b on e*cover, in the
     # basis of End(e*cover)
     ering = end_ring(incl.source)
-    moved = np.matmul(incl.matrix, cover.mul[cover.triangle.v_slice]) % p
+    moved = linalg.matmul(incl.matrix, cover.mul[cover.triangle.v_slice], p)
     hom_matrices = linalg.solve_linear(incl.matrix, moved.reshape(-1, cover.dim), p)
     phi = linalg.solve_linear(ering._flat, hom_matrices.reshape(a.dim, -1), p)
     ok, why = _verify_cover_corner(a, e, incl, phi)
@@ -831,22 +831,24 @@ def _verify_certificate(cert: dict, resolved: dict) -> tuple:
 
 
 def reverify_report(doc: dict, entries: list) -> tuple:
-    """(results, ok): re-check every stored certificate of every PASS."""
+    """(results, ok): re-check every stored certificate of every PASS, and
+    two row rules, each a failed result of its own when broken: no entry
+    that the corpus marks expect_fail has a PASS, and a PASS carries the
+    seed that its entry and its check's position derive (as run_entry)."""
     resolved = resolve_corpus(entries, doc["config"].get("prime"))
+    mutants = {e.id for e in entries if e.expect_fail}
     results = []
-    ok = True
     for check in doc["checks"]:
         if check["verdict"] != "PASS":
             continue
-        for i, cert in enumerate(check["evidence"].get("certificates", [])):
-            good, why = _verify_certificate(cert, resolved)
-            results.append({
-                "check_id": check["check_id"],
-                "algebra_id": check["algebra_id"],
-                "certificate": i,
-                "kind": _kind(cert),
-                "ok": good,
-                "detail": why,
-            })
-            ok = ok and good
-    return results, ok
+        cid, aid = check["check_id"], check["algebra_id"]
+        rows = [_verify_certificate(cert, resolved) + (i, _kind(cert))
+                for i, cert in enumerate(check["evidence"].get("certificates", []))]
+        if aid in mutants:
+            rows.append((False, "the corpus marks this entry expect_fail", "row", "verdict"))
+        if cid not in CHECK_IDS or check.get("seed") != derive_seed(
+                derive_seed(doc["config"]["seed"], aid), CHECK_IDS.index(cid) + 1):
+            rows.append((False, "not the seed of this entry and check", "row", "seed"))
+        results += [{"check_id": cid, "algebra_id": aid, "certificate": i, "kind": kind,
+                     "ok": good, "detail": why} for good, why, i, kind in rows]
+    return results, all(r["ok"] for r in results)

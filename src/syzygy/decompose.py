@@ -89,7 +89,7 @@ class EndRing(StructureAlgebra):
     def to_matrix(self, coords) -> np.ndarray:
         coords = linalg.mat(coords, self.p).reshape(self.dim)
         d = self.module.dim
-        return (coords @ self._flat).reshape(d, d) % self.p
+        return linalg.matmul(coords, self._flat, self.p).reshape(d, d)
 
 
 @cached("end_ring")
@@ -103,9 +103,9 @@ def endring_radical(e: EndRing) -> np.ndarray:
     that contains rad E in every characteristic, and a nilpotent ideal lies
     in rad E, so K = rad E once `is_nilpotent` passes.  K fails it only
     when p <= dim End (CharTooSmall); above that it cannot."""
-    p = e.p
+    p, h = e.p, e.dim
     # e.mul[i] is the matrix of left multiplication by basis element i
-    gram = np.einsum("iab,jba->ij", e.mul, e.mul) % p
+    gram = linalg.matmul(e.mul.reshape(h, h * h), e.mul.transpose(0, 2, 1).reshape(h, h * h).T, p)
     rad = linalg.kernel_basis(gram, p)
     if not is_nilpotent(e, rad):
         if p <= e.dim:

@@ -5,15 +5,17 @@ are rows and linear maps act by right multiplication, so the kernel of a
 map m is {x : x @ m = 0}.  Pivot and free-variable choices are leftmost /
 zero so every output is bit-reproducible.
 
-`matmul` is the one product kernel.  A product of reduced operands with
-inner dimension n sums n terms below (p-1)^2; while that sum stays below
-2^53 every partial sum is an integer that float64 holds exactly, so the
-product runs on float64 BLAS (n <= 8192 at p = 1048573) and is converted
-back to int64 before the reduction.  Each BLAS call is kept at or below
-2^18 multiply-adds, a size at which OpenBLAS stays on the calling thread;
-larger products are cut into output tiles.  Tiny products, and inner
-dimensions beyond the float bound, stay in int64, which is exact while
-n < 2^23 with p <= MAX_PRIME.
+`matmul` is the one product kernel: every layer's F_p products come here
+(`bilinear` reduces its two factors through it).  A product of reduced
+operands with inner dimension n sums n terms below (p-1)^2; while that sum
+stays below 2^53 every partial sum is an integer that float64 holds
+exactly, so the product runs on float64 BLAS (n <= 8192 at p = 1048573)
+and is converted back to int64 before the reduction.  Each BLAS call is
+kept at or below 2^18 multiply-adds, a size at which OpenBLAS stays on the
+calling thread; larger products are cut into output tiles.  Tiny products,
+and inner dimensions beyond the float bound, stay in int64, which is exact
+while n (p-1)^2 < 2^63 (n <= 8,388,672 at p = 1048573); `matmul` checks
+that bound and raises ResourceGuard past it, before any product is formed.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import numpy as np
 from .errors import InconsistentSystem, ResourceGuard
 
 MAX_PRIME = 1 << 20
-# float64 holds every integer below 2^53 exactly
+# float64 holds every integer below 2^53 exactly, int64 below 2^63
 FLOAT_EXACT = 1 << 53
+INT_EXACT = 1 << 63
 # multiply-adds per BLAS call: OpenBLAS runs a gemm of at most this size on
 # the calling thread.  On a 2-vCPU VM the threaded (28x784)@(784x784) took
 # 28 ms, as long as int64, and the same product in tiles 1.5 ms
@@ -89,9 +92,12 @@ def identity(n: int) -> np.ndarray:
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) % p as int64, for int64 operands reduced into [0, p), with
     numpy's broadcasting of leading (batch) axes."""
+    n = a.shape[-1]
+    if n * (p - 1) ** 2 >= INT_EXACT:
+        raise ResourceGuard(f"a product of inner dimension {n} could wrap int64 at p = {p}")
     if a.ndim < 2 or b.ndim < 2:
         return (a @ b) % p
-    (m, n), k = a.shape[-2:], b.shape[-1]
+    m, k = a.shape[-2], b.shape[-1]
     # float pays only when converted entries are reused: not for a row or
     # column vector, nor below BLAS_MIN multiply-adds (counted exactly
     # unless both operands carry batch axes)

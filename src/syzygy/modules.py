@@ -62,14 +62,10 @@ class RightModule:
         return self.algebra.p
 
     def rho(self, x) -> np.ndarray:
-        """Action matrix of the algebra element with coordinate row x."""
-        x = linalg.mat(x, self.p).reshape(self.algebra.dim)
-        return np.einsum("i,iab->ab", x, self.action) % self.p
-
-    def rho_rows(self, rows) -> np.ndarray:
-        """Stacked action matrices for several algebra elements at once."""
-        rows = linalg.mat(rows, self.p).reshape(-1, self.algebra.dim)
-        return np.einsum("jc,cab->jab", rows, self.action) % self.p
+        """Action matrix of the algebra element with coordinate row x, or
+        one matrix per row of a stack x."""
+        n, d, x = self.algebra.dim, self.dim, linalg.mat(x, self.p)
+        return linalg.matmul(x, self.action.reshape(n, d * d), self.p).reshape(x.shape[:-1] + (d, d))
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -97,9 +93,9 @@ def validate_module(x: RightModule) -> list:
     bad = []
     if not np.array_equal(x.rho(a.unit), linalg.identity(x.dim)):
         bad.append("unit does not act as identity")
-    lhs = np.einsum("iab,jbc->ijac", x.action, x.action) % p
-    rhs = np.einsum("ijk,kab->ijab", a.mul, x.action) % p
-    if not np.array_equal(lhs, rhs):
+    # v b_i b_j on the left, v (b_i b_j) on the right
+    lhs = linalg.matmul(x.action[:, None], x.action, p)
+    if not np.array_equal(lhs, x.rho(a.mul)):
         bad.append("action is not multiplicative")
     return bad
 
@@ -119,9 +115,8 @@ class ModuleHom:
 
     def intertwines(self) -> bool:
         p = self.source.p
-        lhs = np.einsum("iab,bc->iac", self.source.action, self.matrix) % p
-        rhs = np.einsum("ab,ibc->iac", self.matrix, self.target.action) % p
-        return np.array_equal(lhs, rhs)
+        return np.array_equal(linalg.matmul(self.source.action, self.matrix, p),
+                              linalg.matmul(self.matrix, self.target.action, p))
 
     def is_iso(self) -> bool:
         return (
@@ -164,7 +159,7 @@ def submodule_from_generators(x: RightModule, gens):
         gens = linalg.zeros((0, x.dim))
     basis = linalg.row_basis(gens, p)
     while basis.shape[0]:
-        images = np.einsum("ga,iab->igb", basis, x.action).reshape(-1, x.dim) % p
+        images = linalg.matmul(basis, x.action, p).reshape(-1, x.dim)
         combined = linalg.row_basis(np.vstack([basis, images]), p)
         if combined.shape[0] == basis.shape[0]:
             break
@@ -197,7 +192,7 @@ def quotient_module(x: RightModule, sub_rows):
     if x.dim == 0:  # 0 has only the zero quotient
         return x, ModuleHom(x, x, linalg.identity(x.dim))
     q, proj = _cokernel(x.algebra, x.dim, sub_rows,
-                        lambda rows: np.matmul(rows, x.action) % x.p,
+                        lambda rows: linalg.matmul(rows, x.action, x.p),
                         lambda rows, cols: x.action[:, rows, cols])
     return q, ModuleHom(x, q, proj)
 
@@ -219,7 +214,7 @@ def _cokernel(a: StructureAlgebra, dim: int, sub_rows, act, gather):
     free = linalg.free_columns(pivots, dim)
     proj = linalg.nullspace_from_rref(rref, pivots, dim, p).T
     rows = free[:, None]
-    action = gather(rows, pivots) @ proj[pivots]
+    action = linalg.matmul(gather(rows, pivots), proj[pivots], p)
     action += gather(rows, free)
     action %= p
     return RightModule(a, action), proj
@@ -230,7 +225,7 @@ def socle(x: RightModule):
     a = x.algebra
     if a.radical.shape[0] == 0 or x.dim == 0:
         return x, ModuleHom(x, x, linalg.identity(x.dim))
-    mats = x.rho_rows(a.radical)  # (r, d, d)
+    mats = x.rho(a.radical)  # (r, d, d)
     stacked = np.concatenate([mats[i] for i in range(mats.shape[0])], axis=1)
     rows = linalg.kernel_basis(stacked, a.p)
     return stable_submodule(x, linalg.row_basis(rows, a.p))
@@ -242,7 +237,7 @@ def _radical_rows(x: RightModule) -> np.ndarray:
     a = x.algebra
     if a.radical.shape[0] == 0 or x.dim == 0:
         return linalg.zeros((0, x.dim))
-    return x.rho_rows(a.radical).reshape(-1, x.dim)
+    return x.rho(a.radical).reshape(-1, x.dim)
 
 
 def radical_submodule(x: RightModule):
@@ -308,8 +303,8 @@ def presentation(x: RightModule) -> Presentation:
         return Presentation([], cover, ModuleHom(cover, x, linalg.zeros((0, 0))),
                             linalg.zeros((0, 0)), linalg.zeros((0, 0)))
     t, proj_top = top_of_module(x)
-    top_e = t.rho_rows(a.idempotents)
-    x_e = x.rho_rows(a.idempotents)
+    top_e = t.rho(a.idempotents)
+    x_e = x.rho(a.idempotents)
     parts, pi_rows = [], []
     for info in projectives:
         img = linalg.row_basis(top_e[info.index], p)
@@ -318,7 +313,7 @@ def presentation(x: RightModule) -> Presentation:
         w = linalg.solve_linear(proj_top.matrix, img, p)
         gens = linalg.matmul(w, x_e[info.index], p)
         parts += [(info.index, v) for v in gens]
-        evals = x.rho_rows(info.rows)  # (k, dim x, dim x)
+        evals = x.rho(info.rows)  # (k, dim x, dim x)
         pi_rows.append(linalg.matmul(gens, evals, p).transpose(1, 0, 2).reshape(-1, x.dim))
     cover, _ = direct_sum([projectives[i].module for i, _ in parts], a)
     pi_matrix = np.vstack(pi_rows)
@@ -364,7 +359,7 @@ def is_projective(x: RightModule) -> bool:
 def dimension_vector(x: RightModule) -> tuple:
     """(dim x*e_i) over the stored primitive idempotents, cached on the
     module; an isomorphism invariant."""
-    return tuple(linalg.rank(m, x.p) for m in x.rho_rows(x.algebra.idempotents))
+    return tuple(linalg.rank(m, x.p) for m in x.rho(x.algebra.idempotents))
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +381,18 @@ def hom_space(x: RightModule, y: RightModule) -> list[ModuleHom]:
     dk = pres.kernel_rows.shape[0]
     linalg.guard_dense(h * dy * (h * dy + dk * dy), f"the Hom system of a {x.dim}-dimensional "
                        f"module into a {dy}-dimensional one")
-    evals = {i: y.rho_rows(projectives[i].rows) for i in set(idx)}
+    evals = {i: y.rho(projectives[i].rows) for i in set(idx)}
     cover_evals = np.concatenate([evals[i] for i in idx])  # (c, dy, dy)
     part_of = np.repeat(np.arange(h), [evals[i].shape[0] for i in idx])
     # unknown u = (v_1 .. v_h) in F^(h*dy); constraints as columns of G
     gauge = linalg.zeros((h, dy, h, dy))
     gauge[np.arange(h), :, np.arange(h)] = (
-        linalg.identity(dy) - y.rho_rows(a.idempotents)[idx]) % p
+        linalg.identity(dy) - y.rho(a.idempotents)[idx]) % p
     blocks = [gauge.reshape(h * dy, h * dy)]
     if dk:
         # m[k, t] = sum over the cover basis j of part t of kernel[k, j] * eval_j
         seg = pres.kernel_rows[:, None, :] * (part_of == np.arange(h)[:, None])
-        m = (seg.reshape(dk * h, c) @ cover_evals.reshape(c, dy * dy)) % p
+        m = linalg.matmul(seg.reshape(dk * h, c), cover_evals.reshape(c, dy * dy), p)
         blocks.append(m.reshape(dk, h, dy, dy).transpose(1, 2, 0, 3)
                       .reshape(h * dy, dk * dy))
     solutions = linalg.kernel_basis(np.hstack(blocks), p)
@@ -433,12 +428,12 @@ def tensor_over_algebra(x: RightModule, m: Bimodule) -> TensorModule:
         return TensorModule(v, linalg.zeros((v.dim, 0, 0)), linalg.zeros((d, 0)),
                             linalg.zeros((0, d)))
     # row (i, a*dm + c) of the balancing rows is x_a.b_i (x) m_c - x_a (x) b_i.m_c
-    rows = (np.einsum("iab,cd->iacbd", x.action, linalg.identity(dm))
-            - np.einsum("ab,icd->iacbd", linalg.identity(dx), m.left_action)) % p
+    rows = (x.action[:, :, None, :, None] * linalg.identity(dm)[:, None, :]
+            - linalg.identity(dx)[:, None, :, None] * m.left_action[:, None, :, None, :]) % p
     proj, lift = quotient_data(rows.reshape(-1, d), d, p)
     q = proj.shape[1]
-    moved = np.einsum("rbc,jcd->jrbd", lift.reshape(q, dx, dm), m.right_action) % p
-    action = np.matmul(moved.reshape(v.dim, q, d), proj) % p
+    moved = linalg.matmul(lift.reshape(q * dx, dm), m.right_action, p)
+    action = linalg.matmul(moved.reshape(v.dim, q, d), proj, p)
     return TensorModule(v, action, proj, lift)
 
 
@@ -458,7 +453,7 @@ def free_action(a: StructureAlgebra, rows: np.ndarray) -> np.ndarray:
     """rows @ action of A_A^k, for reduced rows of k * dim A columns: the
     action is block diagonal, so each block of a row meets A_A alone."""
     n = a.dim
-    moved = np.matmul(rows.reshape(-1, n), canonical_modules(a)[0].action) % a.p
+    moved = linalg.matmul(rows.reshape(-1, n), canonical_modules(a)[0].action, a.p)
     return moved.reshape((n,) + rows.shape)
 
 
@@ -530,7 +525,7 @@ def triple_to_module(t: TriangleModule, lam: StructureAlgebra) -> RightModule:
     if not same_algebra(t.x.algebra, info.u) or not same_algebra(t.y.algebra, info.v):
         raise ShapeMismatch("triple does not match the triangular algebra")
     pure = t.tensor.proj.reshape(t.x.dim, info.bimodule.dim, t.tensor.dim).transpose(1, 0, 2)
-    return triangular_module(lam, t.x, t.y, np.matmul(pure, t.f.matrix) % lam.p)
+    return triangular_module(lam, t.x, t.y, linalg.matmul(pure, t.f.matrix, lam.p))
 
 
 @cached("corners")
@@ -544,7 +539,7 @@ def corners(z: RightModule):
     out = []
     for alg, sl in ((info.u, info.u_slice), (info.v, info.v_slice)):
         acts = z.action[sl]
-        rows = linalg.row_basis(np.einsum("i,iab->ab", alg.unit, acts) % p, p)
+        rows = linalg.row_basis(linalg.matmul(alg.unit, acts.transpose(1, 0, 2), p), p)
         out += [RightModule(alg, _restricted_action(rows, acts, p)), rows]
     return tuple(out)
 
@@ -560,7 +555,7 @@ def module_to_triple(z: RightModule) -> TriangleModule:
     dx = x_mod.dim
     if dx * dm:
         # row a*dm + c is the image of x_a (x) m_c, i.e. of x_a * m_c in z
-        landed = np.matmul(x_rows, z.action[info.m_slice]) % p  # (dm, dx, dim z)
+        landed = linalg.matmul(x_rows, z.action[info.m_slice], p)  # (dm, dx, dim z)
         landed = landed.transpose(1, 0, 2).reshape(dx * dm, z.dim)
         bigmap = (linalg.solve_linear(y_rows, landed, p) if y_mod.dim
                   else linalg.zeros((dx * dm, 0)))

@@ -346,6 +346,60 @@ def test_reverify_certificate_that_is_not_an_object_exit_1(runner, tmp_path):
         "unknown certificate kind None" in r.output
 
 
+@pytest.fixture(scope="module")
+def seed20_report(tmp_path_factory):
+    """The canonical seed-20 report, as `paper verify` writes it."""
+    out = tmp_path_factory.mktemp("seed20") / "report.json"
+    r = CliRunner().invoke(main, ["paper", "verify", "--seed", "20", "--report", str(out)])
+    assert r.exit_code == 0, r.output
+    return json.loads(out.read_text())
+
+
+def _reverify_doc(runner, tmp_path, doc):
+    out = tmp_path / "tampered.json"
+    out.write_text(json.dumps(doc))
+    return runner.invoke(main, ["report", str(out), "--reverify"])
+
+
+@pytest.mark.parametrize("listed", [True, False], ids=["listed", "unlisted"])
+def test_reverify_fails_a_pass_of_an_expected_fail_entry(runner, tmp_path, seed20_report,
+                                                         listed):
+    """The mutant's rows turned PASS with no certificates: the corpus marks
+    the entry expect_fail, whatever the report's own list says, and its rows
+    carry the seed of a failed validation, not of a check."""
+    doc = json.loads(json.dumps(seed20_report))
+    mutant = "mutant_broken_trivext"
+    for row in doc["checks"]:
+        if row["algebra_id"] == mutant:
+            row["verdict"], row["evidence"] = "PASS", {"certificates": []}
+    if not listed:
+        doc["expected_failures"] = []
+    r = _reverify_doc(runner, tmp_path, doc)
+    assert r.exit_code == 1, r.output
+    assert "reverify: 510/528 certificates ok" in r.output
+    for cid in checks.CHECK_IDS:
+        assert (f"FAILED {mutant} {cid} #row (verdict): "
+                "the corpus marks this entry expect_fail") in r.output
+        assert f"FAILED {mutant} {cid} #row (seed): " in r.output
+
+
+def test_reverify_fails_a_pass_with_another_seed(runner, tmp_path, seed20_report):
+    doc = json.loads(json.dumps(seed20_report))
+    row = next(c for c in doc["checks"] if c["verdict"] == "PASS")
+    row["seed"] += 1
+    r = _reverify_doc(runner, tmp_path, doc)
+    assert r.exit_code == 1, r.output
+    assert "reverify: 510/511 certificates ok" in r.output
+    assert (f"FAILED {row['algebra_id']} {row['check_id']} #row (seed): "
+            "not the seed of this entry and check") in r.output
+
+
+def test_reverify_of_the_untampered_seed20_report(runner, tmp_path, seed20_report):
+    r = _reverify_doc(runner, tmp_path, seed20_report)
+    assert r.exit_code == 0, r.output
+    assert r.output.endswith("reverify: 510/510 certificates ok\n")
+
+
 def test_report_missing_file_exit_2(runner, tmp_path):
     r = runner.invoke(main, ["report", str(tmp_path / "nope.json")])
     assert r.exit_code == 2

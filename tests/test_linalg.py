@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import syzygy
 from syzygy import algebra, decompose, linalg, modules
-from syzygy.errors import InconsistentSystem
+from syzygy.errors import InconsistentSystem, ResourceGuard
 
 
 def test_row_reduce_identity():
@@ -591,6 +591,44 @@ def test_matmul_on_batched_4d_operands(monkeypatch, p):
     assert np.array_equal(prods[3, 7], (s[7] @ s[3]) % p)
     assert tiled.shape == (2, 3, 90, 100)
     assert np.array_equal(tiled, (a @ b) % p)
+
+
+class _Untouchable(np.ndarray):
+    """An operand that refuses every ufunc (the product, the reduction)
+    and the float conversion of the BLAS path."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("an operation was run on the operand")
+
+    def astype(self, *args, **kwargs):
+        raise AssertionError("the operand was converted")
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((1, 8388673), (8388673, 1)),
+                                              ((8388673,), (8388673, 2)),
+                                              ((2, 3, 8388673), (8388673, 4))])
+def test_matmul_refuses_an_inner_dimension_that_could_wrap_int64(monkeypatch, a_shape, b_shape):
+    """n (p-1)^2 < 2^63 bounds every int64 sum; at p = 1048573 the first
+    inner dimension past it is 8,388,673.  The zero-stride operands hold no
+    memory, and the guard fires before any product or conversion, on the
+    vector path as on the matrix and batched paths."""
+    p = 1048573
+    assert 8388672 * (p - 1) ** 2 < 2**63 <= 8388673 * (p - 1) ** 2
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: pytest.fail("np.matmul called"))
+    one = linalg.zeros(()).view(_Untouchable)
+    a = np.broadcast_to(one, a_shape, subok=True)
+    b = np.broadcast_to(one, b_shape, subok=True)
+    with pytest.raises(ResourceGuard, match="inner dimension 8388673"):
+        linalg.matmul(a, b, p)
+
+
+def test_matmul_allows_the_largest_exact_inner_dimension():
+    """At n = 8,388,672 the sum of n products (p-1)^2 still fits int64."""
+    p = 1048573
+    n = 8388672
+    a = np.broadcast_to(np.int64(p - 1), (1, n))
+    b = np.broadcast_to(np.int64(p - 1), (n, 1))
+    assert linalg.matmul(a, b, p)[0, 0] == n * (p - 1) ** 2 % p
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

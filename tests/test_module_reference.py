@@ -442,8 +442,8 @@ def test_stable_submodules_match_the_closure_reference(worlds, aid, p):
                                                          g_inv) % a.p))
     for x in mods:
         pres = modules.presentation(x)
-        rad_rows = x.rho_rows(a.radical).reshape(-1, x.dim)
-        soc_rows = (ref_kernel_basis(np.hstack(list(x.rho_rows(a.radical))), x.p)
+        rad_rows = x.rho(a.radical).reshape(-1, x.dim)
+        soc_rows = (ref_kernel_basis(np.hstack(list(x.rho(a.radical))), x.p)
                     if a.radical.shape[0] else linalg.identity(x.dim))
         cases = [(modules.syzygy_step(x), pres.cover, pres.kernel_rows),
                  (modules.radical_submodule(x), x, rad_rows),
