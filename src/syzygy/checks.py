@@ -14,6 +14,7 @@ import json
 import operator
 import time
 import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -122,9 +123,7 @@ def resolve_algebra_desc(desc: dict, resolved: dict) -> StructureAlgebra:
 
 
 def mref(kind: str, algebra_desc: dict, **kw) -> dict:
-    out = {"kind": kind, "algebra": algebra_desc}
-    out.update(kw)
-    return out
+    return {"kind": kind, "algebra": algebra_desc, **kw}
 
 
 def resolve_module_ref(ref: dict, resolved: dict) -> RightModule:
@@ -133,7 +132,8 @@ def resolve_module_ref(ref: dict, resolved: dict) -> RightModule:
     if kind == "regular":
         return canonical_modules(a)[0]
     if kind == "simple":
-        return canonical_modules(a)[1][ref["index"]]
+        simples = canonical_modules(a)[1]
+        return simples[_level(ref["index"], len(simples) - 1, "index", bottom=0)]
     if kind == "zero":
         return zero_module(a)
     if kind == "top":
@@ -145,7 +145,8 @@ def resolve_module_ref(ref: dict, resolved: dict) -> RightModule:
     if kind == "syzygy":  # the diamond writes s = 1
         return syzygy(resolve_module_ref(ref["of"], resolved), _level(ref["s"], S_MAX, "s"))
     if kind == "pool":
-        return deloop.default_pool(a).module(ref["index"])
+        pool = deloop.default_pool(a)
+        return pool.module(_level(ref["index"], len(pool) - 1, "index", bottom=0))
     if kind == "eprime":
         return corner_projective(a)[1].source
     if kind == "sigma_triple":
@@ -198,7 +199,7 @@ def _sample_module(lam: StructureAlgebra, x: RightModule, y: RightModule,
     f_coeffs = draw(len(homs))
     fmat = linalg.zeros((tensor.dim, y.dim))
     for c, h in zip(f_coeffs, homs):
-        fmat = (fmat + int(c) * h.matrix) % lam.p
+        fmat = (fmat + c * h.matrix) % lam.p
     return triple_to_module(make_triple(lam, x, y, fmat, tensor), lam), f_coeffs
 
 
@@ -208,7 +209,13 @@ def build_sample_triple(a: StructureAlgebra, x_ref: dict, y_ref: dict,
     lam = build_lambda(a)
     x = resolve_module_ref(x_ref, resolved)
     y = resolve_module_ref(y_ref, resolved)
-    return _sample_module(lam, x, y, lambda n: f_coeffs)[0]
+
+    def stored(n):  # one coefficient in 0..p-1 per basis element of the Hom space
+        if not isinstance(f_coeffs, list) or len(f_coeffs) != n:
+            raise CorpusError(f"f_coeffs is not a list of length {n}")
+        return [_level(c, a.p - 1, "f_coeffs", bottom=0) for c in f_coeffs]
+
+    return _sample_module(lam, x, y, stored)[0]
 
 
 def _lemma5_level(flat: RightModule, s: int) -> tuple:
@@ -221,8 +228,10 @@ def _lemma5_level(flat: RightModule, s: int) -> tuple:
 
 
 def _level(value, top: int, name: str, bottom: int = 1) -> int:
-    """A stored level as an int in bottom..top; the bound caps the syzygy
-    steps that a certificate asks reverify for."""
+    """A stored level, index, count or coefficient as an int in bottom..top,
+    never a bool; a level's bound caps the syzygy steps reverify takes."""
+    if isinstance(value, bool):
+        raise CorpusError(f"level {name} = {value} is not an int")
     level = operator.index(value)
     if not bottom <= level <= top:
         raise CorpusError(f"level {name} = {level} is outside {bottom}..{top}")
@@ -351,42 +360,30 @@ def check_lemma1(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
     sigma, _ = semisimple_quotient(a)
     t = trivial_extension(sigma)
     tdesc = dict(desc, ops=desc["ops"] + ["sigma", "trivext"])
-    n = sigma.dim
-    natural = linalg.zeros((n, t.dim))
-    natural[:, n:] = linalg.identity(n)
+    natural = np.eye(sigma.dim, t.dim, sigma.dim, dtype=np.int64)  # rows [0 | I]
     t_report = validate_algebra(t)
     if not t_report.ok:
         return False, {"counterexample": {"violations": t_report.violations}}
     regular = canonical_modules(t)[0]
     soc, soc_incl = socle(regular)
-    soc_rows = soc_incl.matrix
-    rad_ok = _verify_subspace_equal(t, t.radical, natural)[0]
-    soc_ok = _verify_subspace_equal(t, soc_rows, natural)[0]
+    # evidence field -> rows whose span must be the natural part
+    spans = {"radical_equals_natural": t.radical,
+             "socle_equals_natural": soc_incl.matrix}
+    evidence = {field: _verify_subspace_equal(t, rows, natural)[0]
+                for field, rows in spans.items()}
     top, _ = top_of_module(regular)
     witness = iso_test(top, soc, seed=derive_seed(seed, "lemma1")).witness
-    evidence = {
-        "sigma_dim": sigma.dim,
-        "radical_equals_natural": rad_ok,
-        "socle_equals_natural": soc_ok,
-        "top_iso_socle": witness is not None,
-    }
-    if not (rad_ok and soc_ok and witness is not None):
-        evidence["counterexample"] = {
-            "radical": _ints(t.radical),
-            "socle": _ints(soc_rows),
-            "natural": _ints(natural),
-        }
+    evidence.update(sigma_dim=sigma.dim, top_iso_socle=witness is not None)
+    if not all(evidence[field] for field in (*spans, "top_iso_socle")):
+        evidence["counterexample"] = {"radical": _ints(t.radical), "socle": _ints(soc_incl.matrix),
+                                      "natural": _ints(natural)}
         return False, evidence
     top_ref = mref("top", tdesc, of=mref("regular", tdesc))
     soc_ref = mref("socle", tdesc, of=mref("regular", tdesc))
     evidence["certificates"] = [
-        {"kind": "subspace_equal", "algebra": tdesc,
-         "rows_a": _ints(t.radical), "rows_b": _ints(natural)},
-        {"kind": "subspace_equal", "algebra": tdesc,
-         "rows_a": _ints(soc_rows), "rows_b": _ints(natural)},
-        {"kind": "iso", "x": top_ref, "y": soc_ref,
-         "matrix": _ints(witness.matrix)},
-    ]
+        {"kind": "subspace_equal", "algebra": tdesc, "rows_a": _ints(rows),
+         "rows_b": _ints(natural)} for rows in spans.values()
+    ] + [{"kind": "iso", "x": top_ref, "y": soc_ref, "matrix": _ints(witness.matrix)}]
     return True, evidence
 
 
@@ -412,29 +409,23 @@ def check_cover_corner(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
 
 
 def _del_zero(alg: StructureAlgebra, alg_desc: dict):
-    """(ok, evidence, embedding certificates): every simple of alg embeds
-    into a power of alg, and the delooping level of alg is exactly [0, 0]."""
-    certs, bad = [], None
-    for i, s in enumerate(canonical_modules(alg)[1]):
-        torsionless, phi = torsionless_test(s)
-        if not torsionless:
-            bad = i
-            break
-        certs.append({
-            "kind": "embedding",
-            "x": mref("simple", alg_desc, index=i),
-            "copies": phi.shape[1] // alg.dim,
-            "matrix": _ints(phi),
-        })
+    """(ok, evidence, embedding certificates): the delooping level of alg is
+    exactly [0, 0], and so every simple of alg, whose del has lower end 0
+    exactly when it is torsionless, embeds into a power of alg."""
     agg, per = deloop.del_algebra(alg)
-    ok = bad is None and agg.exact and agg.lower == 0 and agg.upper == 0
     evidence = {"del_lower": agg.lower, "del_upper": agg.upper, "del_exact": agg.exact}
-    if not ok:
+    if not (agg.exact and agg.upper == 0):
         evidence["counterexample"] = {
-            "non_torsionless_simple": bad,
+            "non_torsionless_simple": next((i for i, b in enumerate(per) if b.lower == 1), None),
             "per_simple": [(b.lower, b.upper) for b in per],
         }
-    return ok, evidence, certs
+        return False, evidence, []
+    phis = [torsionless_test(b.module)[1] for b in per]
+    return True, evidence, [
+        {"kind": "embedding", "x": mref("simple", alg_desc, index=i),
+         "copies": phi.shape[1] // alg.dim, "matrix": _ints(phi)}
+        for i, phi in enumerate(phis)
+    ]
 
 
 @check("lemma2_cover_del_zero")
@@ -480,42 +471,31 @@ def check_diamond(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
     sig = sigma_triple_module(a)
     rad, _ = radical_submodule(eproj)
     top, _ = top_of_module(eproj)
-    s1 = derive_seed(seed, "diamond", 1)
-    w_rad = iso_test(rad, sig, seed=s1).witness
-    w_top = iso_test(top, sig, seed=s1 + 1).witness
     om = syzygy(top, 1)
-    w_om = iso_test(om, sig, seed=s1 + 2).witness
-    w_periodic = iso_test(om, top, seed=s1 + 3).witness
-    b = deloop.del_bounds(top)
-    del_ok = b.exact and b.lower == 0 and b.upper == 0
-    passed = all(w is not None for w in (w_rad, w_top, w_om, w_periodic)) \
-        and del_ok
-    evidence = {
-        "eprime_dim": eproj.dim,
-        "sigma_dim": sig.dim,
-        "sub_iso_sigma": w_rad is not None,
-        "quotient_iso_sigma": w_top is not None,
-        "syzygy_of_top_iso_sigma": w_om is not None,
-        "one_periodic": w_periodic is not None,
-        "del_bounds": [b.lower, b.upper],
-    }
-    if not passed:
-        evidence["counterexample"] = {
-            "rad_dim": rad.dim, "top_dim": top.dim, "omega_dim": om.dim,
-        }
-        return False, evidence
     ldesc = dict(desc, ops=desc["ops"] + ["lambda"])
     ep = mref("eprime", ldesc)
     sref = mref("sigma_triple", ldesc, base=desc)
     top_ref = mref("top", ldesc, of=ep)
+    om_ref = mref("syzygy", ldesc, of=top_ref, s=1)
+    # evidence field -> ((x, x_ref), (y, y_ref)): the field claims x = y
+    isos = {
+        "sub_iso_sigma": ((rad, mref("radical", ldesc, of=ep)), (sig, sref)),
+        "quotient_iso_sigma": ((top, top_ref), (sig, sref)),
+        "syzygy_of_top_iso_sigma": ((om, om_ref), (sig, sref)),
+        "one_periodic": ((om, om_ref), (top, top_ref)),
+    }
+    s1 = derive_seed(seed, "diamond", 1)
+    witnesses = [iso_test(x, y, seed=s1 + i).witness
+                 for i, ((x, _), (y, _)) in enumerate(isos.values())]
+    b = deloop.del_bounds(top)
+    evidence = {field: w is not None for field, w in zip(isos, witnesses)}
+    evidence.update(eprime_dim=eproj.dim, sigma_dim=sig.dim, del_bounds=[b.lower, b.upper])
+    if not (all(evidence[field] for field in isos) and b.exact and b.upper == 0):
+        evidence["counterexample"] = {"rad_dim": rad.dim, "top_dim": top.dim, "omega_dim": om.dim}
+        return False, evidence
     evidence["certificates"] = [
-        {"kind": "iso", "x": mref("radical", ldesc, of=ep), "y": sref,
-         "matrix": _ints(w_rad.matrix)},
-        {"kind": "iso", "x": top_ref, "y": sref, "matrix": _ints(w_top.matrix)},
-        {"kind": "iso", "x": mref("syzygy", ldesc, of=top_ref, s=1), "y": sref,
-         "matrix": _ints(w_om.matrix)},
-        {"kind": "iso", "x": mref("syzygy", ldesc, of=top_ref, s=1),
-         "y": top_ref, "matrix": _ints(w_periodic.matrix)},
+        {"kind": "iso", "x": x_ref, "y": y_ref, "matrix": _ints(w.matrix)}
+        for ((_, x_ref), (_, y_ref)), w in zip(isos.values(), witnesses)
     ]
     return True, evidence
 
@@ -711,10 +691,8 @@ def format_report_text(doc: dict) -> str:
     lines = [f"syzygy report (version {doc['version']}, seed {doc['config']['seed']})"]
     for c in doc["checks"]:
         lines.append(f"{c['verdict']:7s} {c['algebra_id']:24s} {c['check_id']}")
-    n_pass = sum(1 for c in doc["checks"] if c["verdict"] == "PASS")
-    n_fail = sum(1 for c in doc["checks"] if c["verdict"] == "FAIL")
-    n_skip = sum(1 for c in doc["checks"] if c["verdict"] == "SKIPPED")
-    lines.append(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped")
+    n = Counter(c["verdict"] for c in doc["checks"])
+    lines.append(f"{n['PASS']} passed, {n['FAIL']} failed, {n['SKIPPED']} skipped")
     return "\n".join(lines) + "\n"
 
 
@@ -735,7 +713,9 @@ def _resolve_iso(cert, resolved):
 
 def _resolve_embedding(cert, resolved):
     x = resolve_module_ref(cert["x"], resolved)
-    return (x,), {"matrix": (x.dim, None)}
+    n = x.algebra.dim
+    copies = _level(cert["copies"], x.dim * n, "copies", bottom=0)  # dim Hom(x, A_A) <= dim x * n
+    return (x,), {"matrix": (x.dim, copies * n)}
 
 
 def _resolve_algebra_iso(cert, resolved):

@@ -91,6 +91,69 @@ def test_diamond_negative_control(world):
     assert checks.iso_test(top, sig, seed=1).witness is None
 
 
+DIAMOND_ISOS = ["sub_iso_sigma", "quotient_iso_sigma", "syzygy_of_top_iso_sigma",
+                "one_periodic"]
+
+
+@pytest.mark.parametrize("miss", range(4), ids=DIAMOND_ISOS)
+def test_diamond_fails_when_one_isomorphism_has_no_witness(world, monkeypatch, miss):
+    """Isomorphism i of the diamond searches with seed s1 + i; with no
+    witness for that one alone, its flag alone is False and the row FAILs
+    with the dimensions of the sequence and no certificates."""
+    _, resolved = world
+    s1 = checks.derive_seed(5, "diamond", 1)
+    real = checks.iso_test
+
+    def iso_test(x, y, seed=0):
+        verdict = real(x, y, seed=seed)
+        return dataclasses.replace(verdict, witness=None) if seed == s1 + miss else verdict
+
+    monkeypatch.setattr(checks, "iso_test", iso_test)
+    r = checks.check_diamond(resolved["dual_numbers"], _desc("dual_numbers"), seed=5)
+    assert r.verdict == "FAIL" and "certificates" not in r.evidence
+    assert [r.evidence[f] for f in DIAMOND_ISOS] == [i != miss for i in range(4)]
+    n = r.evidence["sigma_dim"]
+    assert r.evidence["eprime_dim"] == 2 * n
+    assert r.evidence["counterexample"] == {"rad_dim": n, "top_dim": n, "omega_dim": n}
+
+
+def test_lemma1_fails_when_top_and_socle_have_no_witness(world, monkeypatch):
+    _, resolved = world
+    a = resolved["a2"]
+    real = checks.iso_test
+    monkeypatch.setattr(checks, "iso_test", lambda x, y, seed=0: dataclasses.replace(
+        real(x, y, seed=seed), witness=None))
+    r = checks.check_lemma1(a, _desc("a2"), seed=1)
+    assert r.verdict == "FAIL" and "certificates" not in r.evidence
+    assert r.evidence["radical_equals_natural"] and r.evidence["socle_equals_natural"]
+    assert not r.evidence["top_iso_socle"]
+    t = checks.trivial_extension(checks.semisimple_quotient(a)[0])
+    natural = np.hstack([np.zeros((t.dim // 2, t.dim // 2)), np.eye(t.dim // 2)])
+    soc_rows = modules.socle(modules.canonical_modules(t)[0])[1].matrix
+    assert r.evidence["counterexample"] == {"radical": checks._ints(t.radical),
+                                            "socle": checks._ints(soc_rows),
+                                            "natural": checks._ints(natural)}
+
+
+@pytest.mark.parametrize("aid, evidence", [
+    ("a2", {"del_lower": 1, "del_upper": 1, "del_exact": True,
+            "counterexample": {"non_torsionless_simple": 0,
+                               "per_simple": [(1, 1), (0, 0)]}}),
+    ("square", {"del_lower": 1, "del_upper": 2, "del_exact": False,
+                "counterexample": {"non_torsionless_simple": 0,
+                                   "per_simple": [(1, 2), (1, 1), (1, 1), (0, 0)]}}),
+    ("dual_numbers", {"del_lower": 0, "del_upper": 0, "del_exact": True}),
+])
+def test_del_zero_evidence_on_the_algebra_itself(world, aid, evidence):
+    """The certificates of a failing _del_zero are never stored, so only
+    the evidence is compared; a passing one embeds each simple."""
+    _, resolved = world
+    ok, got, certs = checks._del_zero(resolved[aid], _desc(aid))
+    assert ok == ("counterexample" not in evidence) and got == evidence
+    if ok:
+        assert [(c["kind"], c["x"]["index"], c["copies"]) for c in certs] == [("embedding", 0, 1)]
+
+
 def test_syzygy_decomposition(world):
     entries, resolved = world
     r = checks.check_syzygy_decomp(resolved["a2"], _desc("a2"), seed=6)
@@ -486,6 +549,106 @@ def test_cli_reverify_lists_witnesses_that_are_not_modules(del_witness_doc, tmp_
     assert r.exit_code == 1, r.output
     assert "reverify: 0/34 certificates ok" in r.output
     assert r.output.count("(del_witness): verifier raised") == 34
+
+
+@pytest.fixture(scope="module")
+def a2_seed20_doc(world):
+    """Every check of a2 at seed 20, as its report reads back from JSON:
+    67 certificates, which all pass reverify untampered."""
+    entries, _ = world
+    config = checks.Config(seed=20)
+    reports, _ = checks.run_corpus(entries, config, only_algebra="a2")
+    doc = checks.report_document(reports, config, [e.id for e in entries], [])
+    doc = json.loads(checks.serialize_report(doc))
+    results, ok = checks.reverify_report(doc, entries)
+    assert ok and len(results) == 67
+    return doc
+
+
+def _reverify_tampered(doc, entries, mutate):
+    """Reverify a copy of doc after mutate(row, cert) on each certificate,
+    which returns True when it tampered; (tampered ids, failed results)."""
+    bad = copy.deepcopy(doc)
+    tampered = {(row["check_id"], i) for row in bad["checks"]
+                for i, cert in enumerate(row["evidence"]["certificates"]) if mutate(row, cert)}
+    results, ok = checks.reverify_report(bad, entries)
+    failed = [r for r in results if not r["ok"]]
+    assert ok == (not failed)
+    return tampered, failed
+
+
+# each tampers the f_coeffs of every lemma5 sample that has some
+TAMPERED_COEFFS = {
+    "huge": lambda c: [2**70] + c[1:],
+    "extra_entry": lambda c: c + [0],
+    "plus_half": lambda c: [x + 0.5 for x in c],
+    "plus_p": lambda c: [x + P for x in c],
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERED_COEFFS)
+def test_reverify_reads_f_coeffs_exactly(world, a2_seed20_doc, tamper):
+    """A sample's f_coeffs are one int in 0..p-1 per Hom basis element:
+    no entry is truncated, folded mod p or dropped, and none overflows."""
+    entries, _ = world
+
+    def mutate(row, cert):
+        sample = cert.get("sample")
+        if cert["kind"] != "lemma5_level" or not sample["f_coeffs"]:
+            return False
+        sample["f_coeffs"] = TAMPERED_COEFFS[tamper](sample["f_coeffs"])
+        return True
+
+    tampered, failed = _reverify_tampered(a2_seed20_doc, entries, mutate)
+    assert tampered and {(r["check_id"], r["certificate"]) for r in failed} == tampered
+    assert all(r["detail"].startswith("malformed descriptor") for r in failed)
+    if tamper == "huge":
+        assert f"level f_coeffs = {2**70} is outside 0..{P - 1}" in failed[0]["detail"]
+
+
+def test_cli_reverify_fails_a_huge_coefficient_without_a_traceback(a2_seed20_doc, tmp_path):
+    doc = copy.deepcopy(a2_seed20_doc)
+    cert = next(c for row in doc["checks"] for c in row["evidence"]["certificates"]
+                if c["kind"] == "lemma5_level" and c["sample"]["f_coeffs"])
+    cert["sample"]["f_coeffs"][0] = 2**70
+    out = tmp_path / "report.json"
+    out.write_text(checks.serialize_report(doc))
+    r = CliRunner().invoke(main, ["report", str(out), "--reverify"])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert "reverify: 66/67 certificates ok" in r.output
+    assert "(lemma5_level): malformed descriptor" in r.output
+
+
+def _lemma2_index(change):
+    def mutate(row, cert):
+        if row["check_id"] != "lemma2_cover_del_zero":
+            return False
+        cert["x"]["index"] = change(cert["x"]["index"], row["evidence"]["simples"])
+        return True
+    return mutate
+
+
+def _copies_plus_7(row, cert):
+    if cert["kind"] != "embedding":
+        return False
+    cert["copies"] += 7
+    return True
+
+
+@pytest.mark.parametrize("mutate, count", [
+    (_lemma2_index(lambda i, n: i - n), 4),
+    (_lemma2_index(lambda i, n: True), 4),
+    (_lemma2_index(lambda i, n: False), 4),
+    (_copies_plus_7, 8),
+], ids=["index_minus_n", "index_true", "index_false", "copies_plus_7"])
+def test_reverify_reads_indices_and_copies_exactly(world, a2_seed20_doc, mutate, count):
+    """A simple's index is in 0..n-1, not a negative index or a bool, and
+    an embedding's matrix is copies * dim A wide."""
+    entries, _ = world
+    tampered, failed = _reverify_tampered(a2_seed20_doc, entries, mutate)
+    assert len(tampered) == count
+    assert {(r["check_id"], r["certificate"]) for r in failed} == tampered
+    assert all(r["detail"].startswith("malformed") for r in failed)
 
 
 def test_resolve_module_ref_round_trip(world):
