@@ -25,16 +25,16 @@ from .algebra import (
     StructureAlgebra,
     build_cover,
     build_lambda,
+    cached,
     canonical_iso_check,
     lambda_cover_swap,
-    opposite,
+    same_algebra,
     semisimple_quotient,
-    trivial_extension,
     validate_algebra,
 )
 from .corpus import CorpusEntry, resolve_corpus
 from .decompose import TRIALS, end_ring, iso_test
-from .errors import CorpusError, DimensionMismatch, SyzygyError
+from .errors import AlgebraMismatch, CorpusError, DimensionMismatch, SyzygyError
 from .modules import (
     ModuleHom,
     RightModule,
@@ -127,44 +127,53 @@ def mref(kind: str, algebra_desc: dict, **kw) -> dict:
 
 
 def resolve_module_ref(ref: dict, resolved: dict) -> RightModule:
+    """The module ref names, which must be over the algebra it names."""
     a = resolve_algebra_desc(ref["algebra"], resolved)
     kind = ref["kind"]
     if kind == "regular":
-        return canonical_modules(a)[0]
-    if kind == "simple":
+        x = canonical_modules(a)[0]
+    elif kind == "simple":
         simples = canonical_modules(a)[1]
-        return simples[_level(ref["index"], len(simples) - 1, "index", bottom=0)]
-    if kind == "zero":
-        return zero_module(a)
-    if kind == "top":
-        return top_of_module(resolve_module_ref(ref["of"], resolved))[0]
-    if kind == "radical":
-        return radical_submodule(resolve_module_ref(ref["of"], resolved))[0]
-    if kind == "socle":
-        return socle(resolve_module_ref(ref["of"], resolved))[0]
-    if kind == "syzygy":  # the diamond writes s = 1
-        return syzygy(resolve_module_ref(ref["of"], resolved), _level(ref["s"], S_MAX, "s"))
-    if kind == "pool":
+        x = simples[_level(ref["index"], len(simples) - 1, "index", bottom=0)]
+    elif kind == "zero":
+        x = zero_module(a)
+    elif kind == "top":
+        x = top_of_module(resolve_module_ref(ref["of"], resolved))[0]
+    elif kind == "radical":
+        x = radical_submodule(resolve_module_ref(ref["of"], resolved))[0]
+    elif kind == "socle":
+        x = socle(resolve_module_ref(ref["of"], resolved))[0]
+    elif kind == "syzygy":  # the diamond writes s = 1
+        x = syzygy(resolve_module_ref(ref["of"], resolved), _level(ref["s"], S_MAX, "s"))
+    elif kind == "pool":
         pool = deloop.default_pool(a)
-        return pool.module(_level(ref["index"], len(pool) - 1, "index", bottom=0))
-    if kind == "eprime":
-        return corner_projective(a)[1].source
-    if kind == "sigma_triple":
-        base = resolve_algebra_desc(ref["base"], resolved)
-        return sigma_triple_module(base)
-    if kind == "lemma5_sample":
-        base = resolve_algebra_desc(ref["base"], resolved)
-        return build_sample_triple(base, ref["x"], ref["y"],
-                                   ref["f_coeffs"], resolved)
-    if kind == "explicit":
-        return RightModule(a, np.asarray(ref["action"], dtype=np.int64))
-    raise CorpusError(f"unknown module descriptor kind {kind!r}")
+        x = pool.module(_level(ref["index"], len(pool) - 1, "index", bottom=0))
+    elif kind == "eprime":
+        x = corner_projective(a)[1].source
+    elif kind == "sigma_triple":
+        x = sigma_triple_module(resolve_algebra_desc(ref["base"], resolved))
+    elif kind == "lemma5_sample":
+        def stored(n):  # one coefficient in 0..p-1 per basis element of the Hom space
+            f_coeffs = ref["f_coeffs"]
+            if not isinstance(f_coeffs, list) or len(f_coeffs) != n:
+                raise CorpusError(f"f_coeffs is not a list of length {n}")
+            return [_level(c, a.p - 1, "f_coeffs", bottom=0) for c in f_coeffs]
+        x = _sample_module(ref, resolved, stored)[0]
+    elif kind == "explicit":
+        x = RightModule(a, np.asarray(ref["action"], dtype=np.int64))
+    else:
+        raise CorpusError(f"unknown module descriptor kind {kind!r}")
+    if not same_algebra(x.algebra, a):
+        raise AlgebraMismatch(f"the {kind} module is not over the algebra its descriptor names")
+    return x
 
 
 # ---------------------------------------------------------------------------
-# helper constructions shared by checks and reverify
+# the constructions that descriptors name; a check builds what it certifies
+# from the descriptors it stores, through resolve_module_ref, as reverify does
 
 
+@cached("corner_projective")
 def corner_projective(alg: StructureAlgebra):
     """(e, inclusion of e*alg into alg) for the unit e of the V-corner of a
     triangular algebra: e'Lambda for Lambda, and e*cover with e the unit of
@@ -189,11 +198,14 @@ def sigma_triple_module(a: StructureAlgebra) -> RightModule:
     return triangular_module(lam, zero_module(a), RightModule(lam.triangle.v, v_action))
 
 
-def _sample_module(lam: StructureAlgebra, x: RightModule, y: RightModule,
-                   draw) -> tuple:
-    """(flat module, f_coeffs) of the triple (x, y, f) over the triangular
-    algebra lam, where f = sum of c_i h_i over the basis h of
-    Hom(x tensor_U M, y) and the coefficients are c = draw(len(h))."""
+def _sample_module(ref: dict, resolved: dict, draw) -> tuple:
+    """(flat module, f_coeffs) of the lemma5_sample descriptor ref: the
+    triple (x, y, f) over Lambda of its base, where f = sum of c_i h_i over
+    the basis h of Hom(x tensor_U M, y) and the coefficients are
+    c = draw(len(h))."""
+    lam = build_lambda(resolve_algebra_desc(ref["base"], resolved))
+    x = resolve_module_ref(ref["x"], resolved)
+    y = resolve_module_ref(ref["y"], resolved)
     tensor = tensor_over_algebra(x, lam.triangle.bimodule)
     homs = hom_space(tensor, y)
     f_coeffs = draw(len(homs))
@@ -201,21 +213,6 @@ def _sample_module(lam: StructureAlgebra, x: RightModule, y: RightModule,
     for c, h in zip(f_coeffs, homs):
         fmat = (fmat + c * h.matrix) % lam.p
     return triple_to_module(make_triple(lam, x, y, fmat, tensor), lam), f_coeffs
-
-
-def build_sample_triple(a: StructureAlgebra, x_ref: dict, y_ref: dict,
-                        f_coeffs: list, resolved: dict) -> RightModule:
-    """Rebuild a sampled Lambda-module (X, Y, f) from its descriptor."""
-    lam = build_lambda(a)
-    x = resolve_module_ref(x_ref, resolved)
-    y = resolve_module_ref(y_ref, resolved)
-
-    def stored(n):  # one coefficient in 0..p-1 per basis element of the Hom space
-        if not isinstance(f_coeffs, list) or len(f_coeffs) != n:
-            raise CorpusError(f"f_coeffs is not a list of length {n}")
-        return [_level(c, a.p - 1, "f_coeffs", bottom=0) for c in f_coeffs]
-
-    return _sample_module(lam, x, y, stored)[0]
 
 
 def _lemma5_level(flat: RightModule, s: int) -> tuple:
@@ -357,29 +354,28 @@ def check_lemma1(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
     report = validate_algebra(a)
     if not report.ok:
         return False, {"counterexample": {"violations": report.violations}}
-    sigma, _ = semisimple_quotient(a)
-    t = trivial_extension(sigma)
+    resolved = {desc["entry"]: a}
     tdesc = dict(desc, ops=desc["ops"] + ["sigma", "trivext"])
-    natural = np.eye(sigma.dim, t.dim, sigma.dim, dtype=np.int64)  # rows [0 | I]
+    t = resolve_algebra_desc(tdesc, resolved)
+    n = t.dim // 2  # dim Sigma
+    natural = np.eye(n, t.dim, n, dtype=np.int64)  # rows [0 | I]
     t_report = validate_algebra(t)
     if not t_report.ok:
         return False, {"counterexample": {"violations": t_report.violations}}
-    regular = canonical_modules(t)[0]
-    soc, soc_incl = socle(regular)
+    soc_rows = socle(canonical_modules(t)[0])[1].matrix
     # evidence field -> rows whose span must be the natural part
-    spans = {"radical_equals_natural": t.radical,
-             "socle_equals_natural": soc_incl.matrix}
+    spans = {"radical_equals_natural": t.radical, "socle_equals_natural": soc_rows}
     evidence = {field: _verify_subspace_equal(t, rows, natural)[0]
                 for field, rows in spans.items()}
-    top, _ = top_of_module(regular)
-    witness = iso_test(top, soc, seed=derive_seed(seed, "lemma1")).witness
-    evidence.update(sigma_dim=sigma.dim, top_iso_socle=witness is not None)
-    if not all(evidence[field] for field in (*spans, "top_iso_socle")):
-        evidence["counterexample"] = {"radical": _ints(t.radical), "socle": _ints(soc_incl.matrix),
-                                      "natural": _ints(natural)}
-        return False, evidence
     top_ref = mref("top", tdesc, of=mref("regular", tdesc))
     soc_ref = mref("socle", tdesc, of=mref("regular", tdesc))
+    top, soc = (resolve_module_ref(ref, resolved) for ref in (top_ref, soc_ref))
+    witness = iso_test(top, soc, seed=derive_seed(seed, "lemma1")).witness
+    evidence.update(sigma_dim=n, top_iso_socle=witness is not None)
+    if not all(evidence[field] for field in (*spans, "top_iso_socle")):
+        evidence["counterexample"] = {"radical": _ints(t.radical), "socle": _ints(soc_rows),
+                                      "natural": _ints(natural)}
+        return False, evidence
     evidence["certificates"] = [
         {"kind": "subspace_equal", "algebra": tdesc, "rows_a": _ints(rows),
          "rows_b": _ints(natural)} for rows in spans.values()
@@ -432,8 +428,9 @@ def _del_zero(alg: StructureAlgebra, alg_desc: dict):
 def check_lemma2(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
     """Every simple module of the cover embeds into a projective, and the
     delooping level of the cover is exactly [0, 0]."""
-    cover = build_cover(a)
-    ok, evidence, certs = _del_zero(cover, dict(desc, ops=desc["ops"] + ["cover"]))
+    cdesc = dict(desc, ops=desc["ops"] + ["cover"])
+    cover = resolve_algebra_desc(cdesc, {desc["entry"]: a})
+    ok, evidence, certs = _del_zero(cover, cdesc)
     evidence["simples"] = len(canonical_modules(cover)[1])
     if ok:
         evidence["certificates"] = certs
@@ -444,17 +441,16 @@ def check_lemma2(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
 def check_lambda_op(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
     """opposite(Lambda(A)) is the cover of opposite(A) under the block
     permutation, and its delooping level is exactly [0, 0]."""
-    lhs = opposite(build_lambda(a))
-    rhs = build_cover(opposite(a))
+    ldesc = dict(desc, ops=desc["ops"] + ["lambda", "opposite"])
+    rdesc = dict(desc, ops=desc["ops"] + ["opposite", "cover"])
+    lhs, rhs = (resolve_algebra_desc(d, {desc["entry"]: a}) for d in (ldesc, rdesc))
     perm = lambda_cover_swap(a)
     iso_ok, _ = _verify_algebra_iso(lhs, rhs, perm)
     if not iso_ok:
         return False, {"counterexample": {"permutation": _ints(perm)}}
-    ldesc = dict(desc, ops=desc["ops"] + ["lambda", "opposite"])
     ok, evidence, certs = _del_zero(lhs, ldesc)
     evidence["iso"] = True
     if ok:
-        rdesc = dict(desc, ops=desc["ops"] + ["opposite", "cover"])
         evidence["certificates"] = [
             {"kind": "algebra_iso", "a": ldesc, "b": rdesc, "matrix": _ints(perm)},
         ] + certs
@@ -466,36 +462,32 @@ def check_diamond(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
     """The short exact sequence 0 -> (0,S,0) -> e'Lambda -> (0,S,0) -> 0:
     radical and top of e'Lambda are both (0, Sigma, 0), the syzygy of the
     top is again the top (one-periodicity), and del(top) = [0, 0]."""
-    lam = build_lambda(a)
-    eproj = corner_projective(lam)[1].source
-    sig = sigma_triple_module(a)
-    rad, _ = radical_submodule(eproj)
-    top, _ = top_of_module(eproj)
-    om = syzygy(top, 1)
     ldesc = dict(desc, ops=desc["ops"] + ["lambda"])
     ep = mref("eprime", ldesc)
-    sref = mref("sigma_triple", ldesc, base=desc)
     top_ref = mref("top", ldesc, of=ep)
-    om_ref = mref("syzygy", ldesc, of=top_ref, s=1)
-    # evidence field -> ((x, x_ref), (y, y_ref)): the field claims x = y
-    isos = {
-        "sub_iso_sigma": ((rad, mref("radical", ldesc, of=ep)), (sig, sref)),
-        "quotient_iso_sigma": ((top, top_ref), (sig, sref)),
-        "syzygy_of_top_iso_sigma": ((om, om_ref), (sig, sref)),
-        "one_periodic": ((om, om_ref), (top, top_ref)),
-    }
+    # key -> descriptor of e'Lambda, its radical, top, Omega top and (0, Sigma, 0)
+    refs = {"eprime": ep, "rad": mref("radical", ldesc, of=ep), "top": top_ref,
+            "omega": mref("syzygy", ldesc, of=top_ref, s=1),
+            "sigma": mref("sigma_triple", ldesc, base=desc)}
+    resolved = {desc["entry"]: a}
+    mods = {key: resolve_module_ref(ref, resolved) for key, ref in refs.items()}
+    # evidence field -> (x, y): the field claims x = y
+    isos = {"sub_iso_sigma": ("rad", "sigma"), "quotient_iso_sigma": ("top", "sigma"),
+            "syzygy_of_top_iso_sigma": ("omega", "sigma"), "one_periodic": ("omega", "top")}
     s1 = derive_seed(seed, "diamond", 1)
-    witnesses = [iso_test(x, y, seed=s1 + i).witness
-                 for i, ((x, _), (y, _)) in enumerate(isos.values())]
-    b = deloop.del_bounds(top)
+    witnesses = [iso_test(mods[x], mods[y], seed=s1 + i).witness
+                 for i, (x, y) in enumerate(isos.values())]
+    b = deloop.del_bounds(mods["top"])
     evidence = {field: w is not None for field, w in zip(isos, witnesses)}
-    evidence.update(eprime_dim=eproj.dim, sigma_dim=sig.dim, del_bounds=[b.lower, b.upper])
+    evidence.update(eprime_dim=mods["eprime"].dim, sigma_dim=mods["sigma"].dim,
+                    del_bounds=[b.lower, b.upper])
     if not (all(evidence[field] for field in isos) and b.exact and b.upper == 0):
-        evidence["counterexample"] = {"rad_dim": rad.dim, "top_dim": top.dim, "omega_dim": om.dim}
+        evidence["counterexample"] = {"rad_dim": mods["rad"].dim, "top_dim": mods["top"].dim,
+                                      "omega_dim": mods["omega"].dim}
         return False, evidence
     evidence["certificates"] = [
-        {"kind": "iso", "x": x_ref, "y": y_ref, "matrix": _ints(w.matrix)}
-        for ((_, x_ref), (_, y_ref)), w in zip(isos.values(), witnesses)
+        {"kind": "iso", "x": refs[x], "y": refs[y], "matrix": _ints(w.matrix)}
+        for (x, y), w in zip(isos.values(), witnesses)
     ]
     return True, evidence
 
@@ -503,31 +495,27 @@ def check_diamond(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
 def _lemma5_samples(a: StructureAlgebra, desc: dict, seed: int):
     """Deterministic plus random (X, Y, f) triples over Lambda(a), yielded
     one at a time as (flat module, descriptor)."""
-    lam = build_lambda(a)
-    b = lam.triangle.v
+    resolved = {desc["entry"]: a}
     ldesc = dict(desc, ops=desc["ops"] + ["lambda"])
     bdesc = dict(desc, ops=desc["ops"] + ["sigma", "trivext"])
 
-    def sample(x, x_ref, y, y_ref, draw=lambda n: []):
-        flat, f_coeffs = _sample_module(lam, x, y, draw)
-        return flat, mref("lemma5_sample", ldesc, base=desc, x=x_ref, y=y_ref,
-                          f_coeffs=f_coeffs)
+    def sample(x_ref, y_ref, draw=lambda n: []):
+        ref = mref("lemma5_sample", ldesc, base=desc, x=x_ref, y=y_ref)
+        flat, ref["f_coeffs"] = _sample_module(ref, resolved, draw)
+        return flat, ref
 
-    _, simples, _ = canonical_modules(a)
-    for i, s in enumerate(simples):
-        yield sample(s, mref("simple", desc, index=i), zero_module(b),
-                     mref("zero", bdesc))
-    yield sample(zero_module(a), mref("zero", desc), canonical_modules(b)[0],
-                 mref("regular", bdesc))
+    n_simples = len(canonical_modules(a)[1])
+    for i in range(n_simples):
+        yield sample(mref("simple", desc, index=i), mref("zero", bdesc))
+    yield sample(mref("zero", desc), mref("regular", bdesc))
     pool_a = deloop.default_pool(a)
-    pool_b = deloop.default_pool(b)
+    pool_b = deloop.default_pool(resolve_algebra_desc(bdesc, resolved))
     rng = np.random.default_rng(derive_seed(seed, "lemma5-samples"))
-    for _ in range(SAMPLE_SIZE - len(simples) - 1):
+    for _ in range(SAMPLE_SIZE - n_simples - 1):
         xi = int(rng.integers(len(pool_a)))
         yi = int(rng.integers(len(pool_b)))
         # xi, yi, then f_coeffs once the homs are known; that order fixes each sample
-        yield sample(pool_a.module(xi), mref("pool", desc, index=xi),
-                     pool_b.module(yi), mref("pool", bdesc, index=yi),
+        yield sample(mref("pool", desc, index=xi), mref("pool", bdesc, index=yi),
                      lambda n: [int(c) for c in rng.integers(0, a.p, size=n)])
 
 
@@ -580,7 +568,8 @@ def check_del_inequality(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
     with the upper bound of Lambda; the strong form also compares exact
     values when both intervals are exact."""
     agg_a, _ = deloop.del_algebra(a)
-    lam = build_lambda(a)
+    ldesc = dict(desc, ops=desc["ops"] + ["lambda"])
+    lam = resolve_algebra_desc(ldesc, {desc["entry"]: a})
     agg_l, per_l = deloop.del_algebra(lam)
     if agg_l.upper is None:
         return None, {"reason": "no upper bound for Lambda within horizon"}
@@ -604,7 +593,6 @@ def check_del_inequality(a: StructureAlgebra, desc: dict, seed: int) -> tuple:
     }
     if not passed:
         return False, evidence
-    ldesc = dict(desc, ops=desc["ops"] + ["lambda"])
     certs = []
     for i, b in enumerate(per_l):
         if b.upper is None or b.witness is None:

@@ -147,15 +147,15 @@ def _split_corner(q: StructureAlgebra, ebar: np.ndarray, rng):
     """Two complementary idempotents of the semisimple quotient q that
     split ebar, from the factored minimal polynomial of a basis vector or
     random element of the corner ebar q ebar; None when the corner is a
-    field: of dimension 1, or commutative with an element whose minimal
-    polynomial has its dimension as degree and one irreducible factor."""
+    field: of dimension 1, or with an element whose minimal polynomial has
+    its dimension as degree and one irreducible factor (then F_p[v] is the
+    whole corner, which is therefore commutative)."""
     p = q.p
     basis = corner_basis(q, ebar)
     k = basis.shape[0]
     if k == 1:
         return None
     c = corner_algebra(q, ebar, basis)
-    commutative = np.array_equal(c.mul, c.mul.transpose(1, 0, 2))
 
     def candidates():
         yield from linalg.identity(k)
@@ -176,7 +176,7 @@ def _split_corner(q: StructureAlgebra, ebar: np.ndarray, rng):
                 continue
             e1 = linalg.matmul(e1, basis, p)
             return e1, (ebar - e1) % p
-        if commutative and poly.degree(f) == k:
+        if poly.degree(f) == k:
             return None
     raise RandomnessExhausted(SPLIT_TRIALS)
 

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from syzygy import checks, corpus, deloop, linalg, modules
-from syzygy.algebra import build_cover, build_lambda, cached, opposite
+from syzygy.algebra import build_cover, build_lambda, cached, opposite, trivial_extension
 from syzygy.cli import main
 
 P = 32003
@@ -117,6 +117,37 @@ def test_diamond_fails_when_one_isomorphism_has_no_witness(world, monkeypatch, m
     assert r.evidence["counterexample"] == {"rad_dim": n, "top_dim": n, "omega_dim": n}
 
 
+@pytest.mark.parametrize("aid", ["a2", "square"])
+@pytest.mark.parametrize("cid", ["lemma1_trivial_extension", "lemma3_diamond"])
+def test_checks_test_the_modules_their_descriptors_name(world, monkeypatch, cid, aid):
+    """Every module a check hands to iso_test is one that resolve_module_ref
+    returned during the check, and the descriptors of each stored iso
+    certificate rebuild modules with the actions of the pair it tested."""
+    _, resolved = world
+    real_resolve, real_iso = checks.resolve_module_ref, checks.iso_test
+    returned, tested = [], []
+
+    def resolve(ref, res):
+        returned.append(real_resolve(ref, res))
+        return returned[-1]
+
+    def iso_test(x, y, seed=0):
+        tested.append((x, y))
+        return real_iso(x, y, seed=seed)
+
+    monkeypatch.setattr(checks, "resolve_module_ref", resolve)
+    monkeypatch.setattr(checks, "iso_test", iso_test)
+    r = checks.CHECKS[cid](resolved[aid], _desc(aid), seed=_seed(aid, cid))
+    monkeypatch.undo()
+    assert r.verdict == "PASS" and tested
+    assert all(any(m is x for x in returned) for pair in tested for m in pair)
+    certs = [c for c in r.evidence["certificates"] if c["kind"] == "iso"]
+    assert len(certs) == len(tested)
+    for cert, pair in zip(certs, tested):
+        for key, m in zip("xy", pair):
+            assert np.array_equal(checks.resolve_module_ref(cert[key], resolved).action, m.action)
+
+
 def test_lemma1_fails_when_top_and_socle_have_no_witness(world, monkeypatch):
     _, resolved = world
     a = resolved["a2"]
@@ -127,7 +158,7 @@ def test_lemma1_fails_when_top_and_socle_have_no_witness(world, monkeypatch):
     assert r.verdict == "FAIL" and "certificates" not in r.evidence
     assert r.evidence["radical_equals_natural"] and r.evidence["socle_equals_natural"]
     assert not r.evidence["top_iso_socle"]
-    t = checks.trivial_extension(checks.semisimple_quotient(a)[0])
+    t = trivial_extension(checks.semisimple_quotient(a)[0])
     natural = np.hstack([np.zeros((t.dim // 2, t.dim // 2)), np.eye(t.dim // 2)])
     soc_rows = modules.socle(modules.canonical_modules(t)[0])[1].matrix
     assert r.evidence["counterexample"] == {"radical": checks._ints(t.radical),
@@ -163,8 +194,8 @@ def test_syzygy_decomposition(world):
 
 
 def test_lemma5_samples_build_each_tensor_once(world, monkeypatch):
-    """build_sample_triple builds one tensor, which make_triple takes; the
-    module equals the one from a rebuilt tensor."""
+    """Rebuilding a sample from its descriptor builds one tensor, which
+    make_triple takes; the module equals the one from a rebuilt tensor."""
     _, resolved = world
     a = resolved["a2"]
     refs = [r for _, r in checks._lemma5_samples(a, _desc("a2"), seed=6)
@@ -181,7 +212,7 @@ def test_lemma5_samples_build_each_tensor_once(world, monkeypatch):
     monkeypatch.setattr(modules, "tensor_over_algebra", counting)
     for ref in refs:
         built.clear()
-        z = checks.build_sample_triple(a, ref["x"], ref["y"], ref["f_coeffs"], resolved)
+        z = checks.resolve_module_ref(ref, resolved)
         assert len(built) == 1
         lam = z.algebra
         x = checks.resolve_module_ref(ref["x"], resolved)
@@ -649,6 +680,50 @@ def test_reverify_reads_indices_and_copies_exactly(world, a2_seed20_doc, mutate,
     assert len(tampered) == count
     assert {(r["check_id"], r["certificate"]) for r in failed} == tampered
     assert all(r["detail"].startswith("malformed") for r in failed)
+
+
+def _module_refs(cert):
+    """The module descriptors a certificate stores at its top level."""
+    return [v for v in cert.values() if isinstance(v, dict) and "kind" in v]
+
+
+@pytest.mark.parametrize("kind, count", [
+    ("lemma5_sample", 46), ("sigma_triple", 3), ("top", 3), ("socle", 1),
+    ("radical", 1), ("syzygy", 2),
+])
+def test_reverify_fails_a_descriptor_over_another_algebra(world, a2_seed20_doc, tmp_path,
+                                                           kind, count):
+    """Each descriptor of the kind that a certificate stores names a3 in
+    place of a2, with the same ops; every certificate that holds one fails as a malformed descriptor,
+    since its module is not over the algebra the descriptor names."""
+    doc = copy.deepcopy(a2_seed20_doc)
+    tampered, changed = set(), 0
+    for row in doc["checks"]:
+        for i, cert in enumerate(row["evidence"].get("certificates", [])):
+            for ref in _module_refs(cert):
+                if ref["kind"] == kind:
+                    ref["algebra"] = dict(ref["algebra"], entry="a3")
+                    tampered.add((row["check_id"], i))
+                    changed += 1
+    assert changed == count
+    out = tmp_path / "report.json"
+    out.write_text(checks.serialize_report(doc))
+    r = CliRunner().invoke(main, ["report", str(out), "--reverify"])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert f"reverify: {67 - len(tampered)}/67 certificates ok" in r.output
+    failed = [line.split() for line in r.output.splitlines() if line.startswith("  FAILED")]
+    assert {(f[2], int(f[3][1:])) for f in failed} == tampered
+    assert all(" ".join(f[5:]).startswith("malformed descriptor") for f in failed)
+
+
+def test_reverify_passes_descriptors_over_their_own_algebras(world, a2_seed20_doc):
+    """The untampered report names every algebra of the six kinds rightly."""
+    entries, _ = world
+    kinds = Counter(ref["kind"] for row in a2_seed20_doc["checks"]
+                    for cert in row["evidence"].get("certificates", []) for ref in _module_refs(cert))
+    assert {"lemma5_sample", "sigma_triple", "top", "socle", "radical", "syzygy"} <= set(kinds)
+    results, ok = checks.reverify_report(a2_seed20_doc, entries)
+    assert ok and len(results) == 67
 
 
 def test_resolve_module_ref_round_trip(world):
