@@ -48,6 +48,7 @@ from .modules import (
     dimension_vector,
     hom_space,
     onto_algebra,
+    presentation,
     stable_submodule,
 )
 
@@ -62,8 +63,9 @@ class EndRing(StructureAlgebra):
     f.matrix, so that End of a corner projective is isomorphic (not
     anti-isomorphic) to the corner algebra.
 
-    mul[i] is solved from the h products basis[j] @ basis[i], one h x d^2
-    block per basis element, no larger than the flattened basis itself.
+    mul[i, j] is solved from the images of basis[j] @ basis[i] on the m
+    generators of x (a module map is fixed by them, so the solve's residual
+    check stays exact), d // m i at a time: no block exceeds h x d^2.
 
     It stores no radical and no idempotents (empty arrays): `endring_radical`
     computes the radical on demand, and `primitive_idempotents` draws from a
@@ -74,12 +76,21 @@ class EndRing(StructureAlgebra):
         p, d, h = module.p, module.dim, len(basis)
         if h:
             self._flat = np.vstack([f.matrix.reshape(1, -1) for f in basis]) % p
-            solver = linalg.LinearSolver(self._flat, p)
             stack = self._flat.reshape(h, d, d)
-            # mul[i, j] = coordinates of basis[j] @ basis[i]
-            mul = np.stack([solver.solve(linalg.matmul(stack, f, p).reshape(h, d * d))
-                            for f in stack])
-            unit = solver.solve(linalg.identity(d).reshape(1, -1))[0]
+            gens = np.array([v for _, v in presentation(module).parts])
+            images = linalg.matmul(gens, stack, p).reshape(-1, d)  # (h*m, d), U row by row
+            solver = linalg.LinearSolver(images.reshape(h, -1), p)
+            if solver.rank < h:
+                raise AssertionError("the generator images of the hom basis are dependent")
+            k = max(1, d // len(gens))
+            mul = []
+            for block in np.split(stack, range(k, h, k)):
+                # prods[(j, g), (i, c)] = row g of the generator images of basis[j] @ basis[i]
+                prods = linalg.matmul(images, block.transpose(1, 0, 2).reshape(d, -1), p)
+                prods = prods.reshape(h, -1, len(block), d).transpose(2, 0, 1, 3)
+                mul.append(solver.solve(prods.reshape(len(block) * h, -1)).reshape(-1, h, h))
+            mul = np.concatenate(mul)  # mul[i, j] = coordinates of basis[j] @ basis[i]
+            unit = solver.solve(gens.reshape(1, -1))[0]
         else:
             self._flat = linalg.zeros((0, d * d))
             mul, unit = linalg.zeros((0, 0, 0)), linalg.zeros(0)

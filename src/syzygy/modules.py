@@ -150,21 +150,15 @@ def direct_sum(mods, algebra: StructureAlgebra | None = None):
 def submodule_from_generators(x: RightModule, gens):
     """Smallest action-stable subspace containing the rows.
 
-    Returns (sub, inclusion); the basis is the RREF of the closure, so the
-    result is deterministic.
+    Returns (sub, inclusion) on the RREF basis of span{g} + span{g b_j},
+    which is gens * A and already stable, since (g b_j) b_k = g (b_j b_k).
     """
     p = x.p
     gens = np.atleast_2d(linalg.mat(gens, p))
     if gens.size == 0:
         gens = linalg.zeros((0, x.dim))
-    basis = linalg.row_basis(gens, p)
-    while basis.shape[0]:
-        images = linalg.matmul(basis, x.action, p).reshape(-1, x.dim)
-        combined = linalg.row_basis(np.vstack([basis, images]), p)
-        if combined.shape[0] == basis.shape[0]:
-            break
-        basis = combined
-    return stable_submodule(x, basis)
+    spans = np.vstack([gens, *linalg.matmul(gens, x.action, p)])
+    return stable_submodule(x, linalg.row_basis(spans, p))
 
 
 def _restricted_action(basis: np.ndarray, acts: np.ndarray, p: int) -> np.ndarray:
@@ -355,11 +349,18 @@ def is_projective(x: RightModule) -> bool:
     return presentation(x).kernel_rows.shape[0] == 0
 
 
+@cached("idempotent_bases")
+def idempotent_bases(x: RightModule) -> list:
+    """The RREF basis of each x*e_i over the stored primitive idempotents,
+    cached on the module: copies, not views of the d x d eliminations."""
+    return [linalg.row_basis(m, x.p).copy() for m in x.rho(x.algebra.idempotents)]
+
+
 @cached("dim_vector")
 def dimension_vector(x: RightModule) -> tuple:
     """(dim x*e_i) over the stored primitive idempotents, cached on the
     module; an isomorphism invariant."""
-    return tuple(linalg.rank(m, x.p) for m in x.rho(x.algebra.idempotents))
+    return tuple(len(b) for b in idempotent_bases(x))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +368,10 @@ def dimension_vector(x: RightModule) -> tuple:
 
 
 def hom_space(x: RightModule, y: RightModule) -> list[ModuleHom]:
-    """Deterministic basis of Hom_A(x, y), via the presentation of x."""
+    """Deterministic basis of Hom_A(x, y), via the presentation of x, in
+    unknowns v_t = w_t @ Y_i over the RREF basis Y_i of y*e_i: the solutions'
+    RREF from the right is, per free column f of the RREF from the left, the
+    one solution that is 1 at f and 0 at the other free columns."""
     if not same_algebra(x.algebra, y.algebra):
         raise AlgebraMismatch("hom between modules over different algebras")
     a = x.algebra
@@ -377,26 +381,25 @@ def hom_space(x: RightModule, y: RightModule) -> list[ModuleHom]:
     pres = presentation(x)
     _, _, projectives = canonical_modules(a)
     idx = [i for i, _ in pres.parts]
-    h, dy, c = len(idx), y.dim, pres.cover.dim
-    dk = pres.kernel_rows.shape[0]
+    h, dy, dk = len(idx), y.dim, pres.kernel_rows.shape[0]
     linalg.guard_dense(h * dy * (h * dy + dk * dy), f"the Hom system of a {x.dim}-dimensional "
                        f"module into a {dy}-dimensional one")
     evals = {i: y.rho(projectives[i].rows) for i in set(idx)}
     cover_evals = np.concatenate([evals[i] for i in idx])  # (c, dy, dy)
     part_of = np.repeat(np.arange(h), [evals[i].shape[0] for i in idx])
-    # unknown u = (v_1 .. v_h) in F^(h*dy); constraints as columns of G
-    gauge = linalg.zeros((h, dy, h, dy))
-    gauge[np.arange(h), :, np.arange(h)] = (
-        linalg.identity(dy) - y.rho(a.idempotents)[idx]) % p
-    blocks = [gauge.reshape(h * dy, h * dy)]
-    if dk:
-        # m[k, t] = sum over the cover basis j of part t of kernel[k, j] * eval_j
-        seg = pres.kernel_rows[:, None, :] * (part_of == np.arange(h)[:, None])
-        m = linalg.matmul(seg.reshape(dk * h, c), cover_evals.reshape(c, dy * dy), p)
-        blocks.append(m.reshape(dk, h, dy, dy).transpose(1, 2, 0, 3)
-                      .reshape(h * dy, dk * dy))
-    solutions = linalg.kernel_basis(np.hstack(blocks), p)
-    u = solutions.reshape(-1, h, dy)[:, part_of]  # (s, c, dy)
+    ys = [idempotent_bases(y)[i] for i in idx]
+    # spread = blockdiag(Y_i1, .., Y_ih): u = (v_1 .. v_h) = w @ spread
+    spread = linalg.zeros((sum(len(b) for b in ys), h, dy))
+    spread[np.arange(len(spread)), np.repeat(np.arange(h), [len(b) for b in ys])] = np.vstack(ys)
+    w = linalg.identity(len(spread))
+    if dk:  # the kernel rows of part t, applied to Y_i @ eval_j for j in part t
+        cons = [linalg.matmul(pres.kernel_rows[:, part_of == t],
+                              linalg.matmul(b, evals[i], p).reshape(len(evals[i]), -1), p)
+                .reshape(dk, len(b), dy).transpose(1, 0, 2).reshape(len(b), dk * dy)
+                for t, (b, i) in enumerate(zip(ys, idx))]
+        w = linalg.kernel_basis(np.vstack(cons), p)
+    u = linalg.matmul(w, spread.reshape(-1, h * dy), p)
+    u = linalg.row_basis(u[:, ::-1], p)[::-1, ::-1].reshape(-1, h, dy)[:, part_of]  # (s, c, dy)
     # phi_hat[s, j] = u[s, j] @ eval_j, batched over the cover basis j
     phi_hat = linalg.matmul(u.transpose(1, 0, 2), cover_evals, p).transpose(1, 0, 2)
     return [ModuleHom(x, y, phi) for phi in linalg.matmul(pres.lift, phi_hat, p)]

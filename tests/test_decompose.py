@@ -757,8 +757,9 @@ def ref_end_ring(x, basis):
 
 
 def test_end_ring_matches_the_batched_reference():
-    """Solving the products one basis element at a time gives the batched
-    structure constants bit for bit, on the regular T(A)-modules of the
+    """Solving from the generator images of the products, d // m basis
+    elements at a time, gives the batched full-product structure constants
+    bit for bit, on the regular T(A)-modules of the
     ks_large instances at seeds 20 and 7 and the delooping pools of the
     corpus at both primes (End rings up to dimension 60)."""
     checked = Counter()
@@ -776,19 +777,43 @@ def test_end_ring_matches_the_batched_reference():
 
 
 @pytest.mark.parametrize("seed", [20, 7])
-def test_end_ring_of_the_largest_ks_instance_stays_under_4_mb(seed):
+def test_end_ring_of_the_largest_ks_instance_stays_under_2_mb(seed, monkeypatch):
     """No intermediate of EndRing is larger than one h x d^2 block of
     products: building End(A_A), hom basis included, for the d = 28 ks_large
-    instance peaks at most at 4 MiB under tracemalloc (20.3 MiB when all
-    h^2 products were formed at once)."""
+    instance peaks at most at 2 MiB under tracemalloc (20.3 MiB when all
+    h^2 full products were formed at once), and no product inside
+    EndRing.__init__ holds more than h d^2 entries."""
     ksgen = _load_ksgen()
     insts = ksgen.generate(seed)
     t = next(t for t in ksgen.build_algebras(insts, syzygy) if t.dim == 28)
     regular = modules.canonical_modules(t)[0]
     tracemalloc.start()
     try:
-        decompose.EndRing(regular, modules.hom_space(regular, regular))
+        basis = modules.hom_space(regular, regular)
+        decompose.EndRing(regular, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 << 20, peak
+    assert peak <= 2 << 20, peak
+    sizes, real = [], linalg.matmul
+
+    def spy(*args):
+        out = real(*args)
+        sizes.append(out.size)
+        return out
+    monkeypatch.setattr(linalg, "matmul", spy)
+    decompose.EndRing(regular, basis)
+    assert sizes and max(sizes) <= len(basis) * regular.dim ** 2, max(sizes)
+
+
+@pytest.mark.parametrize("seed", [20, 7])
+def test_every_ks_large_instance_decomposes_as_its_oracle_says(seed):
+    """The regular T(A)-module of each of the 13 ksgen instances of a seed
+    splits into the summands, classes and multiplicities of the oracle,
+    with the exact split check."""
+    ksgen = _load_ksgen()
+    insts = ksgen.generate(seed)
+    assert len(insts) == 13
+    for inst, t in zip(insts, ksgen.build_algebras(insts, syzygy)):
+        dec = decompose.decompose(modules.canonical_modules(t)[0], seed=inst.decompose_seed)
+        assert ksgen.oracle_failures(inst, t, dec, decompose) == [], inst.name

@@ -7,8 +7,12 @@ keep the zero-map triple construction that block placement replaced.  Inputs are
 syzygies of every simple of each valid corpus algebra, tensored with
 Lambda's bimodule and with A as an A-A-bimodule, plus modules over its
 Lambda and its cover, at the default prime and at 1048573, the largest
-prime the int64 kernel supports.
+prime the int64 kernel supports.  The Hom and End sweep compares every
+pair of up to 14 modules per algebra, and base changes of some of them,
+with the gauge-block Hom system and with all full products of End.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ import pytest
 from syzygy import algebra, checks, corpus, deloop, linalg, modules
 from syzygy.decompose import decompose, end_ring
 from syzygy.errors import InconsistentSystem, NotStable
+from test_decompose import ref_end_ring
 
 VALID = ["a2", "a3", "dual_numbers", "nakayama3", "point", "square",
          "truncated_cubic", "two_points"]
@@ -338,6 +343,58 @@ def test_module_layer_matches_loop_reference(worlds, aid, p):
                 assert _same(got[0], want[0]) and _same(got[1], want[1])
 
 
+def _base_change(x, rng):
+    """x in the basis of a random invertible g, or None if g is singular."""
+    p = x.p
+    g = rng.integers(0, p, size=(x.dim, x.dim))
+    if linalg.rank(g, p) < x.dim:
+        return None
+    return modules.RightModule(x.algebra, np.matmul(np.matmul(g, x.action) % p,
+                                                    linalg.invert(g, p)) % p)
+
+
+def _sweep_modules(a):
+    """Up to 14 modules of a: A_A, the simples, the projectives, Omega^1
+    and Omega^2 of the simples and the radicals of the projectives."""
+    reg, simples, projectives = modules.canonical_modules(a)
+    mods = [reg] + simples + [info.module for info in projectives]
+    mods += [modules.syzygy(s, k) for k in (1, 2) for s in simples]
+    mods += [modules.radical_submodule(info.module)[0] for info in projectives]
+    return [x for x in mods if x.dim][:14]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_every_hom_space_and_end_ring_matches_the_full_reference(worlds, p):
+    """Hom(x, y) for every ordered pair of sweep modules and into base
+    changes of every fifth, and End(x) for each, over every valid algebra,
+    its Lambda and its cover: the hom basis in y*e_i coordinates against
+    the gauge-block system, and the structure constants from generator
+    images against all full d x d products."""
+    seen, rng = Counter(), np.random.default_rng(5)
+    for aid in VALID:
+        a = worlds[p][aid]
+        for alg in (a, algebra.build_lambda(a), algebra.build_cover(a)):
+            mods = _sweep_modules(alg)
+            # base changes put the y*e_i far from coordinate subspaces
+            twisted = [y for y in (_base_change(x, rng) for x in mods[::5]) if y is not None]
+            pairs = [(x, y) for x in mods for y in mods]
+            pairs += [(x, y) for x in mods + twisted for y in twisted]
+            for x, y in pairs:
+                got = [f.matrix for f in modules.hom_space(x, y)]
+                want = ref_hom_space(x, y)
+                assert len(got) == len(want)
+                assert all(_same(g, w) for g, w in zip(got, want))
+                seen["pairs"] += 1
+                seen["zero hom"] += not got
+                seen["some y e_i = 0"] += 0 in modules.dimension_vector(y)
+            for x in mods + twisted:
+                mul, unit = ref_end_ring(x, modules.hom_space(x, x))
+                assert _same(end_ring(x).mul, mul) and _same(end_ring(x).unit, unit)
+                seen["end rings"] += 1
+    assert seen["zero hom"] and seen["some y e_i = 0"], seen
+    assert seen["pairs"] > 3000 and seen["end rings"] > 250, seen
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("aid", VALID)
 def test_triples_and_corners_match_loop_reference(worlds, aid, p):
@@ -429,25 +486,23 @@ def test_lemma5_samples_are_the_modules_their_descriptors_rebuild(worlds, aid, p
 def test_stable_submodules_match_the_closure_reference(worlds, aid, p):
     """syzygy_step, radical_submodule, socle and the summands of decompose
     build their submodules with stable_submodule, skipping the closure
-    loop; top_of_module quotients by x * rad(A) directly.  Random base
-    changes of the modules give kernel rows far from echelon form."""
+    loop, and submodule_from_generators closes in one step; top_of_module
+    quotients by x * rad(A) directly.  Random base changes of the modules
+    give kernel rows and generators far from echelon form."""
     a = worlds[p][aid]
     rng = np.random.default_rng(5)
     mods = _base_modules(a)
-    for x in list(mods):
-        g = rng.integers(0, a.p, size=(x.dim, x.dim))
-        if linalg.rank(g, a.p) == x.dim:
-            g_inv = linalg.invert(g, a.p)
-            mods.append(modules.RightModule(a, np.matmul(np.matmul(g, x.action) % a.p,
-                                                         g_inv) % a.p))
+    mods += [y for y in (_base_change(x, rng) for x in mods) if y is not None]
     for x in mods:
         pres = modules.presentation(x)
         rad_rows = x.rho(a.radical).reshape(-1, x.dim)
         soc_rows = (ref_kernel_basis(np.hstack(list(x.rho(a.radical))), x.p)
                     if a.radical.shape[0] else linalg.identity(x.dim))
+        x_1 = linalg.identity(x.dim)[:1]  # the first basis vector generates
         cases = [(modules.syzygy_step(x), pres.cover, pres.kernel_rows),
                  (modules.radical_submodule(x), x, rad_rows),
-                 (modules.socle(x), x, soc_rows)]
+                 (modules.socle(x), x, soc_rows),
+                 (modules.submodule_from_generators(x, x_1), x, x_1)]
         if x.dim <= 20:  # square's pool has a module of dim 35, End of dim 125
             dec = decompose(x, seed=3)
             cases += [((s.module, s.inclusion), x, dec.endring.to_matrix(e))
