@@ -1,12 +1,23 @@
-"""Endomorphism rings, isomorphism classes and Krull-Schmidt decomposition.
+"""Krull-Schmidt decomposition, isomorphism classes and endomorphism rings.
 
-Everything random is Las Vegas: outputs carry exact certificates
-(idempotency, orthogonality, invertible witnesses) that are re-checked
-deterministically, and every isomorphism verdict is exact.
+`decompose` splits a module by Fitting's lemma in its own coordinates,
+over the basis of Hom(x, x) as d x d matrices: for an endomorphism f and
+F = f^(2^k), 2^k >= d, x = im F + ker F, so an F that is neither 0 nor
+invertible splits x, and the End of each half is spanned by the diagonal
+blocks of the basis in the basis [im F; ker F].  A piece that no element
+splits is certified local, hence indecomposable, with no random draw and
+no End ring: each element is a scalar plus a nilpotent, and the flag x,
+x J', x J'^2, ... of those nilpotents reaches 0 (Lux and Szőke, Exp. Math.
+16, 2007).  A piece with an element whose minimal polynomial has no root
+in F_p (its residue field may be larger) takes the End-ring path.
 
 An End ring is a `StructureAlgebra` that stores no radical and no
-idempotents, of dimension 0 for the zero module.  Idempotents split as
-E -> E/rad E -> corners e(E/rad E)e, each corner an algebra of its own.
+idempotents, of dimension 0 for the zero module.  On the End-ring path,
+idempotents split as E -> E/rad E -> corners e(E/rad E)e, each corner an
+algebra of its own, from seeded random corner elements; that path, and
+`iso_test`'s random rounds, are Las Vegas: their outputs carry exact
+certificates (idempotency, orthogonality, invertible witnesses), and
+every isomorphism verdict is exact.
 
 Two modules are compared first by their invariants (total dimension,
 dimension vector) and then by the basis of Hom(x, y), with no random draw.
@@ -327,29 +338,161 @@ class Decomposition:
     module: RightModule
     summands: list[Summand]
     parts: list  # (representative RightModule, multiplicity)
-    idempotents: list  # EndRing coordinate rows
-    endring: EndRing
+
+
+def _power(stack: np.ndarray, p: int) -> np.ndarray:
+    """F = f^(2^k), 2^k >= r, for each r x r matrix f of the stack.  By
+    Fitting's lemma x = im F + ker F, both submodules when f is an
+    endomorphism, so F is 0 (f nilpotent), invertible, or splits x."""
+    for _ in range((stack.shape[-1] - 1).bit_length()):
+        stack = linalg.matmul(stack, stack, p)
+    return stack
+
+
+def _fitting_split(power: np.ndarray, p: int):
+    """(T, a) with T = [im F; ker F] and a = dim im F, when F is neither 0
+    nor invertible; else None.  One elimination of [F | I]: its rows with
+    pivots in F are a basis of im F, the others a basis of ker F."""
+    r = len(power)
+    red, a, _ = linalg.row_reduce(np.hstack([power, linalg.identity(r)]), p, r)
+    if a in (0, r):
+        return None
+    return np.vstack([red[:a, :r], red[a:, r:]]), a
+
+
+def _flag_reaches_zero(jprime: np.ndarray, p: int) -> bool:
+    """Whether x, x J', x J'^2, ... reaches 0.  Then every product of r
+    elements of J' vanishes, so J' generates a nilpotent algebra.  Each
+    term lies in the one before, so an equal dimension means a stall."""
+    r = jprime.shape[-1]
+    flag = linalg.identity(r)
+    while len(flag):
+        nxt = linalg.row_basis(linalg.matmul(flag, jprime, p).reshape(-1, r), p)
+        if len(nxt) == len(flag):
+            return False
+        flag = nxt
+    return True
+
+
+FALLBACK = "fallback"
+
+
+def _split_or_certify(stack: np.ndarray, p: int):
+    """The step for a piece of dimension r whose End is spanned by stack:
+    (T, a) from the first element, or element power, that splits it by
+    Fitting's lemma; None once the piece is certified local; FALLBACK
+    when a minimal polynomial has no root in F_p (the residue field may be
+    larger than F_p), for the End-ring path.
+
+    Otherwise every element is nilpotent or f = lam + j with j nilpotent,
+    lam = tr(f)/r (p not dividing r) or a root of f's minimal polynomial.
+    The nilpotent elements and the j form J', and End = F_p + span J', so
+    End is local once the flag of J' reaches 0.  If the flag stalls, End
+    is not local, and some product ab of two elements of J' is not
+    nilpotent (Levitzki's theorem promises a product; two factors suffice,
+    since the trace form of End/rad E is nondegenerate and cannot vanish
+    on the image of span J', of codimension at most 1).  ab is singular,
+    so its power splits."""
+    r = stack.shape[-1]
+    if r == 1:
+        return None
+    one = linalg.identity(r)
+    # lam = tr(f)/r; when p divides r, lam = 0 still sorts out the nilpotent f
+    lam = (np.trace(stack, axis1=1, axis2=2) * linalg.inv_mod(r, p) % p if r % p
+           else linalg.zeros(len(stack)))
+    shifted = (stack - lam[:, None, None] * one) % p
+    nil = ~_power(shifted, p).any(axis=(1, 2))
+    jprime, units = [shifted[nil]], stack[~nil]
+    for power in _power(units, p) if len(units) else []:
+        split = _fitting_split(power, p)
+        if split:
+            return split
+    for f in units:
+        factors = poly.factor(linalg.minimal_polynomial(f, p), p)
+        roots = [(-g[0]) % p for g, _ in factors if len(g) == 2]
+        if not roots:
+            return FALLBACK
+        j = (f - roots[0] * one) % p
+        power = _power(j, p)
+        if power.any():  # f - mu is singular, so its power splits
+            return _fitting_split(power, p)
+        jprime.append(j[None])
+    jprime = np.concatenate(jprime)
+    jprime = jprime[jprime.any(axis=(1, 2))]
+    if _flag_reaches_zero(jprime, p):
+        return None
+    for j in jprime:
+        for power in _power(linalg.matmul(j, jprime, p), p):
+            if power.any():
+                return _fitting_split(power, p)
+    raise AssertionError("the flag of J' stalls, but every product of two is nilpotent")
+
+
+def _end_ring_pieces(x: RightModule, basis: np.ndarray, seed: int) -> list:
+    """The End-ring path on the summand of x spanned by basis: the images
+    of a primitive idempotent family of its End ring, as rows of x."""
+    p = x.p
+    sub, incl = stable_submodule(x, linalg.row_basis(basis, p))
+    e = end_ring(sub)
+    return [linalg.matmul(linalg.row_basis(e.to_matrix(c), p), incl.matrix, p)
+            for c in primitive_idempotents(e, seed)]
+
+
+def _pieces(x: RightModule, seed: int) -> list:
+    """Bases, as rows of x, of indecomposable summands whose sum is x.
+
+    A piece with basis B and End spanned by the stack G is split on T =
+    [im F; ker F]: the halves have bases T B, and their End rings are
+    spanned by the diagonal blocks of T g T^-1 over G, since the End of a
+    summand is the corner of End x it cuts out."""
+    p = x.p
+    todo = [(linalg.identity(x.dim), np.stack([f.matrix for f in hom_space(x, x)]))]
+    leaves = []
+    while todo:
+        basis, stack = todo.pop()
+        step = _split_or_certify(stack, p)
+        if step is None:
+            leaves.append(basis)
+        elif step is FALLBACK:
+            leaves += _end_ring_pieces(x, basis, seed)
+        else:
+            t, a = step
+            conj = linalg.matmul(linalg.matmul(t, stack, p), linalg.invert(t, p), p)
+            basis = linalg.matmul(t, basis, p)
+            for half in (slice(a, None), slice(0, a)):  # the image is split first
+                block = conj[:, half, half]
+                todo.append((basis[half], block[block.any(axis=(1, 2))]))
+    return leaves
 
 
 def decompose(x: RightModule, seed: int = 0) -> Decomposition:
     """Krull-Schmidt split of x, each summand labelled with its class id;
-    parts holds the first summand of each id, in order, with its count."""
+    parts holds the first summand of each id, in order, with its count.
+
+    The summands are taken on the RREF bases of the pieces, stacked as T:
+    their actions are the diagonal blocks of T a T^-1 over the action of
+    x, whose off-diagonal blocks must vanish, and their projections the
+    column blocks of T^-1.  Only the End-ring fallback reads the seed."""
     p = x.p
-    e = end_ring(x)
     if x.dim == 0:
-        return Decomposition(x, [], [], [], e)
-    idems = primitive_idempotents(e, seed)
+        return Decomposition(x, [], [])
+    bases = [linalg.row_basis(b, p) for b in _pieces(x, seed)]
+    t = np.vstack(bases)
+    t_inv = linalg.invert(t, p)
+    acts = linalg.matmul(linalg.matmul(t, x.action, p), t_inv, p)
+    owner = np.repeat(np.arange(len(bases)), [len(b) for b in bases])
+    if acts[:, owner[:, None] != owner].any():
+        raise AssertionError("a summand is not stable under the action")
     summands = []
-    for coords in idems:
-        mat = e.to_matrix(coords)
-        # the image of an idempotent endomorphism is a submodule
-        sub, incl = stable_submodule(x, linalg.row_basis(mat, p))
-        proj = ModuleHom(x, sub, linalg.solve_linear(incl.matrix, mat, p))
-        summands.append(Summand(sub, incl, proj, class_id(sub)))
+    for i, b in enumerate(bases):
+        mine = owner == i
+        sub = RightModule(x.algebra, acts[:, mine][:, :, mine])
+        summands.append(Summand(sub, ModuleHom(sub, x, b), ModuleHom(x, sub, t_inv[:, mine]),
+                                class_id(sub)))
     counts = Counter(s.class_index for s in summands)
     parts = [(next(s.module for s in summands if s.class_index == c), n)
              for c, n in counts.items()]
-    return Decomposition(x, summands, parts, idems, e)
+    return Decomposition(x, summands, parts)
 
 
 def reassemble_check(dec: Decomposition) -> bool:

@@ -192,13 +192,14 @@ def test_criterion_09_engine_soundness(world):
         dec = decompose.decompose(total, seed=SEED + sums_checked)
         passed = passed and decompose.reassemble_check(dec)
         passed = passed and sum(s.module.dim for s in dec.summands) == total.dim
-        e = dec.endring
-        acc = linalg.zeros(e.dim)
-        for idem in dec.idempotents:
-            passed = passed and np.array_equal(e.multiply(idem, idem), idem)
-            acc = (acc + idem) % P
-        if dec.idempotents:
-            passed = passed and np.array_equal(acc, e.unit)
+        # proj_i incl_i are orthogonal idempotents of End(total) summing to 1
+        idems = [linalg.matmul(s.projection.matrix, s.inclusion.matrix, P)
+                 for s in dec.summands]
+        for i, e in enumerate(idems):
+            for j, f in enumerate(idems):
+                passed = passed and np.array_equal(linalg.matmul(e, f, P),
+                                                   e if i == j else 0 * e)
+        passed = passed and np.array_equal(sum(idems) % P, linalg.identity(total.dim))
         sums_checked += 1
     # pd oracles
     dual_s = modules.canonical_modules(resolved["dual_numbers"])[1][0]

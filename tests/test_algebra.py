@@ -545,8 +545,8 @@ def test_validation_matches_the_reference_on_one_mutant_per_law(law, mutant):
 def test_is_nilpotent_matches_the_end_ring_power_loop():
     """On the trace-form kernel of the End ring of every nonzero module in
     the eager default pools of the valid corpus algebras; at p = 2 some of
-    these kernels are not nilpotent.  The pool itself decomposes the simples'
-    syzygies while it is built, which raises CharTooSmall at p = 2."""
+    these kernels are not nilpotent.  The eager reference pool lists every
+    module up front."""
     from syzygy import decompose
     from test_deloop import ref_default_pool
     entries = corpus.load_corpus()

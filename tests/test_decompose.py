@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from functools import cache
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import syzygy
-from syzygy import algebra, corpus, decompose, deloop, linalg, modules, poly
+from syzygy import algebra, checks, corpus, decompose, deloop, linalg, modules, poly
 from syzygy.algebra import QuiverPresentation
 from syzygy.errors import CharTooSmall
 
@@ -292,17 +293,27 @@ def test_iso_test_matches_the_reference_order_on_negative_verdicts(monkeypatch):
     assert got.reason == "KrullSchmidt"
     assert _verdict_key(got) == _verdict_key(ref_iso_test(reg, ss))
     # over F_2 no basis element of End(S + S) = M_2(F_2) is invertible; with
-    # no random round Krull-Schmidt must decide, and F_2 is too small for
-    # the trace-form radical of that End (p = 2 <= dim End = 4)
+    # no random round Krull-Schmidt must decide, although F_2 is too small
+    # for the trace-form radical of that End (p = 2 <= dim End = 4)
     monkeypatch.setattr(decompose, "TRIALS", 0)
     s = modules.canonical_modules(point(2))[1][0]
     x, _ = modules.direct_sum([s, s])
     y, _ = modules.direct_sum([s, s])
     for seed in range(12):
-        try:
-            got = decompose.iso_test(x, y, seed=seed)
-        except CharTooSmall:
-            continue
+        got = decompose.iso_test(x, y, seed=seed)
+        assert got.isomorphic, seed
+        assert got.witness.intertwines() and got.witness.is_iso()
+
+
+def test_iso_test_over_f2_is_iso_at_every_seed():
+    """S + S against an equal copy over F_2, with the random rounds on: the
+    End-ring split raised CharTooSmall at 2 of the seeds 0-39 (p = 2 <=
+    dim End = 4); the Fitting split needs no trace form."""
+    s = modules.canonical_modules(point(2))[1][0]
+    x, _ = modules.direct_sum([s, s])
+    y, _ = modules.direct_sum([s, s])
+    for seed in range(40):
+        got = decompose.iso_test(x, y, seed=seed)
         assert got.isomorphic, seed
         assert got.witness.intertwines() and got.witness.is_iso()
 
@@ -399,39 +410,39 @@ def _load_ksgen():
     return mod
 
 
+def _idempotent_family_violations(dec):
+    """Why the proj_i incl_i of dec, d x d matrices of module maps, are not
+    orthogonal idempotents summing to the identity."""
+    x = dec.module
+    idems = [linalg.matmul(s.projection.matrix, s.inclusion.matrix, x.p) for s in dec.summands]
+    bad = [f"proj {i} incl {j} is not {int(i == j)}" for i, e in enumerate(idems)
+           for j, f in enumerate(idems)
+           if not np.array_equal(linalg.matmul(e, f, x.p), e if i == j else 0 * e)]
+    if not np.array_equal(sum(idems) % x.p, linalg.identity(x.dim)):
+        bad.append("the family does not sum to the identity")
+    return bad
+
+
 def test_decompose_tells_equal_dimension_vector_summands_apart_exactly(monkeypatch):
     """The first ksgen instance at seed 20 (p = 32003) is T(A) of a cyclic
     Nakayama algebra; its regular module has three 6-dimensional summands
     with one dimension vector and 2-dimensional hom spaces between them.
-    decompose files them in three classes from the hom bases alone: no
-    random draw outside the idempotent split, and no End ring of a summand."""
+    decompose splits them with no random draw and no End ring, and files
+    them in three classes from the hom bases alone; each proj incl is an
+    idempotent, and the family is orthogonal and sums to the identity."""
     ksgen = _load_ksgen()
     inst = ksgen.generate(20)[0]
     assert inst.prime == P
     t = ksgen.build_algebras([inst], syzygy)[0]
     regular = modules.canonical_modules(t)[0]
-    splitting = []
-    real_split, real_rng, real_end = (decompose.primitive_idempotents,
-                                      np.random.default_rng, decompose.end_ring)
 
-    def split(e, seed):
-        splitting.append(e)
-        try:
-            return real_split(e, seed)
-        finally:
-            splitting.pop()
+    def refuse(*args, **kwargs):
+        raise AssertionError("random draw or End ring on the main path")
 
-    def rng(*args, **kwargs):
-        assert splitting, "random draw outside the idempotent split"
-        return real_rng(*args, **kwargs)
-
-    ends = []
-    monkeypatch.setattr(decompose, "primitive_idempotents", split)
-    monkeypatch.setattr(np.random, "default_rng", rng)
-    monkeypatch.setattr(decompose, "end_ring", lambda x: ends.append(x) or real_end(x))
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(decompose, "end_ring", refuse)
     dec = decompose.decompose(regular, seed=inst.decompose_seed)
     monkeypatch.undo()
-    assert ends == [regular]
     six = [s for s in dec.summands if s.module.dim == 6]
     assert len(six) == 3
     assert len({modules.dimension_vector(s.module) for s in six}) == 1
@@ -441,33 +452,35 @@ def test_decompose_tells_equal_dimension_vector_summands_apart_exactly(monkeypat
             if u is not s:
                 assert len(modules.hom_space(s.module, u.module)) == 2
     assert ksgen.oracle_failures(inst, t, dec, decompose) == []
+    assert _idempotent_family_violations(dec) == []
 
 
-def test_decompose_reduces_each_corner_once(monkeypatch):
-    """One corner_basis call per corner split of the idempotent split:
-    corner_algebra reuses the basis _split_corner already holds, on the
-    regular module of the first ksgen instance at seed 20."""
+def test_decompose_solves_one_hom_system_and_splits_no_corner(monkeypatch):
+    """On the regular module of the first ksgen instance at seed 20, the
+    main path solves Hom(x, x) once, reads the End of every piece off its
+    blocks, and builds no End ring, radical, quotient or corner."""
     ksgen = _load_ksgen()
     inst = ksgen.generate(20)[0]
     t = ksgen.build_algebras([inst], syzygy)[0]
     regular = modules.canonical_modules(t)[0]
-    calls = Counter()
+    calls = []
 
     def counted(name, real):
         def wrapper(*args):
-            calls[name] += 1
+            calls.append((name, args))
             return real(*args)
         return wrapper
 
-    basis = counted("corner_basis", algebra.corner_basis)
-    monkeypatch.setattr(algebra, "corner_basis", basis)
-    monkeypatch.setattr(decompose, "corner_basis", basis)
-    for name in ("_split_corner", "corner_algebra"):
+    names = ("hom_space", "end_ring", "endring_radical", "_quotient_ring",
+             "primitive_idempotents", "_split_corner", "corner_basis", "corner_algebra")
+    for name in names:
         monkeypatch.setattr(decompose, name, counted(name, getattr(decompose, name)))
-    decompose.decompose(regular, seed=inst.decompose_seed)
+    dec = decompose.decompose(regular, seed=inst.decompose_seed)
     monkeypatch.undo()
-    assert calls["corner_algebra"] > 0
-    assert calls["corner_basis"] == calls["_split_corner"]
+    assert len(dec.summands) > 1
+    assert {name for name, _ in calls} == {"hom_space"}
+    # the other Hom systems are class_id's, between summands
+    assert [args for _, args in calls if regular in args] == [(regular, regular)]
 
 
 @pytest.mark.parametrize("aid", CORPUS_IDS)
@@ -807,13 +820,192 @@ def test_end_ring_of_the_largest_ks_instance_stays_under_2_mb(seed, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", [20, 7])
-def test_every_ks_large_instance_decomposes_as_its_oracle_says(seed):
+def test_every_ks_large_instance_decomposes_as_its_oracle_says(seed, monkeypatch):
     """The regular T(A)-module of each of the 13 ksgen instances of a seed
     splits into the summands, classes and multiplicities of the oracle,
-    with the exact split check."""
+    with the exact split check, and none takes the End-ring fallback."""
     ksgen = _load_ksgen()
     insts = ksgen.generate(seed)
     assert len(insts) == 13
+    monkeypatch.setattr(decompose, "_end_ring_pieces", _refuse_fallback)
     for inst, t in zip(insts, ksgen.build_algebras(insts, syzygy)):
         dec = decompose.decompose(modules.canonical_modules(t)[0], seed=inst.decompose_seed)
         assert ksgen.oracle_failures(inst, t, dec, decompose) == [], inst.name
+
+
+def _refuse_fallback(*args):
+    raise AssertionError("the End-ring fallback was taken")
+
+
+def test_a_seed_20_corpus_pass_never_takes_the_fallback(monkeypatch):
+    """Every module a seed-20 pass decomposes, through deloop's class
+    multisets or iso_test's Krull-Schmidt step, is split and certified on
+    the main path."""
+    calls = []
+    real = decompose.decompose
+
+    def spy(x, seed=0):
+        calls.append(x)
+        return real(x, seed)
+
+    monkeypatch.setattr(decompose, "_end_ring_pieces", _refuse_fallback)
+    monkeypatch.setattr(decompose, "decompose", spy)
+    monkeypatch.setattr(deloop, "decompose", spy)
+    checks.run_corpus(corpus.load_corpus(), checks.Config(seed=20))
+    assert calls
+
+
+# ---------------------------------------------------------------------------
+# reference: the End-ring path the Fitting split replaced
+
+
+def ref_decompose(x, seed=0):
+    """Summands from a primitive idempotent family of End x (trace-form
+    radical, split quotient corners, Newton lifts), each with its class id."""
+    p = x.p
+    e = decompose.end_ring(x)
+    if x.dim == 0:
+        return []
+    summands = []
+    for coords in decompose.primitive_idempotents(e, seed):
+        mat = e.to_matrix(coords)
+        sub, incl = modules.stable_submodule(x, linalg.row_basis(mat, p))
+        proj = modules.ModuleHom(x, sub, linalg.solve_linear(incl.matrix, mat, p))
+        summands.append(decompose.Summand(sub, incl, proj, decompose.class_id(sub)))
+    return summands
+
+
+def _sweep_modules(p):
+    """The nonzero modules of the corpus sweep: for A, Lambda(A), the cover
+    and T(A) of every regular entry, the regular module, the simples, their
+    syzygies 1 to 3, and S + S + A for the first simple S."""
+    entries = corpus.load_corpus()
+    resolved = corpus.resolve_corpus(entries, p)
+    mods = []
+    for entry in entries:
+        if entry.expect_fail:
+            continue
+        a = resolved[entry.id]
+        for alg in (a, algebra.build_lambda(a), algebra.build_cover(a),
+                    algebra.trivial_extension(a)):
+            reg, simples, _ = modules.canonical_modules(alg)
+            mods.append(reg)
+            for s in simples:
+                mods += [s] + [modules.syzygy(s, k) for k in (1, 2, 3)]
+            mods.append(modules.direct_sum([simples[0], simples[0], reg])[0])
+    return [x for x in mods if x.dim]
+
+
+@pytest.mark.parametrize("p,ref_refused", [(P, 0), (5, 16)])
+def test_decompose_matches_the_end_ring_reference_on_the_corpus_sweep(p, ref_refused):
+    """Equal class multisets on the 414 sweep modules, wherever the
+    reference runs: at p = 5 its trace form refuses 16 of them."""
+    mods = _sweep_modules(p)
+    assert len(mods) == 414
+    refused = 0
+    for x in mods:
+        dec = decompose.decompose(x)
+        assert decompose.reassemble_check(dec)
+        try:
+            ref = ref_decompose(x)
+        except CharTooSmall:
+            refused += 1
+            continue
+        assert Counter(s.class_index for s in dec.summands) == \
+            Counter(s.class_index for s in ref)
+    assert refused == ref_refused
+
+
+def test_deep_syzygies_split_into_their_simples_fast():
+    """Omega^d S_0 over Lambda(dual numbers) is semisimple with dimension
+    vector (1, d), so it is 1 + d simple summands, one at vertex 0 and d at
+    vertex 1.  The End-ring path took 1.4-1.5 s at d = 11 (dim End 122);
+    the Fitting split takes about 0.01 s.  The reference is compared at d
+    = 7 and 9."""
+    lam = algebra.build_lambda(dual_numbers())
+    s0 = modules.canonical_modules(lam)[1][0]
+    took = 0.0
+    for d in (7, 9, 11):
+        x = modules.syzygy(s0, d)
+        start = time.perf_counter()
+        dec = decompose.decompose(x)
+        took += time.perf_counter() - start
+        assert decompose.reassemble_check(dec)
+        vectors = Counter(modules.dimension_vector(s.module) for s in dec.summands)
+        assert vectors == Counter({(1, 0): 1, (0, 1): d})
+        if d < 11:
+            assert Counter(s.class_index for s in dec.summands) == \
+                Counter(s.class_index for s in ref_decompose(x))
+    assert took < 0.5, took
+
+
+def _indecomposable(x):
+    """Exact for the fallback inputs: x is 1-dimensional, or End x is the
+    field F_p[f] for an element f of its hom basis whose minimal polynomial
+    is irreducible of degree dim End."""
+    if x.dim == 1:
+        return True
+    basis = modules.hom_space(x, x)
+    for f in basis:
+        factors = poly.factor(linalg.minimal_polynomial(f.matrix, x.p), x.p)
+        if [m for _, m in factors] == [1] and poly.degree(factors[0][0]) == len(basis):
+            return True
+    return False
+
+
+def kronecker_at_a_quadratic_point(p=P):
+    """The regular Kronecker module of dimension vector (2, 2) with a = I
+    and b the companion matrix of t^2 - n, n not a square mod p: End is the
+    field F_p[b] = F_{p^2}."""
+    q = QuiverPresentation(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [])
+    k = algebra.from_quiver(q, p, name="kronecker")
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    act = linalg.zeros((4, 4, 4))
+    act[0, :2, :2] = act[1, 2:, 2:] = act[2, :2, 2:] = linalg.identity(2)
+    act[3, :2, 2:] = [[0, 1], [n, 0]]
+    x = modules.RightModule(k, act)
+    assert k.labels == ["e_1", "e_2", "a", "b"] and modules.validate_module(x) == []
+    return x
+
+
+def test_kronecker_module_at_a_quadratic_point_takes_the_end_ring_path(monkeypatch):
+    """b has no eigenvalue in F_p, so no lam makes b - lam nilpotent: the
+    Fitting split hands the module to the End-ring path, which finds End a
+    field and keeps the module whole."""
+    x = kronecker_at_a_quadratic_point()
+    calls = []
+    real = decompose._end_ring_pieces
+    monkeypatch.setattr(decompose, "_end_ring_pieces", lambda *args: calls.append(args) or real(*args))
+    dec = decompose.decompose(x)
+    assert len(calls) == 1
+    assert decompose.reassemble_check(dec) and _idempotent_family_violations(dec) == []
+    assert [s.module.dim for s in dec.summands] == [4]
+    assert all(_indecomposable(s.module) for s in dec.summands)
+
+
+def test_a_stalled_flag_splits_on_a_product_of_two(monkeypatch):
+    """S + S over the point has End = M_2(F_p).  Fed the basis E12, E21,
+    [[1, 1], [-1, -1]] and I, each element is nilpotent or scalar, so J'
+    is the first three, whose flag stalls at x; E12 E21 = E11 splits it."""
+    s = modules.canonical_modules(point())[1][0]
+    ss, _ = modules.direct_sum([s, s])
+    basis = linalg.mat([[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [-1, -1]], [[1, 0], [0, 1]]], P)
+    assert linalg.rank(basis.reshape(4, 4), P) == 4
+    real_hom, real_flag = decompose.hom_space, decompose._flag_reaches_zero
+    flags = []
+
+    def fed(u, v):
+        if u is v is ss:
+            return [modules.ModuleHom(u, v, m) for m in basis]
+        return real_hom(u, v)
+
+    monkeypatch.setattr(decompose, "hom_space", fed)
+    monkeypatch.setattr(decompose, "_flag_reaches_zero",
+                        lambda *args: flags.append(real_flag(*args)) or flags[-1])
+    monkeypatch.setattr(decompose, "_end_ring_pieces", _refuse_fallback)
+    dec = decompose.decompose(ss)
+    assert flags[0] is False
+    assert decompose.reassemble_check(dec) and _idempotent_family_violations(dec) == []
+    assert [s.module.dim for s in dec.summands] == [1, 1]
+    assert all(_indecomposable(s.module) for s in dec.summands)
+    assert [m for _, m in dec.parts] == [2]

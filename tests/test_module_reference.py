@@ -484,10 +484,12 @@ def test_lemma5_samples_are_the_modules_their_descriptors_rebuild(worlds, aid, p
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("aid", VALID)
 def test_stable_submodules_match_the_closure_reference(worlds, aid, p):
-    """syzygy_step, radical_submodule, socle and the summands of decompose
-    build their submodules with stable_submodule, skipping the closure
-    loop, and submodule_from_generators closes in one step; top_of_module
-    quotients by x * rad(A) directly.  Random base changes of the modules
+    """syzygy_step, radical_submodule and socle build their submodules
+    with stable_submodule, skipping the closure loop, the summands of
+    decompose read theirs off the action in the basis of the stacked RREF
+    bases, each the image of its idempotent proj incl, and
+    submodule_from_generators closes in one step; top_of_module quotients
+    by x * rad(A) directly.  Random base changes of the modules
     give kernel rows and generators far from echelon form."""
     a = worlds[p][aid]
     rng = np.random.default_rng(5)
@@ -505,8 +507,9 @@ def test_stable_submodules_match_the_closure_reference(worlds, aid, p):
                  (modules.submodule_from_generators(x, x_1), x, x_1)]
         if x.dim <= 20:  # square's pool has a module of dim 35, End of dim 125
             dec = decompose(x, seed=3)
-            cases += [((s.module, s.inclusion), x, dec.endring.to_matrix(e))
-                      for s, e in zip(dec.summands, dec.idempotents)]
+            cases += [((s.module, s.inclusion), x,
+                       linalg.matmul(s.projection.matrix, s.inclusion.matrix, x.p))
+                      for s in dec.summands]
         for (sub, incl), ambient, gens in cases:
             action, basis = ref_closure(ambient, gens)
             assert incl.target is ambient
