@@ -384,6 +384,11 @@ def _split_or_certify(stack: np.ndarray, p: int):
     when a minimal polynomial has no root in F_p (the residue field may be
     larger than F_p), for the End-ring path.
 
+    stack[0] is powered alone first, and its split, if any, is returned
+    without the batch: a scalar plus a nilpotent never splits, so when
+    stack[0] splits it is the first element of the batch that would.  Its
+    power is I on a local piece, which needs no elimination.
+
     Otherwise every element is nilpotent or f = lam + j with j nilpotent,
     lam = tr(f)/r (p not dividing r) or a root of f's minimal polynomial.
     The nilpotent elements and the j form J', and End = F_p + span J', so
@@ -397,6 +402,11 @@ def _split_or_certify(stack: np.ndarray, p: int):
     if r == 1:
         return None
     one = linalg.identity(r)
+    first = _power(stack[0], p)
+    if first.any() and not np.array_equal(first, one):
+        split = _fitting_split(first, p)
+        if split:
+            return split
     # lam = tr(f)/r; when p divides r, lam = 0 still sorts out the nilpotent f
     lam = (np.trace(stack, axis1=1, axis2=2) * linalg.inv_mod(r, p) % p if r % p
            else linalg.zeros(len(stack)))

@@ -9,6 +9,7 @@ system at the scale of the modules themselves.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import blake2b
@@ -157,7 +158,7 @@ def submodule_from_generators(x: RightModule, gens):
     gens = np.atleast_2d(linalg.mat(gens, p))
     if gens.size == 0:
         gens = linalg.zeros((0, x.dim))
-    spans = np.vstack([gens, *linalg.matmul(gens, x.action, p)])
+    spans = np.vstack([gens, linalg.matmul(gens, x.action, p).reshape(-1, x.dim)])
     return stable_submodule(x, linalg.row_basis(spans, p))
 
 
@@ -257,22 +258,41 @@ class ProjectiveInfo:
     rows: np.ndarray  # (k, dim A): basis elements, as algebra elements
 
 
+class _Simples(Sequence):
+    """The simples S_i = P_i / P_i rad(A), each built on its first read and
+    kept, since most callers read only the regular module and the e_i A."""
+
+    def __init__(self, projectives: list):
+        self._projectives = projectives
+        self._built = {}
+
+    def __len__(self):
+        return len(self._projectives)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i = range(len(self))[i]
+        if i not in self._built:
+            s, _ = top_of_module(self._projectives[i].module)
+            s.name = f"S{i}"
+            self._built[i] = s
+        return self._built[i]
+
+
 @cached("canonical")
 def canonical_modules(a: StructureAlgebra):
-    """(regular, simples, projectives): A_A, the S_i, and the e_i A."""
+    """(regular, simples, projectives): A_A, the S_i, and the e_i A.  The
+    simples are a read-only sequence that builds S_i on its first read."""
     action = a.mul.transpose(1, 0, 2).copy()  # action[j][i,k] = c[i,j,k]
     regular = RightModule(a, action, name="A")
     projectives = []
-    simples = []
     for idx in range(a.idempotents.shape[0]):
         e = a.idempotents[idx]
         sub, incl = submodule_from_generators(regular, e.reshape(1, a.dim))
         sub.name = f"P{idx}"
         projectives.append(ProjectiveInfo(idx, sub, incl.matrix))
-        s, _ = top_of_module(sub)
-        s.name = f"S{idx}"
-        simples.append(s)
-    return regular, simples, projectives
+    return regular, _Simples(projectives), projectives
 
 
 @dataclass
@@ -296,15 +316,18 @@ def presentation(x: RightModule) -> Presentation:
         cover, _ = direct_sum([], a)
         return Presentation([], cover, ModuleHom(cover, x, linalg.zeros((0, 0))),
                             linalg.zeros((0, 0)), linalg.zeros((0, 0)))
-    t, proj_top = top_of_module(x)
-    top_e = t.rho(a.idempotents)
+    # the top x / x rad(A) on the free columns of the RREF of x rad(A): proj
+    # is the identity on the free rows, so e acts on the top as x_e[free] @ proj
+    rref, rk, pivots = linalg.row_reduce(_radical_rows(x), p)
+    proj_top = linalg.nullspace_from_rref(rref[:rk], pivots, x.dim, p).T
     x_e = x.rho(a.idempotents)
+    top_e = linalg.matmul(x_e[:, linalg.free_columns(pivots, x.dim)], proj_top, p)
     parts, pi_rows = [], []
     for info in projectives:
         img = linalg.row_basis(top_e[info.index], p)
         if img.shape[0] == 0:
             continue
-        w = linalg.solve_linear(proj_top.matrix, img, p)
+        w = linalg.solve_linear(proj_top, img, p)
         gens = linalg.matmul(w, x_e[info.index], p)
         parts += [(info.index, v) for v in gens]
         evals = x.rho(info.rows)  # (k, dim x, dim x)
@@ -388,17 +411,16 @@ def hom_space(x: RightModule, y: RightModule) -> list[ModuleHom]:
     cover_evals = np.concatenate([evals[i] for i in idx])  # (c, dy, dy)
     part_of = np.repeat(np.arange(h), [evals[i].shape[0] for i in idx])
     ys = [idempotent_bases(y)[i] for i in idx]
-    # spread = blockdiag(Y_i1, .., Y_ih): u = (v_1 .. v_h) = w @ spread
+    # spread = blockdiag(Y_i1, .., Y_ih): u = (v_1 .. v_h) = w @ spread, w = I when dk = 0
     spread = linalg.zeros((sum(len(b) for b in ys), h, dy))
     spread[np.arange(len(spread)), np.repeat(np.arange(h), [len(b) for b in ys])] = np.vstack(ys)
-    w = linalg.identity(len(spread))
+    u = spread.reshape(-1, h * dy)
     if dk:  # the kernel rows of part t, applied to Y_i @ eval_j for j in part t
         cons = [linalg.matmul(pres.kernel_rows[:, part_of == t],
                               linalg.matmul(b, evals[i], p).reshape(len(evals[i]), -1), p)
                 .reshape(dk, len(b), dy).transpose(1, 0, 2).reshape(len(b), dk * dy)
                 for t, (b, i) in enumerate(zip(ys, idx))]
-        w = linalg.kernel_basis(np.vstack(cons), p)
-    u = linalg.matmul(w, spread.reshape(-1, h * dy), p)
+        u = linalg.matmul(linalg.kernel_basis(np.vstack(cons), p), u, p)
     u = linalg.row_basis(u[:, ::-1], p)[::-1, ::-1].reshape(-1, h, dy)[:, part_of]  # (s, c, dy)
     # phi_hat[s, j] = u[s, j] @ eval_j, batched over the cover basis j
     phi_hat = linalg.matmul(u.transpose(1, 0, 2), cover_evals, p).transpose(1, 0, 2)

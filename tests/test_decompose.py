@@ -875,6 +875,123 @@ def ref_decompose(x, seed=0):
     return summands
 
 
+def ref_split_or_certify(stack, p):
+    """decompose._split_or_certify with the batch first: the shifted stack
+    and then the units are powered whole before any element is tried."""
+    r = stack.shape[-1]
+    if r == 1:
+        return None
+    one = linalg.identity(r)
+    lam = (np.trace(stack, axis1=1, axis2=2) * linalg.inv_mod(r, p) % p if r % p
+           else linalg.zeros(len(stack)))
+    shifted = (stack - lam[:, None, None] * one) % p
+    nil = ~decompose._power(shifted, p).any(axis=(1, 2))
+    jprime, units = [shifted[nil]], stack[~nil]
+    for power in decompose._power(units, p) if len(units) else []:
+        split = decompose._fitting_split(power, p)
+        if split:
+            return split
+    for f in units:
+        factors = poly.factor(linalg.minimal_polynomial(f, p), p)
+        roots = [(-g[0]) % p for g, _ in factors if len(g) == 2]
+        if not roots:
+            return decompose.FALLBACK
+        j = (f - roots[0] * one) % p
+        power = decompose._power(j, p)
+        if power.any():
+            return decompose._fitting_split(power, p)
+        jprime.append(j[None])
+    jprime = np.concatenate(jprime)
+    jprime = jprime[jprime.any(axis=(1, 2))]
+    if decompose._flag_reaches_zero(jprime, p):
+        return None
+    for j in jprime:
+        for power in decompose._power(linalg.matmul(j, jprime, p), p):
+            if power.any():
+                return decompose._fitting_split(power, p)
+    raise AssertionError("the flag of J' stalls, but every product of two is nilpotent")
+
+
+def _check_steps_against_the_reference(monkeypatch):
+    """Make every step of _pieces compare its outcome with
+    ref_split_or_certify: the same (T, a), None or FALLBACK.  Returns the
+    tally of outcomes, filled as decompositions run."""
+    seen, real = Counter(), decompose._split_or_certify
+
+    def checked(stack, p):
+        got, want = real(stack, p), ref_split_or_certify(stack, p)
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and got[1] == want[1]
+            assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+            seen["split"] += 1
+        else:
+            assert got is want
+            seen["fallback" if want is decompose.FALLBACK else "local"] += 1
+        return got
+
+    monkeypatch.setattr(decompose, "_split_or_certify", checked)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [20, 7])
+def test_each_ks_large_step_matches_the_batch_first_reference(seed, monkeypatch):
+    """Trying stack[0] alone first changes no step: on the 13 instances of
+    a seed, every step gives what the batch-first reference gives."""
+    ksgen = _load_ksgen()
+    seen = _check_steps_against_the_reference(monkeypatch)
+    insts = ksgen.generate(seed)
+    for inst, t in zip(insts, ksgen.build_algebras(insts, syzygy)):
+        decompose.decompose(modules.canonical_modules(t)[0], seed=inst.decompose_seed)
+    assert seen["split"] and seen["local"], seen
+
+
+def test_each_sweep_step_matches_the_batch_first_reference(monkeypatch):
+    """The same on every step of the 414 sweep modules."""
+    seen = _check_steps_against_the_reference(monkeypatch)
+    mods = _sweep_modules(P)
+    assert len(mods) == 414
+    for x in mods:
+        decompose.decompose(x)
+    assert seen["split"] and seen["local"], seen
+
+
+def test_each_step_of_a_seed_20_corpus_pass_matches_the_batch_first_reference(monkeypatch):
+    """The same on every step of the decompositions of a seed-20 pass."""
+    seen = _check_steps_against_the_reference(monkeypatch)
+    checks.run_corpus(corpus.load_corpus(), checks.Config(seed=20))
+    assert seen["split"] and seen["local"], seen
+
+
+@pytest.mark.parametrize("seed", [20, 7])
+def test_a_ks_large_pass_builds_no_top_and_splits_on_the_first_element(seed, monkeypatch):
+    """Call counts, not timings, guard the ks_large path.  On the 13
+    instances of a seed, each on a fresh algebra, canonical_modules and
+    decompose build no top module and no quotient.  Each of the 41 split
+    steps powers stack[0] alone and splits on it, with one elimination;
+    each of the 54 leaves powers stack[0] alone (to I, so no elimination)
+    and then the shifted stack in one batch, to certify the leaf local."""
+    ksgen = _load_ksgen()
+    insts = ksgen.generate(seed)
+    algebras = ksgen.build_algebras(insts, syzygy)
+    calls = Counter()
+
+    def counted(module, name, tag=None):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[tag(*args) if tag else name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(modules, "top_of_module")
+    counted(modules, "quotient_module")
+    counted(decompose, "_fitting_split")
+    counted(decompose, "_power", lambda stack, p: "batched _power" if stack.ndim > 2 else "_power")
+    for inst, t in zip(insts, algebras):
+        decompose.decompose(modules.canonical_modules(t)[0], seed=inst.decompose_seed)
+    assert calls == Counter({"_fitting_split": 41, "_power": 95, "batched _power": 54}), calls
+
+
 def _sweep_modules(p):
     """The nonzero modules of the corpus sweep: for A, Lambda(A), the cover
     and T(A) of every regular entry, the regular module, the simples, their

@@ -794,8 +794,8 @@ def test_projective_dimension_matches_the_whole_module_reference(aid):
     reference finds two isomorphic syzygies.  So fd_lower_estimate, which
     reads only finite values, is unchanged."""
     for alg, ref in zip(_regular_algebras(aid)[:2], _regular_algebras(aid)[:2]):
-        mods = [modules.canonical_modules(alg)[1], _pool_modules(alg)]
-        refs = [modules.canonical_modules(ref)[1], ref_default_pool(ref)[0]]
+        mods = [list(modules.canonical_modules(alg)[1]), _pool_modules(alg)]
+        refs = [list(modules.canonical_modules(ref)[1]), ref_default_pool(ref)[0]]
         for x, y in zip(mods[0] + mods[1], refs[0] + refs[1]):
             r, (kind, value) = deloop.projective_dimension(x), ref_projective_dimension(y)
             assert (r.kind, r.value) == (kind, value) or (r.kind, kind) == ("infinite", "unknown")

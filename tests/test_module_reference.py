@@ -3,7 +3,8 @@ replaced, bit for bit.
 
 Each `ref_*` function below is the loop version of a library function,
 kept as the reference; `ref_lemma5_candidate` and `ref_sigma_triple_module`
-keep the zero-map triple construction that block placement replaced.  Inputs are the default pool and the first three
+keep the zero-map triple construction that block placement replaced, and
+`ref_presentation` the presentation that built the top module.  Inputs are the default pool and the first three
 syzygies of every simple of each valid corpus algebra, tensored with
 Lambda's bimodule and with A as an A-A-bimodule, plus modules over its
 Lambda and its cover, at the default prime and at 1048573, the largest
@@ -62,7 +63,7 @@ def ref_quotient_module(x, sub_rows):
     return np.matmul(np.matmul(lift, x.action) % p, proj) % p, proj
 
 
-def ref_presentation(x):
+def ref_loop_presentation(x):
     """(parts, pi, kernel_rows, lift) of the minimal cover of x."""
     a, p = x.algebra, x.p
     _, _, projectives = modules.canonical_modules(a)
@@ -83,6 +84,35 @@ def ref_presentation(x):
     assert linalg.rank(pi, p) == x.dim
     lift = linalg.solve_linear(pi, linalg.identity(x.dim), p)
     return parts, pi, ref_kernel_basis(pi, p), lift
+
+
+def ref_presentation(x):
+    """The presentation read off the top module: top_of_module builds
+    x / x rad(A), quotient action and stability check included, and the
+    generators come from the idempotent action on it."""
+    a, p = x.algebra, x.p
+    _, _, projectives = modules.canonical_modules(a)
+    t, proj_top = modules.top_of_module(x)
+    top_e = t.rho(a.idempotents)
+    x_e = x.rho(a.idempotents)
+    parts, pi_rows = [], []
+    for info in projectives:
+        img = linalg.row_basis(top_e[info.index], p)
+        if img.shape[0] == 0:
+            continue
+        w = linalg.solve_linear(proj_top.matrix, img, p)
+        gens = linalg.matmul(w, x_e[info.index], p)
+        parts += [(info.index, v) for v in gens]
+        evals = x.rho(info.rows)  # (k, dim x, dim x)
+        pi_rows.append(linalg.matmul(gens, evals, p).transpose(1, 0, 2).reshape(-1, x.dim))
+    cover, _ = modules.direct_sum([projectives[i].module for i, _ in parts], a)
+    pi_matrix = np.vstack(pi_rows)
+    solver = linalg.LinearSolver(pi_matrix.T, p)
+    assert solver.rank == x.dim
+    kernel = linalg.nullspace_from_rref(solver.rref, solver.cols, cover.dim, p)
+    lift = linalg.zeros((x.dim, cover.dim))
+    lift[:, solver.cols] = solver.elim.T
+    return modules.Presentation(parts, cover, modules.ModuleHom(cover, x, pi_matrix), kernel, lift)
 
 
 def ref_closure(x, gens):
@@ -107,7 +137,7 @@ def ref_hom_space(x, y):
     a, p = x.algebra, x.p
     if x.dim == 0 or y.dim == 0:
         return []
-    parts, _, kernel, lift = ref_presentation(x)
+    parts, _, kernel, lift = ref_loop_presentation(x)
     _, _, projectives = modules.canonical_modules(a)
     h, dy = len(parts), y.dim
     slices, start = [], 0
@@ -299,7 +329,7 @@ def _base_modules(a):
 
 def _triangular_modules(t):
     reg, simples, projectives = modules.canonical_modules(t)
-    mods = [reg] + simples + [info.module for info in projectives]
+    mods = [reg, *simples, *(info.module for info in projectives)]
     mods += [modules.syzygy(s, 1) for s in simples]
     mods += [modules.radical_submodule(info.module)[0] for info in projectives]
     return [x for x in mods if x.dim]
@@ -315,7 +345,7 @@ def test_module_layer_matches_loop_reference(worlds, aid, p):
     assert algebra.validate_algebra(algebra.triangular(a, a, regular)).ok
     mods = _base_modules(a)
     for k, x in enumerate(mods):
-        parts, pi, kernel, lift = ref_presentation(x)
+        parts, pi, kernel, lift = ref_loop_presentation(x)
         pres = modules.presentation(x)
         assert [i for i, _ in pres.parts] == [i for i, _ in parts]
         assert all(_same(v, w) for (_, v), (_, w) in zip(pres.parts, parts))
@@ -357,10 +387,34 @@ def _sweep_modules(a):
     """Up to 14 modules of a: A_A, the simples, the projectives, Omega^1
     and Omega^2 of the simples and the radicals of the projectives."""
     reg, simples, projectives = modules.canonical_modules(a)
-    mods = [reg] + simples + [info.module for info in projectives]
+    mods = [reg, *simples, *(info.module for info in projectives)]
     mods += [modules.syzygy(s, k) for k in (1, 2) for s in simples]
     mods += [modules.radical_submodule(info.module)[0] for info in projectives]
     return [x for x in mods if x.dim][:14]
+
+
+@pytest.mark.parametrize("p", PRIMES + [3, 2])
+def test_presentation_matches_the_top_module_reference(worlds, p):
+    """presentation takes the top off the RREF of x rad(A) and builds no
+    top module: on the sweep modules of every valid algebra, its Lambda
+    and its cover, the same parts, cover action, pi, kernel rows and lift
+    as ref_presentation, at p = 32003, 1048573, 3 and 2."""
+    world = worlds[p] if p in worlds else corpus.resolve_corpus(corpus.load_corpus(), p)
+    seen = Counter()
+    for aid in VALID:
+        a = world[aid]
+        for alg in (a, algebra.build_lambda(a), algebra.build_cover(a)):
+            for x in _sweep_modules(alg):
+                got, want = modules.presentation(x), ref_presentation(x)
+                assert [i for i, _ in got.parts] == [i for i, _ in want.parts]
+                assert all(_same(v, w) for (_, v), (_, w) in zip(got.parts, want.parts))
+                assert _same(got.cover.action, want.cover.action)
+                assert _same(got.pi.matrix, want.pi.matrix)
+                assert _same(got.kernel_rows, want.kernel_rows)
+                assert _same(got.lift, want.lift)
+                seen["modules"] += 1
+                seen["projective"] += not len(got.kernel_rows)
+    assert seen["modules"] > 250 and seen["projective"], seen
 
 
 @pytest.mark.parametrize("p", PRIMES)

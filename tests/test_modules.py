@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from syzygy import algebra, linalg, modules
+from syzygy import algebra, corpus, decompose, linalg, modules
 from syzygy.algebra import QuiverPresentation
 from syzygy.errors import AlgebraMismatch, NotStable, ResourceGuard, ShapeMismatch
 
@@ -55,10 +55,54 @@ def test_canonical_modules_ka2_dims():
     assert sum(info.module.dim for info in projs) == reg.dim
 
 
+def test_simples_are_built_on_first_read_and_equal_the_eager_tops():
+    """Each simple is bit-equal, action and name, to top_of_module(P_i),
+    over every corpus algebra, its Lambda and its cover; a repeated read,
+    a negative index, iteration and a slice return the same object."""
+    resolved = corpus.resolve_corpus(corpus.load_corpus())
+    checked = 0
+    for a in resolved.values():
+        for alg in (a, algebra.build_lambda(a), algebra.build_cover(a)):
+            _, simples, projs = modules.canonical_modules(alg)
+            n = len(simples)
+            assert n == len(projs) == alg.idempotents.shape[0]
+            for i, info in enumerate(projs):
+                eager, _ = modules.top_of_module(info.module)
+                s = simples[i]
+                assert s.action.dtype == eager.action.dtype
+                assert np.array_equal(s.action, eager.action)
+                assert s.name == f"S{i}"
+                assert simples[i] is s and simples[i - n] is s
+                checked += 1
+            assert all(s is simples[i] for i, s in enumerate(simples))
+            assert all(s is simples[i] for i, s in zip(range(n)[1::2], simples[1::2]))
+            assert simples[::-1] == [simples[i] for i in reversed(range(n))]
+            for bad in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    simples[bad]
+            with pytest.raises(TypeError):
+                simples[0] = simples[0]
+    assert checked > 50, checked
+
+
+def test_decomposing_the_regular_module_builds_no_simple(monkeypatch):
+    """canonical_modules and decompose(regular) read only A_A and the
+    e_i A, so no top module is built on a fresh algebra."""
+    calls = []
+    real = modules.top_of_module
+    monkeypatch.setattr(modules, "top_of_module", lambda x: calls.append(x) or real(x))
+    for a in (point(), dual_numbers(), truncated_cubic(), kA2()):
+        t = algebra.trivial_extension(a)
+        decompose.decompose(modules.canonical_modules(t)[0])
+    assert calls == []
+    assert len(modules.canonical_modules(a)[1]) == 2 and calls == []
+    assert modules.canonical_modules(a)[1][0].dim == 1 and len(calls) == 1
+
+
 def test_hom_from_regular_has_dim_of_target():
     a = kA2()
     reg, simples, projs = modules.canonical_modules(a)
-    for x in [reg] + simples + [info.module for info in projs]:
+    for x in [reg, *simples, *(info.module for info in projs)]:
         homs = modules.hom_space(reg, x)
         assert len(homs) == x.dim
         assert all(f.intertwines() for f in homs)
