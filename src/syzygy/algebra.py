@@ -5,7 +5,7 @@ radical basis and a complete family of primitive orthogonal idempotents.
 Constructors (quiver presentation, opposite, trivial extension,
 triangular matrix algebra, corner) carry these certificates structurally
 and `validate_algebra` re-checks all axioms.  An End ring
-(`decompose.EndRing`), its quotients and its corners store neither.
+(`modules.EndRing`), its quotients and its corners store neither.
 
 Convention: elements are coordinate rows; left multiplication by x is
 `y @ left_mult(x)` and right multiplication is `y @ right_mult(x)`, and
@@ -59,7 +59,7 @@ class StructureAlgebra:
 
     mul[i, j, k] is the coefficient of basis element k in b_i * b_j.
     The radical and idempotent rows may be empty, as for an End ring
-    (`decompose.EndRing`), and the dimension may be 0.
+    (`modules.EndRing`), and the dimension may be 0.
     """
 
     def __init__(self, p, mul, unit, radical, idempotents, labels=None,

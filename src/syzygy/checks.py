@@ -33,7 +33,7 @@ from .algebra import (
     validate_algebra,
 )
 from .corpus import CorpusEntry, resolve_corpus
-from .decompose import TRIALS, end_ring, iso_test
+from .decompose import TRIALS, iso_test
 from .errors import AlgebraMismatch, CorpusError, DimensionMismatch, SyzygyError
 from .modules import (
     ModuleHom,
@@ -42,7 +42,9 @@ from .modules import (
     canonical_modules,
     corner_restrict,
     corners,
+    end_ring,
     free_action,
+    hom_combination,
     hom_space,
     is_projective,
     make_triple,
@@ -160,7 +162,7 @@ def resolve_module_ref(ref: dict, resolved: dict) -> RightModule:
             return [_level(c, a.p - 1, "f_coeffs", bottom=0) for c in f_coeffs]
         x = _sample_module(ref, resolved, stored)[0]
     elif kind == "explicit":
-        x = RightModule(a, np.asarray(ref["action"], dtype=np.int64))
+        x = RightModule(a, _explicit_action(ref["action"], a.p))
     else:
         raise CorpusError(f"unknown module descriptor kind {kind!r}")
     if not same_algebra(x.algebra, a):
@@ -209,9 +211,7 @@ def _sample_module(ref: dict, resolved: dict, draw) -> tuple:
     tensor = tensor_over_algebra(x, lam.triangle.bimodule)
     homs = hom_space(tensor, y)
     f_coeffs = draw(len(homs))
-    fmat = linalg.zeros((tensor.dim, y.dim))
-    for c, h in zip(f_coeffs, homs):
-        fmat = (fmat + c * h.matrix) % lam.p
+    fmat = hom_combination(tensor, y, homs, f_coeffs)
     return triple_to_module(make_triple(lam, x, y, fmat, tensor), lam), f_coeffs
 
 
@@ -222,6 +222,18 @@ def _lemma5_level(flat: RightModule, s: int) -> tuple:
     zs = corner_restrict(om, "v")
     omx = syzygy(corner_restrict(flat, "u"), s)
     return om, zs, triangular_module(flat.algebra, omx, zs)
+
+
+def _explicit_action(value, p: int) -> np.ndarray:
+    """A stored explicit action, read exactly: an int array with entries in
+    0..p-1, whose shape RightModule checks; anything else raises CorpusError."""
+    try:
+        action = np.asarray(value)
+    except ValueError:  # a ragged list
+        raise CorpusError("the explicit action is ragged") from None
+    if action.dtype.kind not in "iu" or not ((0 <= action) & (action < p)).all():
+        raise CorpusError(f"the explicit action is not of ints in 0..{p - 1}")
+    return action
 
 
 def _level(value, top: int, name: str, bottom: int = 1) -> int:

@@ -1,4 +1,4 @@
-"""Krull-Schmidt decomposition, isomorphism classes and endomorphism rings.
+"""Krull-Schmidt decomposition and isomorphism classes.
 
 `decompose` splits a module by Fitting's lemma in its own coordinates,
 over the basis of Hom(x, x) as d x d matrices: for an endomorphism f and
@@ -11,10 +11,10 @@ x J', x J'^2, ... of those nilpotents reaches 0 (Lux and Szőke, Exp. Math.
 16, 2007).  A piece with an element whose minimal polynomial has no root
 in F_p (its residue field may be larger) takes the End-ring path.
 
-An End ring is a `StructureAlgebra` that stores no radical and no
-idempotents, of dimension 0 for the zero module.  On the End-ring path,
-idempotents split as E -> E/rad E -> corners e(E/rad E)e, each corner an
-algebra of its own, from seeded random corner elements; that path, and
+On the End-ring path, the radical of `modules.end_ring` is the kernel of
+its trace form, and idempotents split as E -> E/rad E -> corners
+e(E/rad E)e, each corner an algebra of its own, from seeded random corner
+elements, and lift by Newton's iteration; that path, and
 `iso_test`'s random rounds, are Las Vegas: their outputs carry exact
 certificates (idempotency, orthogonality, invertible witnesses), and
 every isomorphism verdict is exact.
@@ -48,75 +48,22 @@ from . import linalg, poly
 from .algebra import (StructureAlgebra, cached, corner_algebra, corner_basis,
                       idempotent_violations, is_nilpotent, quotient_algebra,
                       same_algebra)
-from .errors import (
-    AlgebraMismatch,
-    CharTooSmall,
-    RandomnessExhausted,
-)
+from .errors import AlgebraMismatch, CharTooSmall, RandomnessExhausted
 from .modules import (
+    EndRing,
     ModuleHom,
     RightModule,
     dimension_vector,
+    end_ring,
+    hom_combination,
     hom_space,
     onto_algebra,
-    presentation,
     stable_submodule,
 )
 
 NEWTON_CAP = 64
 SPLIT_TRIALS = 256
 TRIALS = 5  # sampling rounds of a randomized iso test
-
-
-class EndRing(StructureAlgebra):
-    """End(x) as an algebra on a hom basis; the product (f*g) acts as f
-    followed by g read right-to-left, i.e. (f*g).matrix = g.matrix @
-    f.matrix, so that End of a corner projective is isomorphic (not
-    anti-isomorphic) to the corner algebra.
-
-    mul[i, j] is solved from the images of basis[j] @ basis[i] on the m
-    generators of x (a module map is fixed by them, so the solve's residual
-    check stays exact), d // m i at a time: no block exceeds h x d^2.
-
-    It stores no radical and no idempotents (empty arrays): `endring_radical`
-    computes the radical on demand, and `primitive_idempotents` draws from a
-    seed.  End of the zero module has dimension 0."""
-
-    def __init__(self, module: RightModule, basis: list[ModuleHom]):
-        self.module = module
-        p, d, h = module.p, module.dim, len(basis)
-        if h:
-            self._flat = np.vstack([f.matrix.reshape(1, -1) for f in basis]) % p
-            stack = self._flat.reshape(h, d, d)
-            gens = np.array([v for _, v in presentation(module).parts])
-            images = linalg.matmul(gens, stack, p).reshape(-1, d)  # (h*m, d), U row by row
-            solver = linalg.LinearSolver(images.reshape(h, -1), p)
-            if solver.rank < h:
-                raise AssertionError("the generator images of the hom basis are dependent")
-            k = max(1, d // len(gens))
-            mul = []
-            for block in np.split(stack, range(k, h, k)):
-                # prods[(j, g), (i, c)] = row g of the generator images of basis[j] @ basis[i]
-                prods = linalg.matmul(images, block.transpose(1, 0, 2).reshape(d, -1), p)
-                prods = prods.reshape(h, -1, len(block), d).transpose(2, 0, 1, 3)
-                mul.append(solver.solve(prods.reshape(len(block) * h, -1)).reshape(-1, h, h))
-            mul = np.concatenate(mul)  # mul[i, j] = coordinates of basis[j] @ basis[i]
-            unit = solver.solve(gens.reshape(1, -1))[0]
-        else:
-            self._flat = linalg.zeros((0, d * d))
-            mul, unit = linalg.zeros((0, 0, 0)), linalg.zeros(0)
-        empty = linalg.zeros((0, h))
-        super().__init__(p, mul, unit, empty, empty)
-
-    def to_matrix(self, coords) -> np.ndarray:
-        coords = linalg.mat(coords, self.p).reshape(self.dim)
-        d = self.module.dim
-        return linalg.matmul(coords, self._flat, self.p).reshape(d, d)
-
-
-@cached("end_ring")
-def end_ring(x: RightModule) -> EndRing:
-    return EndRing(x, hom_space(x, x))
 
 
 @cached("radical")
@@ -290,14 +237,10 @@ def iso_test(x: RightModule, y: RightModule, seed: int = 0) -> IsoVerdict:
     verdict, hxy = _basis_iso(x, y)
     if verdict.reason != "SingularHomBasis":
         return verdict
-    p = x.p
     rng = np.random.default_rng(seed)
     for _ in range(TRIALS):
-        coeffs = rng.integers(0, p, size=len(hxy))
-        mat = linalg.zeros((x.dim, y.dim))
-        for c, f in zip(coeffs, hxy):
-            mat = (mat + int(c) * f.matrix) % p
-        cand = ModuleHom(x, y, mat)
+        coeffs = rng.integers(0, x.p, size=len(hxy))
+        cand = ModuleHom(x, y, hom_combination(x, y, hxy, coeffs))
         if cand.is_iso():
             return IsoVerdict(True, cand)
     mult, split = summand_multiplicity(x, y, seed)

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .algebra import StructureAlgebra, cached, opposite
-from .decompose import class_id, decompose, iso_test  # noqa: F401 (perfbench/selftest.py pins it)
+from .decompose import class_id, decompose, iso_test  # iso_test: KEPT for perfbench/selftest.py
 from .modules import (
     RightModule,
     canonical_modules,

@@ -214,8 +214,6 @@ def _row_reduce_numpy(a: np.ndarray, p: int, limit: int | None = None):
 
 
 def rank(m: np.ndarray, p: int) -> int:
-    if m.size == 0:
-        return 0
     return row_reduce(m, p)[1]
 
 
@@ -301,7 +299,7 @@ def reduce_rows(rows: np.ndarray, rref: np.ndarray, pivots, p: int) -> np.ndarra
     out = np.atleast_2d(np.asarray(rows, dtype=np.int64)) % p
     # rref rows are unit vectors on the pivot columns, so the coefficients
     # of all pivot rows can be read off at once
-    return (out - out[:, pivots] @ rref[: len(pivots)]) % p
+    return (out - matmul(out[:, pivots], rref[: len(pivots)], p)) % p
 
 
 def rowspace_contains(rref: np.ndarray, pivots, rows: np.ndarray, p: int) -> bool:

@@ -3,7 +3,8 @@
 A module is a total space F_p^d with one action matrix per algebra basis
 element; elements are rows and the action is right multiplication.  Homs
 are computed through projective presentations, which keeps every linear
-system at the scale of the modules themselves.
+system at the scale of the modules themselves; an End ring is an algebra
+on the hom basis of a module (`EndRing`).
 """
 
 from __future__ import annotations
@@ -220,8 +221,8 @@ def socle(x: RightModule):
     a = x.algebra
     if a.radical.shape[0] == 0 or x.dim == 0:
         return x, ModuleHom(x, x, linalg.identity(x.dim))
-    mats = x.rho(a.radical)  # (r, d, d)
-    stacked = np.concatenate([mats[i] for i in range(mats.shape[0])], axis=1)
+    # the r matrices of the radical side by side: (d, r * d)
+    stacked = x.rho(a.radical).transpose(1, 0, 2).reshape(x.dim, -1)
     rows = linalg.kernel_basis(stacked, a.p)
     return stable_submodule(x, linalg.row_basis(rows, a.p))
 
@@ -425,6 +426,51 @@ def hom_space(x: RightModule, y: RightModule) -> list[ModuleHom]:
     # phi_hat[s, j] = u[s, j] @ eval_j, batched over the cover basis j
     phi_hat = linalg.matmul(u.transpose(1, 0, 2), cover_evals, p).transpose(1, 0, 2)
     return [ModuleHom(x, y, phi) for phi in linalg.matmul(pres.lift, phi_hat, p)]
+
+
+def hom_combination(x: RightModule, y: RightModule, homs: list, coeffs) -> np.ndarray:
+    """The matrix of the F_p combination sum c_i homs[i] of maps x -> y, for
+    coefficients in 0..p-1: one product over the stacked homs."""
+    stack = np.array([f.matrix for f in homs], dtype=np.int64).reshape(len(homs), x.dim * y.dim)
+    coeffs = linalg.mat(coeffs, x.p).reshape(len(homs))
+    return linalg.matmul(coeffs, stack, x.p).reshape(x.dim, y.dim)
+
+
+class EndRing(StructureAlgebra):
+    """End(x) as an algebra on a hom basis; the product (f*g) acts as f
+    followed by g read right-to-left, i.e. (f*g).matrix = g.matrix @
+    f.matrix, so that End of a corner projective is isomorphic (not
+    anti-isomorphic) to the corner algebra.
+
+    One solver over the flattened basis, which must be independent, gives
+    the structure constants: mul[i] is solved from the h products
+    basis[j] @ basis[i], one h x d^2 block per basis element, and the unit
+    from the identity.  It stores no radical and no idempotents (empty
+    arrays); End of the zero module has dimension 0."""
+
+    def __init__(self, module: RightModule, basis: list[ModuleHom]):
+        self.module = module
+        p, d, h = module.p, module.dim, len(basis)
+        self._flat = np.array([f.matrix for f in basis], dtype=np.int64).reshape(h, d * d)
+        solver = linalg.LinearSolver(self._flat, p)
+        if solver.rank < h:
+            raise AssertionError("the hom basis is dependent")
+        stack = self._flat.reshape(h, d, d)
+        mul = linalg.zeros((h, h, h))
+        for i, f in enumerate(stack):  # mul[i, j] = coordinates of basis[j] @ basis[i]
+            mul[i] = solver.solve(linalg.matmul(stack, f, p).reshape(h, d * d))
+        unit = solver.solve(linalg.identity(d).reshape(1, -1))[0]
+        super().__init__(p, mul, unit, linalg.zeros((0, h)), linalg.zeros((0, h)))
+
+    def to_matrix(self, coords) -> np.ndarray:
+        coords = linalg.mat(coords, self.p).reshape(self.dim)
+        d = self.module.dim
+        return linalg.matmul(coords, self._flat, self.p).reshape(d, d)
+
+
+@cached("end_ring")
+def end_ring(x: RightModule) -> EndRing:
+    return EndRing(x, hom_space(x, x))
 
 
 # ---------------------------------------------------------------------------

@@ -582,6 +582,46 @@ def test_cli_reverify_lists_witnesses_that_are_not_modules(del_witness_doc, tmp_
     assert r.output.count("(del_witness): verifier raised") == 34
 
 
+def _set_entry(value):
+    def mutate(action):
+        action[0][0][0] = value
+    return mutate
+
+
+# each tampers the explicit action of a stored witness in place
+TAMPERED_ACTIONS = {
+    "huge": _set_entry(2**70),
+    "negative": _set_entry(-1),
+    "p": _set_entry(P),
+    "half": _set_entry(1.5),
+    "ragged": lambda action: action[0][0].pop(),
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERED_ACTIONS)
+def test_reverify_reads_an_explicit_action_exactly(world, del_witness_doc, tamper):
+    """An explicit action is an int array with entries in 0..p-1: no entry
+    overflows, is folded mod p or truncated, and a ragged list is no array."""
+    _, resolved = world
+    cert = copy.deepcopy(del_witness_doc["checks"][0]["evidence"]["certificates"][0])
+    assert checks._verify_certificate(cert, resolved)[0]
+    TAMPERED_ACTIONS[tamper](cert["witness"]["action"])
+    ok, why = checks._verify_certificate(cert, resolved)
+    assert not ok and why.startswith("malformed descriptor: CorpusError"), why
+
+
+def test_cli_reverify_fails_a_huge_action_entry_without_a_traceback(del_witness_doc, tmp_path):
+    doc = copy.deepcopy(del_witness_doc)
+    doc["checks"][0]["evidence"]["certificates"][0]["witness"]["action"][0][0][0] = 2**70
+    out = tmp_path / "report.json"
+    out.write_text(checks.serialize_report(doc))
+    r = CliRunner().invoke(main, ["report", str(out), "--reverify"])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert "reverify: 33/34 certificates ok" in r.output
+    failed = [line for line in r.output.splitlines() if "FAILED" in line]
+    assert len(failed) == 1 and "(del_witness): malformed descriptor" in failed[0], r.output
+
+
 @pytest.fixture(scope="module")
 def a2_seed20_doc(world):
     """Every check of a2 at seed 20, as its report reads back from JSON:

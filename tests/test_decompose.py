@@ -770,11 +770,11 @@ def ref_end_ring(x, basis):
 
 
 def test_end_ring_matches_the_batched_reference():
-    """Solving from the generator images of the products, d // m basis
-    elements at a time, gives the batched full-product structure constants
-    bit for bit, on the regular T(A)-modules of the
-    ks_large instances at seeds 20 and 7 and the delooping pools of the
-    corpus at both primes (End rings up to dimension 60)."""
+    """Solving the products of one basis element at a time gives the
+    batched full-product structure constants bit for bit, on the regular
+    T(A)-modules of the ks_large instances at seeds 20 and 7 and the
+    delooping pools of the corpus at both primes (End rings up to
+    dimension 60)."""
     checked = Counter()
     for x, _ in _split_cases():
         basis = modules.hom_space(x, x)
@@ -1083,6 +1083,21 @@ def kronecker_at_a_quadratic_point(p=P):
     x = modules.RightModule(k, act)
     assert k.labels == ["e_1", "e_2", "a", "b"] and modules.validate_module(x) == []
     return x
+
+
+def test_iso_test_combines_an_empty_hom_basis():
+    """The Kronecker modules of dimension vector (1, 1) at the points 0 and
+    1 share their invariants and have no map between them: every random
+    round combines the empty hom basis into 0, and Krull-Schmidt decides."""
+    k = kronecker_at_a_quadratic_point().algebra
+    x, y = (modules.RightModule(k, [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]],
+                                    [[0, lam], [0, 0]]]) for lam in (0, 1))
+    assert modules.validate_module(x) == modules.validate_module(y) == []
+    assert modules.dimension_vector(x) == modules.dimension_vector(y)
+    assert modules.hom_space(x, y) == []
+    assert not modules.hom_combination(x, y, [], []).any()
+    v = decompose.iso_test(x, y)
+    assert (v.isomorphic, v.reason, v.witness) == (False, "KrullSchmidt", None)
 
 
 def test_kronecker_module_at_a_quadratic_point_takes_the_end_ring_path(monkeypatch):

@@ -14,6 +14,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -22,6 +23,7 @@ from syzygy.cli import main
 
 TEXTS = {p.name: p.read_text() for p in corpus.BUNDLED_DIR.glob("*.json")}
 DEEP = "@@nest-here@@"  # placeholder of the nested value in the dumped text
+VALUES = [0, -1, 2**70, 1.5, "x", None, True, [], {}]  # what a retype swaps in
 
 
 @functools.cache
@@ -85,7 +87,7 @@ def _runs_cleanly(args):
        path=st.lists(st.integers(0, 63), max_size=8),
        kind=st.sampled_from(["drop", "retype", "nest", "unknown", "loop",
                              "nilpotent-loop"]),
-       value=st.sampled_from([0, -1, 2**70, 1.5, "x", None, True, [], {}]),
+       value=st.sampled_from(VALUES),
        depth=st.sampled_from([1, 40, 900, 100_000]))
 def test_mutated_inputs_exit_with_a_documented_code(tmp_path, name, path, kind, value, depth):
     doc = json.loads(TEXTS[name] if name in TEXTS else _report_text())
@@ -99,3 +101,15 @@ def test_mutated_inputs_exit_with_a_documented_code(tmp_path, name, path, kind, 
         (work / other).write_text(text if other == name else other_text)
     _runs_cleanly(["algebra", "validate", str(work / name)])
     _runs_cleanly(["paper", "verify", str(work), "--algebra", Path(name).stem])
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+def test_a_swapped_action_entry_exits_with_a_documented_code(tmp_path, value):
+    """Each swap value in one entry of a stored witness's explicit action,
+    a place the random paths above rarely reach."""
+    doc = json.loads(_report_text())
+    cert = next(c for row in doc["checks"] for c in row["evidence"].get("certificates", [])
+                if c["kind"] == "del_witness")
+    cert["witness"]["action"][0][0][0] = value
+    (tmp_path / "report").write_text(json.dumps(doc))
+    _runs_cleanly(["report", str(tmp_path / "report"), "--reverify"])
