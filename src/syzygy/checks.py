@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 import time
 import zlib
 from collections import Counter
@@ -155,14 +154,11 @@ def resolve_module_ref(ref: dict, resolved: dict) -> RightModule:
     elif kind == "sigma_triple":
         x = sigma_triple_module(resolve_algebra_desc(ref["base"], resolved))
     elif kind == "lemma5_sample":
-        def stored(n):  # one coefficient in 0..p-1 per basis element of the Hom space
-            f_coeffs = ref["f_coeffs"]
-            if not isinstance(f_coeffs, list) or len(f_coeffs) != n:
-                raise CorpusError(f"f_coeffs is not a list of length {n}")
-            return [_level(c, a.p - 1, "f_coeffs", bottom=0) for c in f_coeffs]
-        x = _sample_module(ref, resolved, stored)[0]
+        # one coefficient per basis element of the Hom space
+        x = _sample_module(ref, resolved,
+                           lambda n: _stored_ints(ref["f_coeffs"], (n,), a.p, "f_coeffs"))[0]
     elif kind == "explicit":
-        x = RightModule(a, _explicit_action(ref["action"], a.p))
+        x = RightModule(a, _stored_ints(ref["action"], (a.dim, None, None), a.p, "action"))
     else:
         raise CorpusError(f"unknown module descriptor kind {kind!r}")
     if not same_algebra(x.algebra, a):
@@ -224,27 +220,33 @@ def _lemma5_level(flat: RightModule, s: int) -> tuple:
     return om, zs, triangular_module(flat.algebra, omx, zs)
 
 
-def _explicit_action(value, p: int) -> np.ndarray:
-    """A stored explicit action, read exactly: an int array with entries in
-    0..p-1, whose shape RightModule checks; anything else raises CorpusError."""
-    try:
-        action = np.asarray(value)
-    except ValueError:  # a ragged list
-        raise CorpusError("the explicit action is ragged") from None
-    if action.dtype.kind not in "iu" or not ((0 <= action) & (action < p)).all():
-        raise CorpusError(f"the explicit action is not of ints in 0..{p - 1}")
-    return action
-
-
 def _level(value, top: int, name: str, bottom: int = 1) -> int:
     """A stored level, index, count or coefficient as an int in bottom..top,
     never a bool; a level's bound caps the syzygy steps reverify takes."""
-    if isinstance(value, bool):
-        raise CorpusError(f"level {name} = {value} is not an int")
-    level = operator.index(value)
-    if not bottom <= level <= top:
-        raise CorpusError(f"level {name} = {level} is outside {bottom}..{top}")
-    return level
+    if type(value) is not int:
+        raise CorpusError(f"level {name} = {value!r} is not an int")
+    if not bottom <= value <= top:
+        raise CorpusError(f"level {name} = {value} is outside {bottom}..{top}")
+    return value
+
+
+def _stored_ints(value, shape: tuple, p: int, name: str) -> np.ndarray:
+    """A stored array read exactly: ints in 0..p-1 of the given shape, where
+    None matches any length and [] is the empty array of that shape (JSON
+    keeps no axis after an empty one); anything else raises CorpusError,
+    which names the first entry at fault as _level does."""
+    try:
+        m = np.asarray(value)
+    except ValueError:  # a ragged list
+        raise CorpusError(f"{name} is ragged") from None
+    if m.size == 0 and 0 < m.ndim < len(shape):
+        m = m.reshape(m.shape + tuple(n or 0 for n in shape[m.ndim:]))
+    if m.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, m.shape)):
+        raise CorpusError(f"{name} is not an array of shape {shape}")
+    if m.dtype.kind not in "iu" or not ((0 <= m) & (m < p)).all():
+        for entry in np.asarray(value, dtype=object).ravel():
+            _level(entry, p - 1, name, bottom=0)
+    return m.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -764,21 +766,6 @@ _VERIFIERS = {
 }
 
 
-def _stored_matrix(cert: dict, key: str, rows, cols):
-    """cert[key] as an int64 matrix of shape (rows, cols), where None
-    matches any length; None when it is missing or of another shape."""
-    try:
-        m = np.asarray(cert[key], dtype=np.int64)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-    if m.shape == (0,):  # JSON writes every matrix with no rows as []
-        m = m.reshape(0, cols or 0)
-    if m.ndim != 2 or rows not in (None, m.shape[0]) \
-            or cols not in (None, m.shape[1]):
-        return None
-    return m
-
-
 def _kind(cert):
     return cert.get("kind") if isinstance(cert, dict) else None
 
@@ -786,10 +773,10 @@ def _kind(cert):
 def _verify_certificate(cert: dict, resolved: dict) -> tuple:
     """(ok, reason) for one stored certificate: resolve its descriptors,
     look its kind up in _VERIFIERS, and run that verifier on the stored
-    matrices.  A descriptor that does not resolve, a stored matrix of the
-    wrong shape, or stored data the verifier's own computations reject
-    (such as an explicit action that is not a module) fails the
-    certificate instead of raising."""
+    matrices.  A descriptor that does not resolve, a stored array that is
+    not of ints in 0..p-1 in its shape, or stored data the verifier's own
+    computations reject (such as an explicit action that is not a module)
+    fails the certificate instead of raising."""
     kind = _kind(cert)
     if not isinstance(kind, str) or kind not in _VERIFIERS:
         return False, f"unknown certificate kind {kind!r}"
@@ -798,12 +785,11 @@ def _verify_certificate(cert: dict, resolved: dict) -> tuple:
         objects, shapes = resolve(cert, resolved)
     except (SyzygyError, KeyError, IndexError, TypeError, ValueError) as exc:
         return False, f"malformed descriptor: {exc!r}"
-    matrices = []
-    for key, (rows, cols) in shapes.items():
-        m = _stored_matrix(cert, key, rows, cols)
-        if m is None:
-            return False, f"malformed payload: {key!r} is not a {(rows, cols)} matrix"
-        matrices.append(m)
+    p = objects[0].p  # the objects of one certificate share their field
+    try:
+        matrices = [_stored_ints(cert.get(key), shape, p, key) for key, shape in shapes.items()]
+    except CorpusError as exc:
+        return False, f"malformed payload: {exc!r}"
     try:
         return verify(*objects, *matrices)
     except (SyzygyError, ValueError, AssertionError) as exc:
@@ -826,7 +812,8 @@ def reverify_report(doc: dict, entries: list) -> tuple:
                 for i, cert in enumerate(check["evidence"].get("certificates", []))]
         if aid in mutants:
             rows.append((False, "the corpus marks this entry expect_fail", "row", "verdict"))
-        if cid not in CHECK_IDS or check.get("seed") != derive_seed(
+        seed = check.get("seed")  # read as _level reads: an int, never a bool
+        if cid not in CHECK_IDS or type(seed) is not int or seed != derive_seed(
                 derive_seed(doc["config"]["seed"], aid), CHECK_IDS.index(cid) + 1):
             rows.append((False, "not the seed of this entry and check", "row", "seed"))
         results += [{"check_id": cid, "algebra_id": aid, "certificate": i, "kind": kind,

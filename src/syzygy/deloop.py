@@ -251,6 +251,8 @@ def verify_del_witness(s: RightModule, d: int, witness: RightModule) -> bool:
 
 
 def del_bounds(s: RightModule, horizon: int = DEFAULT_HORIZON) -> DelBounds:
+    if horizon < 0:
+        raise ValueError("horizon must be at least 0")
     lower = torsionless_ladder_lower(s)
     upper, witness, tag = del_upper_search(s, horizon)
     if upper is not None and upper < lower:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import json
 import time
 import weakref
@@ -688,6 +689,77 @@ def test_cli_reverify_fails_a_huge_coefficient_without_a_traceback(a2_seed20_doc
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
     assert "reverify: 66/67 certificates ok" in r.output
     assert "(lemma5_level): malformed descriptor" in r.output
+
+
+def test_reverify_reads_each_row_seed_exactly(world, a2_seed20_doc):
+    """A PASS row's seed is an int, never the float of the derived one."""
+    entries, _ = world
+    doc = copy.deepcopy(a2_seed20_doc)
+    rows = [row for row in doc["checks"] if row["verdict"] == "PASS"]
+    for row in rows:
+        row["seed"] = float(row["seed"])
+    results, ok = checks.reverify_report(doc, entries)
+    failed = [(r["certificate"], r["kind"], r["detail"]) for r in results if not r["ok"]]
+    assert not ok and failed == [("row", "seed", "not the seed of this entry and check")] * len(rows)
+
+
+@functools.cache
+def _corpus_doc(seed, prime=None):
+    """Every check on the bundled corpus, as its report reads back from
+    JSON; shared, so a test copies what it changes."""
+    entries = corpus.load_corpus()
+    config = checks.Config(seed=seed, prime=prime)
+    reports, _ = checks.run_corpus(entries, config)
+    doc = checks.report_document(reports, config, [e.id for e in entries],
+                                 [e.id for e in entries if e.expect_fail])
+    return json.loads(checks.serialize_report(doc))
+
+
+PAYLOAD_KEYS = {"matrix", "rows_a", "rows_b", "phi", "pi_u"}
+
+
+def test_reverify_fails_every_payload_entry_out_of_range(world):
+    """+1/2, +p or -p in one entry of any stored matrix of the seed-20 report
+    fails that certificate as a malformed payload: no entry is truncated or
+    folded mod p.  Each tampered certificate is verified alone."""
+    entries, resolved = world
+    tampered = 0
+    for row in _corpus_doc(20)["checks"]:
+        p = resolved[row["algebra_id"]].p
+        for cert in row["evidence"].get("certificates", []):
+            for key in sorted(PAYLOAD_KEYS & cert.keys()):
+                if not (cert[key] and cert[key][0]):
+                    continue
+                for delta in (0.5, p, -p):
+                    bad = dict(cert, **{key: [list(r) for r in cert[key]]})
+                    bad[key][-1][-1] += delta
+                    ok, why = checks._verify_certificate(bad, resolved)
+                    assert not ok and why.startswith("malformed payload"), (cert["kind"], why)
+                    tampered += 1
+    assert tampered == 3 * 479  # the report's matrices with an entry
+
+
+@pytest.mark.parametrize("seed, prime", [(20, None), (1, 5)])
+def test_every_stored_array_reads_back_as_written(seed, prime):
+    """Each payload matrix, in the shape its resolver gives, and each
+    explicit action and f_coeffs a check stores read back through the
+    exact reader as the check wrote them."""
+    resolved = corpus.resolve_corpus(corpus.load_corpus(), prime)
+    read = set()
+    for row in _corpus_doc(seed, prime)["checks"]:
+        for cert in row["evidence"].get("certificates", []):
+            objects, shapes = checks._VERIFIERS[cert["kind"]][0](cert, resolved)
+            arrays = [(key, cert[key], shape) for key, shape in shapes.items()]
+            for ref in _module_refs(cert):
+                if ref["kind"] == "explicit":
+                    arrays.append(("action", ref["action"], (None, None, None)))
+                elif ref["kind"] == "lemma5_sample":
+                    arrays.append(("f_coeffs", ref["f_coeffs"], (None,)))
+            for name, value, shape in arrays:
+                stored = checks._stored_ints(value, shape, objects[0].p, name)
+                assert stored.dtype == np.int64 and stored.tolist() == value
+                read.add(name)
+    assert read == PAYLOAD_KEYS | {"action", "f_coeffs"}
 
 
 def _lemma2_index(change):

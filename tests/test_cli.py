@@ -142,6 +142,15 @@ def test_del_bounds_aggregate(runner):
     assert "[0, 0]" in r.output
 
 
+@pytest.mark.parametrize("simple", [[], ["--simple", "S1"]], ids=["aggregate", "simple"])
+@pytest.mark.parametrize("horizon, code", [("-1", 2), ("0", 0)])
+def test_del_bounds_reads_a_horizon_of_at_least_0(runner, simple, horizon, code):
+    r = runner.invoke(main, ["del", "bounds", A2, "--horizon", horizon] + simple)
+    assert r.exit_code == code, r.output
+    if code:
+        assert r.output == "error: horizon must be at least 0\n"
+
+
 def test_del_bounds_unknown_simple(runner):
     r = runner.invoke(main, ["del", "bounds", A2, "--simple", "S9"])
     assert r.exit_code == 2

@@ -6,7 +6,8 @@ value, up to far deeper than the decoder allows, swap in a name that
 does not exist, or add a loop to the quiver, bare or with its square as a
 relation) and runs `algebra validate`, `paper verify --algebra` and
 `report --reverify` on the result.  Every run must end with a documented
-exit code (0, 1, 2 or 3) and no exception may escape.
+exit code (0, 1, 2 or 3) and no exception may escape; a stored entry
+swapped for a value that is no int in 0..p-1 must fail reverify (exit 1).
 """
 
 import functools
@@ -24,6 +25,8 @@ from syzygy.cli import main
 TEXTS = {p.name: p.read_text() for p in corpus.BUNDLED_DIR.glob("*.json")}
 DEEP = "@@nest-here@@"  # placeholder of the nested value in the dumped text
 VALUES = [0, -1, 2**70, 1.5, "x", None, True, [], {}]  # what a retype swaps in
+# 0 and true (read as 1 among ints) may leave a stored entry valid; the
+# rest are no int in 0..p-1 and fail any certificate that stores them
 
 
 @functools.cache
@@ -78,6 +81,7 @@ def _runs_cleanly(args):
     assert r.exit_code in (0, 1, 2, 3), (args, r.output)
     assert r.exception is None or isinstance(r.exception, SystemExit), \
         (args, r.output, r.exc_info)
+    return r
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None,
@@ -112,4 +116,26 @@ def test_a_swapped_action_entry_exits_with_a_documented_code(tmp_path, value):
                 if c["kind"] == "del_witness")
     cert["witness"]["action"][0][0][0] = value
     (tmp_path / "report").write_text(json.dumps(doc))
-    _runs_cleanly(["report", str(tmp_path / "report"), "--reverify"])
+    r = _runs_cleanly(["report", str(tmp_path / "report"), "--reverify"])
+    assert value in (0, True) or r.exit_code == 1, r.output
+
+
+@pytest.mark.parametrize("value", VALUES, ids=repr)
+def test_a_swapped_payload_entry_exits_with_a_documented_code(tmp_path, value):
+    """Each swap value in the first entry of the first stored matrix of one
+    certificate of every kind that stores one; what is no int in 0..p-1
+    fails each of them."""
+    doc = json.loads(_report_text())
+    tampered = {}  # kind -> the FAILED line of its tampered certificate
+    for row in doc["checks"]:
+        for i, cert in enumerate(row["evidence"].get("certificates", [])):
+            first = next((cert[k][0] for k in ("matrix", "rows_a", "phi", "pi_u")
+                          if cert.get(k) and cert[k][0]), None)
+            if first is not None and cert["kind"] not in tampered:
+                first[0] = value
+                tampered[cert["kind"]] = f"FAILED a2 {row['check_id']} #{i} ({cert['kind']})"
+    assert len(tampered) == 7  # every kind but del_witness, whose action is swapped above
+    (tmp_path / "report").write_text(json.dumps(doc))
+    r = _runs_cleanly(["report", str(tmp_path / "report"), "--reverify"])
+    assert value in (0, True) or (
+        r.exit_code == 1 and all(line in r.output for line in tampered.values())), r.output
