@@ -659,13 +659,15 @@ def run_corpus(entries: list, config: Config, only_check: str | None = None,
                only_algebra: str | None = None):
     """(reports, ok): ok means that no regular entry FAILs or fails
     validation, and that every expected-fail entry does one or the other
-    (a failed validation is a FAIL of lemma1 alone)."""
+    (a failed validation is a FAIL of lemma1 alone); an unknown only_algebra raises."""
+    picked = sorted((e for e in entries if only_algebra in (None, e.id)), key=lambda e: e.id)
+    if only_algebra is not None and not picked:
+        ids = sorted(e.id for e in entries)
+        raise CorpusError(f"unknown algebra {only_algebra!r}; the corpus has {ids}")
     resolved = resolve_corpus(entries, config.prime)
     reports = []
     ok = True
-    for entry in sorted(entries, key=lambda e: e.id):
-        if only_algebra is not None and entry.id != only_algebra:
-            continue
+    for entry in picked:
         entry_reports = run_entry(entry, resolved[entry.id], config, only_check)
         reports.extend(entry_reports)
         failed = any(r.verdict == "FAIL" or r.evidence is INVALID for r in entry_reports)

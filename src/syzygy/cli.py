@@ -69,6 +69,15 @@ def _load(path, prime):
     return entry, corpus.entry_algebra(entry, prime)
 
 
+def _load_valid(path, prime):
+    """_load, refusing an algebra that fails validate_algebra."""
+    entry, a = _load(path, prime)
+    violations = validate_algebra(a).violations
+    if violations:
+        raise SyzygyError(f"{path}: invalid algebra: {violations[0]}")
+    return entry, a
+
+
 def _summary(a):
     return {
         "id": a.name,
@@ -154,7 +163,7 @@ def _fmt_bounds(label, b):
 @guarded
 def del_bounds_cmd(file, simple_name, horizon, prime):
     """Certified interval for the delooping level."""
-    entry, a = _load(file, prime)
+    entry, a = _load_valid(file, prime)
     if simple_name is not None:
         idx = _simple_index(entry, a, simple_name)
         s = canonical_modules(a)[1][idx]
@@ -177,7 +186,7 @@ def del_bounds_cmd(file, simple_name, horizon, prime):
 @guarded
 def pd_cmd(file, module_spec, cap, prime):
     """Projective dimension: finite value, a repeated syzygy class set (infinite), or unknown."""
-    entry, a = _load(file, prime)
+    entry, a = _load_valid(file, prime)
     regular, simples, projectives = canonical_modules(a)
     if module_spec in ("regular", "A"):
         x = regular

@@ -10,7 +10,6 @@ on the hom basis of a module (`EndRing`).
 from __future__ import annotations
 
 import weakref
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import blake2b
@@ -259,41 +258,26 @@ class ProjectiveInfo:
     rows: np.ndarray  # (k, dim A): basis elements, as algebra elements
 
 
-class _Simples(Sequence):
-    """The simples S_i = P_i / P_i rad(A), each built on its first read and
-    kept, since most callers read only the regular module and the e_i A."""
-
-    def __init__(self, projectives: list):
-        self._projectives = projectives
-        self._built = {}
-
-    def __len__(self):
-        return len(self._projectives)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        i = range(len(self))[i]
-        if i not in self._built:
-            s, _ = top_of_module(self._projectives[i].module)
-            s.name = f"S{i}"
-            self._built[i] = s
-        return self._built[i]
-
-
 @cached("canonical")
 def canonical_modules(a: StructureAlgebra):
-    """(regular, simples, projectives): A_A, the S_i, and the e_i A.  The
-    simples are a read-only sequence that builds S_i on its first read."""
+    """(regular, simples, projectives): A_A, the S_i as a tuple, and the
+    e_i A.  S_i is 1-dimensional, b_j acting by the coefficient of e_i in
+    b_j modulo rad(A), all read off one solve over the stored idempotents
+    and radical; an algebra with no stored idempotents (an `EndRing`) has none."""
     action = a.mul.transpose(1, 0, 2).copy()  # action[j][i,k] = c[i,j,k]
     regular = RightModule(a, action, name="A")
     projectives = []
-    for idx in range(a.idempotents.shape[0]):
-        e = a.idempotents[idx]
+    for idx, e in enumerate(a.idempotents):
         sub, incl = submodule_from_generators(regular, e.reshape(1, a.dim))
         sub.name = f"P{idx}"
         projectives.append(ProjectiveInfo(idx, sub, incl.matrix))
-    return regular, _Simples(projectives), projectives
+    simples = ()
+    if projectives:  # coeffs[j, i] is the coefficient of e_i in b_j
+        coeffs = linalg.solve_linear(np.vstack([a.idempotents, a.radical]),
+                                     linalg.identity(a.dim), a.p)
+        simples = tuple(RightModule(a, coeffs[:, i, None, None], name=f"S{i}")
+                        for i in range(len(projectives)))
+    return regular, simples, projectives
 
 
 @dataclass

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from syzygy import checks, corpus, deloop, linalg, modules
 from syzygy.algebra import build_cover, build_lambda, cached, opposite, trivial_extension
 from syzygy.cli import main
+from syzygy.errors import CorpusError
 
 P = 32003
 
@@ -621,6 +622,12 @@ def test_cli_reverify_fails_a_huge_action_entry_without_a_traceback(del_witness_
     assert "reverify: 33/34 certificates ok" in r.output
     failed = [line for line in r.output.splitlines() if "FAILED" in line]
     assert len(failed) == 1 and "(del_witness): malformed descriptor" in failed[0], r.output
+
+
+def test_run_corpus_refuses_an_unknown_algebra(world):
+    entries, _ = world
+    with pytest.raises(CorpusError, match=r"unknown algebra 'A2'; .*'a2'"):
+        checks.run_corpus(entries, checks.Config(), only_algebra="A2")
 
 
 @pytest.fixture(scope="module")

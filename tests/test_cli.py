@@ -157,6 +157,17 @@ def test_del_bounds_unknown_simple(runner):
     assert "unknown simple" in r.output
 
 
+@pytest.mark.parametrize("args", [["del", "bounds", MUTANT], ["pd", MUTANT, "--module", "S0"]],
+                         ids=["del_bounds", "pd"])
+def test_del_bounds_and_pd_refuse_an_algebra_that_fails_validation(runner, args):
+    """The mutant's unit law fails, so neither command computes on it: one
+    error line names the first violation, and stdout stays empty."""
+    r = runner.invoke(main, args)
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr == f"error: {MUTANT}: invalid algebra: unit laws fail\n"
+
+
 def test_pd_finite_and_infinite(runner):
     r = runner.invoke(main, ["pd", A2, "--module", "S1"])
     assert r.exit_code == 0
@@ -268,6 +279,17 @@ def test_paper_verify_single_entry_and_report(runner, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["config"]["seed"] == 7
     assert all(c["verdict"] == "PASS" for c in doc["checks"])
+
+
+def test_paper_verify_of_an_unknown_algebra_is_a_usage_error(runner, tmp_path):
+    """An id that names no entry (ids are case-sensitive) runs nothing and
+    writes no report."""
+    out = tmp_path / "report.json"
+    r = runner.invoke(main, ["paper", "verify", "--algebra", "A2", "--report", str(out)])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: unknown algebra 'A2'") and "'a2'" in r.stderr
+    assert not out.exists()
 
 
 def test_paper_verify_mutant_expected_failure_exits_zero(runner):

@@ -1,9 +1,13 @@
 import gc
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from syzygy import algebra, corpus, decompose, linalg, modules
+import syzygy
+from syzygy import algebra, checks, corpus, linalg, modules
 from syzygy.algebra import QuiverPresentation
 from syzygy.errors import AlgebraMismatch, NotStable, ResourceGuard, ShapeMismatch
 
@@ -55,48 +59,84 @@ def test_canonical_modules_ka2_dims():
     assert sum(info.module.dim for info in projs) == reg.dim
 
 
-def test_simples_are_built_on_first_read_and_equal_the_eager_tops():
-    """Each simple is bit-equal, action and name, to top_of_module(P_i),
-    over every corpus algebra, its Lambda and its cover; a repeated read,
-    a negative index, iteration and a slice return the same object."""
-    resolved = corpus.resolve_corpus(corpus.load_corpus())
+def _derived_family(a):
+    """a, its opposite, Lambda, cover, T(Sigma), Lambda^op and the cover of
+    A^op."""
+    sigma = algebra.semisimple_quotient(a)[0]
+    lam, op = algebra.build_lambda(a), algebra.opposite(a)
+    return (a, op, lam, algebra.build_cover(a), algebra.trivial_extension(sigma),
+            algebra.opposite(lam), algebra.build_cover(op))
+
+
+def _load_ksgen():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "ksgen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_ksgen", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclass looks the module up
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_each_simple_is_the_top_of_its_projective():
+    """S_i, read off A/rad(A) in one solve, is bit-equal (action, dtype)
+    to top_of_module(P_i) and named S{i}, over every regular corpus entry
+    and its derived algebras at the file prime and at p = 2, 3 and 1048573,
+    and over the ksgen algebras of seeds 20 and 7."""
+    entries = [e for e in corpus.load_corpus() if not e.expect_fail]
+    algebras = [alg for p in (None, 2, 3, 1048573)
+                for a in corpus.resolve_corpus(entries, p).values() for alg in _derived_family(a)]
+    ksgen = _load_ksgen()
+    algebras += ksgen.build_algebras(ksgen.generate(20) + ksgen.generate(7), syzygy)
     checked = 0
-    for a in resolved.values():
-        for alg in (a, algebra.build_lambda(a), algebra.build_cover(a)):
-            _, simples, projs = modules.canonical_modules(alg)
-            n = len(simples)
-            assert n == len(projs) == alg.idempotents.shape[0]
-            for i, info in enumerate(projs):
-                eager, _ = modules.top_of_module(info.module)
-                s = simples[i]
-                assert s.action.dtype == eager.action.dtype
-                assert np.array_equal(s.action, eager.action)
-                assert s.name == f"S{i}"
-                assert simples[i] is s and simples[i - n] is s
-                checked += 1
-            assert all(s is simples[i] for i, s in enumerate(simples))
-            assert all(s is simples[i] for i, s in zip(range(n)[1::2], simples[1::2]))
-            assert simples[::-1] == [simples[i] for i in reversed(range(n))]
-            for bad in (n, -n - 1):
-                with pytest.raises(IndexError):
-                    simples[bad]
-            with pytest.raises(TypeError):
-                simples[0] = simples[0]
-    assert checked > 50, checked
+    for alg in algebras:
+        _, simples, projs = modules.canonical_modules(alg)
+        assert isinstance(simples, tuple)
+        assert len(simples) == len(projs) == alg.idempotents.shape[0]
+        for i, (s, info) in enumerate(zip(simples, projs)):
+            top, _ = modules.top_of_module(info.module)
+            assert s.action.dtype == top.action.dtype
+            assert np.array_equal(s.action, top.action)
+            assert s.name == f"S{i}"
+            checked += 1
+    assert checked == 856, checked
 
 
-def test_decomposing_the_regular_module_builds_no_simple(monkeypatch):
-    """canonical_modules and decompose(regular) read only A_A and the
-    e_i A, so no top module is built on a fresh algebra."""
+def test_canonical_modules_builds_no_top_and_keeps_read_only_simples(monkeypatch):
+    """No top module is built by canonical_modules or by reading every
+    simple; the simples of the memo cannot be assigned into."""
     calls = []
     real = modules.top_of_module
     monkeypatch.setattr(modules, "top_of_module", lambda x: calls.append(x) or real(x))
     for a in (point(), dual_numbers(), truncated_cubic(), kA2()):
-        t = algebra.trivial_extension(a)
-        decompose.decompose(modules.canonical_modules(t)[0])
+        for alg in (a, algebra.trivial_extension(a)):
+            _, simples, _ = modules.canonical_modules(alg)
+            assert [s.dim for s in simples] == [1] * alg.idempotents.shape[0]
+            with pytest.raises(TypeError):
+                simples[0] = simples[0]
     assert calls == []
-    assert len(modules.canonical_modules(a)[1]) == 2 and calls == []
-    assert modules.canonical_modules(a)[1][0].dim == 1 and len(calls) == 1
+
+
+def test_an_end_ring_has_no_simples_and_no_projectives():
+    """An End ring stores no idempotents, so it keeps no simples."""
+    reg = modules.canonical_modules(kA2())[0]
+    _, simples, projs = modules.canonical_modules(modules.end_ring(reg))
+    assert simples == () and projs == []
+
+
+def test_a_seed_20_corpus_pass_builds_few_tops(monkeypatch):
+    """In a seed-20 pass only the `top` descriptors of lemma1 and the
+    diamond build a top module; the simples build none."""
+    calls = []
+    real = modules.top_of_module
+
+    def spy(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(modules, "top_of_module", spy)
+    monkeypatch.setattr(checks, "top_of_module", spy)
+    checks.run_corpus(corpus.load_corpus(), checks.Config(seed=20))
+    assert 0 < len(calls) <= 24, len(calls)
 
 
 def test_hom_from_regular_has_dim_of_target():
