@@ -733,14 +733,32 @@ def _resolve_cover_corner(cert, resolved):
     return (a, *corner_projective(build_cover(a))), {"phi": (a.dim, a.dim)}
 
 
-def _resolve_lemma5_level(cert, resolved):
+def _resolve_sample(ref, resolved, samples):
+    """The module of a certificate's sample descriptor, through samples,
+    the one-entry memo of reverify_report (None: no memo): the canonical
+    JSON text of the last lemma5_sample descriptor resolved -> its module,
+    whose own memo keeps its syzygies and corners for the next certificate
+    of that sample.  The key is that text and never the dict, which would
+    let a tampered true or 1.0 equal a good 1; a descriptor that raises is
+    not kept."""
+    if samples is None or _kind(ref) != "lemma5_sample":
+        return resolve_module_ref(ref, resolved)
+    key = json.dumps(ref, sort_keys=True)
+    if key not in samples:
+        flat = resolve_module_ref(ref, resolved)
+        samples.clear()
+        samples[key] = flat
+    return samples[key]
+
+
+def _resolve_lemma5_level(cert, resolved, samples=None):
     s = _level(cert["s"], S_MAX, "s")
-    om, zs, candidate = _lemma5_level(resolve_module_ref(cert["sample"], resolved), s)
+    om, zs, candidate = _lemma5_level(_resolve_sample(cert["sample"], resolved, samples), s)
     return (om, zs, candidate), {"matrix": (om.dim, candidate.dim)}
 
 
-def _resolve_cover_restriction(cert, resolved):
-    flat = resolve_module_ref(cert["sample"], resolved)
+def _resolve_cover_restriction(cert, resolved, samples=None):
+    flat = _resolve_sample(cert["sample"], resolved, samples)
     pu = corner_restrict(projective_cover(flat)[0], "u")
     xu = corner_restrict(flat, "u")
     return (pu, xu), {"pi_u": (pu.dim, xu.dim)}
@@ -756,6 +774,7 @@ def _resolve_del_witness(cert, resolved):
 # certificate kind -> (resolve, verify).  resolve(cert, resolved) builds
 # the objects the certificate speaks about and gives the shape of each
 # stored matrix (None: any length); verify(*objects, *matrices) decides.
+# The resolvers of _SAMPLE_KINDS also take the memo of _resolve_sample.
 _VERIFIERS = {
     "subspace_equal": (_resolve_subspace_equal, _verify_subspace_equal),
     "iso": (_resolve_iso, _verify_iso),
@@ -766,25 +785,28 @@ _VERIFIERS = {
     "cover_restriction": (_resolve_cover_restriction, _verify_cover_restriction),
     "del_witness": (_resolve_del_witness, _verify_del_witness),
 }
+_SAMPLE_KINDS = ("lemma5_level", "cover_restriction")
 
 
 def _kind(cert):
     return cert.get("kind") if isinstance(cert, dict) else None
 
 
-def _verify_certificate(cert: dict, resolved: dict) -> tuple:
+def _verify_certificate(cert: dict, resolved: dict, samples: dict | None = None) -> tuple:
     """(ok, reason) for one stored certificate: resolve its descriptors,
     look its kind up in _VERIFIERS, and run that verifier on the stored
-    matrices.  A descriptor that does not resolve, a stored array that is
-    not of ints in 0..p-1 in its shape, or stored data the verifier's own
-    computations reject (such as an explicit action that is not a module)
-    fails the certificate instead of raising."""
+    matrices; a sample is resolved through the memo samples, as in
+    _resolve_sample.  A descriptor that does not resolve, a stored array
+    that is not of ints in 0..p-1 in its shape, or stored data the
+    verifier's own computations reject (such as an explicit action that is
+    not a module) fails the certificate instead of raising."""
     kind = _kind(cert)
     if not isinstance(kind, str) or kind not in _VERIFIERS:
         return False, f"unknown certificate kind {kind!r}"
     resolve, verify = _VERIFIERS[kind]
     try:
-        objects, shapes = resolve(cert, resolved)
+        objects, shapes = (resolve(cert, resolved, samples) if kind in _SAMPLE_KINDS
+                           else resolve(cert, resolved))
     except (SyzygyError, KeyError, IndexError, TypeError, ValueError) as exc:
         return False, f"malformed descriptor: {exc!r}"
     p = objects[0].p  # the objects of one certificate share their field
@@ -802,15 +824,19 @@ def reverify_report(doc: dict, entries: list) -> tuple:
     """(results, ok): re-check every stored certificate of every PASS, and
     two row rules, each a failed result of its own when broken: no entry
     that the corpus marks expect_fail has a PASS, and a PASS carries the
-    seed that its entry and its check's position derive (as run_entry)."""
+    seed that its entry and its check's position derive (as run_entry).
+    Consecutive certificates that name one lemma5 sample descriptor share
+    its resolved module, keyed by the descriptor's canonical JSON text in a
+    memo of one entry that is dropped on return (_resolve_sample)."""
     resolved = resolve_corpus(entries, doc["config"].get("prime"))
     mutants = {e.id for e in entries if e.expect_fail}
+    samples = {}
     results = []
     for check in doc["checks"]:
         if check["verdict"] != "PASS":
             continue
         cid, aid = check["check_id"], check["algebra_id"]
-        rows = [_verify_certificate(cert, resolved) + (i, _kind(cert))
+        rows = [_verify_certificate(cert, resolved, samples) + (i, _kind(cert))
                 for i, cert in enumerate(check["evidence"].get("certificates", []))]
         if aid in mutants:
             rows.append((False, "the corpus marks this entry expect_fail", "row", "verdict"))

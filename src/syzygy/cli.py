@@ -123,24 +123,36 @@ def algebra_build(file, construction, prime):
     sys.exit(0 if rep.ok else 1)
 
 
-def _simple_index(entry, a, name):
-    """Resolve --simple / --module names: vertex names, with an optional
-    S/P prefix, or a plain 0-based index."""
-    vertices = entry.raw.get("quiver", {}).get("vertices", [])
+def _vertex_names(entry, a) -> list:
+    """The vertex name of each simple, by index, or the index itself for an
+    entry without named vertices: simple i prints as S<name i>, and its
+    projective as P<name i>."""
+    n = a.idempotents.shape[0]
+    return entry.raw.get("quiver", {}).get("vertices", []) or [str(i) for i in range(n)]
+
+
+def _vertex_index(entry, a, name, kind: str = "S"):
+    """Resolve a --simple name (kind S) or a --module P-name (kind P): a
+    vertex name, with an optional prefix of its kind, or else a plain
+    0-based index.  A simple is never named by a P-name."""
+    names = _vertex_names(entry, a)
+    if kind == "S" and name[:1] == "P" and len(name) > 1 and name not in names:
+        raise CorpusError(f"{name!r} names a projective, not a simple; vertices are {names}")
     candidates = [name]
-    if name[:1] in ("S", "P") and len(name) > 1:
+    if name[:1] == kind and len(name) > 1:
         candidates.append(name[1:])
     for cand in candidates:
-        if cand in vertices:
-            return vertices.index(cand)
+        if cand in names:
+            return names.index(cand)
     for cand in candidates:
         try:
             idx = int(cand)
         except ValueError:
             continue
-        if 0 <= idx < a.idempotents.shape[0]:
+        if 0 <= idx < len(names):
             return idx
-    raise CorpusError(f"unknown simple {name!r}; vertices are {vertices}")
+    noun = "simple" if kind == "S" else "projective"
+    raise CorpusError(f"unknown {noun} {name!r}; vertices are {names}")
 
 
 @main.group("del")
@@ -165,14 +177,14 @@ def del_bounds_cmd(file, simple_name, horizon, prime):
     """Certified interval for the delooping level."""
     entry, a = _load_valid(file, prime)
     if simple_name is not None:
-        idx = _simple_index(entry, a, simple_name)
+        idx = _vertex_index(entry, a, simple_name)
         s = canonical_modules(a)[1][idx]
         b = deloop.del_bounds(s, horizon=horizon)
-        click.echo(_fmt_bounds(simple_name, b))
+        click.echo(_fmt_bounds(f"S{_vertex_names(entry, a)[idx]}", b))
     else:
         agg, per = deloop.del_algebra(a, horizon=horizon)
-        for i, b in enumerate(per):
-            click.echo(_fmt_bounds(f"S{i}", b))
+        for name, b in zip(_vertex_names(entry, a), per):
+            click.echo(_fmt_bounds(f"S{name}", b))
         click.echo(_fmt_bounds(a.name or "A", agg))
     sys.exit(0)
 
@@ -189,19 +201,20 @@ def pd_cmd(file, module_spec, cap, prime):
     entry, a = _load_valid(file, prime)
     regular, simples, projectives = canonical_modules(a)
     if module_spec in ("regular", "A"):
-        x = regular
-    elif module_spec[:1] == "P":
-        x = projectives[_simple_index(entry, a, module_spec)].module
+        x, label = regular, module_spec
     else:
-        x = simples[_simple_index(entry, a, module_spec)]
+        kind = "P" if module_spec[:1] == "P" else "S"
+        idx = _vertex_index(entry, a, module_spec, kind)
+        x = projectives[idx].module if kind == "P" else simples[idx]
+        label = f"{kind}{_vertex_names(entry, a)[idx]}"
     r = deloop.projective_dimension(x, cap=cap)
     if r.kind == "finite":
-        click.echo(f"pd({module_spec}) = {r.value}")
+        click.echo(f"pd({label}) = {r.value}")
     elif r.kind == "infinite":
-        click.echo(f"pd({module_spec}) = infinite "
+        click.echo(f"pd({label}) = infinite "
                    f"(syzygies {r.cycle[0]} and {r.cycle[1]} have the same summand classes)")
     else:
-        click.echo(f"pd({module_spec}) unknown within cap {cap}")
+        click.echo(f"pd({label}) unknown within cap {cap}")
     sys.exit(0)
 
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import gc
 import json
 import time
 import weakref
@@ -843,6 +844,96 @@ def test_reverify_passes_descriptors_over_their_own_algebras(world, a2_seed20_do
     assert {"lemma5_sample", "sigma_triple", "top", "socle", "radical", "syzygy"} <= set(kinds)
     results, ok = checks.reverify_report(a2_seed20_doc, entries)
     assert ok and len(results) == 67
+
+
+def _lemma5_run(doc, picks, length):
+    """(certificates, i) for the first run of `length` lemma5_level
+    certificates of doc that name one sample descriptor for which picks
+    holds; certificate i is the second of the run."""
+    row = next(r for r in doc["checks"] if r["check_id"] == "lemma5_syzygy_decomposition")
+    certs = row["evidence"]["certificates"]
+    i = next(i for i in range(1, len(certs) - length + 2)
+             if picks(certs[i]["sample"])
+             and all(c["sample"] == certs[i]["sample"] for c in certs[i - 1:i + length - 1]))
+    return certs, i
+
+
+def _set_first_coeff_to_its_float(sample):
+    sample["f_coeffs"][0] = float(sample["f_coeffs"][0])
+
+
+# each tampers a sample descriptor into one equal to it as a dict, since
+# 1 == True == 1.0, but not as JSON text: picks the sample, then tampers
+DICT_EQUAL_TAMPERS = {
+    "index_true": (lambda s: s["x"].get("index") == 1, lambda s: s["x"].update(index=True)),
+    "index_float": (lambda s: s["x"].get("index") == 1, lambda s: s["x"].update(index=1.0)),
+    "f_coeff_float": (lambda s: s["f_coeffs"], _set_first_coeff_to_its_float),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(DICT_EQUAL_TAMPERS))
+def test_reverify_shares_a_sample_only_with_its_exact_descriptor(world, a2_seed20_doc, tamper):
+    """Consecutive certificates of one sample share its module in reverify,
+    keyed by the descriptor's JSON text: one that equals theirs only as a
+    dict fails alone, between good certificates of that sample."""
+    entries, _ = world
+    picks, change = DICT_EQUAL_TAMPERS[tamper]
+    doc = copy.deepcopy(a2_seed20_doc)
+    certs, i = _lemma5_run(doc, picks, 3)
+    change(certs[i]["sample"])
+    assert certs[i - 1]["sample"] == certs[i]["sample"] == certs[i + 1]["sample"]
+    results, ok = checks.reverify_report(doc, entries)
+    failed = [(r["check_id"], r["certificate"]) for r in results if not r["ok"]]
+    assert not ok and failed == [("lemma5_syzygy_decomposition", i)]
+    assert next(r for r in results if not r["ok"])["detail"].startswith("malformed descriptor")
+
+
+def test_reverify_shares_no_sample_whose_descriptor_raised(world, a2_seed20_doc):
+    """Two certificates in the middle of a run name a descriptor that
+    raises: both fail, and the good certificate after them passes."""
+    entries, _ = world
+    doc = copy.deepcopy(a2_seed20_doc)
+    certs, i = _lemma5_run(doc, lambda s: s["x"]["kind"] == "simple", 4)
+    for cert in certs[i:i + 2]:
+        cert["sample"]["x"]["index"] = 2  # a2 has simples 0 and 1
+    results, ok = checks.reverify_report(doc, entries)
+    failed = [(r["check_id"], r["certificate"]) for r in results if not r["ok"]]
+    assert not ok and failed == [("lemma5_syzygy_decomposition", j) for j in (i, i + 1)]
+
+
+def _reverify_counting_samples(monkeypatch, doc, entries):
+    """(results, ok, weak references to every sample module built) of one
+    reverify_report pass with a spy in _sample_module."""
+    real, built = checks._sample_module, []
+
+    def spy(ref, resolved, draw):
+        out = real(ref, resolved, draw)
+        built.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(checks, "_sample_module", spy)
+    return *checks.reverify_report(doc, entries), built
+
+
+def test_reverify_builds_each_run_of_a_sample_once(monkeypatch):
+    """The seed-20 report holds 336 lemma5_level and cover_restriction
+    certificates in 144 runs of consecutive certificates that name one
+    sample: a pass builds 144 samples, one per run."""
+    results, ok, built = _reverify_counting_samples(monkeypatch, _corpus_doc(20),
+                                                    corpus.load_corpus())
+    assert ok and len(results) == 510
+    assert sum(r["kind"] in checks._SAMPLE_KINDS for r in results) == 336
+    assert len(built) == 144
+
+
+def test_reverify_keeps_no_sample_after_it_returns(monkeypatch):
+    """The memo of samples is dropped with the call: no module that a pass
+    resolved outlives it."""
+    results, ok, built = _reverify_counting_samples(monkeypatch, _corpus_doc(20),
+                                                    corpus.load_corpus())
+    del results
+    gc.collect()
+    assert ok and built and all(ref() is None for ref in built)
 
 
 def test_resolve_module_ref_round_trip(world):

@@ -157,6 +157,30 @@ def test_del_bounds_unknown_simple(runner):
     assert "unknown simple" in r.output
 
 
+@pytest.mark.parametrize("name", ["S1", "1", "0"])
+def test_del_bounds_labels_a_simple_as_its_listing_does(runner, name):
+    """a2's vertices are 1 and 2: the listing, --simple and pd all name
+    simple 0 by its vertex, S1, whichever way --simple resolves it."""
+    listing = runner.invoke(main, ["del", "bounds", A2]).output.splitlines()
+    assert [line.split(" =")[0] for line in listing] == ["del(S1)", "del(S2)", "del(a2)"]
+    r = runner.invoke(main, ["del", "bounds", A2, "--simple", name])
+    assert r.exit_code == 0 and r.output == listing[0] + "\n"
+    r = runner.invoke(main, ["pd", A2, "--module", name])
+    assert r.exit_code == 0 and r.output == "pd(S1) = 1\n"
+
+
+def test_del_bounds_refuses_a_projective_name(runner):
+    r = runner.invoke(main, ["del", "bounds", A2, "--simple", "P1"])
+    assert r.exit_code == 2
+    assert r.output == "error: 'P1' names a projective, not a simple; vertices are ['1', '2']\n"
+
+
+def test_pd_names_an_unknown_projective(runner):
+    r = runner.invoke(main, ["pd", A2, "--module", "P9"])
+    assert r.exit_code == 2
+    assert r.output == "error: unknown projective 'P9'; vertices are ['1', '2']\n"
+
+
 @pytest.mark.parametrize("args", [["del", "bounds", MUTANT], ["pd", MUTANT, "--module", "S0"]],
                          ids=["del_bounds", "pd"])
 def test_del_bounds_and_pd_refuse_an_algebra_that_fails_validation(runner, args):

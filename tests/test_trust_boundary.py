@@ -17,7 +17,7 @@ CHECKS = Path(__file__).resolve().parent.parent / "src" / "syzygy" / "checks.py"
 
 REVERIFY = {"resolve_algebra_desc", "resolve_module_ref", "corner_projective",
             "sigma_triple_module", "_sample_module", "_lemma5_level", "_level",
-            "_stored_ints", "_verify_certificate", "reverify_report"}
+            "_stored_ints", "_resolve_sample", "_verify_certificate", "reverify_report"}
 REVERIFY_PREFIXES = ("_resolve_", "_verify_")
 
 # deloop name -> why reverify may read it
