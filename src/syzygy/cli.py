@@ -2,8 +2,8 @@
 
 Exit codes: 0 = success / all checks PASS, 1 = a check or validation
 FAILed, 2 = usage or parse error (with file/line/column diagnostics),
-3 = arithmetic guard tripped (characteristic too small, randomness or
-size limits exhausted).
+3 = arithmetic guard tripped (size or modulus limits exceeded, or a
+characteristic too small for a trace form).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .algebra import CONSTRUCTIONS, validate_algebra
 from .errors import (
     CharTooSmall,
     CorpusError,
-    RandomnessExhausted,
     ResourceGuard,
     SyzygyError,
 )
@@ -40,7 +39,7 @@ def guarded(f):
         except CorpusError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except (CharTooSmall, RandomnessExhausted, ResourceGuard) as exc:
+        except (CharTooSmall, ResourceGuard) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
         except ValueError as exc:
@@ -134,7 +133,8 @@ def _vertex_names(entry, a) -> list:
 def _vertex_index(entry, a, name, kind: str = "S"):
     """Resolve a --simple name (kind S) or a --module P-name (kind P): a
     vertex name, with an optional prefix of its kind, or else a plain
-    0-based index.  A simple is never named by a P-name."""
+    0-based index, never one behind the prefix.  A simple is never named by
+    a P-name."""
     names = _vertex_names(entry, a)
     if kind == "S" and name[:1] == "P" and len(name) > 1 and name not in names:
         raise CorpusError(f"{name!r} names a projective, not a simple; vertices are {names}")
@@ -144,13 +144,12 @@ def _vertex_index(entry, a, name, kind: str = "S"):
     for cand in candidates:
         if cand in names:
             return names.index(cand)
-    for cand in candidates:
-        try:
-            idx = int(cand)
-        except ValueError:
-            continue
-        if 0 <= idx < len(names):
-            return idx
+    try:
+        idx = int(name)
+    except ValueError:
+        idx = -1
+    if 0 <= idx < len(names):
+        return idx
     noun = "simple" if kind == "S" else "projective"
     raise CorpusError(f"unknown {noun} {name!r}; vertices are {names}")
 

@@ -5,19 +5,13 @@ over the basis of Hom(x, x) as d x d matrices: for an endomorphism f and
 F = f^(2^k), 2^k >= d, x = im F + ker F, so an F that is neither 0 nor
 invertible splits x, and the End of each half is spanned by the diagonal
 blocks of the basis in the basis [im F; ker F].  A piece that no element
-splits is certified local, hence indecomposable, with no random draw and
-no End ring: each element is a scalar plus a nilpotent, and the flag x,
-x J', x J'^2, ... of those nilpotents reaches 0 (Lux and Szőke, Exp. Math.
-16, 2007).  A piece with an element whose minimal polynomial has no root
-in F_p (its residue field may be larger) takes the End-ring path.
-
-On the End-ring path, the radical of `modules.end_ring` is the kernel of
-its trace form, and idempotents split as E -> E/rad E -> corners
-e(E/rad E)e, each corner an algebra of its own, from seeded random corner
-elements, and lift by Newton's iteration; that path, and
-`iso_test`'s random rounds, are Las Vegas: their outputs carry exact
-certificates (idempotency, orthogonality, invertible witnesses), and
-every isomorphism verdict is exact.
+splits is certified local, hence indecomposable, with no End ring (Lux
+and Szőke, Exp. Math. 16, 2007).  When every element has an eigenvalue in
+F_p, each is a scalar plus a nilpotent, and the flag x, x J', x J'^2, ...
+of those nilpotents reaches 0.  When one has none, its residue field is
+larger than F_p: the piece is local when the ideal I that the nilpotent
+parts g(f) and the commutators generate has a flag that reaches 0, and
+z -> z^p fixes only the scalars of E/I.  `decompose` draws nothing.
 
 Two modules are compared first by their invariants (total dimension,
 dimension vector) and then by the basis of Hom(x, y), with no random draw.
@@ -34,7 +28,8 @@ a list on the algebra and compares x with them by the hom basis.
 any modules: after the hom basis it tries seeded random combinations of
 the basis, the fast way to a witness between decomposable modules, and
 decides what is left by Krull-Schmidt, since x and y of equal dimension
-are isomorphic exactly when x splits off y.
+are isomorphic exactly when x splits off y.  Those rounds are Las Vegas:
+a witness is checked invertible, and every verdict is exact.
 """
 
 from __future__ import annotations
@@ -45,10 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, poly
-from .algebra import (StructureAlgebra, cached, corner_algebra, corner_basis,
-                      idempotent_violations, is_nilpotent, quotient_algebra,
-                      same_algebra)
-from .errors import AlgebraMismatch, CharTooSmall, RandomnessExhausted
+from .algebra import StructureAlgebra, cached, idempotent_violations, is_nilpotent, same_algebra
+from .errors import AlgebraMismatch, CharTooSmall
 from .modules import (
     EndRing,
     ModuleHom,
@@ -58,11 +51,8 @@ from .modules import (
     hom_combination,
     hom_space,
     onto_algebra,
-    stable_submodule,
 )
 
-NEWTON_CAP = 64
-SPLIT_TRIALS = 256
 TRIALS = 5  # sampling rounds of a randomized iso test
 
 
@@ -83,73 +73,6 @@ def endring_radical(e: EndRing) -> np.ndarray:
     return rad
 
 
-@cached("quotient")
-def _quotient_ring(e: EndRing):
-    """(E/rad(E), lift) with lift a section of the surjection."""
-    q, _, lift = quotient_algebra(e, endring_radical(e))
-    return q, lift
-
-
-def _newton(e: EndRing, z: np.ndarray) -> np.ndarray:
-    """Iterate z -> 3z^2 - 2z^3 until exactly idempotent."""
-    p = e.p
-    for _ in range(NEWTON_CAP):
-        z2 = e.multiply(z, z)
-        if np.array_equal(z2, z):
-            return z
-        z3 = e.multiply(z2, z)
-        z = (3 * z2 - 2 * z3) % p
-    raise AssertionError("idempotent lifting did not converge")
-
-
-def _poly_eval(alg: StructureAlgebra, v: np.ndarray, coeffs) -> np.ndarray:
-    """Evaluate a polynomial at v inside alg."""
-    out = linalg.zeros(alg.dim)
-    power = alg.unit.copy()
-    for c in coeffs:
-        out = (out + int(c) * power) % alg.p
-        power = alg.multiply(power, v)
-    return out
-
-
-def _split_corner(q: StructureAlgebra, ebar: np.ndarray, rng):
-    """Two complementary idempotents of the semisimple quotient q that
-    split ebar, from the factored minimal polynomial of a basis vector or
-    random element of the corner ebar q ebar; None when the corner is a
-    field: of dimension 1, or with an element whose minimal polynomial has
-    its dimension as degree and one irreducible factor (then F_p[v] is the
-    whole corner, which is therefore commutative)."""
-    p = q.p
-    basis = corner_basis(q, ebar)
-    k = basis.shape[0]
-    if k == 1:
-        return None
-    c = corner_algebra(q, ebar, basis)
-
-    def candidates():
-        yield from linalg.identity(k)
-        for _ in range(SPLIT_TRIALS):
-            yield rng.integers(0, p, size=k)
-
-    for v in candidates():
-        f = linalg.minimal_polynomial(c.left_mult(v), p)
-        factors = poly.factor(f, p)
-        if len(factors) >= 2:
-            # f = g1 g2 with g1 the power of the first irreducible factor
-            g1 = poly.pow_mod(*factors[0], f, p)
-            g2 = poly.divmod_poly(f, g1, p)[0]
-            _, w = poly.coprime_split(g1, g2, p)
-            e1 = _poly_eval(c, v, poly.mod(poly.mul(w, g2, p), f, p))
-            _check_family(c, [e1, (c.unit - e1) % p], "Bezout")
-            if not e1.any() or np.array_equal(e1, c.unit):
-                continue
-            e1 = linalg.matmul(e1, basis, p)
-            return e1, (ebar - e1) % p
-        if poly.degree(f) == k:
-            return None
-    raise RandomnessExhausted(SPLIT_TRIALS)
-
-
 def _check_family(a: StructureAlgebra, family: list, what: str):
     """Exact check that family is orthogonal idempotents summing to 1;
     raises on the first of its `idempotent_violations`."""
@@ -158,36 +81,17 @@ def _check_family(a: StructureAlgebra, family: list, what: str):
         raise AssertionError(f"{what} family: {bad[0]}")
 
 
-def primitive_idempotents(e: EndRing, seed: int):
-    """Complete orthogonal primitive idempotent family of E, split in the
-    semisimple quotient and lifted; exact checks throughout."""
-    p = e.p
+def primitive_idempotents(e: EndRing):
+    """Complete orthogonal primitive idempotent family of E = End(x): the
+    proj incl of each summand of `decompose(x)`, in E's coordinates, with
+    the exact family check."""
     if e.dim == 0:
         return []
-    q, lift = _quotient_ring(e)
-    rng = np.random.default_rng(seed)
-    stack, bar_prims = [q.unit], []
-    while stack:
-        ebar = stack.pop()
-        split = _split_corner(q, ebar, rng)
-        if split is None:
-            bar_prims.append(ebar)
-        else:
-            stack.extend(reversed(split))  # split the first idempotent next
-    _check_family(q, bar_prims, "quotient")
-    # sequential lift: work inside (1-s)E(1-s) so orthogonality is exact;
-    # the last idempotent is the complement, checked with the family
-    idems = []
-    s = linalg.zeros(e.dim)
-    for ebar in bar_prims[:-1]:
-        one_minus = (e.unit - s) % p
-        z = e.multiply(e.multiply(one_minus, linalg.matmul(ebar, lift, p)), one_minus)
-        z = _newton(e, z)
-        idems.append(z)
-        s = (s + z) % p
-    idems.append((e.unit - s) % p)
-    _check_family(e, idems, "lifted")
-    return idems
+    idems = [linalg.matmul(s.projection.matrix, s.inclusion.matrix, e.p).reshape(-1)
+             for s in decompose(e.module).summands]
+    family = list(linalg.solve_linear(e._flat, np.stack(idems), e.p))
+    _check_family(e, family, "decompose")
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +147,7 @@ def iso_test(x: RightModule, y: RightModule, seed: int = 0) -> IsoVerdict:
         cand = ModuleHom(x, y, hom_combination(x, y, hxy, coeffs))
         if cand.is_iso():
             return IsoVerdict(True, cand)
-    mult, split = summand_multiplicity(x, y, seed)
+    mult, split = summand_multiplicity(x, y)
     if mult:
         return IsoVerdict(True, split[0])
     return IsoVerdict(False, reason="KrullSchmidt")
@@ -317,15 +221,12 @@ def _flag_reaches_zero(jprime: np.ndarray, p: int) -> bool:
     return True
 
 
-FALLBACK = "fallback"
-
-
 def _split_or_certify(stack: np.ndarray, p: int):
     """The step for a piece of dimension r whose End is spanned by stack:
     (T, a) from the first element, or element power, that splits it by
-    Fitting's lemma; None once the piece is certified local; FALLBACK
-    when a minimal polynomial has no root in F_p (the residue field may be
-    larger than F_p), for the End-ring path.
+    Fitting's lemma; None once the piece is certified local.  From the
+    first unit whose minimal polynomial has no root in F_p (its residue
+    field is larger than F_p), `_rootless_step` takes over.
 
     stack[0] is powered alone first, and its split, if any, is returned
     without the batch: a scalar plus a nilpotent never splits, so when
@@ -360,11 +261,11 @@ def _split_or_certify(stack: np.ndarray, p: int):
         split = _fitting_split(power, p)
         if split:
             return split
-    for f in units:
+    for k, f in enumerate(units):
         factors = poly.factor(linalg.minimal_polynomial(f, p), p)
         roots = [(-g[0]) % p for g, _ in factors if len(g) == 2]
         if not roots:
-            return FALLBACK
+            return _rootless_step(stack, units[k:], jprime, p)
         j = (f - roots[0] * one) % p
         power = _power(j, p)
         if power.any():  # f - mu is singular, so its power splits
@@ -381,17 +282,88 @@ def _split_or_certify(stack: np.ndarray, p: int):
     raise AssertionError("the flag of J' stalls, but every product of two is nilpotent")
 
 
-def _end_ring_pieces(x: RightModule, basis: np.ndarray, seed: int) -> list:
-    """The End-ring path on the summand of x spanned by basis: the images
-    of a primitive idempotent family of its End ring, as rows of x."""
-    p = x.p
-    sub, incl = stable_submodule(x, linalg.row_basis(basis, p))
-    e = end_ring(sub)
-    return [linalg.matmul(linalg.row_basis(e.to_matrix(c), p), incl.matrix, p)
-            for c in primitive_idempotents(e, seed)]
+def _poly_at(g, f: np.ndarray, p: int) -> np.ndarray:
+    """g(f) for a polynomial g, lowest degree first, by Horner's rule."""
+    out = linalg.zeros(f.shape)
+    for c in reversed(g):
+        out = (linalg.matmul(out, f, p) + c * linalg.identity(len(f))) % p
+    return out
 
 
-def _pieces(x: RightModule, seed: int) -> list:
+def _first_split(elements: np.ndarray, p: int):
+    """((T, a), None) from g(f)^(2^k) for the first f of elements that is
+    not primary, g the first irreducible factor of f's minimal polynomial:
+    g(f) is then singular but not nilpotent.  (None, the g(f)) when every
+    f is primary, so that each g(f) is nilpotent."""
+    gfs = []
+    for f in elements:
+        gf = _poly_at(poly.factor(linalg.minimal_polynomial(f, p), p)[0][0], f, p)
+        power = _power(gf, p)
+        if power.any():
+            return _fitting_split(power, p), None
+        gfs.append(gf)
+    return None, gfs
+
+
+def _ideal(stack: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
+    """Row basis of E gens E, E the algebra that stack spans (it holds 1):
+    the span of the left products, then of their right products."""
+    r = stack.shape[-1]
+    rows = linalg.row_basis(gens.reshape(-1, r * r), p).reshape(-1, 1, r, r)
+    left = linalg.row_basis(linalg.matmul(stack, rows, p).reshape(-1, r * r), p)
+    return linalg.row_basis(linalg.matmul(left.reshape(-1, 1, r, r), stack, p).reshape(-1, r * r), p)
+
+
+def _rootless_step(stack: np.ndarray, units: np.ndarray, jprime: list, p: int):
+    """`_split_or_certify` from units[0] on, a unit whose minimal
+    polynomial has no root in F_p; jprime holds the nilpotent parts found
+    so far.  Deterministic over any residue field:
+
+    1. Each unit f splits the piece on g(f), g the first irreducible factor
+       of its minimal polynomial, unless f is primary and g(f) nilpotent
+       (for a linear g this is the root rule of `_split_or_certify`).
+    2. Otherwise the g(f), J' and the commutators of the stack generate a
+       two-sided ideal I.  In a local End each lies in the radical, since
+       the residue ring is a finite division ring, hence a field.
+    3. So if the flag of I stalls, End is not local: the piece splits on an
+       element of I, or a product of two, whose power is neither 0 nor
+       invertible.
+    4. Else I is nilpotent, and E/I is commutative and spanned by elements
+       that irreducible polynomials annihilate: a product of finite fields,
+       one per dimension of the space that z -> z^p fixes.  One dimension
+       certifies the piece local.  A fixed element that is not a scalar has
+       two roots in F_p, so its lift, a row of W = {z : z^p - z in I},
+       splits by step 1.  (When stack spans all of End, this split is not
+       reached: its elements are primary, so their images lie in the
+       kernel of a nonzero trace functional unless E/I is one field.)"""
+    r = stack.shape[-1]
+    split, gfs = _first_split(units, p)
+    if split:
+        return split
+    comm = (linalg.matmul(stack[:, None], stack, p) - linalg.matmul(stack, stack[:, None], p)) % p
+    ideal = _ideal(stack, np.concatenate(jprime + [np.stack(gfs), comm.reshape(-1, r, r)]), p)
+    mats = ideal.reshape(-1, r, r)
+    if not _flag_reaches_zero(mats, p):
+        for u in mats:
+            for power in _power(np.concatenate([u[None], linalg.matmul(u, mats, p)]), p):
+                split = power.any() and _fitting_split(power, p)
+                if split:
+                    return split
+        raise AssertionError("the flag of I stalls, but no element of I or product of two splits")
+    basis = linalg.row_basis(stack.reshape(-1, r * r), p)
+    frob = elements = basis.reshape(-1, r, r)
+    for bit in bin(p)[3:]:  # z^p by square and multiply
+        frob = linalg.matmul(frob, frob, p)
+        if bit == "1":
+            frob = linalg.matmul(frob, elements, p)
+    coeffs = linalg.kernel_basis(np.vstack([(frob.reshape(-1, r * r) - basis) % p, ideal]), p)
+    fixed = linalg.row_basis(linalg.matmul(coeffs[:, :len(basis)], basis, p), p)
+    if len(fixed) == len(ideal) + 1:
+        return None
+    return _first_split(fixed.reshape(-1, r, r), p)[0]
+
+
+def _pieces(x: RightModule) -> list:
     """Bases, as rows of x, of indecomposable summands whose sum is x.
 
     A piece with basis B and End spanned by the stack G is split on T =
@@ -406,8 +378,6 @@ def _pieces(x: RightModule, seed: int) -> list:
         step = _split_or_certify(stack, p)
         if step is None:
             leaves.append(basis)
-        elif step is FALLBACK:
-            leaves += _end_ring_pieces(x, basis, seed)
         else:
             t, a = step
             conj = linalg.matmul(linalg.matmul(t, stack, p), linalg.invert(t, p), p)
@@ -425,11 +395,12 @@ def decompose(x: RightModule, seed: int = 0) -> Decomposition:
     The summands are taken on the RREF bases of the pieces, stacked as T:
     their actions are the diagonal blocks of T a T^-1 over the action of
     x, whose off-diagonal blocks must vanish, and their projections the
-    column blocks of T^-1.  Only the End-ring fallback reads the seed."""
+    column blocks of T^-1.  Nothing reads seed: it stays for the callers
+    that pass it, perfbench/run.py and perfbench/selftest.py."""
     p = x.p
     if x.dim == 0:
         return Decomposition(x, [], [])
-    bases = [linalg.row_basis(b, p) for b in _pieces(x, seed)]
+    bases = [linalg.row_basis(b, p) for b in _pieces(x)]
     t = np.vstack(bases)
     t_inv = linalg.invert(t, p)
     acts = linalg.matmul(linalg.matmul(t, x.action, p), t_inv, p)
@@ -463,7 +434,7 @@ def reassemble_check(dec: Decomposition) -> bool:
     )
 
 
-def summand_multiplicity(x: RightModule, y: RightModule, seed: int = 0):
+def summand_multiplicity(x: RightModule, y: RightModule):
     """How many copies of x split off y; with an exact (u, v), v∘u = id_x,
     split-pair certificate when the multiplicity is positive, built from
     one isomorphism between each summand of x and its matched summand of y.
@@ -472,8 +443,8 @@ def summand_multiplicity(x: RightModule, y: RightModule, seed: int = 0):
     p = x.p
     if x.dim == 0:
         return 0, None
-    dx = decompose(x, seed=seed)
-    dy = decompose(y_on, seed=seed + 1)
+    dx = decompose(x)
+    dy = decompose(y_on)
     slots = {}  # class id -> the y summands of that class
     for t, ys in enumerate(dy.summands):
         slots.setdefault(ys.class_index, []).append(t)

@@ -9,10 +9,6 @@ class InconsistentSystem(SyzygyError):
     """A linear system x @ m = b has no solution."""
 
 
-class NotCoprime(SyzygyError):
-    """Bezout cofactors requested for polynomials with a common factor."""
-
-
 class NotAdmissible(SyzygyError):
     """A quiver relation has a component of path length < 2, or its paths
     are not parallel."""
@@ -49,19 +45,12 @@ class ShapeMismatch(SyzygyError):
 
 class CharTooSmall(SyzygyError):
     """The trace-form kernel of an End ring is not nilpotent, which can
-    happen only when p <= dim End; rebuild the corpus with a larger prime."""
+    happen only when p <= dim End.  Only `decompose.endring_radical`
+    raises it, and no computation of the package calls that."""
 
 
 class ResourceGuard(SyzygyError):
     """A size or modulus limit protecting exact arithmetic was exceeded."""
-
-
-class RandomnessExhausted(SyzygyError):
-    """A Las Vegas search ran out of trials; retry with a new seed."""
-
-    def __init__(self, trials, message=None):
-        self.trials = trials
-        super().__init__(message or f"randomized search failed after {trials} trials")
 
 
 class CorpusError(SyzygyError):

@@ -446,11 +446,6 @@ class EndRing(StructureAlgebra):
         unit = solver.solve(linalg.identity(d).reshape(1, -1))[0]
         super().__init__(p, mul, unit, linalg.zeros((0, h)), linalg.zeros((0, h)))
 
-    def to_matrix(self, coords) -> np.ndarray:
-        coords = linalg.mat(coords, self.p).reshape(self.dim)
-        d = self.module.dim
-        return linalg.matmul(coords, self._flat, self.p).reshape(d, d)
-
 
 @cached("end_ring")
 def end_ring(x: RightModule) -> EndRing:

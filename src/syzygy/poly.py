@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import NotCoprime
 
 Poly = list
 
@@ -91,22 +90,6 @@ def gcd(f, g, p: int) -> Poly:
     return monic(f, p)
 
 
-def xgcd(f, g, p: int):
-    """(d, u, v) with u*f + v*g = d, d the monic gcd."""
-    r0, r1 = normalize(f, p), normalize(g, p)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = divmod_poly(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, sub(u0, mul(q, u1, p), p)
-        v0, v1 = v1, sub(v0, mul(q, v1, p), p)
-    if r0:
-        c = linalg.inv_mod(r0[-1], p)
-        r0, u0, v0 = scale(r0, c, p), scale(u0, c, p), scale(v0, c, p)
-    return r0, u0, v0
-
-
 def pow_mod(f, e: int, g, p: int) -> Poly:
     result = [1]
     base = mod(f, g, p)
@@ -120,14 +103,6 @@ def pow_mod(f, e: int, g, p: int) -> Poly:
 
 def derivative(f, p: int) -> Poly:
     return normalize([(i * c) % p for i, c in enumerate(f)][1:], p)
-
-
-def coprime_split(f, g, p: int):
-    """Bezout cofactors (u, v) with u*f + v*g = 1; raises NotCoprime."""
-    d, u, v = xgcd(f, g, p)
-    if d != [1]:
-        raise NotCoprime("polynomials share a nontrivial common factor")
-    return u, v
 
 
 def _berlekamp_subalgebra(f, p: int) -> np.ndarray:

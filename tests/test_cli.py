@@ -169,6 +169,27 @@ def test_del_bounds_labels_a_simple_as_its_listing_does(runner, name):
     assert r.exit_code == 0 and r.output == "pd(S1) = 1\n"
 
 
+@pytest.mark.parametrize("args, noun, name", [
+    (["del", "bounds", A2, "--simple", "S0"], "simple", "S0"),
+    (["del", "bounds", A2, "--simple", "S3"], "simple", "S3"),
+    (["pd", A2, "--module", "S0"], "simple", "S0"),
+    (["pd", A2, "--module", "P0"], "projective", "P0")])
+def test_a_prefixed_name_is_never_read_as_an_index(runner, args, noun, name):
+    """a2's vertices are 1 and 2: behind its S or P, 0 names no vertex,
+    and is not the 0-based index of simple S1."""
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert r.output == f"error: unknown {noun} {name!r}; vertices are ['1', '2']\n"
+
+
+def test_an_entry_without_named_vertices_names_simple_0_s0(runner, tmp_path):
+    f = tmp_path / "cover.json"
+    f.write_text(json.dumps({"id": "cover", "construction": {"op": "cover", "base": "a2"}}))
+    for name in ("S0", "0"):
+        r = runner.invoke(main, ["del", "bounds", str(f), "--simple", name])
+        assert r.exit_code == 0 and r.output.startswith("del(S0) = "), r.output
+
+
 def test_del_bounds_refuses_a_projective_name(runner):
     r = runner.invoke(main, ["del", "bounds", A2, "--simple", "P1"])
     assert r.exit_code == 2

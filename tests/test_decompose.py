@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import sys
 import time
 import tracemalloc
@@ -56,9 +57,8 @@ def test_end_of_the_zero_module_is_a_zero_dimensional_algebra():
     e = decompose.end_ring(zero)
     assert isinstance(e, algebra.StructureAlgebra) and e.dim == 0
     assert e.radical.shape == e.idempotents.shape == (0, 0)
-    assert e.to_matrix([]).shape == (0, 0)
     assert decompose.endring_radical(e).shape == (0, 0)
-    assert decompose.primitive_idempotents(e, 0) == []
+    assert decompose.primitive_idempotents(e) == []
     assert decompose.reassemble_check(decompose.decompose(zero))
 
 
@@ -67,8 +67,7 @@ def test_end_ring_is_an_algebra_storing_no_radical_or_idempotents():
     e = decompose.end_ring(x)
     assert isinstance(e, algebra.StructureAlgebra)
     assert e.radical.shape == e.idempotents.shape == (0, e.dim)
-    q, lift = decompose._quotient_ring(e)
-    _, proj, _ = algebra.quotient_algebra(e, decompose.endring_radical(e))
+    q, proj, lift = algebra.quotient_algebra(e, decompose.endring_radical(e))
     assert q.dim == e.dim - decompose.endring_radical(e).shape[0]
     assert q.radical.shape == q.idempotents.shape == (0, q.dim)
     assert np.array_equal(linalg.matmul(lift, proj, e.p), linalg.identity(q.dim))
@@ -83,12 +82,17 @@ def test_end_of_double_simple_is_matrix_ring():
     assert decompose.endring_radical(e).shape[0] == 0
 
 
+def _to_matrix(e, coords):
+    """The d x d matrix of the element of End x with coordinates coords."""
+    return linalg.matmul(coords, e._flat, e.p).reshape(e.module.dim, e.module.dim)
+
+
 def test_endring_unit_and_product():
     a = dual_numbers()
     reg = modules.canonical_modules(a)[0]
     e = decompose.end_ring(reg)
     assert e.dim == 2
-    assert np.array_equal(e.to_matrix(e.unit), linalg.identity(2))
+    assert np.array_equal(_to_matrix(e, e.unit), linalg.identity(2))
     # radical of End(A_A) matches the algebra radical: one nilpotent line
     rad = decompose.endring_radical(e)
     assert rad.shape[0] == 1
@@ -119,7 +123,11 @@ def test_primitive_idempotents_matrix_ring():
     s = modules.canonical_modules(a)[1][0]
     ss, _ = modules.direct_sum([s, s])
     e = decompose.end_ring(ss)
-    assert len(decompose.primitive_idempotents(e, seed=3)) == 2
+    assert len(decompose.primitive_idempotents(e)) == 2
+    # K + K at a quadratic point, whose End is M_2(F_{p^2})
+    k = kronecker_at_a_quadratic_point()
+    kk, _ = modules.direct_sum([k, k])
+    assert len(decompose.primitive_idempotents(decompose.end_ring(kk))) == 2
 
 
 def test_decompose_indecomposable():
@@ -341,12 +349,13 @@ def test_iso_found_in_the_hom_basis_builds_no_end_ring_or_reverse_hom(monkeypatc
 
 def _conjugate(x, rng):
     """The module x in a random basis."""
-    g = rng.integers(0, P, size=(x.dim, x.dim))
-    while linalg.rank(g, P) < x.dim:
-        g = rng.integers(0, P, size=(x.dim, x.dim))
-    g_inv = linalg.invert(g, P)
+    p = x.p
+    g = rng.integers(0, p, size=(x.dim, x.dim))
+    while linalg.rank(g, p) < x.dim:
+        g = rng.integers(0, p, size=(x.dim, x.dim))
+    g_inv = linalg.invert(g, p)
     return modules.RightModule(x.algebra,
-                               np.matmul(np.matmul(g_inv, x.action) % P, g) % P)
+                               np.matmul(np.matmul(g_inv, x.action) % p, g) % p)
 
 
 @given(st.sampled_from(CORPUS_IDS), st.integers(0, 63), st.integers(0, 2**31))
@@ -458,7 +467,7 @@ def test_decompose_tells_equal_dimension_vector_summands_apart_exactly(monkeypat
 def test_decompose_solves_one_hom_system_and_splits_no_corner(monkeypatch):
     """On the regular module of the first ksgen instance at seed 20, the
     main path solves Hom(x, x) once, reads the End of every piece off its
-    blocks, and builds no End ring, radical, quotient or corner."""
+    blocks, builds no End ring or radical, and takes no rootless step."""
     ksgen = _load_ksgen()
     inst = ksgen.generate(20)[0]
     t = ksgen.build_algebras([inst], syzygy)[0]
@@ -471,8 +480,8 @@ def test_decompose_solves_one_hom_system_and_splits_no_corner(monkeypatch):
             return real(*args)
         return wrapper
 
-    names = ("hom_space", "end_ring", "endring_radical", "_quotient_ring",
-             "primitive_idempotents", "_split_corner", "corner_basis", "corner_algebra")
+    names = ("hom_space", "end_ring", "endring_radical", "primitive_idempotents",
+             "_rootless_step")
     for name in names:
         monkeypatch.setattr(decompose, name, counted(name, getattr(decompose, name)))
     dec = decompose.decompose(regular, seed=inst.decompose_seed)
@@ -509,7 +518,7 @@ def test_summand_multiplicity_cases():
     s = simples[0]
     p1 = projs[0].module
     y, _ = modules.direct_sum([s, s, p1])
-    mult, cert = decompose.summand_multiplicity(s, y, seed=6)
+    mult, cert = decompose.summand_multiplicity(s, y)
     assert mult == 2
     u, v = cert
     assert np.array_equal(
@@ -517,7 +526,7 @@ def test_summand_multiplicity_cases():
     )
     assert u.intertwines() and v.intertwines()
 
-    mult, cert = decompose.summand_multiplicity(p1, reg, seed=6)
+    mult, cert = decompose.summand_multiplicity(p1, reg)
     assert mult == 1
     u, v = cert
     assert np.array_equal(
@@ -525,10 +534,10 @@ def test_summand_multiplicity_cases():
     )
 
     p2 = projs[1].module
-    mult, cert = decompose.summand_multiplicity(s, p2, seed=6)
+    mult, cert = decompose.summand_multiplicity(s, p2)
     assert mult == 0 and cert is None
 
-    mult, _ = decompose.summand_multiplicity(reg, reg, seed=6)
+    mult, _ = decompose.summand_multiplicity(reg, reg)
     assert mult >= 1
 
 
@@ -585,9 +594,9 @@ def test_summand_multiplicity_over_an_equal_copy():
     reg, simples, projs = modules.canonical_modules(a)
     s = simples[0]
     y, _ = modules.direct_sum([s, projs[0].module, s])
-    own, _ = decompose.summand_multiplicity(s, y, seed=6)
+    own, _ = decompose.summand_multiplicity(s, y)
     elsewhere = modules.RightModule(_copy(a), y.action)
-    mult, (u, v) = decompose.summand_multiplicity(s, elsewhere, seed=6)
+    mult, (u, v) = decompose.summand_multiplicity(s, elsewhere)
     assert mult == own == 2
     assert u.target is v.source is elsewhere
     assert np.array_equal(linalg.matmul(u.matrix, v.matrix, P), linalg.identity(s.dim))
@@ -614,7 +623,7 @@ def test_split_pairs_join_summands_through_non_identity_isomorphisms(aid, seed, 
     assert not any(np.array_equal(s.module.action, t.module.action)
                    for s in dx.summands for t in dy.summands)
     for part, want in ((x, 1), (rad, 2), (proj, 1)):
-        mult, (u, v) = decompose.summand_multiplicity(part, y, seed=seed)
+        mult, (u, v) = decompose.summand_multiplicity(part, y)
         assert mult == want
         assert np.array_equal(linalg.matmul(u.matrix, v.matrix, P),
                               linalg.identity(part.dim))
@@ -632,11 +641,42 @@ def test_split_pairs_join_summands_through_non_identity_isomorphisms(aid, seed, 
 # ---------------------------------------------------------------------------
 # reference: the idempotent split on bare structure-constant tensors
 
+SPLIT_TRIALS = 256
+
 
 def ref_endring_radical(e):
+    """The kernel of the trace form, refused where it is not nilpotent,
+    which p <= dim End allows."""
     p, h = e.p, e.dim
     lmats = np.stack([e.left_mult(linalg.identity(h)[i]) for i in range(h)])
-    return linalg.kernel_basis(np.einsum("iab,jba->ij", lmats, lmats) % p, p)
+    rad = linalg.kernel_basis(np.einsum("iab,jba->ij", lmats, lmats) % p, p)
+    if not algebra.is_nilpotent(e, rad):
+        assert p <= h, "trace-form kernel is not nilpotent"
+        raise CharTooSmall(f"trace-form kernel is not nilpotent at p = {p} <= dim End = {h}")
+    return rad
+
+
+def ref_xgcd(f, g, p):
+    """(d, u, v) with u*f + v*g = d, d the monic gcd."""
+    r0, r1 = poly.normalize(f, p), poly.normalize(g, p)
+    u0, u1 = [1], []
+    v0, v1 = [], [1]
+    while r1:
+        q, r = poly.divmod_poly(r0, r1, p)
+        r0, r1 = r1, r
+        u0, u1 = u1, poly.sub(u0, poly.mul(q, u1, p), p)
+        v0, v1 = v1, poly.sub(v0, poly.mul(q, v1, p), p)
+    if r0:
+        c = linalg.inv_mod(r0[-1], p)
+        r0, u0, v0 = poly.scale(r0, c, p), poly.scale(u0, c, p), poly.scale(v0, c, p)
+    return r0, u0, v0
+
+
+def ref_coprime_split(f, g, p):
+    """Bezout cofactors (u, v) with u*f + v*g = 1."""
+    d, u, v = ref_xgcd(f, g, p)
+    assert d == [1], "polynomials share a nontrivial common factor"
+    return u, v
 
 
 def ref_corner_basis(mul_bar, ebar, p):
@@ -670,7 +710,7 @@ def ref_split_corner(mul_bar, ebar, p, rng):
     def candidates():
         for row in corner:
             yield row
-        for _ in range(decompose.SPLIT_TRIALS):
+        for _ in range(SPLIT_TRIALS):
             yield (rng.integers(0, p, size=k) @ corner) % p
 
     for v in candidates():
@@ -684,7 +724,7 @@ def ref_split_corner(mul_bar, ebar, p, rng):
             for gg, mult in factors[1:]:
                 for _ in range(mult):
                     g2 = poly.mul(g2, gg, p)
-            _, w = poly.coprime_split(g1, g2, p)
+            _, w = ref_coprime_split(g1, g2, p)
             e1 = ref_poly_eval(mul_bar, ebar, v, poly.mod(poly.mul(w, g2, p), f, p), p)
             assert np.array_equal(linalg.bilinear(e1, e1, mul_bar, p), e1)
             if not e1.any() or np.array_equal(e1, ebar):
@@ -738,20 +778,23 @@ def _split_cases():
 
 
 def test_primitive_idempotents_match_the_tensor_reference():
-    """The split through StructureAlgebra corners returns the same
-    idempotents, bit for bit, as the split on bare
-    (mul_bar, unit_bar) tensors, on the regular T(A)-modules of the
-    ks_large instances and the delooping pools of the corpus at both
-    primes (End rings up to dimension 60)."""
+    """The family read off decompose has as many idempotents as the split
+    on bare (mul_bar, unit_bar) tensors, with the same multiset of
+    dimensions of the right ideals e E, and passes the exact family check,
+    on the regular T(A)-modules of the ks_large instances and the
+    delooping pools of the corpus at both primes (End rings up to
+    dimension 60)."""
     checked = Counter()
     for x, seed in _split_cases():
         e = decompose.end_ring(x)
         if not 0 < e.dim <= 60:
             continue
-        idems = decompose.primitive_idempotents(e, seed)
+        idems = decompose.primitive_idempotents(e)
         ref_idems = ref_primitive_idempotents(e, seed)
         assert len(idems) == len(ref_idems)
-        assert all(np.array_equal(a, b) for a, b in zip(idems, ref_idems))
+        assert Counter(linalg.rank(e.left_mult(i), e.p) for i in idems) == \
+            Counter(linalg.rank(e.left_mult(i), e.p) for i in ref_idems)
+        assert algebra.idempotent_violations(e, idems) == []
         checked[e.p] += 1
         checked["split"] += len(idems) > 1
     assert checked[32003] and checked[1048573] and checked["split"]
@@ -823,24 +866,24 @@ def test_end_ring_of_the_largest_ks_instance_stays_under_2_mb(seed, monkeypatch)
 def test_every_ks_large_instance_decomposes_as_its_oracle_says(seed, monkeypatch):
     """The regular T(A)-module of each of the 13 ksgen instances of a seed
     splits into the summands, classes and multiplicities of the oracle,
-    with the exact split check, and none takes the End-ring fallback."""
+    with the exact split check, and none takes the rootless step."""
     ksgen = _load_ksgen()
     insts = ksgen.generate(seed)
     assert len(insts) == 13
-    monkeypatch.setattr(decompose, "_end_ring_pieces", _refuse_fallback)
+    monkeypatch.setattr(decompose, "_rootless_step", _refuse_rootless)
     for inst, t in zip(insts, ksgen.build_algebras(insts, syzygy)):
         dec = decompose.decompose(modules.canonical_modules(t)[0], seed=inst.decompose_seed)
         assert ksgen.oracle_failures(inst, t, dec, decompose) == [], inst.name
 
 
-def _refuse_fallback(*args):
-    raise AssertionError("the End-ring fallback was taken")
+def _refuse_rootless(*args):
+    raise AssertionError("the rootless step was taken")
 
 
 def test_a_seed_20_corpus_pass_never_takes_the_fallback(monkeypatch):
     """Every module a seed-20 pass decomposes, through deloop's class
     multisets or iso_test's Krull-Schmidt step, is split and certified on
-    the main path."""
+    the main path, with no rootless step."""
     calls = []
     real = decompose.decompose
 
@@ -848,7 +891,7 @@ def test_a_seed_20_corpus_pass_never_takes_the_fallback(monkeypatch):
         calls.append(x)
         return real(x, seed)
 
-    monkeypatch.setattr(decompose, "_end_ring_pieces", _refuse_fallback)
+    monkeypatch.setattr(decompose, "_rootless_step", _refuse_rootless)
     monkeypatch.setattr(decompose, "decompose", spy)
     monkeypatch.setattr(deloop, "decompose", spy)
     checks.run_corpus(corpus.load_corpus(), checks.Config(seed=20))
@@ -867,17 +910,21 @@ def ref_decompose(x, seed=0):
     if x.dim == 0:
         return []
     summands = []
-    for coords in decompose.primitive_idempotents(e, seed):
-        mat = e.to_matrix(coords)
+    for coords in ref_primitive_idempotents(e, seed):
+        mat = _to_matrix(e, coords)
         sub, incl = modules.stable_submodule(x, linalg.row_basis(mat, p))
         proj = modules.ModuleHom(x, sub, linalg.solve_linear(incl.matrix, mat, p))
         summands.append(decompose.Summand(sub, incl, proj, decompose.class_id(sub)))
     return summands
 
 
+ROOTLESS = "rootless"
+
+
 def ref_split_or_certify(stack, p):
     """decompose._split_or_certify with the batch first: the shifted stack
-    and then the units are powered whole before any element is tried."""
+    and then the units are powered whole before any element is tried;
+    ROOTLESS where a unit has no eigenvalue in F_p."""
     r = stack.shape[-1]
     if r == 1:
         return None
@@ -895,7 +942,7 @@ def ref_split_or_certify(stack, p):
         factors = poly.factor(linalg.minimal_polynomial(f, p), p)
         roots = [(-g[0]) % p for g, _ in factors if len(g) == 2]
         if not roots:
-            return decompose.FALLBACK
+            return ROOTLESS
         j = (f - roots[0] * one) % p
         power = decompose._power(j, p)
         if power.any():
@@ -914,8 +961,8 @@ def ref_split_or_certify(stack, p):
 
 def _check_steps_against_the_reference(monkeypatch):
     """Make every step of _pieces compare its outcome with
-    ref_split_or_certify: the same (T, a), None or FALLBACK.  Returns the
-    tally of outcomes, filled as decompositions run."""
+    ref_split_or_certify: the same (T, a) or None, so that no step is
+    rootless.  Returns the tally of outcomes, filled as decompositions run."""
     seen, real = Counter(), decompose._split_or_certify
 
     def checked(stack, p):
@@ -926,7 +973,7 @@ def _check_steps_against_the_reference(monkeypatch):
             seen["split"] += 1
         else:
             assert got is want
-            seen["fallback" if want is decompose.FALLBACK else "local"] += 1
+            seen["local"] += 1
         return got
 
     monkeypatch.setattr(decompose, "_split_or_certify", checked)
@@ -1057,7 +1104,7 @@ def test_deep_syzygies_split_into_their_simples_fast():
 
 
 def _indecomposable(x):
-    """Exact for the fallback inputs: x is 1-dimensional, or End x is the
+    """Exact for the rootless inputs: x is 1-dimensional, or End x is the
     field F_p[f] for an element f of its hom basis whose minimal polynomial
     is irreducible of degree dim End."""
     if x.dim == 1:
@@ -1070,19 +1117,51 @@ def _indecomposable(x):
     return False
 
 
+def kronecker_algebra(p=P):
+    q = QuiverPresentation(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [])
+    k = algebra.from_quiver(q, p, name="kronecker")
+    assert k.labels == ["e_1", "e_2", "a", "b"]
+    return k
+
+
+def kronecker_module(k, b):
+    """The regular Kronecker module of dimension vector (d, d) with a = I
+    and b the given d x d matrix: at the point of b's characteristic
+    polynomial when that is irreducible, and then End is the field F_p[b]."""
+    b = linalg.mat(b, k.p)
+    d = len(b)
+    act = linalg.zeros((4, 2 * d, 2 * d))
+    act[0, :d, :d] = act[1, d:, d:] = act[2, :d, d:] = linalg.identity(d)
+    act[3, :d, d:] = b
+    x = modules.RightModule(k, act)
+    assert modules.validate_module(x) == []
+    return x
+
+
+def companion(g, p):
+    """The companion matrix of the monic polynomial g, lowest degree first."""
+    d = poly.degree(g)
+    c = linalg.zeros((d, d))
+    c[np.arange(d - 1), np.arange(1, d)] = 1
+    c[d - 1] = [(-x) % p for x in g[:d]]
+    return c
+
+
+def irreducibles(d, p):
+    """The monic t^d + a t + b irreducible over F_p, in order of (b, a)."""
+    for b in range(1, p):
+        for a in range(p):
+            g = [b, a] + [0] * (d - 2) + [1]
+            if poly.factor(g, p) == [(g, 1)]:
+                yield g
+
+
 def kronecker_at_a_quadratic_point(p=P):
     """The regular Kronecker module of dimension vector (2, 2) with a = I
     and b the companion matrix of t^2 - n, n not a square mod p: End is the
     field F_p[b] = F_{p^2}."""
-    q = QuiverPresentation(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [])
-    k = algebra.from_quiver(q, p, name="kronecker")
     n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
-    act = linalg.zeros((4, 4, 4))
-    act[0, :2, :2] = act[1, 2:, 2:] = act[2, :2, 2:] = linalg.identity(2)
-    act[3, :2, 2:] = [[0, 1], [n, 0]]
-    x = modules.RightModule(k, act)
-    assert k.labels == ["e_1", "e_2", "a", "b"] and modules.validate_module(x) == []
-    return x
+    return kronecker_module(kronecker_algebra(p), [[0, 1], [n, 0]])
 
 
 def test_iso_test_combines_an_empty_hom_basis():
@@ -1100,19 +1179,149 @@ def test_iso_test_combines_an_empty_hom_basis():
     assert (v.isomorphic, v.reason, v.witness) == (False, "KrullSchmidt", None)
 
 
+def _spy_rootless(monkeypatch):
+    """For each rootless step, in order: "split" or "local", with the
+    results of the flags of I it computed (none when step 1 splits)."""
+    steps, real_step, real_flag = [], decompose._rootless_step, decompose._flag_reaches_zero
+
+    def step(*args):
+        flags = []
+        monkeypatch.setattr(decompose, "_flag_reaches_zero",
+                            lambda *a: flags.append(real_flag(*a)) or flags[-1])
+        out = real_step(*args)
+        monkeypatch.setattr(decompose, "_flag_reaches_zero", real_flag)
+        steps.append(("split" if out else "local", flags))
+        return out
+
+    monkeypatch.setattr(decompose, "_rootless_step", step)
+    return steps
+
+
+def _feed(monkeypatch, x, basis):
+    """Make decompose read basis as the hom basis of End x."""
+    real = decompose.hom_space
+    monkeypatch.setattr(decompose, "hom_space", lambda u, v: (
+        [modules.ModuleHom(u, v, m) for m in basis] if u is v is x else real(u, v)))
+
+
 def test_kronecker_module_at_a_quadratic_point_takes_the_end_ring_path(monkeypatch):
     """b has no eigenvalue in F_p, so no lam makes b - lam nilpotent: the
-    Fitting split hands the module to the End-ring path, which finds End a
-    field and keeps the module whole."""
+    Fitting split hands the module to the rootless step, which once took
+    the End-ring path.  It builds no End ring: I = 0, and z -> z^p fixes
+    only the scalars of End = F_p[b], so the module is certified whole."""
     x = kronecker_at_a_quadratic_point()
-    calls = []
-    real = decompose._end_ring_pieces
-    monkeypatch.setattr(decompose, "_end_ring_pieces", lambda *args: calls.append(args) or real(*args))
+    steps = _spy_rootless(monkeypatch)
+    monkeypatch.setattr(decompose, "end_ring", _refuse_rootless)
     dec = decompose.decompose(x)
-    assert len(calls) == 1
+    assert steps == [("local", [True])]
     assert decompose.reassemble_check(dec) and _idempotent_family_violations(dec) == []
     assert [s.module.dim for s in dec.summands] == [4]
     assert all(_indecomposable(s.module) for s in dec.summands)
+
+
+def _check_rootless_split(dec, dims, mults):
+    assert decompose.reassemble_check(dec) and _idempotent_family_violations(dec) == []
+    assert [s.module.dim for s in dec.summands] == dims
+    assert all(_indecomposable(s.module) for s in dec.summands)
+    assert [m for _, m in dec.parts] == mults
+
+
+def test_a_unit_with_two_irreducible_factors_splits_by_step_1(monkeypatch):
+    """K + K' at two quadratic points has End F_p[b] x F_p[b'].  Fed the
+    basis (1, 1), (b, b'), (1, 2), (b, 2b'), the first unit (b, b') has
+    the minimal polynomial g g' and no root: g(b, b') = (0, g(b')) splits
+    it, before any ideal is formed, and each half is then certified."""
+    k = kronecker_algebra()
+    g, h = (companion(f, P) for f in itertools.islice(irreducibles(2, P), 2))
+    x, _ = modules.direct_sum([kronecker_module(k, g), kronecker_module(k, h)])
+    one = linalg.identity(2)
+    basis = [linalg.mat(np.kron(np.diag([1, 1, 0, 0]), u) + np.kron(np.diag([0, 0, 1, 1]), v), P)
+             for u, v in ((one, one), (g, h), (one, 2 * one), (g, 2 * h))]
+    assert all(modules.ModuleHom(x, x, m).intertwines() for m in basis)
+    assert linalg.rank(np.stack(basis).reshape(4, -1), P) == 4
+    _feed(monkeypatch, x, basis)
+    steps = _spy_rootless(monkeypatch)
+    dec = decompose.decompose(x)
+    assert steps == [("split", []), ("local", [True]), ("local", [True])]
+    _check_rootless_split(dec, [4, 4], [1, 1])
+
+
+def test_a_stalled_flag_of_i_splits_on_an_element_of_i(monkeypatch):
+    """S + S over the point has End = M_2(F_p); n is not a square.  Fed
+    I, E12 + n E21, E12 and [[1, 1], [-1, -1]], the one unit E12 + n E21
+    squares to n and has no root, and E12 alone makes I all of End.  Fed I,
+    [[0, 1], [n, 0]], [[0, n], [1, 0]] and [[1, 1], [n - 1, -1]], each
+    square to n, so every g(f) is 0 and only the commutators make I all of
+    End (without them z -> z^p would fix only the scalars).  Either way the
+    flag of I stalls at x, and E11, the first element of I's basis, splits
+    it.  With no element of I allowed to split, the step raises."""
+    s = modules.canonical_modules(point())[1][0]
+    ss, _ = modules.direct_sum([s, s])
+    n = next(n for n in range(2, P) if pow(n, (P - 1) // 2, P) == P - 1)
+    for basis in ([[[1, 0], [0, 1]], [[0, 1], [n, 0]], [[0, 1], [0, 0]], [[1, 1], [-1, -1]]],
+                  [[[1, 0], [0, 1]], [[0, 1], [n, 0]], [[0, n], [1, 0]], [[1, 1], [n - 1, -1]]]):
+        basis = linalg.mat(basis, P)
+        assert linalg.rank(basis.reshape(4, 4), P) == 4
+        with pytest.MonkeyPatch.context() as mp:
+            _feed(mp, ss, basis)
+            steps = _spy_rootless(mp)
+            dec = decompose.decompose(ss)
+            assert steps == [("split", [False])]
+            _check_rootless_split(dec, [1, 1], [2])
+            mp.setattr(decompose, "_fitting_split", lambda *args: None)
+            with pytest.raises(AssertionError, match="the flag of I stalls"):
+                decompose.decompose(ss)
+
+
+def test_a_frobenius_fixed_element_splits_by_step_1(monkeypatch):
+    """K + K over F_2 at the point of t^2 + t + 1, whose End is
+    M_2(F_4), fed (1, 1), (w, w) and (w, w^2) on the diagonal F_4 x F_4.
+    Each is primary with no root, and they commute, so I = 0.  z -> z^2
+    fixes (0, 1) = (w, w) + (w, w^2) besides the scalars, and that
+    idempotent splits the module; each half, whose End is F_4, is then
+    certified.  The fed span is 3 of the 4 dimensions of F_4 x F_4, and
+    not closed under products: a basis of all of End has an element with
+    a root here, which the main path splits first."""
+    k = kronecker_algebra(2)
+    w = companion([1, 1, 1], 2)
+    x, _ = modules.direct_sum([kronecker_module(k, w), kronecker_module(k, w)])
+    one = linalg.identity(2)
+    basis = [linalg.mat(np.kron(np.diag([1, 1, 0, 0]), u) + np.kron(np.diag([0, 0, 1, 1]), v), 2)
+             for u, v in ((one, one), (w, w), (w, linalg.matmul(w, w, 2)))]
+    assert all(modules.ModuleHom(x, x, m).intertwines() for m in basis)
+    _feed(monkeypatch, x, basis)
+    steps = _spy_rootless(monkeypatch)
+    dec = decompose.decompose(x)
+    assert steps == [("split", [True]), ("local", [True]), ("local", [True])]
+    _check_rootless_split(dec, [4, 4], [2])
+
+
+def _rootless_modules(p, rng):
+    """Kronecker modules at a quadratic point q, a cubic point c and the
+    rational point 1: q, c, q + q, q + c, c + c, q + 1 and c + 1, then three
+    random base changes of each, every one over an algebra of its own."""
+    g2, g3 = companion(next(irreducibles(2, p)), p), companion(next(irreducibles(3, p)), p)
+    for sum_of in ([g2], [g3], [g2, g2], [g2, g3], [g3, g3], [g2, [[1]]], [g3, [[1]]]):
+        for change in range(4):
+            k = kronecker_algebra(p)
+            x, _ = modules.direct_sum([kronecker_module(k, b) for b in sum_of])
+            yield _conjugate(x, rng) if change else x
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, P])
+def test_rootless_pieces_match_the_end_ring_reference(p, monkeypatch):
+    """On the 28 rootless modules of a prime, decompose gives the summand
+    dimensions and class multiplicities of the End-ring reference, through
+    rootless steps only."""
+    steps = _spy_rootless(monkeypatch)
+    for x in _rootless_modules(p, np.random.default_rng(p)):
+        dec = decompose.decompose(x)
+        ref = ref_decompose(x)
+        assert decompose.reassemble_check(dec)
+        assert sorted(s.module.dim for s in dec.summands) == sorted(s.module.dim for s in ref)
+        assert Counter(s.class_index for s in dec.summands) == \
+            Counter(s.class_index for s in ref)
+    assert steps and {out for out, _ in steps} <= {"split", "local"}
 
 
 def test_a_stalled_flag_splits_on_a_product_of_two(monkeypatch):
@@ -1134,7 +1343,7 @@ def test_a_stalled_flag_splits_on_a_product_of_two(monkeypatch):
     monkeypatch.setattr(decompose, "hom_space", fed)
     monkeypatch.setattr(decompose, "_flag_reaches_zero",
                         lambda *args: flags.append(real_flag(*args)) or flags[-1])
-    monkeypatch.setattr(decompose, "_end_ring_pieces", _refuse_fallback)
+    monkeypatch.setattr(decompose, "_rootless_step", _refuse_rootless)
     dec = decompose.decompose(ss)
     assert flags[0] is False
     assert decompose.reassemble_check(dec) and _idempotent_family_violations(dec) == []

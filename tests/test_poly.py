@@ -1,8 +1,6 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from syzygy import poly
-from syzygy.errors import NotCoprime
 
 
 def expand(factors, p):
@@ -33,24 +31,6 @@ def test_factor_power_of_p_multiplicity():
     assert poly.factor([1, 0, 1], 2) == [([1, 1], 2)]
 
 
-def test_coprime_split_basic():
-    p = 32003
-    u, v = poly.coprime_split([0, 1], [p - 1, 1], p)
-    lhs = poly.add(poly.mul(u, [0, 1], p), poly.mul(v, [p - 1, 1], p), p)
-    assert lhs == [1]
-
-
-def test_coprime_split_with_unit():
-    u, v = poly.coprime_split([1], [3, 1, 4], 5)
-    lhs = poly.add(poly.mul(u, [1], 5), poly.mul(v, [3, 1, 4], 5), 5)
-    assert lhs == [1]
-
-
-def test_coprime_split_rejects_common_factor():
-    with pytest.raises(NotCoprime):
-        poly.coprime_split([0, 1], [0, 1], 7)
-
-
 @given(st.sampled_from([2, 3, 5, 32003]), st.lists(st.integers(0, 50), min_size=1, max_size=6))
 @settings(max_examples=80, deadline=None)
 def test_factor_reexpands(p, coeffs):
@@ -63,13 +43,3 @@ def test_factor_reexpands(p, coeffs):
     for g, _ in factors:
         # irreducibility certificate: factoring again returns the factor itself
         assert poly.factor(g, p) == [(g, 1)]
-
-
-@given(st.lists(st.integers(0, 6), max_size=5), st.lists(st.integers(0, 6), max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_xgcd_identity(f, g):
-    p = 7
-    f, g = poly.normalize(f, p), poly.normalize(g, p)
-    d, u, v = poly.xgcd(f, g, p)
-    lhs = poly.add(poly.mul(u, f, p), poly.mul(v, g, p), p)
-    assert lhs == d

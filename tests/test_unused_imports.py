@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module.
 
-A `# noqa` comment exempts nothing.  The one exemption is named below:
+A `# noqa` comment exempts nothing.  The exemptions are named below:
 perfbench/selftest.py checks that the tracer wraps deloop's binding of
-iso_test, which deloop never calls.
+iso_test, which deloop never calls, and the tracer's TARGETS wrap
+decompose's binding of end_ring, which decompose no longer calls.
 """
 
 import ast
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "syzygy"
-KEPT = {"deloop.py": ["iso_test"]}
+KEPT = {"deloop.py": ["iso_test"], "decompose.py": ["end_ring"]}
 
 
 def unused_imports(text: str) -> list:
