@@ -131,25 +131,19 @@ def _vertex_names(entry, a) -> list:
 
 
 def _vertex_index(entry, a, name, kind: str = "S"):
-    """Resolve a --simple name (kind S) or a --module P-name (kind P): a
-    vertex name, with an optional prefix of its kind, or else a plain
-    0-based index, never one behind the prefix.  A simple is never named by
-    a P-name."""
+    """Resolve a --simple name (kind S) or a --module P-name (kind P) by one
+    label table: a vertex name, then the kind and a vertex name, then the
+    0-based index str(i), the first label to claim a string winning.  A
+    simple is never named by a P-name."""
     names = _vertex_names(entry, a)
     if kind == "S" and name[:1] == "P" and len(name) > 1 and name not in names:
         raise CorpusError(f"{name!r} names a projective, not a simple; vertices are {names}")
-    candidates = [name]
-    if name[:1] == kind and len(name) > 1:
-        candidates.append(name[1:])
-    for cand in candidates:
-        if cand in names:
-            return names.index(cand)
-    try:
-        idx = int(name)
-    except ValueError:
-        idx = -1
-    if 0 <= idx < len(names):
-        return idx
+    labels = {}
+    for table in (names, [kind + n for n in names], [str(i) for i in range(len(names))]):
+        for i, label in enumerate(table):
+            labels.setdefault(label, i)
+    if name in labels:
+        return labels[name]
     noun = "simple" if kind == "S" else "projective"
     raise CorpusError(f"unknown {noun} {name!r}; vertices are {names}")
 

@@ -67,7 +67,7 @@ def _check_shape(raw: dict, source: str):
             f"{source}: exactly one of 'quiver' or 'construction' is required"
         )
     field = raw.get("field")
-    if "field" in raw and not (isinstance(field, dict) and isinstance(field.get("p"), int)):
+    if "field" in raw and not (isinstance(field, dict) and type(field.get("p")) is int):
         raise CorpusError(f"{source}: field must be an object with an integer 'p'")
     if has_quiver:
         q = raw["quiver"]
@@ -89,7 +89,7 @@ def _check_shape(raw: dict, source: str):
             if not isinstance(rel, list) or not rel:
                 raise CorpusError(f"{source}: relations[{i}] must be a non-empty list")
             for j, term in enumerate(rel):
-                if not isinstance(term, dict) or not isinstance(term.get("coef"), int) \
+                if not isinstance(term, dict) or type(term.get("coef")) is not int \
                         or not isinstance(term.get("path"), list) \
                         or not all(isinstance(a, str) for a in term["path"]):
                     raise CorpusError(f"{source}: relations[{i}][{j}] needs an "

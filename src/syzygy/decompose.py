@@ -6,12 +6,13 @@ F = f^(2^k), 2^k >= d, x = im F + ker F, so an F that is neither 0 nor
 invertible splits x, and the End of each half is spanned by the diagonal
 blocks of the basis in the basis [im F; ker F].  A piece that no element
 splits is certified local, hence indecomposable, with no End ring (Lux
-and Szőke, Exp. Math. 16, 2007).  When every element has an eigenvalue in
-F_p, each is a scalar plus a nilpotent, and the flag x, x J', x J'^2, ...
-of those nilpotents reaches 0.  When one has none, its residue field is
-larger than F_p: the piece is local when the ideal I that the nilpotent
-parts g(f) and the commutators generate has a flag that reaches 0, and
-z -> z^p fixes only the scalars of E/I.  `decompose` draws nothing.
+and Szőke, Exp. Math. 16, 2007).  One rule takes every unit f: g(f), g
+the first irreducible factor of f's minimal polynomial, splits the piece
+unless it is nilpotent.  When every g is linear, the piece is local once
+the flag x, x J', x J'^2, ... of the nilpotent elements and the g(f)
+reaches 0.  Otherwise it is local when the ideal I that J' and the
+commutators generate has a flag that reaches 0, and z -> z^p fixes only
+the scalars of E/I.  `decompose` draws nothing.
 
 Two modules are compared first by their invariants (total dimension,
 dimension vector) and then by the basis of Hom(x, y), with no random draw.
@@ -34,6 +35,7 @@ a witness is checked invertible, and every verdict is exact.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -224,24 +226,23 @@ def _flag_reaches_zero(jprime: np.ndarray, p: int) -> bool:
 def _split_or_certify(stack: np.ndarray, p: int):
     """The step for a piece of dimension r whose End is spanned by stack:
     (T, a) from the first element, or element power, that splits it by
-    Fitting's lemma; None once the piece is certified local.  From the
-    first unit whose minimal polynomial has no root in F_p (its residue
-    field is larger than F_p), `_rootless_step` takes over.
+    Fitting's lemma; None once the piece is certified local.
 
     stack[0] is powered alone first, and its split, if any, is returned
     without the batch: a scalar plus a nilpotent never splits, so when
     stack[0] splits it is the first element of the batch that would.  Its
     power is I on a local piece, which needs no elimination.
 
-    Otherwise every element is nilpotent or f = lam + j with j nilpotent,
-    lam = tr(f)/r (p not dividing r) or a root of f's minimal polynomial.
-    The nilpotent elements and the j form J', and End = F_p + span J', so
-    End is local once the flag of J' reaches 0.  If the flag stalls, End
-    is not local, and some product ab of two elements of J' is not
-    nilpotent (Levitzki's theorem promises a product; two factors suffice,
-    since the trace form of End/rad E is nondegenerate and cannot vanish
-    on the image of span J', of codimension at most 1).  ab is singular,
-    so its power splits."""
+    Otherwise every element is nilpotent, lam + j with j nilpotent and lam
+    = tr(f)/r (p not dividing r), or a unit, which `_first_split` takes.
+    The nilpotent elements, the j and every g(f) form J'.  When every g is
+    linear, g(f) = f - mu and End = F_p + span J', local once the flag of
+    J' reaches 0.  If it stalls, some product ab of two elements of J' is
+    not nilpotent (Levitzki's theorem promises a product; two factors
+    suffice, since the trace form of End/rad E is nondegenerate and cannot
+    vanish on the image of span J', of codimension at most 1), and the
+    power of ab, a singular element, splits.  A g of degree > 1 leaves the
+    decision to `_rootless_step`."""
     r = stack.shape[-1]
     if r == 1:
         return None
@@ -256,53 +257,57 @@ def _split_or_certify(stack: np.ndarray, p: int):
            else linalg.zeros(len(stack)))
     shifted = (stack - lam[:, None, None] * one) % p
     nil = ~_power(shifted, p).any(axis=(1, 2))
-    jprime, units = [shifted[nil]], stack[~nil]
+    units = stack[~nil]
     for power in _power(units, p) if len(units) else []:
         split = _fitting_split(power, p)
         if split:
             return split
-    for k, f in enumerate(units):
-        factors = poly.factor(linalg.minimal_polynomial(f, p), p)
-        roots = [(-g[0]) % p for g, _ in factors if len(g) == 2]
-        if not roots:
-            return _rootless_step(stack, units[k:], jprime, p)
-        j = (f - roots[0] * one) % p
-        power = _power(j, p)
-        if power.any():  # f - mu is singular, so its power splits
-            return _fitting_split(power, p)
-        jprime.append(j[None])
-    jprime = np.concatenate(jprime)
-    jprime = jprime[jprime.any(axis=(1, 2))]
+    split, gfs, wide = _first_split(units, p)
+    if split:
+        return split
+    jprime = np.concatenate([shifted[nil], gfs])
+    if wide:
+        return _rootless_step(stack, jprime, p)
     if _flag_reaches_zero(jprime, p):
         return None
-    for j in jprime:
-        for power in _power(linalg.matmul(j, jprime, p), p):
-            if power.any():
-                return _fitting_split(power, p)
-    raise AssertionError("the flag of J' stalls, but every product of two is nilpotent")
+    return _split_on_products(jprime, p,
+                              "the flag of J' stalls, but every product of two is nilpotent")
+
+
+def _split_on_products(mats: np.ndarray, p: int, why: str):
+    """(T, a) from the power of the first element u of mats, and then of
+    the first product u v of two, that is neither 0 nor invertible; raises
+    AssertionError(why) when there is none."""
+    for batch in itertools.chain([mats], (linalg.matmul(u, mats, p) for u in mats)):
+        for power in _power(batch, p):
+            split = power.any() and _fitting_split(power, p)
+            if split:
+                return split
+    raise AssertionError(why)
 
 
 def _poly_at(g, f: np.ndarray, p: int) -> np.ndarray:
-    """g(f) for a polynomial g, lowest degree first, by Horner's rule."""
-    out = linalg.zeros(f.shape)
-    for c in reversed(g):
-        out = (linalg.matmul(out, f, p) + c * linalg.identity(len(f))) % p
+    """g(f) for a monic g, lowest degree first, by Horner's rule from I."""
+    out = one = linalg.identity(len(f))
+    for c in reversed(g[:-1]):
+        out = (linalg.matmul(out, f, p) + c * one) % p
     return out
 
 
 def _first_split(elements: np.ndarray, p: int):
-    """((T, a), None) from g(f)^(2^k) for the first f of elements that is
-    not primary, g the first irreducible factor of f's minimal polynomial:
-    g(f) is then singular but not nilpotent.  (None, the g(f)) when every
-    f is primary, so that each g(f) is nilpotent."""
-    gfs = []
-    for f in elements:
-        gf = _poly_at(poly.factor(linalg.minimal_polynomial(f, p), p)[0][0], f, p)
-        power = _power(gf, p)
+    """The one rule for units: g(f), g the first irreducible factor of f's
+    minimal polynomial, is singular, so its power splits the piece unless
+    g(f) is nilpotent (f is primary).  ((T, a), None, None) from the first
+    f of elements that splits; else (None, the g(f), whether some g has
+    degree > 1)."""
+    gfs, wide = linalg.zeros(elements.shape), False
+    for k, f in enumerate(elements):
+        g = poly.factor(linalg.minimal_polynomial(f, p), p)[0][0]
+        gfs[k], wide = _poly_at(g, f, p), wide or len(g) > 2
+        power = _power(gfs[k], p)
         if power.any():
-            return _fitting_split(power, p), None
-        gfs.append(gf)
-    return None, gfs
+            return _fitting_split(power, p), None, None
+    return None, gfs, wide
 
 
 def _ideal(stack: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
@@ -314,17 +319,15 @@ def _ideal(stack: np.ndarray, gens: np.ndarray, p: int) -> np.ndarray:
     return linalg.row_basis(linalg.matmul(left.reshape(-1, 1, r, r), stack, p).reshape(-1, r * r), p)
 
 
-def _rootless_step(stack: np.ndarray, units: np.ndarray, jprime: list, p: int):
-    """`_split_or_certify` from units[0] on, a unit whose minimal
-    polynomial has no root in F_p; jprime holds the nilpotent parts found
-    so far.  Deterministic over any residue field:
+def _rootless_step(stack: np.ndarray, jprime: np.ndarray, p: int):
+    """`_split_or_certify` for a piece that no unit splits by step 1,
+    `_first_split`, when some unit f has a g of degree > 1; jprime holds
+    the nilpotent elements and every g(f).  Deterministic over any residue
+    field:
 
-    1. Each unit f splits the piece on g(f), g the first irreducible factor
-       of its minimal polynomial, unless f is primary and g(f) nilpotent
-       (for a linear g this is the root rule of `_split_or_certify`).
-    2. Otherwise the g(f), J' and the commutators of the stack generate a
-       two-sided ideal I.  In a local End each lies in the radical, since
-       the residue ring is a finite division ring, hence a field.
+    2. J' and the commutators of the stack generate a two-sided ideal I.
+       In a local End each lies in the radical, since the residue ring is
+       a finite division ring, hence a field.
     3. So if the flag of I stalls, End is not local: the piece splits on an
        element of I, or a product of two, whose power is neither 0 nor
        invertible.
@@ -337,19 +340,12 @@ def _rootless_step(stack: np.ndarray, units: np.ndarray, jprime: list, p: int):
        reached: its elements are primary, so their images lie in the
        kernel of a nonzero trace functional unless E/I is one field.)"""
     r = stack.shape[-1]
-    split, gfs = _first_split(units, p)
-    if split:
-        return split
     comm = (linalg.matmul(stack[:, None], stack, p) - linalg.matmul(stack, stack[:, None], p)) % p
-    ideal = _ideal(stack, np.concatenate(jprime + [np.stack(gfs), comm.reshape(-1, r, r)]), p)
+    ideal = _ideal(stack, np.concatenate([jprime, comm.reshape(-1, r, r)]), p)
     mats = ideal.reshape(-1, r, r)
     if not _flag_reaches_zero(mats, p):
-        for u in mats:
-            for power in _power(np.concatenate([u[None], linalg.matmul(u, mats, p)]), p):
-                split = power.any() and _fitting_split(power, p)
-                if split:
-                    return split
-        raise AssertionError("the flag of I stalls, but no element of I or product of two splits")
+        return _split_on_products(
+            mats, p, "the flag of I stalls, but no element of I or product of two splits")
     basis = linalg.row_basis(stack.reshape(-1, r * r), p)
     frob = elements = basis.reshape(-1, r, r)
     for bit in bin(p)[3:]:  # z^p by square and multiply

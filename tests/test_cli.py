@@ -115,6 +115,24 @@ def test_relation_coefficients_beyond_int64_reduce_mod_p(runner, tmp_path):
     assert r.exit_code == want.exit_code == 0 and r.output == want.output
 
 
+@pytest.mark.parametrize("where", ["coef", "field-p"])
+def test_a_json_boolean_is_not_an_integer(runner, tmp_path, where):
+    """JSON true is no int: square.json with a coefficient or p of true is
+    refused with one error line, not read as 1."""
+    doc = json.loads((corpus.BUNDLED_DIR / "square.json").read_text())
+    if where == "coef":
+        doc["relations"][0][0]["coef"] = True
+        want = "relations[0][0] needs an integer 'coef' and a 'path' list of arrow names"
+    else:
+        doc["field"]["p"] = True
+        want = "field must be an object with an integer 'p'"
+    f = tmp_path / "square.json"
+    f.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["algebra", "validate", str(f)])
+    assert r.exit_code == 2
+    assert r.output == f"error: {f}: {want}\n"
+
+
 def test_json_nested_beyond_the_decoder_exit_2(runner, tmp_path):
     """100,000 nested lists make json.loads raise RecursionError; every
     command that reads the file reports it as a parse error."""
@@ -180,6 +198,16 @@ def test_a_prefixed_name_is_never_read_as_an_index(runner, args, noun, name):
     r = runner.invoke(main, args)
     assert r.exit_code == 2
     assert r.output == f"error: unknown {noun} {name!r}; vertices are ['1', '2']\n"
+
+
+@pytest.mark.parametrize("name", ["01", "+1", " 1", "\u0661", "-0"])
+def test_only_the_canonical_index_names_a_simple(runner, name):
+    """a3's vertices are 1, 2 and 3: int() would read each of these as 1
+    or 0, but the only index labels are 0, 1 and 2 as str(i) prints them."""
+    a3 = str(corpus.BUNDLED_DIR / "a3.json")
+    r = runner.invoke(main, ["del", "bounds", a3, "--simple", name])
+    assert r.exit_code == 2
+    assert r.output == f"error: unknown simple {name!r}; vertices are ['1', '2', '3']\n"
 
 
 def test_an_entry_without_named_vertices_names_simple_0_s0(runner, tmp_path):

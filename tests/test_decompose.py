@@ -1229,8 +1229,9 @@ def _check_rootless_split(dec, dims, mults):
 def test_a_unit_with_two_irreducible_factors_splits_by_step_1(monkeypatch):
     """K + K' at two quadratic points has End F_p[b] x F_p[b'].  Fed the
     basis (1, 1), (b, b'), (1, 2), (b, 2b'), the first unit (b, b') has
-    the minimal polynomial g g' and no root: g(b, b') = (0, g(b')) splits
-    it, before any ideal is formed, and each half is then certified."""
+    the minimal polynomial g g' and no root: `_first_split` splits it on
+    g(b, b') = (0, g(b')), before any ideal is formed.  Each half is then
+    certified by a rootless step, which only ever sees primary elements."""
     k = kronecker_algebra()
     g, h = (companion(f, P) for f in itertools.islice(irreducibles(2, P), 2))
     x, _ = modules.direct_sum([kronecker_module(k, g), kronecker_module(k, h)])
@@ -1240,10 +1241,44 @@ def test_a_unit_with_two_irreducible_factors_splits_by_step_1(monkeypatch):
     assert all(modules.ModuleHom(x, x, m).intertwines() for m in basis)
     assert linalg.rank(np.stack(basis).reshape(4, -1), P) == 4
     _feed(monkeypatch, x, basis)
+    firsts, stacks = [], []
+    real_first, real_step = decompose._first_split, decompose._rootless_step
+    monkeypatch.setattr(decompose, "_first_split",
+                        lambda *args: firsts.append(real_first(*args)) or firsts[-1])
+    monkeypatch.setattr(decompose, "_rootless_step",
+                        lambda stack, *args: stacks.append(stack) or real_step(stack, *args))
     steps = _spy_rootless(monkeypatch)
     dec = decompose.decompose(x)
-    assert steps == [("split", []), ("local", [True]), ("local", [True])]
+    assert [split is not None for split, _, _ in firsts] == [True, False, False]
+    assert steps == [("local", [True]), ("local", [True])]
+    assert len(stacks) == 2 and all(len(poly.factor(linalg.minimal_polynomial(f, P), P)) == 1
+                                    for stack in stacks for f in stack)
     _check_rootless_split(dec, [4, 4], [1, 1])
+
+
+def _monic_irreducibles(p):
+    """Every monic irreducible polynomial over F_p of degree 1 to 3."""
+    for d in (1, 2, 3):
+        for low in itertools.product(range(p), repeat=d):
+            g = [*low, 1]
+            if poly.factor(g, p) == [(g, 1)]:
+                yield g
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_poly_at_evaluates_a_monic_polynomial_from_the_identity(p):
+    """Each monic irreducible g of degree 1 to 3 annihilates its companion
+    matrix, and for g = t - mu, g(f) is (f - mu I) % p on random f, bit
+    for bit and with the same dtype."""
+    gs = list(_monic_irreducibles(p))
+    assert Counter(len(g) - 1 for g in gs) == {1: p, 2: (p * p - p) // 2, 3: (p ** 3 - p) // 3}
+    for g in gs:
+        assert not decompose._poly_at(g, companion(g, p), p).any(), g
+    rng = np.random.default_rng(p)
+    for mu in range(p):
+        f = linalg.mat(rng.integers(0, p, (4, 4)), p)
+        got, want = decompose._poly_at([-mu, 1], f, p), (f - mu * linalg.identity(4)) % p
+        assert got.dtype == want.dtype and np.array_equal(got, want), mu
 
 
 def test_a_stalled_flag_of_i_splits_on_an_element_of_i(monkeypatch):
