@@ -253,10 +253,7 @@ def paper_verify(corpus_dir, only_check, only_algebra, report_path, seed, prime)
 @guarded
 def report_cmd(file, fmt, reverify, corpus_dir):
     """Render a stored report, optionally re-verifying its certificates."""
-    path = Path(file)
-    if not path.is_file():
-        raise CorpusError(f"{file}: no such report file")
-    doc = corpus.parse_json(path.read_text(), file)
+    doc = corpus.parse_json(corpus.read_file(file), file)
     # every field that rendering and reverifying a report read
     config = doc.get("config") if isinstance(doc, dict) else None
     if not (isinstance(config, dict) and "version" in doc and "seed" in config

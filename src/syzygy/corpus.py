@@ -105,9 +105,22 @@ def _check_shape(raw: dict, source: str):
             raise CorpusError(f"{source}: construction.base must be an entry id")
 
 
+def read_file(path) -> str:
+    """The text of the UTF-8 file at path; a path that is missing, is not
+    a readable file, or does not decode is a CorpusError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise CorpusError(f"{path}: no such file") from exc
+    except OSError as exc:  # a directory, a permission
+        raise CorpusError(f"{path}: not a readable file ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def load_entry_file(path) -> CorpusEntry:
     path = Path(path)
-    raw = parse_json(path.read_text(), str(path))
+    raw = parse_json(read_file(path), str(path))
     if not isinstance(raw, dict):
         raise CorpusError(f"{path}: top level must be an object")
     _check_shape(raw, str(path))

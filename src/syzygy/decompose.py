@@ -10,9 +10,9 @@ and Szőke, Exp. Math. 16, 2007).  One rule takes every unit f: g(f), g
 the first irreducible factor of f's minimal polynomial, splits the piece
 unless it is nilpotent.  When every g is linear, the piece is local once
 the flag x, x J', x J'^2, ... of the nilpotent elements and the g(f)
-reaches 0.  Otherwise it is local when the ideal I that J' and the
-commutators generate has a flag that reaches 0, and z -> z^p fixes only
-the scalars of E/I.  `decompose` draws nothing.
+reaches 0.  Otherwise it is local once the flag of the ideal I that J'
+and the commutators generate reaches 0, which the count of the space
+that z -> z^p fixes in E/I asserts.  `decompose` draws nothing.
 
 Two modules are compared first by their invariants (total dimension,
 dimension vector) and then by the basis of Hom(x, y), with no random draw.
@@ -331,14 +331,15 @@ def _rootless_step(stack: np.ndarray, jprime: np.ndarray, p: int):
     3. So if the flag of I stalls, End is not local: the piece splits on an
        element of I, or a product of two, whose power is neither 0 nor
        invertible.
-    4. Else I is nilpotent, and E/I is commutative and spanned by elements
-       that irreducible polynomials annihilate: a product of finite fields,
-       one per dimension of the space that z -> z^p fixes.  One dimension
-       certifies the piece local.  A fixed element that is not a scalar has
-       two roots in F_p, so its lift, a row of W = {z : z^p - z in I},
-       splits by step 1.  (When stack spans all of End, this split is not
-       reached: its elements are primary, so their images lie in the
-       kernel of a nonzero trace functional unless E/I is one field.)"""
+    4. Else I is nilpotent, and E/I is commutative and spanned by the
+       images of stack, which irreducible polynomials annihilate: a product
+       F_q1 x ... x F_qk of fields, one per dimension of the space that
+       z -> z^p fixes.  Here k = 1, and the piece is local: each element
+       of stack is primary, so the components of its image share one
+       minimal polynomial, and for k > 1 the images would lie in the kernel
+       of (n2/c) Tr_1 - (n1/c) Tr_2, q_i = p^n_i, c = gcd(n1, n2), and not
+       span E/I.  So {z : z^p - z in I} has dimension dim I + 1, or the
+       step raises AssertionError."""
     r = stack.shape[-1]
     comm = (linalg.matmul(stack[:, None], stack, p) - linalg.matmul(stack, stack[:, None], p)) % p
     ideal = _ideal(stack, np.concatenate([jprime, comm.reshape(-1, r, r)]), p)
@@ -352,11 +353,11 @@ def _rootless_step(stack: np.ndarray, jprime: np.ndarray, p: int):
         frob = linalg.matmul(frob, frob, p)
         if bit == "1":
             frob = linalg.matmul(frob, elements, p)
-    coeffs = linalg.kernel_basis(np.vstack([(frob.reshape(-1, r * r) - basis) % p, ideal]), p)
-    fixed = linalg.row_basis(linalg.matmul(coeffs[:, :len(basis)], basis, p), p)
-    if len(fixed) == len(ideal) + 1:
-        return None
-    return _first_split(fixed.reshape(-1, r, r), p)[0]
+    # dim kernel = dim fixed space: basis and ideal each have independent rows
+    fixed = linalg.kernel_basis(np.vstack([(frob.reshape(-1, r * r) - basis) % p, ideal]), p)
+    if len(fixed) != len(ideal) + 1:
+        raise AssertionError("z -> z^p fixes more than the scalars of E/I")
+    return None
 
 
 def _pieces(x: RightModule) -> list:

@@ -87,20 +87,6 @@ def zero_module(a: StructureAlgebra) -> RightModule:
     return RightModule(a, linalg.zeros((a.dim, 0, 0)), name="0")
 
 
-def validate_module(x: RightModule) -> list:
-    """Unitality and multiplicativity on all basis pairs; violations as data."""
-    a = x.algebra
-    p = a.p
-    bad = []
-    if not np.array_equal(x.rho(a.unit), linalg.identity(x.dim)):
-        bad.append("unit does not act as identity")
-    # v b_i b_j on the left, v (b_i b_j) on the right
-    lhs = linalg.matmul(x.action[:, None], x.action, p)
-    if not np.array_equal(lhs, x.rho(a.mul)):
-        bad.append("action is not multiplicative")
-    return bad
-
-
 @dataclass
 class ModuleHom:
     """Module map: v -> v @ matrix, intertwining all actions."""

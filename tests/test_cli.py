@@ -504,9 +504,39 @@ def test_reverify_of_the_untampered_seed20_report(runner, tmp_path, seed20_repor
     assert r.output.endswith("reverify: 510/510 certificates ok\n")
 
 
-def test_report_missing_file_exit_2(runner, tmp_path):
-    r = runner.invoke(main, ["report", str(tmp_path / "nope.json")])
-    assert r.exit_code == 2
+BAD_PATHS = {"missing": "no such file", "directory": "not a readable file",
+             "not-utf8": "not UTF-8 text"}
+
+
+def _bad_path(path, kind):
+    """path made to name no file, a directory, or a file that is not UTF-8."""
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    return path
+
+
+def _one_error_line(r, path, kind):
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit) and "Traceback" not in r.output
+    assert r.output.splitlines() == [r.output.rstrip("\n")]
+    assert r.output.startswith(f"error: {path}: {BAD_PATHS[kind]}"), r.output
+
+
+@pytest.mark.parametrize("kind", list(BAD_PATHS))
+@pytest.mark.parametrize("args", [["del", "bounds"], ["pd", "--module", "S1"],
+                                  ["algebra", "validate"], ["algebra", "build"], ["report"]],
+                         ids=["del-bounds", "pd", "validate", "build", "report"])
+def test_a_bad_input_path_is_one_error_line_naming_it(runner, tmp_path, args, kind):
+    path = _bad_path(tmp_path / "in.json", kind)
+    _one_error_line(runner.invoke(main, [*args, str(path)]), path, kind)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_paper_verify_names_an_entry_path_it_cannot_read(runner, tmp_path, kind):
+    path = _bad_path(tmp_path / "x.json", kind)
+    _one_error_line(runner.invoke(main, ["paper", "verify", str(tmp_path)]), path, kind)
 
 
 def test_seed_env_var(runner, tmp_path):

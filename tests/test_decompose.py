@@ -16,6 +16,8 @@ from syzygy import algebra, checks, corpus, decompose, deloop, linalg, modules, 
 from syzygy.algebra import QuiverPresentation
 from syzygy.errors import CharTooSmall
 
+import test_module_reference
+
 P = 32003
 CORPUS_IDS = ["a2", "a3", "dual_numbers", "nakayama3", "point", "square",
               "truncated_cubic", "two_points"]
@@ -1134,7 +1136,7 @@ def kronecker_module(k, b):
     act[0, :d, :d] = act[1, d:, d:] = act[2, :d, d:] = linalg.identity(d)
     act[3, :d, d:] = b
     x = modules.RightModule(k, act)
-    assert modules.validate_module(x) == []
+    assert test_module_reference.validate_module(x) == []
     return x
 
 
@@ -1171,7 +1173,7 @@ def test_iso_test_combines_an_empty_hom_basis():
     k = kronecker_at_a_quadratic_point().algebra
     x, y = (modules.RightModule(k, [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]],
                                     [[0, lam], [0, 0]]]) for lam in (0, 1))
-    assert modules.validate_module(x) == modules.validate_module(y) == []
+    assert [test_module_reference.validate_module(m) for m in (x, y)] == [[], []]
     assert modules.dimension_vector(x) == modules.dimension_vector(y)
     assert modules.hom_space(x, y) == []
     assert not modules.hom_combination(x, y, [], []).any()
@@ -1308,15 +1310,15 @@ def test_a_stalled_flag_of_i_splits_on_an_element_of_i(monkeypatch):
                 decompose.decompose(ss)
 
 
-def test_a_frobenius_fixed_element_splits_by_step_1(monkeypatch):
+def test_a_span_not_closed_under_products_fails_the_frobenius_count(monkeypatch):
     """K + K over F_2 at the point of t^2 + t + 1, whose End is
     M_2(F_4), fed (1, 1), (w, w) and (w, w^2) on the diagonal F_4 x F_4.
-    Each is primary with no root, and they commute, so I = 0.  z -> z^2
-    fixes (0, 1) = (w, w) + (w, w^2) besides the scalars, and that
-    idempotent splits the module; each half, whose End is F_4, is then
-    certified.  The fed span is 3 of the 4 dimensions of F_4 x F_4, and
-    not closed under products: a basis of all of End has an element with
-    a root here, which the main path splits first."""
+    Each is primary with no root, and they commute, so I = 0 and its flag
+    reaches 0.  But the fed span, 3 of the 4 dimensions of F_4 x F_4, is
+    not closed under products, and z -> z^2 fixes (0, 1) = (w, w) +
+    (w, w^2) besides the scalars: step 4 raises.  Fed all of End, the main
+    path splits the module, and each half, whose End is F_4, is certified
+    by a rootless step."""
     k = kronecker_algebra(2)
     w = companion([1, 1, 1], 2)
     x, _ = modules.direct_sum([kronecker_module(k, w), kronecker_module(k, w)])
@@ -1324,10 +1326,14 @@ def test_a_frobenius_fixed_element_splits_by_step_1(monkeypatch):
     basis = [linalg.mat(np.kron(np.diag([1, 1, 0, 0]), u) + np.kron(np.diag([0, 0, 1, 1]), v), 2)
              for u, v in ((one, one), (w, w), (w, linalg.matmul(w, w, 2)))]
     assert all(modules.ModuleHom(x, x, m).intertwines() for m in basis)
-    _feed(monkeypatch, x, basis)
     steps = _spy_rootless(monkeypatch)
+    with pytest.MonkeyPatch.context() as mp:
+        _feed(mp, x, basis)
+        with pytest.raises(AssertionError, match="fixes more than the scalars"):
+            decompose.decompose(x)
+    assert steps == []
     dec = decompose.decompose(x)
-    assert steps == [("split", [True]), ("local", [True]), ("local", [True])]
+    assert steps == [("local", [True]), ("local", [True])]
     _check_rootless_split(dec, [4, 4], [2])
 
 

@@ -1,5 +1,5 @@
 """The module layer's stacked products against the per-element loops they
-replaced, bit for bit.
+replaced, bit for bit, and the module-law oracle `validate_module`.
 
 Each `ref_*` function below is the loop version of a library function,
 kept as the reference; `ref_lemma5_candidate` and `ref_sigma_triple_module`
@@ -21,11 +21,25 @@ import pytest
 from syzygy import algebra, checks, corpus, deloop, linalg, modules
 from syzygy.decompose import decompose, end_ring
 from syzygy.errors import InconsistentSystem, NotStable
-from test_decompose import ref_end_ring
+
+import test_decompose
 
 VALID = ["a2", "a3", "dual_numbers", "nakayama3", "point", "square",
          "truncated_cubic", "two_points"]
 PRIMES = [None, 1048573]  # None: each entry's own prime, 32003
+
+
+def validate_module(x):
+    """The module-law oracle: unitality and multiplicativity on all basis
+    pairs; violations as data."""
+    a, p = x.algebra, x.p
+    bad = []
+    if not np.array_equal(x.rho(a.unit), linalg.identity(x.dim)):
+        bad.append("unit does not act as identity")
+    # v b_i b_j on the left, v (b_i b_j) on the right
+    if not np.array_equal(linalg.matmul(x.action[:, None], x.action, p), x.rho(a.mul)):
+        bad.append("action is not multiplicative")
+    return bad
 
 
 def ref_kernel_basis(m, p):
@@ -442,7 +456,7 @@ def test_every_hom_space_and_end_ring_matches_the_full_reference(worlds, p):
                 seen["zero hom"] += not got
                 seen["some y e_i = 0"] += 0 in modules.dimension_vector(y)
             for x in mods + twisted:
-                mul, unit = ref_end_ring(x, modules.hom_space(x, x))
+                mul, unit = test_decompose.ref_end_ring(x, modules.hom_space(x, x))
                 assert _same(end_ring(x).mul, mul) and _same(end_ring(x).unit, unit)
                 seen["end rings"] += 1
     assert seen["zero hom"] and seen["some y e_i = 0"], seen

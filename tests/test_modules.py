@@ -10,6 +10,7 @@ import syzygy
 from syzygy import algebra, checks, corpus, linalg, modules
 from syzygy.algebra import QuiverPresentation
 from syzygy.errors import AlgebraMismatch, NotStable, ResourceGuard, ShapeMismatch
+from test_module_reference import validate_module
 
 P = 32003
 
@@ -44,11 +45,11 @@ def test_regular_module_validates():
     for a in (point(), dual_numbers(), kA2()):
         reg, simples, projs = modules.canonical_modules(a)
         assert reg.dim == a.dim
-        assert not modules.validate_module(reg)
+        assert not validate_module(reg)
         for s in simples:
-            assert not modules.validate_module(s)
+            assert not validate_module(s)
         for info in projs:
-            assert not modules.validate_module(info.module)
+            assert not validate_module(info.module)
 
 
 def test_canonical_modules_ka2_dims():
@@ -266,7 +267,7 @@ def test_submodule_closure():
     sub, incl = modules.submodule_from_generators(reg, e1)
     assert sub.dim == 2  # e1 generates e1 and the arrow
     assert incl.intertwines()
-    assert not modules.validate_module(sub)
+    assert not validate_module(sub)
 
 
 def test_direct_sum_blocks():
@@ -275,7 +276,7 @@ def test_direct_sum_blocks():
     total, slices = modules.direct_sum(simples)
     assert total.dim == 2
     assert len(slices) == 2
-    assert not modules.validate_module(total)
+    assert not validate_module(total)
 
 
 def test_hom_between_distinct_simples_is_zero():
@@ -300,7 +301,7 @@ def test_tensor_regular_gives_bimodule_dim():
     reg = modules.canonical_modules(a)[0]
     t = modules.tensor_over_algebra(reg, m)
     assert t.dim == m.dim
-    assert not modules.validate_module(t)
+    assert not validate_module(t)
 
 
 def test_tensor_pure_bilinear():
@@ -350,12 +351,12 @@ def test_triple_round_trip_regular():
     info = lam.triangle
     assert t.x.dim + t.y.dim == lam.dim
     assert t.x.algebra is info.u or modules.same_algebra(t.x.algebra, info.u)
-    assert not modules.validate_module(t.x)
-    assert not modules.validate_module(t.y)
+    assert not validate_module(t.x)
+    assert not validate_module(t.y)
     assert t.f.intertwines()
     z2 = modules.triple_to_module(t, lam)
     assert z2.dim == regs.dim
-    assert not modules.validate_module(z2)
+    assert not validate_module(z2)
     t2 = modules.module_to_triple(z2)
     assert (t2.x.dim, t2.y.dim) == (t.x.dim, t.y.dim)
 
@@ -369,7 +370,7 @@ def test_make_triple_zero_connecting_map():
     t = modules.make_triple(lam, x, y, linalg.zeros((0, 0)), tensor)
     z = modules.triple_to_module(t, lam)
     assert z.dim == x.dim
-    assert not modules.validate_module(z)
+    assert not validate_module(z)
 
 
 def test_make_triple_rejects_wrong_corner():

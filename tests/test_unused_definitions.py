@@ -2,8 +2,8 @@
 
 A module-level function or class, or a method other than a dunder, that
 only tests read is dead API.  Exempt are the click commands, the names
-the benchmark's tracer wraps (perfbench/tracer.py TARGETS) and the few
-oracles in EXEMPT.
+the benchmark's tracer wraps (perfbench/tracer.py TARGETS) and any
+oracle named in EXEMPT, which is empty: test oracles live in the tests.
 """
 
 import ast
@@ -14,9 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "syzygy"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-EXEMPT = {
-    "modules.validate_module": "the module-law oracle that tests use",
-}
+EXEMPT = {}
 
 
 def _tracer_targets() -> set:
