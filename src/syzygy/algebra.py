@@ -59,7 +59,12 @@ class StructureAlgebra:
 
     mul[i, j, k] is the coefficient of basis element k in b_i * b_j.
     The radical and idempotent rows may be empty, as for an End ring
-    (`modules.EndRing`), and the dimension may be 0.
+    (`modules.EndRing`), and the dimension may be 0.  The basis is adapted
+    to the stored idempotents: e_i * b_j is b_j or 0 for every i and j.
+    Every constructor here keeps that (the path basis of `from_quiver`,
+    `opposite`, `trivial_extension`, `triangular`, `semisimple_quotient`),
+    and `modules.canonical_modules` relies on it and refuses a basis that
+    breaks it.
     """
 
     def __init__(self, p, mul, unit, radical, idempotents, labels=None,

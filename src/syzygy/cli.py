@@ -229,6 +229,12 @@ def paper_group():
 @guarded
 def paper_verify(corpus_dir, only_check, only_algebra, report_path, seed, prime):
     """Run every check over a corpus directory (default: bundled corpus)."""
+    if report_path is not None:  # refuse a path it cannot write before any check runs
+        target = Path(report_path)
+        if target.is_dir():
+            raise CorpusError(f"{report_path}: is a directory, not a report file")
+        if not target.parent.is_dir():
+            raise CorpusError(f"{report_path}: no such directory {str(target.parent)!r}")
     entries = corpus.load_corpus(corpus_dir)
     config = checks.Config(seed=seed, prime=prime)
     reports, ok = checks.run_corpus(entries, config, only_check=only_check,

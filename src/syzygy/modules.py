@@ -249,14 +249,28 @@ def canonical_modules(a: StructureAlgebra):
     """(regular, simples, projectives): A_A, the S_i as a tuple, and the
     e_i A.  S_i is 1-dimensional, b_j acting by the coefficient of e_i in
     b_j modulo rad(A), all read off one solve over the stored idempotents
-    and radical; an algebra with no stored idempotents (an `EndRing`) has none."""
+    and radical; an algebra with no stored idempotents (an `EndRing`) has none.
+
+    The basis must be adapted to the stored idempotents: e_i b_j is b_j or 0
+    for every i and j, as every constructor of the package leaves it.  Then
+    e_i A is spanned by the b_j that e_i fixes, its RREF basis is their unit
+    rows and its action is read off the regular one, with no elimination.
+    Raises ValueError naming the first idempotent the basis is not adapted
+    to, and NotStable when that span is not a submodule holding e_i, which
+    only an algebra that fails its unit or associative law can cause."""
     action = a.mul.transpose(1, 0, 2).copy()  # action[j][i,k] = c[i,j,k]
     regular = RightModule(a, action, name="A")
     projectives = []
-    for idx, e in enumerate(a.idempotents):
-        sub, incl = submodule_from_generators(regular, e.reshape(1, a.dim))
-        sub.name = f"P{idx}"
-        projectives.append(ProjectiveInfo(idx, sub, incl.matrix))
+    for idx, (e, left) in enumerate(zip(a.idempotents, a.left_mult(a.idempotents))):
+        fixed = np.diagonal(left) == 1  # left[j] = e_i b_j
+        if not np.array_equal(left, np.diag(fixed)):
+            raise ValueError(f"the basis is not adapted to idempotent {idx}: "
+                             f"e_{idx} times some basis element is neither it nor 0")
+        block = action[:, fixed]
+        if e[~fixed].any() or block[:, :, ~fixed].any():
+            raise NotStable(f"the basis elements that e_{idx} fixes do not span e_{idx}A")
+        sub = RightModule(a, block[:, :, fixed], name=f"P{idx}")
+        projectives.append(ProjectiveInfo(idx, sub, linalg.identity(a.dim)[fixed]))
     simples = ()
     if projectives:  # coeffs[j, i] is the coefficient of e_i in b_j
         coeffs = linalg.solve_linear(np.vstack([a.idempotents, a.radical]),
@@ -282,11 +296,17 @@ def presentation(x: RightModule) -> Presentation:
     """Projective cover presentation, cached on the module."""
     a = x.algebra
     p = a.p
-    _, _, projectives = canonical_modules(a)
+    regular, _, projectives = canonical_modules(a)
     if x.dim == 0:
         cover, _ = direct_sum([], a)
         return Presentation([], cover, ModuleHom(cover, x, linalg.zeros((0, 0))),
                             linalg.zeros((0, 0)), linalg.zeros((0, 0)))
+    if np.array_equal(x.action, regular.action) and _is_own_cover(a, projectives):  # x is A_A
+        cover, _ = direct_sum([info.module for info in projectives], a)
+        pi_matrix = np.vstack([info.rows for info in projectives])
+        return Presentation([(info.index, a.idempotents[info.index].copy()) for info in projectives],
+                            cover, ModuleHom(cover, x, pi_matrix), linalg.zeros((0, x.dim)),
+                            np.ascontiguousarray(pi_matrix.T))
     # the top x / x rad(A) on the free columns of the RREF of x rad(A): proj
     # is the identity on the free rows, so e acts on the top as x_e[free] @ proj
     rref, rk, pivots = linalg.row_reduce(_radical_rows(x), p)
@@ -314,6 +334,26 @@ def presentation(x: RightModule) -> Presentation:
     lift = linalg.zeros((x.dim, cover.dim))
     lift[:, solver.cols] = solver.elim.T
     return Presentation(parts, cover, ModuleHom(cover, x, pi_matrix), kernel, lift)
+
+
+def _is_own_cover(a: StructureAlgebra, projectives: list) -> bool:
+    """Whether the general body of `presentation` gives A_A the generators
+    e_i, the cover P_0 + ... + P_t, the stacked rows of the P_i as pi (a
+    permutation), no kernel and pi^T as lift.  It does when the e_i are unit
+    rows at coordinates G, the rows of the P_i partition the basis, the
+    stored radical is the unit rows off G, and no product b_i b_r with b_r
+    in it reaches G: then A rad(A) is the span of that radical, since each
+    b_r is e_i b_r for the P_i that holds it, and e_i lies in P_i, as
+    canonical_modules checks."""
+    if not projectives:
+        return False
+    n, g = a.dim, a.idempotents.argmax(axis=1)
+    off = np.ones(n, dtype=bool)
+    off[g] = False
+    return (np.array_equal(a.idempotents, linalg.identity(n)[g])
+            and (np.vstack([info.rows for info in projectives]).sum(axis=0) == 1).all()
+            and np.array_equal(a.radical, linalg.identity(n)[off])
+            and not a.mul[:, off][:, :, g].any())
 
 
 def projective_cover(x: RightModule):

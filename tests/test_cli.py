@@ -539,6 +539,22 @@ def test_paper_verify_names_an_entry_path_it_cannot_read(runner, tmp_path, kind)
     _one_error_line(runner.invoke(main, ["paper", "verify", str(tmp_path)]), path, kind)
 
 
+@pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+def test_paper_verify_refuses_a_report_path_it_cannot_write(runner, tmp_path, monkeypatch, kind):
+    """A --report path that is a directory, or whose directory does not
+    exist, is one error line naming it, exit 2, before any check runs."""
+    path = tmp_path / "nodir" / "r.json"
+    if kind == "directory":
+        path = tmp_path / "r.json"
+        path.mkdir()
+    monkeypatch.setattr(checks, "run_corpus", lambda *a, **k: pytest.fail("the checks ran"))
+    r = runner.invoke(main, ["paper", "verify", "--algebra", "point", "--report", str(path)])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit) and "Traceback" not in r.output
+    assert r.output.splitlines() == [r.output.rstrip("\n")]
+    assert r.output.startswith(f"error: {path}: "), r.output
+
+
 def test_seed_env_var(runner, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

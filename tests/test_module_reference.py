@@ -26,6 +26,7 @@ import test_decompose
 
 VALID = ["a2", "a3", "dual_numbers", "nakayama3", "point", "square",
          "truncated_cubic", "two_points"]
+MUTANT = "mutant_broken_trivext"  # its unit law fails: a left unit only
 PRIMES = [None, 1048573]  # None: each entry's own prime, 32003
 
 
@@ -397,6 +398,22 @@ def _base_change(x, rng):
                                                     linalg.invert(g, p)) % p)
 
 
+def _variants(world, aid):
+    """The algebra aid, its opposite and, for a valid entry, its trivial
+    extension."""
+    a = world[aid]
+    return (a, algebra.opposite(a)) if aid == MUTANT else (
+        a, algebra.opposite(a), algebra.trivial_extension(a))
+
+
+def _mutant_modules(a):
+    """The nonzero modules canonical_modules builds over the mutant or its
+    opposite.  Their syzygies need not be unital (over the mutant the unit
+    acts as 0 on Omega S_0), and such a module has no projective cover."""
+    reg, simples, projectives = modules.canonical_modules(a)
+    return [x for x in (reg, *simples, *(info.module for info in projectives)) if x.dim]
+
+
 def _sweep_modules(a):
     """Up to 14 modules of a: A_A, the simples, the projectives, Omega^1
     and Omega^2 of the simples and the radicals of the projectives."""
@@ -410,15 +427,18 @@ def _sweep_modules(a):
 @pytest.mark.parametrize("p", PRIMES + [3, 2])
 def test_presentation_matches_the_top_module_reference(worlds, p):
     """presentation takes the top off the RREF of x rad(A) and builds no
-    top module: on the sweep modules of every valid algebra, its Lambda
-    and its cover, the same parts, cover action, pi, kernel rows and lift
-    as ref_presentation, at p = 32003, 1048573, 3 and 2."""
+    top module, and A_A is its own cover: on the sweep modules of every
+    valid algebra, its opposite, its trivial extension, its Lambda and its
+    cover, and of the mutant and its opposite (whose A rad(A) is 0, so A_A
+    needs two generators there), the same parts, cover action, pi, kernel
+    rows and lift as ref_presentation, at p = 32003, 1048573, 3 and 2."""
     world = worlds[p] if p in worlds else corpus.resolve_corpus(corpus.load_corpus(), p)
     seen = Counter()
-    for aid in VALID:
+    for aid in VALID + [MUTANT]:
         a = world[aid]
-        for alg in (a, algebra.build_lambda(a), algebra.build_cover(a)):
-            for x in _sweep_modules(alg):
+        derived = () if aid == MUTANT else (algebra.build_lambda(a), algebra.build_cover(a))
+        for alg in _variants(world, aid) + derived:
+            for x in _mutant_modules(alg) if aid == MUTANT else _sweep_modules(alg):
                 got, want = modules.presentation(x), ref_presentation(x)
                 assert [i for i, _ in got.parts] == [i for i, _ in want.parts]
                 assert all(_same(v, w) for (_, v), (_, w) in zip(got.parts, want.parts))
@@ -428,7 +448,29 @@ def test_presentation_matches_the_top_module_reference(worlds, p):
                 assert _same(got.lift, want.lift)
                 seen["modules"] += 1
                 seen["projective"] += not len(got.kernel_rows)
-    assert seen["modules"] > 250 and seen["projective"], seen
+                if x is modules.canonical_modules(alg)[0]:
+                    seen["A_A not its own cover"] += len(got.parts) > len(alg.idempotents)
+    assert seen["modules"] > 400 and seen["projective"] and seen["A_A not its own cover"], seen
+
+
+def test_a_a_is_its_own_cover_only_where_the_general_body_agrees(worlds):
+    """Where a condition of presentation's shortcut for A_A fails, the
+    general body runs, as ref_presentation does.  On a2 storing e_2 + a as
+    its radical, and on a2 with a*a = e_1, A rad(A) is span(e_2, a) and
+    span(e_1, a): each holds an idempotent, which the top then misses, so
+    no cover maps onto A_A and both raise.  The mutant's opposite, where
+    the P_i miss a basis element, is in the sweep above."""
+    a = worlds[None]["a2"]
+    assert a.labels == ["e_1", "e_2", "a"]
+    mul = a.mul.copy()
+    mul[2, 2] = [1, 0, 0]
+    for alg in (algebra.StructureAlgebra(a.p, a.mul, a.unit, [[0, 1, 1]], a.idempotents),
+                algebra.StructureAlgebra(a.p, mul, a.unit, a.radical, a.idempotents)):
+        x = modules.canonical_modules(alg)[0]
+        with pytest.raises(AssertionError):
+            ref_presentation(x)
+        with pytest.raises(AssertionError, match="not surjective"):
+            modules.presentation(x)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -550,19 +592,32 @@ def test_lemma5_samples_are_the_modules_their_descriptors_rebuild(worlds, aid, p
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("aid", VALID)
+@pytest.mark.parametrize("aid", VALID + [MUTANT])
 def test_stable_submodules_match_the_closure_reference(worlds, aid, p):
-    """syzygy_step, radical_submodule and socle build their submodules
+    """canonical_modules reads each e_i A off the regular action,
+    syzygy_step, radical_submodule and socle build their submodules
     with stable_submodule, skipping the closure loop, the summands of
     decompose read theirs off the action in the basis of the stacked RREF
     bases, each the image of its idempotent proj incl, and
     submodule_from_generators closes in one step; top_of_module quotients
     by x * rad(A) directly.  Random base changes of the modules
-    give kernel rows and generators far from echelon form."""
-    a = worlds[p][aid]
+    give kernel rows and generators far from echelon form.  On the
+    algebra's pool and simple syzygies, and on the sweep modules of its
+    opposite and (for a valid entry) its trivial extension."""
+    world = worlds[p]
+    for alg in _variants(world, aid):
+        regular, _, projectives = modules.canonical_modules(alg)
+        for info in projectives:
+            action, basis = ref_closure(regular, alg.idempotents[info.index])
+            assert _same(info.module.action, action) and _same(info.rows, basis)
+        mods = (_mutant_modules(alg) if aid == MUTANT else
+                _base_modules(alg) if alg is world[aid] else _sweep_modules(alg))
+        _check_stable_submodules(alg, mods)
+
+
+def _check_stable_submodules(a, mods):
     rng = np.random.default_rng(5)
-    mods = _base_modules(a)
-    mods += [y for y in (_base_change(x, rng) for x in mods) if y is not None]
+    mods = mods + [y for y in (_base_change(x, rng) for x in mods) if y is not None]
     for x in mods:
         pres = modules.presentation(x)
         rad_rows = x.rho(a.radical).reshape(-1, x.dim)

@@ -124,6 +124,65 @@ def test_an_end_ring_has_no_simples_and_no_projectives():
     assert simples == () and projs == []
 
 
+def test_the_projectives_and_the_cover_of_a_a_solve_nothing(monkeypatch):
+    """On Lambda(a2), canonical_modules reads each e_i A off the regular
+    action with no action solve, and presentation(A_A) returns A_A as its
+    own cover, generated by the e_i, without building a LinearSolver."""
+    lam = algebra.build_lambda(corpus.resolve_corpus(corpus.load_corpus())["a2"])
+    calls = []
+    for mod, name in ((modules, "_restricted_action"), (linalg, "LinearSolver")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *args, _f=real, _n=name: calls.append(_n) or _f(*args))
+    regular, _, projectives = modules.canonical_modules(lam)
+    pres = modules.presentation(regular)
+    assert calls == []
+    assert [i for i, _ in pres.parts] == [info.index for info in projectives]
+    assert all(np.array_equal(v, lam.idempotents[i]) for i, v in pres.parts)
+    assert pres.kernel_rows.shape == (0, lam.dim)
+    assert np.array_equal(linalg.matmul(pres.lift, pres.pi.matrix, lam.p), linalg.identity(lam.dim))
+
+
+@pytest.mark.parametrize("p", [2, P])
+def test_every_constructor_keeps_the_basis_adapted_to_the_idempotents(p):
+    """e_i b_j is b_j or 0 for each stored idempotent e_i and basis element
+    b_j, on every valid corpus algebra (each built by from_quiver) and on
+    opposite, trivial_extension, build_lambda, build_cover and
+    semisimple_quotient of each of those and of their images; and on each,
+    A_A is its own cover with the e_i as unit rows."""
+    world = corpus.resolve_corpus(corpus.load_corpus(), p)
+    ctors = [algebra.opposite, algebra.trivial_extension, algebra.build_lambda,
+             algebra.build_cover, lambda a: algebra.semisimple_quotient(a)[0]]
+    entries = [world[e.id] for e in corpus.load_corpus() if not e.expect_fail]
+    once = [f(a) for a in entries for f in ctors]
+    seen = 0
+    for a in entries + once + [f(b) for b in once for f in ctors]:
+        for e in a.idempotents:
+            left = a.left_mult(e)
+            assert np.array_equal(left, np.diag(np.diagonal(left))) and set(np.diagonal(left)) <= {0, 1}
+        _, _, projectives = modules.canonical_modules(a)
+        assert modules._is_own_cover(a, projectives), a.name
+        seen += 1
+    assert seen == 8 * 31, seen
+
+
+def test_a_basis_not_adapted_to_the_idempotents_is_refused():
+    """a2 storing e_1 + a and e_2 - a as its idempotents still validates,
+    but (e_1 + a) e_2 = a is neither e_2 nor 0: canonical_modules names
+    idempotent 0.  A product that moves e_1 A out of the span of the basis
+    elements e_1 fixes (a e_1 = e_2, which breaks associativity) is
+    NotStable."""
+    a = kA2()
+    assert a.labels == ["e_1", "e_2", "a"]
+    turned = algebra.StructureAlgebra(P, a.mul, a.unit, a.radical, [[1, 0, 1], [0, 1, P - 1]])
+    assert algebra.validate_algebra(turned).ok
+    with pytest.raises(ValueError, match="not adapted to idempotent 0"):
+        modules.canonical_modules(turned)
+    mul = a.mul.copy()
+    mul[2, 0] = [0, 1, 0]
+    with pytest.raises(NotStable, match="e_0 fixes"):
+        modules.canonical_modules(algebra.StructureAlgebra(P, mul, a.unit, a.radical, a.idempotents))
+
+
 def test_a_seed_20_corpus_pass_builds_few_tops(monkeypatch):
     """In a seed-20 pass only the `top` descriptors of lemma1 and the
     diamond build a top module; the simples build none."""
